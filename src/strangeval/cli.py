@@ -12,7 +12,9 @@ output:
     roots    roots of the terminating polynomial (or explicit coefficients)
 
 Rationals cross the boundary as exact "p/q" strings.  Exit codes: 0 on
-success, 1 when a residual or agreement check fails, 2 on usage errors.
+success, 1 when a residual check fails, 2 on usage and domain errors
+(invalid parameters, branch cut, degenerate connection, gamma pole, no
+convergence), 3 when routes the theory proves equal disagree (a bug).
 """
 
 from __future__ import annotations
@@ -24,14 +26,15 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import BranchCutError, ParameterError
-from .hyp import (
-    HypParams,
-    q0_by_reversal,
-    q0_r0_by_series,
-    q0_r0_general_b,
-    terminating_poly,
+from .errors import (
+    BranchCutError,
+    DegenerateConnectionError,
+    GammaPoleError,
+    InternalInconsistencyError,
+    NonConvergenceError,
+    ParameterError,
 )
+from .hyp import HypParams, terminating_poly
 from .numeric import KNOWN_PATHS, EvalContext, find_roots, hyp2f1_num
 from .operators import (
     build_H,
@@ -41,8 +44,14 @@ from .operators import (
     right_reduce,
 )
 from .poly import Poly
-from .scalars import format_rational, is_integer, parse_rational
-from .verify import _flags_dict, gosper_check, sweep, verify_theorem
+from .scalars import format_rational, parse_rational
+from .verify import (
+    _flags_dict,
+    compute_q0_all_methods,
+    gosper_check,
+    sweep,
+    verify_theorem,
+)
 
 
 def _rat(text: str) -> Fraction:
@@ -187,44 +196,34 @@ def _cmd_verify(args) -> int:
 
 def _cmd_q0(args) -> int:
     a, b, c, ell = args.a, args.b, args.c, args.ell
-    params = HypParams(a, b, c)
-    flags = genericity_flags(params, ell)
+    flags = genericity_flags(HypParams(a, b, c), ell)
+    # routes that disagree raise InternalInconsistencyError (exit 3)
+    q0, r0, provenance, _ = compute_q0_all_methods(a, c, ell, args.order, b)
     records = []
-
-    if b == 1:
-        qr = q0_r0_by_series(params, ell, args.order)
-    else:
-        qr = q0_r0_general_b(params, ell, args.order)
-    records.append({"method": "series", "q0": str(qr.q0), "r0": str(qr.r0)})
-
-    red = right_reduce(build_H(b, ell), build_L(params))
-    canon = factor_remainder(red.q, red.r, ell).canonical_qr()
-    records.append({"method": "operator", "q0": str(canon.q0), "r0": str(canon.r0)})
-    agree = canon.q0 == qr.q0 and canon.r0 == qr.r0
+    for method in provenance:
+        rec = {"method": method, "q0": str(q0)}
+        if method != "reversal":
+            rec["r0"] = str(r0)
+        records.append(rec)
 
     reversal_note = None
     if b != 1:
         reversal_note = "reversal method requires b = 1"
-    elif is_integer(a):
+    elif "reversal" not in provenance:
         reversal_note = "reversal method skipped: a is an integer"
-    else:
-        rev = q0_by_reversal(params, ell)
-        records.append({"method": "reversal", "q0": str(rev)})
-        agree = agree and rev == qr.q0
 
-    verdict = "AGREE" if agree else "DISAGREE"
     lines = [
         f"params: a={format_rational(a)} b={format_rational(b)} "
         f"c={format_rational(c)} ell={ell}",
-        f"q0 = {qr.q0}",
-        f"r0 = {qr.r0}",
+        f"q0 = {q0}",
+        f"r0 = {r0}",
     ]
     for rec in records:
         extra = f"; r0 = {rec['r0']}" if "r0" in rec else ""
         lines.append(f"  [{rec['method']}] q0 = {rec['q0']}{extra}")
     if reversal_note:
         lines.append(f"  [reversal] {reversal_note}")
-    lines.append(f"methods {verdict.lower()}")
+    lines.append("methods agree")
     payload = {
         "params": {
             "a": format_rational(a), "b": format_rational(b),
@@ -234,10 +233,10 @@ def _cmd_q0(args) -> int:
         "records": records + (
             [{"method": "reversal", "note": reversal_note}] if reversal_note else []
         ),
-        "verdict": verdict,
+        "verdict": "AGREE",
     }
     _emit(args, payload, lines)
-    return 0 if agree else 1
+    return 0
 
 
 def _cmd_reduce(args) -> int:
@@ -425,9 +424,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParameterError, BranchCutError) as exc:
+    except (
+        ParameterError,
+        BranchCutError,
+        DegenerateConnectionError,
+        GammaPoleError,
+        NonConvergenceError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalInconsistencyError as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -21,8 +21,9 @@ class BranchCutError(ValueError):
 
 
 class DegenerateConnectionError(ValueError):
-    """The z -> 1-z connection formula degenerates: c-a-b is within
-    tolerance of an integer and the two-term form divides by zero."""
+    """The z -> 1-z connection formula degenerates: c-a-b is an integer
+    (decided exactly on the rational parameters) and the two-term form
+    divides by zero."""
 
 
 class GammaPoleError(ValueError):

@@ -4,6 +4,8 @@ Everything runs inside an ``EvalContext`` carrying its own mpmath context
 pinned to a mantissa precision (default 192 bits), so precision is passed
 explicitly and never leaks through global state.  Conventions that matter:
 
+* 2F1 parameters are exact rationals; only the argument is floating-point,
+  so every path decision is exact and no integer test needs a tolerance;
 * every fractional power takes the principal branch (log with imaginary
   part in (-pi, pi]); arguments on [1, oo) are rejected, not guessed;
 * error estimates are heuristic last-term bounds with path-specific
@@ -72,15 +74,6 @@ class EvalContext:
         )
 
 
-def _as_fraction(x):
-    """Exact rational mirror of x, or None when x is floating-point."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return None
-
-
 def _near_int(mp, z, bits: int):
     """round(z) if z is within 2^-bits of an integer (else None)."""
     if mp.im(z) != 0 and abs(mp.im(z)) > mp.mpf(2) ** (-bits):
@@ -92,15 +85,9 @@ def _near_int(mp, z, bits: int):
     return None
 
 
-def _nonpos_int_of(mp, exact, numeric, bits: int):
-    """The value as a nonpositive integer if it is one (exactly when an
-    exact mirror is available, within tolerance otherwise)."""
-    if exact is not None:
-        if exact.denominator == 1 and exact <= 0:
-            return int(exact)
-        return None
-    n = _near_int(mp, numeric, bits)
-    return n if n is not None and n <= 0 else None
+def _nonpos_int(x: Fraction):
+    """x as an int when it is a nonpositive integer, else None."""
+    return int(x) if x.denominator == 1 and x <= 0 else None
 
 
 @dataclass
@@ -184,12 +171,12 @@ def gamma_c(z, ctx: EvalContext | None = None):
 
 
 def rgamma_c(z, ctx: EvalContext | None = None):
-    """1/Gamma, defined as exact 0 at (near-)nonpositive-integer poles."""
+    """1/Gamma, defined as exact 0 at the poles ``gamma_c`` rejects."""
     ctx = ctx or EvalContext()
-    zz = ctx.to_mp(z)
-    if _nonpos_int_of(ctx.mp, _as_fraction(z), zz, ctx.precision // 2) is not None:
+    try:
+        return 1 / gamma_c(z, ctx)
+    except GammaPoleError:
         return ctx.mp.mpf(0)
-    return 1 / gamma_c(z, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +185,6 @@ def rgamma_c(z, ctx: EvalContext | None = None):
 _PATH_DIRECT = "direct-series"
 _PATH_PFAFF_A = "pfaff-a"
 _PATH_PFAFF_B = "pfaff-b"
-_PATH_EULER = "euler"
 _PATH_CONNECTION = "connection-1mz"
 _PATH_UNSUPPORTED = "unsupported"
 
@@ -206,7 +192,6 @@ KNOWN_PATHS = (
     _PATH_DIRECT,
     _PATH_PFAFF_A,
     _PATH_PFAFF_B,
-    _PATH_EULER,
     _PATH_CONNECTION,
 )
 
@@ -281,6 +266,14 @@ def terminating_exact_value(ea, eb, ec, ez) -> Fraction:
     return total
 
 
+def _rational_param(x, name: str) -> Fraction:
+    if not isinstance(x, (int, Fraction)):
+        raise ParameterError(
+            f"2F1 parameter {name} must be an int or Fraction, got {x!r}"
+        )
+    return Fraction(x)
+
+
 def hyp2f1_num(
     a, b, c, z,
     ctx: EvalContext | None = None,
@@ -289,44 +282,46 @@ def hyp2f1_num(
 ) -> EvalResult:
     """Evaluate F(a, b, c; z) at the context precision.
 
-    The path is chosen to minimize the effective argument modulus among
-    the direct series, the two z/(z-1) maps, and the 1-z connection
-    formula; the direct series is kept whenever |z| <= 0.7.  The two
-    series inside the connection formula are themselves evaluated by the
-    best of the direct and Pfaff routes, so the connection path reaches an
-    effective argument of min(|1-z|, |1-1/z|), which covers the half-plane
-    Re z > 1/2 where neither |z| nor |z/(z-1)| falls below 1.  Terminating
-    series (including ones that terminate only after a transformation)
-    are summed as finite, exact sums regardless of |z|.  ``method`` forces
-    a specific path, mainly for cross-path agreement tests.
+    The parameters a, b, c are exact rationals (int or Fraction; anything
+    else raises ``ParameterError``), so every path decision -- termination,
+    the c pole, the Pfaff choice, connection degeneracy -- is made exactly;
+    only z may be floating-point.  The path is chosen to minimize the
+    effective argument modulus among the direct series, the two z/(z-1)
+    maps, and the 1-z connection formula; the direct series is kept
+    whenever |z| <= 0.7.  The two series inside the connection formula are
+    themselves evaluated by the best of the direct and Pfaff routes, so the
+    connection path reaches an effective argument of min(|1-z|, |1-1/z|),
+    which covers the half-plane Re z > 1/2 where neither |z| nor |z/(z-1)|
+    falls below 1.  Terminating series (including ones that terminate only
+    after a Pfaff transformation) are summed as finite sums regardless of
+    |z|, and in exact arithmetic when they terminate directly and z is
+    rational.  ``method`` forces a specific path, mainly for cross-path
+    agreement tests.
     """
     ctx = ctx or EvalContext()
     mp = ctx.mp
     prec = ctx.precision
-    ea, eb, ec, ez = _as_fraction(a), _as_fraction(b), _as_fraction(c), _as_fraction(z)
+    a, b, c = _rational_param(a, "a"), _rational_param(b, "b"), _rational_param(c, "c")
+    ez = Fraction(z) if isinstance(z, (int, Fraction)) else None
 
     with ctx.workprec(GUARD_BITS + 32):
         za, zb, zc, zz = ctx.to_mp(a), ctx.to_mp(b), ctx.to_mp(c), ctx.to_mp(z)
         target = mp.mpf(2) ** (-(prec + GUARD_BITS))
 
-        m_a = _nonpos_int_of(mp, ea, za, prec // 2)
-        m_b = _nonpos_int_of(mp, eb, zb, prec // 2)
-        m_term = None
-        if m_a is not None:
-            m_term = -m_a
-        if m_b is not None:
-            m_term = -m_b if m_term is None else min(m_term, -m_b)
-
-        c_pole = _nonpos_int_of(mp, ec, zc, prec // 2)
+        m_term = min(
+            (-m for m in (_nonpos_int(a), _nonpos_int(b)) if m is not None),
+            default=None,
+        )
+        c_pole = _nonpos_int(c)
         if c_pole is not None and (m_term is None or m_term > -c_pole):
             raise ParameterError(
-                f"lower parameter c = {ctx.nstr(zc)} is a nonpositive integer "
+                f"lower parameter c = {c} is a nonpositive integer "
                 "and the series does not terminate before the pole"
             )
 
         if m_term is not None and method is None:
-            if None not in (ea, eb, ec, ez):
-                exact = terminating_exact_value(ea, eb, ec, ez)
+            if ez is not None:
+                exact = terminating_exact_value(a, b, c, ez)
                 val = ctx.to_mp(exact)
                 return EvalResult(+val, abs(val) * ctx.eps * 4, _PATH_DIRECT)
             total, last, n, peak = _series_2f1(
@@ -356,14 +351,10 @@ def hyp2f1_num(
 
         # a transformed series terminates when c-a or c-b is a nonpositive
         # integer (the directly terminating cases were handled above)
-        t_cb = _nonpos_int_of(mp, None if None in (ec, eb) else ec - eb, zc - zb, prec // 2)
-        t_ca = _nonpos_int_of(mp, None if None in (ec, ea) else ec - ea, zc - za, prec // 2)
-
-        cab = None if None in (ec, ea, eb) else ec - ea - eb
-        conn_degenerate = (
-            cab.denominator == 1 if cab is not None
-            else _near_int(mp, zc - za - zb, 40) is not None
-        )
+        t_cb = _nonpos_int(c - b)
+        t_ca = _nonpos_int(c - a)
+        cab = c - a - b
+        conn_degenerate = cab.denominator == 1
 
         if method is not None:
             path = method
@@ -376,11 +367,7 @@ def hyp2f1_num(
             if _max_terms_for(mod_direct, prec, None) is not None:
                 options.append((mod_direct, _PATH_DIRECT))
             if _max_terms_for(mod_pfaff, prec, None) is not None:
-                pf = (
-                    _PATH_PFAFF_A
-                    if abs(mp.re(za)) <= abs(mp.re(zb))
-                    else _PATH_PFAFF_B
-                )
+                pf = _PATH_PFAFF_A if abs(a) <= abs(b) else _PATH_PFAFF_B
                 options.append((mod_pfaff, pf))
             conn_usable = (
                 _allow_connection
@@ -392,7 +379,7 @@ def hyp2f1_num(
                 if conn_usable and conn_degenerate:
                     raise DegenerateConnectionError(
                         "only the 1-z connection would converge, but c-a-b "
-                        "is (within tolerance of) an integer"
+                        f"= {cab} is an integer"
                     )
                 return EvalResult(mp.nan, mp.inf, _PATH_UNSUPPORTED)
             options.sort(key=lambda t: t[0])
@@ -405,33 +392,13 @@ def hyp2f1_num(
             total, last, n, peak = _series_2f1(mp, za, zb, zc, zz, target, max_terms)
             est = _tail_estimate(mp, last, mod_direct, peak, n, prec)
             value = total
-        elif path == _PATH_EULER:
-            pref = _principal_power(mp, 1 - zz, zc - za - zb)
-            inner_m = [-t for t in (t_ca, t_cb) if t is not None]
-            max_terms = _max_terms_for(
-                mod_direct, prec, min(inner_m) if inner_m else None
-            )
-            if max_terms is None:
-                raise ParameterError("euler-transformed series does not converge")
-            # transformed parameters from the exact mirrors where possible:
-            # a terminating c-a or c-b must reach the series as an exact
-            # integer, not as a rounding-contaminated difference
-            pa = _exact_param(ctx, _frac_or_none(ec, ea), zc - za)
-            pb = _exact_param(ctx, _frac_or_none(ec, eb), zc - zb)
-            total, last, n, peak = _series_2f1(mp, pa, pb, zc, zz, target, max_terms)
-            est = abs(pref) * _tail_estimate(mp, last, mod_direct, peak, n, prec)
-            value = pref * total
         elif path in (_PATH_PFAFF_A, _PATH_PFAFF_B):
             if path == _PATH_PFAFF_A:
                 pref = _principal_power(mp, 1 - zz, -za)
-                pa = za
-                pb = _exact_param(ctx, _frac_or_none(ec, eb), zc - zb)
-                t_inner = t_cb
+                pa, pb, t_inner = za, ctx.to_mp(c - b), t_cb
             else:
                 pref = _principal_power(mp, 1 - zz, -zb)
-                pa = zb
-                pb = _exact_param(ctx, _frac_or_none(ec, ea), zc - za)
-                t_inner = t_ca
+                pa, pb, t_inner = zb, ctx.to_mp(c - a), t_ca
             max_terms = _max_terms_for(
                 mod_pfaff, prec, None if t_inner is None else -t_inner
             )
@@ -443,41 +410,31 @@ def hyp2f1_num(
         elif path == _PATH_CONNECTION:
             if conn_degenerate:
                 raise DegenerateConnectionError(
-                    "c-a-b is (within tolerance of) an integer; the two-term "
+                    f"c-a-b = {cab} is an integer; the two-term "
                     "connection formula degenerates"
                 )
             if _max_terms_for(mod_conn, prec, None) is None:
                 raise ParameterError("connection series does not converge")
             u = 1 - zz
-            eu = None if ez is None else 1 - ez
             coef1 = (
                 gamma_c(zc, ctx) * gamma_c(zc - za - zb, ctx)
-                * rgamma_c(_pref_exact(ec, ea, zc, za), ctx)
-                * rgamma_c(_pref_exact(ec, eb, zc, zb), ctx)
+                * rgamma_c(c - a, ctx) * rgamma_c(c - b, ctx)
             )
             coef2 = (
                 _principal_power(mp, u, zc - za - zb)
                 * gamma_c(zc, ctx) * gamma_c(za + zb - zc, ctx)
-                * rgamma_c(ea if ea is not None else za, ctx)
-                * rgamma_c(eb if eb is not None else zb, ctx)
+                * rgamma_c(a, ctx) * rgamma_c(b, ctx)
             )
             part1 = part2 = mp.mpf(0)
             e1 = e2 = mp.mpf(0)
-            uu = eu if eu is not None else u
+            uu = 1 - ez if ez is not None else u
             if coef1 != 0:
-                inner1 = hyp2f1_num(
-                    _pick(ea, za), _pick(eb, zb),
-                    _pick(None if cab is None else 1 - cab, za + zb - zc + 1),
-                    uu, ctx, _allow_connection=False,
-                )
+                inner1 = hyp2f1_num(a, b, 1 - cab, uu, ctx, _allow_connection=False)
                 part1 = coef1 * inner1.value
                 e1 = abs(coef1) * inner1.est_error
             if coef2 != 0:
                 inner2 = hyp2f1_num(
-                    _pick(_frac_or_none(ec, ea), zc - za),
-                    _pick(_frac_or_none(ec, eb), zc - zb),
-                    _pick(None if cab is None else 1 + cab, zc - za - zb + 1),
-                    uu, ctx, _allow_connection=False,
+                    c - a, c - b, 1 + cab, uu, ctx, _allow_connection=False
                 )
                 part2 = coef2 * inner2.value
                 e2 = abs(coef2) * inner2.est_error
@@ -486,30 +443,9 @@ def hyp2f1_num(
         else:
             raise ParameterError(f"unknown evaluation method {method!r}")
 
-        if mp.im(zz) == 0 and mp.im(za) == 0 and mp.im(zb) == 0 and mp.im(zc) == 0:
-            if mp.re(zz) < 1:
-                value = _demote_real(mp, value)
+        if mp.im(zz) == 0 and mp.re(zz) < 1:
+            value = _demote_real(mp, value)
         return EvalResult(+value, +est, path)
-
-
-def _pref_exact(e1, e2, z1, z2):
-    """c - a as a Fraction when both mirrors exist, else numeric."""
-    if e1 is not None and e2 is not None:
-        return e1 - e2
-    return z1 - z2
-
-
-def _frac_or_none(e1, e2):
-    return None if None in (e1, e2) else e1 - e2
-
-
-def _exact_param(ctx, exact, numeric):
-    return ctx.to_mp(exact) if exact is not None else numeric
-
-
-def _pick(exact, numeric):
-    """Prefer the exact mirror so nested calls keep exact decisions."""
-    return exact if exact is not None else numeric
 
 
 def _demote_real(mp, value):
@@ -541,9 +477,9 @@ def _tail_estimate(mp, last, modulus, peak, n_terms, prec):
 
 @dataclass
 class RootSet:
-    """Roots of an exact polynomial, clustered by multiplicity.
+    """Roots of an exact polynomial with their exact multiplicities.
 
-    len(roots) == number of distinct clusters; multiplicities sum to the
+    len(roots) == number of distinct roots; multiplicities sum to the
     degree; residual_bound majorizes |P(root)| over all reported roots.
     """
 
@@ -566,19 +502,61 @@ def _horner_pair(coeffs, x):
     return p, dp
 
 
-def find_roots(poly: Poly, precision: int = 192) -> RootSet:
-    """All complex roots by simultaneous Aberth iteration.
+def _squarefree_factors(poly: Poly) -> list:
+    """Yun's squarefree decomposition: [(f_k, k)] with monic, squarefree,
+    pairwise coprime f_k of positive degree and poly = lead * prod f_k^k."""
+    dpoly = poly.derivative()
+    g = poly.gcd(dpoly)
+    b = poly.exact_div(g)
+    d = dpoly.exact_div(g) - b.derivative()
+    out = []
+    k = 1
+    while b.degree:
+        f = b.gcd(d)
+        if f.degree:
+            out.append((f, k))
+        b = b.exact_div(f)
+        d = d.exact_div(f) - b.derivative()
+        k += 1
+    return out
 
-    Runs at an elevated working precision, polishes simple roots with
-    Newton steps, enforces conjugate symmetry (the inputs here always have
-    rational coefficients), and clusters near-coincident roots into
-    multiplicities at the 2^(-precision/3) scale.
+
+def find_roots(poly: Poly, precision: int = 192) -> RootSet:
+    """All complex roots, with multiplicities taken from the exact
+    squarefree decomposition of ``poly``.
+
+    Each squarefree factor is solved by simultaneous Aberth iteration at
+    an elevated working precision; its roots are simple, so the iteration
+    converges fast and Newton steps polish every one of them.  Conjugate
+    symmetry is enforced (the inputs here always have rational
+    coefficients).  A squarefree ``poly`` is its own single factor.
     """
     if poly.degree is None or poly.degree < 1:
         raise ParameterError("root finding needs a polynomial of degree >= 1")
     work = EvalContext(precision + GUARD_BITS)
     mp = work.mp
-    monic = poly.monic()
+    found = []
+    for factor, mult in _squarefree_factors(poly):
+        found.extend((x, mult) for x in _simple_roots(factor, work, precision))
+    found.sort(key=lambda t: (mp.re(t[0]), mp.im(t[0])))
+
+    pcoeffs = [work.to_mp(c) for c in poly.coeffs]
+    residual = mp.mpf(0)
+    for x, _ in found:
+        r = abs(_horner_pair(pcoeffs, x)[0])
+        if r > residual:
+            residual = r
+    return RootSet(
+        roots=tuple(x for x, _ in found),
+        multiplicities=tuple(m for _, m in found),
+        source_poly=poly,
+        residual_bound=residual,
+    )
+
+
+def _simple_roots(monic: Poly, work: EvalContext, precision: int) -> list:
+    """Roots of a monic squarefree polynomial by Aberth iteration."""
+    mp = work.mp
     n = monic.degree
     coeffs = [work.to_mp(c) for c in monic.coeffs]
 
@@ -616,7 +594,7 @@ def find_roots(poly: Poly, precision: int = 192) -> RootSet:
             break
     if not converged:
         raise NonConvergenceError(
-            f"Aberth iteration did not converge for {poly}", best=tuple(roots)
+            f"Aberth iteration did not converge for {monic}", best=tuple(roots)
         )
 
     real_tol = mp.mpf(2) ** (-(precision // 2))
@@ -624,39 +602,17 @@ def find_roots(poly: Poly, precision: int = 192) -> RootSet:
         mp.mpc(mp.re(r), 0) if abs(mp.im(r)) <= real_tol * (1 + abs(r)) else r
         for r in roots
     ]
-    roots = _pair_conjugates(mp, roots, real_tol)
-
-    cluster_tol = mp.mpf(2) ** (-(precision // 3))
-    clusters = _cluster(mp, roots, cluster_tol)
-
     polished = []
-    for center, mult in clusters:
-        if mult == 1:
-            x = center
-            for _ in range(4):
-                p, dp = _horner_pair(coeffs, x)
-                if dp == 0 or p == 0:
-                    break
-                x = x - p / dp
-            if abs(mp.im(x)) <= real_tol * (1 + abs(x)):
-                x = mp.mpc(mp.re(x), 0)
-            polished.append((x, 1))
-        else:
-            polished.append((center, mult))
-    polished.sort(key=lambda t: (mp.re(t[0]), mp.im(t[0])))
-
-    pcoeffs = [work.to_mp(c) for c in poly.coeffs]
-    residual = mp.mpf(0)
-    for x, _ in polished:
-        r = abs(_horner_pair(pcoeffs, x)[0])
-        if r > residual:
-            residual = r
-    return RootSet(
-        roots=tuple(x for x, _ in polished),
-        multiplicities=tuple(m for _, m in polished),
-        source_poly=poly,
-        residual_bound=residual,
-    )
+    for x in _pair_conjugates(mp, roots, real_tol):
+        for _ in range(4):
+            p, dp = _horner_pair(coeffs, x)
+            if dp == 0 or p == 0:
+                break
+            x = x - p / dp
+        if abs(mp.im(x)) <= real_tol * (1 + abs(x)):
+            x = mp.mpc(mp.re(x), 0)
+        polished.append(x)
+    return polished
 
 
 def _pair_conjugates(mp, roots, real_tol):
@@ -683,25 +639,3 @@ def _pair_conjugates(mp, roots, real_tol):
             out.append(u)
     out.extend(l for j, l in enumerate(lower) if not used[j])
     return out
-
-
-def _cluster(mp, roots, tol):
-    """Greedy clustering; returns (mean, size) per cluster."""
-    remaining = list(roots)
-    clusters = []
-    while remaining:
-        seed = remaining.pop(0)
-        members = [seed]
-        changed = True
-        while changed:
-            changed = False
-            for r in remaining[:]:
-                if any(abs(r - m) <= tol * (1 + abs(m)) for m in members):
-                    members.append(r)
-                    remaining.remove(r)
-                    changed = True
-        mean = sum(members, mp.mpc(0)) / len(members)
-        if all(mp.im(m) == 0 for m in members):
-            mean = mp.mpc(mp.re(mean), 0)
-        clusters.append((mean, len(members)))
-    return clusters

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedOperatorError,
 )
 from .hyp import HypParams, QRPair, _check_ell
-from .poly import Poly, RatFunc, monomial_split
+from .poly import Poly, RatFunc, exponent_split
 from .scalars import is_integer, poch
 from .series import GenSeries
 
@@ -251,29 +251,6 @@ def _repack(p0: Poly, dx: Fraction, d1mx: Fraction) -> Poly:
     return p0.shift_up(int(dx)) * Poly((1, -1)) ** int(d1mx)
 
 
-def _split_exponents(f: RatFunc, what: str):
-    """Write f = x^e0 (1-x)^e1 p with p(0) p(1) != 0; error if the
-    denominator has factors besides powers of x and 1-x."""
-    if f.is_zero():
-        return Fraction(0), Fraction(0), Poly.zero()
-    den_split = monomial_split(f.den)
-    if den_split is None:
-        raise InternalInconsistencyError(
-            f"{what} denominator {f.den} is not of the form x^i (x-1)^j"
-        )
-    i, j, unit = den_split  # monic denominator: unit == 1
-    num = f.num
-    s = num.valuation_at_zero()
-    num = Poly(num.coeffs[s:])
-    t = 0
-    while num(Fraction(1)) == 0:
-        num = num.exact_div(Poly((1, -1)))
-        t += 1
-    # 1/(x-1)^j = (-1)^j (1-x)^(-j)
-    sign = Fraction((-1) ** j) / unit
-    return Fraction(s - i), Fraction(t - j), num * sign
-
-
 def factor_remainder(q: RatFunc, r: RatFunc, ell: int) -> FactoredRemainder:
     """Factor the remainder pair of an order-ell reduction.
 
@@ -282,8 +259,21 @@ def factor_remainder(q: RatFunc, r: RatFunc, ell: int) -> FactoredRemainder:
     arithmetic bug, not bad input.
     """
     _check_ell(ell)
-    v0, v1, q0 = _split_exponents(q, "q")
-    w0, w1, r0 = _split_exponents(r, "r")
+    parts = []
+    for what, f in (("q", q), ("r", r)):
+        if f.is_zero():
+            parts.append((Fraction(0), Fraction(0), Poly.zero()))
+            continue
+        i, j, den_rest = exponent_split(f.den)
+        if den_rest.degree:
+            raise InternalInconsistencyError(
+                f"{what} denominator {f.den} is not of the form x^i (1-x)^j"
+            )
+        s, t, num_rest = exponent_split(f.num)
+        parts.append(
+            (Fraction(s - i), Fraction(t - j), num_rest * (1 / den_rest.coeffs[0]))
+        )
+    (v0, v1, q0), (w0, w1, r0) = parts
     return FactoredRemainder(
         v0=v0,
         v1=v1,
@@ -313,16 +303,15 @@ def apply_to_genseries(op: DiffOp, g: GenSeries, order: int | None = None) -> Ge
     derived = g  # D^k applied to g
     for k, f in enumerate(op.coeffs):
         if not f.is_zero():
-            split = monomial_split(f.den)
-            if split is None:
+            i, j, rest = exponent_split(f.den)
+            if rest.degree:
                 raise UnsupportedOperatorError(
                     f"coefficient denominator {f.den} not a power of x(1-x)"
                 )
-            i, j, _unit = split
             term = GenSeries(
                 derived.mu - i,
                 derived.nu - j,
-                derived.body.mul_poly(f.num).scale(Fraction((-1) ** j)),
+                derived.body.mul_poly(f.num).scale(1 / rest.coeffs[0]),
             )
             total = term if total is None else total + term
         if k + 1 < len(op.coeffs):

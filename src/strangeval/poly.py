@@ -38,10 +38,6 @@ class Poly:
     def x(cls) -> "Poly":
         return cls((0, 1))
 
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
-
     @property
     def degree(self):
         """Degree, or None for the zero polynomial."""
@@ -220,38 +216,20 @@ class Poly:
 
 
 ONE_MINUS_X = Poly((1, -1))
-X_MINUS_ONE = Poly((-1, 1))
 
 
-def one_minus_x_valuation(p: Poly) -> int:
-    """Multiplicity of the root x = 1."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no finite valuation")
-    v = 0
-    while p(Fraction(1)) == 0:
-        p = p.exact_div(ONE_MINUS_X)
-        v += 1
-    return v
+def exponent_split(p: Poly):
+    """Write a nonzero ``p`` as x^i (1-x)^j rest with rest(0) rest(1) != 0.
 
-
-def monomial_split(p: Poly):
-    """Write a nonzero ``p`` as unit * x^i * (x-1)^j if possible.
-
-    Returns (i, j, unit) with unit a nonzero Fraction, or None when p has
-    any other irreducible factor.
-    """
-    if p.is_zero():
-        return None
+    Returns (i, j, rest); ``rest`` has degree 0 exactly when p has no
+    irreducible factor besides x and 1-x."""
     i = p.valuation_at_zero()
-    for _ in range(i):
-        p = p.exact_div(Poly.x())
+    rest = Poly(p.coeffs[i:])
     j = 0
-    while p(Fraction(1)) == 0:
-        p = p.exact_div(X_MINUS_ONE)
+    while rest(Fraction(1)) == 0:
+        rest = rest.exact_div(ONE_MINUS_X)
         j += 1
-    if p.degree != 0:
-        return None
-    return i, j, p.coeffs[0]
+    return i, j, rest
 
 
 def _frac_str(c: Fraction) -> str:
@@ -291,10 +269,6 @@ class RatFunc:
     @classmethod
     def one(cls) -> "RatFunc":
         return cls(Poly.one())
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -209,12 +209,6 @@ class GenSeries:
     def mul_poly(self, p: Poly) -> "GenSeries":
         return GenSeries(self.mu, self.nu, self.body.mul_poly(p))
 
-    def mul_xpow(self, s) -> "GenSeries":
-        return GenSeries(self.mu + Fraction(s), self.nu, self.body)
-
-    def mul_one_minus_x_pow(self, t) -> "GenSeries":
-        return GenSeries(self.mu, self.nu + Fraction(t), self.body)
-
     def deriv(self) -> "GenSeries":
         """d/dx of x^mu (1-x)^nu f = x^(mu-1) (1-x)^(nu-1) *
         [mu (1-x) f - nu x f + x (1-x) f']."""

@@ -39,6 +39,7 @@ from .hyp import (
     HypParams,
     q0_by_reversal,
     q0_r0_by_series,
+    q0_r0_general_b,
     terminating_poly,
 )
 from .numeric import EvalContext, RootSet, find_roots, hyp2f1_num
@@ -197,22 +198,26 @@ def _flags_dict(flags: GenericityFlags) -> dict:
     return out
 
 
-def compute_q0_all_methods(a: Fraction, c: Fraction, ell: int, order: int):
-    """q0/r0 via series, operator division, and (for non-integer a) the
-    reversal form.  Returns (q0, r0, provenance, agree); exact disagreement
-    raises, since all three are proved equal."""
-    params = HypParams(a, 1, c)
-    qr = q0_r0_by_series(params, ell, order)
-    red = right_reduce(build_H(1, ell), build_L(params))
+def compute_q0_all_methods(a: Fraction, c: Fraction, ell: int, order: int, b=1):
+    """q0/r0 of F(a, b, c) via series, operator division, and (for b = 1
+    and non-integer a) the reversal form.  Returns (q0, r0, provenance,
+    agree); exact disagreement raises, since all routes are proved equal.
+    ``order`` is the series truncation order (None for ell + 32)."""
+    params = HypParams(a, b, c)
+    if b == 1:
+        qr = q0_r0_by_series(params, ell, order)
+    else:
+        qr = q0_r0_general_b(params, ell, order)
+    red = right_reduce(build_H(b, ell), build_L(params))
     canon = factor_remainder(red.q, red.r, ell).canonical_qr()
     provenance = ["series", "operator"]
     agree = canon.q0 == qr.q0 and canon.r0 == qr.r0
-    if not is_integer(a):
+    if b == 1 and not is_integer(a):
         provenance.append("reversal")
         agree = agree and q0_by_reversal(params, ell) == qr.q0
     if not agree:
         raise InternalInconsistencyError(
-            f"q0/r0 methods disagree at a={a}, c={c}, ell={ell}"
+            f"q0/r0 methods disagree at a={a}, b={b}, c={c}, ell={ell}"
         )
     return qr.q0, qr.r0, tuple(provenance), agree
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from strangeval import cli
 from strangeval.cli import main
+from strangeval.errors import InternalInconsistencyError
 
 
 def run(capsys, *argv):
@@ -63,6 +65,15 @@ class TestQ0Command:
         assert code == 0
         assert "reversal method skipped" in out
         assert "methods agree" in out
+
+    def test_disagreement_is_internal_error(self, capsys, monkeypatch):
+        def disagree(*args):
+            raise InternalInconsistencyError("q0/r0 methods disagree")
+
+        monkeypatch.setattr(cli, "compute_q0_all_methods", disagree)
+        code, out, err = run(capsys, "q0", "--a", "5", "--c", "1/2", "--ell", "2")
+        assert code == 3
+        assert "disagree" in err and out == ""
 
     def test_general_b(self, capsys):
         code, out, _ = run(
@@ -146,10 +157,19 @@ class TestEvalCommand:
     def test_method_override(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--a", "1/3", "--b", "2/5", "--c", "7/5",
-            "--z", "2/5", "--method", "euler",
+            "--z", "2/5", "--method", "pfaff-a",
         )
         assert code == 0
-        assert "path = euler" in out
+        assert "path = pfaff-a" in out
+
+    def test_degenerate_connection_is_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--a", "1/2", "--b", "1/2", "--c", "1",
+            "--z", "2/3", "--method", "connection-1mz",
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
 
 
 class TestRootsCommand:

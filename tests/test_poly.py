@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strangeval.poly import Poly, RatFunc, monomial_split, one_minus_x_valuation
+from strangeval.poly import Poly, RatFunc, exponent_split
 
 coeffs = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=5
@@ -52,12 +52,12 @@ class TestPoly:
     def test_valuations(self):
         p = Poly((0, 0, 3, -3))  # 3x^2 (1 - x)
         assert p.valuation_at_zero() == 2
-        assert one_minus_x_valuation(p) == 1
+        assert exponent_split(p) == (2, 1, Poly((3,)))
 
     def test_monomial_split(self):
         p = Poly((0, 0, 2)) * Poly((-1, 1)) ** 2  # 2 x^2 (x-1)^2
-        assert monomial_split(p) == (2, 2, 2)
-        assert monomial_split(Poly((1, 1))) is None
+        assert exponent_split(p) == (2, 2, Poly((2,)))
+        assert exponent_split(Poly((1, 1))) == (0, 0, Poly((1, 1)))
 
     def test_str(self):
         assert str(Poly((Fraction(7, 2), 3))) == "7/2 + 3*x"

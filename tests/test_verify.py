@@ -67,6 +67,17 @@ class TestVerifyTheorem:
         assert report.verdict == "pass"  # nothing checkable failed
         assert report.skip_rate == 1.0
 
+    def test_repeated_roots(self):
+        # c - a = 1 makes F(1-a, -l, 2-c; x) = (1-x)^l; c - a = 2 leaves
+        # (1-x)^(l-1) times a linear factor
+        for a, c, ell, expected in (
+            (Fraction(1, 2), Fraction(3, 2), 3, [(3, "branch-cut")]),
+            (Fraction(-4, 3), Fraction(2, 3), 5, [(1, None), (4, "branch-cut")]),
+        ):
+            report = verify_theorem(a, c, ell)
+            assert report.verdict == "pass"
+            assert [(r.multiplicity, r.skip_reason) for r in report.records] == expected
+
     def test_rejects_integer_c(self):
         with pytest.raises(ParameterError):
             verify_theorem(Fraction(1, 2), 2, 1)
