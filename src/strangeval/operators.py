@@ -15,11 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import (
-    InternalInconsistencyError,
-    ParameterError,
-    UnsupportedOperatorError,
-)
+from .errors import InternalInconsistencyError, ParameterError
 from .hyp import HypParams, QRPair, _check_ell
 from .poly import Poly, RatFunc, exponent_split
 from .scalars import is_integer, poch
@@ -32,7 +28,7 @@ class DiffOp:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [c if isinstance(c, RatFunc) else RatFunc(_as_poly(c)) for c in coeffs]
+        cs = [c if isinstance(c, RatFunc) else RatFunc(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         self.coeffs = tuple(cs)
@@ -81,7 +77,7 @@ class DiffOp:
         return self + (-other)
 
     def scale(self, f) -> "DiffOp":
-        f = f if isinstance(f, RatFunc) else RatFunc(_as_poly(f))
+        f = f if isinstance(f, RatFunc) else RatFunc(f)
         return DiffOp((f * c for c in self.coeffs))
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
@@ -110,12 +106,6 @@ class DiffOp:
 
     def __repr__(self) -> str:
         return f"DiffOp({self})"
-
-
-def _as_poly(c) -> Poly:
-    if isinstance(c, Poly):
-        return c
-    return Poly((c,))
 
 
 def _d_compose(op: DiffOp) -> DiffOp:
@@ -182,7 +172,7 @@ class ReductionData:
 
 
 def right_reduce(H: DiffOp, L: DiffOp) -> ReductionData:
-    """Right division of H by the order-2 operator L.
+    """Right division of H by an order-2 operator L that is monic in D.
 
     Repeatedly cancels the top term of the running remainder against
     (leading coeff) D^(k-2) o L until the order drops below 2.  The
@@ -191,15 +181,13 @@ def right_reduce(H: DiffOp, L: DiffOp) -> ReductionData:
     """
     if L.order != 2:
         raise ParameterError(f"divisor must have order 2, got {L.order}")
-    if L.coefficient(2).is_zero():
-        raise ParameterError("divisor leading coefficient must be invertible")
-    lead_inv = RatFunc.one() / L.coefficient(2)
+    if L.coefficient(2) != RatFunc.one():
+        raise ParameterError("divisor must be monic in D")
     quotient = DiffOp.zero()
     rem = H
     while not rem.is_zero() and rem.order >= 2:
         k = rem.order
-        factor = rem.coefficient(k) * lead_inv
-        mono = DiffOp.monomial(factor, k - 2)
+        mono = DiffOp.monomial(rem.coefficient(k), k - 2)
         quotient = quotient + mono
         rem = rem - ore_mul(mono, L)
         if not rem.is_zero() and rem.order >= k:
@@ -252,27 +240,15 @@ def _repack(p0: Poly, dx: Fraction, d1mx: Fraction) -> Poly:
 
 
 def factor_remainder(q: RatFunc, r: RatFunc, ell: int) -> FactoredRemainder:
-    """Factor the remainder pair of an order-ell reduction.
-
-    Expects remainders whose only poles are at x = 0 and x = 1, the shape
-    guaranteed for H(ell) reduced against L: anything else signals an
-    arithmetic bug, not bad input.
-    """
+    """Factor the remainder pair of an order-ell reduction."""
     _check_ell(ell)
     parts = []
-    for what, f in (("q", q), ("r", r)):
+    for f in (q, r):
         if f.is_zero():
             parts.append((Fraction(0), Fraction(0), Poly.zero()))
             continue
-        i, j, den_rest = exponent_split(f.den)
-        if den_rest.degree:
-            raise InternalInconsistencyError(
-                f"{what} denominator {f.den} is not of the form x^i (1-x)^j"
-            )
-        s, t, num_rest = exponent_split(f.num)
-        parts.append(
-            (Fraction(s - i), Fraction(t - j), num_rest * (1 / den_rest.coeffs[0]))
-        )
+        s, t, rest = exponent_split(f.poly)
+        parts.append((Fraction(s - f.i), Fraction(t - f.j), rest))
     (v0, v1, q0), (w0, w1, r0) = parts
     return FactoredRemainder(
         v0=v0,
@@ -290,8 +266,8 @@ def factor_remainder(q: RatFunc, r: RatFunc, ell: int) -> FactoredRemainder:
 def apply_to_genseries(op: DiffOp, g: GenSeries, order: int | None = None) -> GenSeries:
     """Apply an operator to x^mu (1-x)^nu f(x), term by term.
 
-    Coefficient denominators must be powers of x and 1-x (true for every
-    operator in scope); they turn into exact shifts of mu and nu.  The
+    Coefficient denominators are powers of x and 1-x (the only ones a
+    RatFunc admits); they turn into exact shifts of mu and nu.  The
     returned series carries the honest truncation order that survives the
     differentiations.
     """
@@ -303,15 +279,8 @@ def apply_to_genseries(op: DiffOp, g: GenSeries, order: int | None = None) -> Ge
     derived = g  # D^k applied to g
     for k, f in enumerate(op.coeffs):
         if not f.is_zero():
-            i, j, rest = exponent_split(f.den)
-            if rest.degree:
-                raise UnsupportedOperatorError(
-                    f"coefficient denominator {f.den} not a power of x(1-x)"
-                )
             term = GenSeries(
-                derived.mu - i,
-                derived.nu - j,
-                derived.body.mul_poly(f.num).scale(1 / rest.coeffs[0]),
+                derived.mu - f.i, derived.nu - f.j, derived.body.mul_poly(f.poly)
             )
             total = term if total is None else total + term
         if k + 1 < len(op.coeffs):

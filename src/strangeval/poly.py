@@ -1,10 +1,13 @@
-"""Dense univariate polynomials and rational functions over Fraction.
+"""Dense univariate polynomials over Fraction, and the rational functions
+with poles only at x = 0 and x = 1 that operator coefficients need.
 
 ``Poly`` stores coefficients by ascending degree with the trailing zeros
 trimmed; the zero polynomial has an empty tuple and ``degree is None``
 (a sentinel rather than -1, so degree arithmetic cannot silently treat
-zero as an ordinary polynomial).  ``RatFunc`` keeps num/den fully reduced
-with a monic denominator.  Both are immutable.
+zero as an ordinary polynomial).  ``RatFunc`` stores P / (x^i (1-x)^j) as
+the tuple (P, i, j), cancelling common x and 1-x factors by exact
+division, so its arithmetic never takes a gcd; any other denominator is
+refused at construction.  Both are immutable.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, UnsupportedOperatorError
 
 
 class Poly:
@@ -237,30 +240,39 @@ def _frac_str(c: Fraction) -> str:
 
 
 class RatFunc:
-    """Quotient of two polynomials, reduced, with monic denominator."""
+    """poly / (x^i (1-x)^j), the only coefficient shape operators need.
 
-    __slots__ = ("num", "den")
+    Normal form: poly(0) != 0 when i > 0, poly(1) != 0 when j > 0, and
+    zero is (0, 0, 0), so equal functions have equal tuples.
+    """
+
+    __slots__ = ("poly", "i", "j")
 
     def __init__(self, num, den=None):
+        """num / den for a scalar or Poly num and a den of the form
+        k x^i (1-x)^j; any other denominator raises
+        UnsupportedOperatorError."""
         if not isinstance(num, Poly):
-            num = Poly((num,)) if not isinstance(num, (tuple, list)) else Poly(num)
-        if den is None:
-            den = Poly.one()
-        elif not isinstance(den, Poly):
-            den = Poly((den,)) if not isinstance(den, (tuple, list)) else Poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num, self.den = Poly.zero(), Poly.one()
-            return
-        g = num.gcd(den)
-        if g.degree:
-            num, den = num.exact_div(g), den.exact_div(g)
-        lead = den.leading_coefficient()
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-        self.num, self.den = num, den
+            num = Poly((num,))
+        i = j = 0
+        if den is not None:
+            if not isinstance(den, Poly):
+                den = Poly((den,))
+            if den.is_zero():
+                raise ZeroDivisionError("rational function with zero denominator")
+            i, j, rest = exponent_split(den)
+            if rest.degree:
+                raise UnsupportedOperatorError(
+                    f"denominator {den} is not of the form k x^i (1-x)^j"
+                )
+            num = num * (1 / rest.coeffs[0])
+        self.poly, self.i, self.j = _normal_form(num, i, j)
+
+    @classmethod
+    def _of(cls, poly: Poly, i: int, j: int) -> "RatFunc":
+        f = object.__new__(cls)
+        f.poly, f.i, f.j = _normal_form(poly, i, j)
+        return f
 
     @classmethod
     def zero(cls) -> "RatFunc":
@@ -270,94 +282,81 @@ class RatFunc:
     def one(cls) -> "RatFunc":
         return cls(Poly.one())
 
+    @property
+    def num(self) -> Poly:
+        """Numerator over the monic denominator ``den``."""
+        return -self.poly if self.j % 2 else self.poly
+
+    @property
+    def den(self) -> Poly:
+        """The monic denominator x^i (x-1)^j."""
+        return (Poly((-1, 1)) ** self.j).shift_up(self.i)
+
     def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_poly(self) -> bool:
-        return self.den.degree == 0
-
-    def as_poly(self) -> Poly:
-        if not self.is_poly():
-            raise ValueError(f"not a polynomial: {self}")
-        return self.num
+        return self.poly.is_zero()
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Poly)):
-            other = RatFunc(other if isinstance(other, Poly) else Poly((other,)))
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.poly, self.i, self.j) == (other.poly, other.i, other.j)
 
     def __hash__(self):
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
+        return hash(("RatFunc", self.poly.coeffs, self.i, self.j))
 
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, Poly):
-            return RatFunc(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFunc(Poly((other,)))
-        return None
+    def _lift(self, i: int, j: int) -> Poly:
+        """The numerator over x^i (1-x)^j, for i >= self.i and j >= self.j."""
+        return self.poly.shift_up(i - self.i) * ONE_MINUS_X ** (j - self.j)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RatFunc):
             return NotImplemented
-        return RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
+        i, j = max(self.i, other.i), max(self.j, other.j)
+        return RatFunc._of(self._lift(i, j) + other._lift(i, j), i, j)
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._of(-self.poly, self.i, self.j)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RatFunc):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RatFunc):
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def derivative(self) -> "RatFunc":
-        """Quotient rule: (n/d)' = (n'd - nd')/d^2."""
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
+        return RatFunc._of(
+            self.poly * other.poly, self.i + other.i, self.j + other.j
         )
 
-    def __call__(self, x):
-        return self.num(x) / self.den(x)
+    def derivative(self) -> "RatFunc":
+        """(x(1-x) P' - (i - (i+j) x) P) / (x^(i+1) (1-x)^(j+1))."""
+        i, j, p = self.i, self.j, self.poly
+        return RatFunc._of(
+            _X_ONE_MINUS_X * p.derivative() - Poly((i, -(i + j))) * p, i + 1, j + 1
+        )
 
     def __str__(self) -> str:
-        if self.den.degree == 0:
-            return str(self.num)
+        if not (self.i or self.j):
+            return str(self.poly)
         return f"({self.num})/({self.den})"
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
+
+
+_X_ONE_MINUS_X = Poly((0, 1, -1))
+
+
+def _normal_form(poly: Poly, i: int, j: int):
+    """Cancel the x and 1-x factors poly shares with x^i (1-x)^j."""
+    if poly.is_zero():
+        return poly, 0, 0
+    v = min(i, poly.valuation_at_zero())
+    if v:
+        poly, i = Poly(poly.coeffs[v:]), i - v
+    while j and poly(1) == 0:
+        poly, j = poly.exact_div(ONE_MINUS_X), j - 1
+    return poly, i, j

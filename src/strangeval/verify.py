@@ -185,6 +185,16 @@ class VerifyReport:
         }
 
 
+def _check_tolerance(precision: int, tolerance) -> None:
+    """A tolerance below one ulp of the working precision can only report
+    FAIL, so it is a misconfiguration, not a mathematical failure."""
+    if tolerance < 2.0 ** -precision:
+        raise ParameterError(
+            f"tolerance {tolerance!r} is below 2^-{precision}, "
+            f"finer than {precision}-bit precision can reach"
+        )
+
+
 def _flags_dict(flags: GenericityFlags) -> dict:
     out = {
         "A1": flags.a1,
@@ -237,6 +247,7 @@ def verify_theorem(
         raise ParameterError(f"c = {c} must not be an integer")
     if not isinstance(ell, int) or ell < 1:
         raise ParameterError(f"ell must be a positive integer, got {ell}")
+    _check_tolerance(precision, tolerance)
     if order is None:
         order = ell + 32
 
@@ -362,6 +373,7 @@ def gosper_check(a, b, precision: int = 192, tolerance: float = 1e-30) -> Gosper
     both sides are evaluated exactly (the reported residual is then a
     genuine 0, not a small float)."""
     a, b = Fraction(a), Fraction(b)
+    _check_tolerance(precision, tolerance)
     if a + b == 0:
         raise ParameterError("a + b must be nonzero")
     if is_integer(b + 2) and b + 2 <= 0:
@@ -539,6 +551,7 @@ def sweep(
         raise ParameterError("trials must be >= 1")
     if ell_max < 1:
         raise ParameterError("ell-max must be >= 1")
+    _check_tolerance(precision, tolerance)
     rng = random.Random(seed)
     records = []
     failures = 0

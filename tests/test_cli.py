@@ -136,6 +136,16 @@ class TestSweepCommand:
         payload = json.loads(out1)
         assert payload["verdict"] == "pass"
 
+    def test_tolerance_below_precision_is_usage_error(self, capsys):
+        # the default 1e-30 is finer than 40 bits reach: refused, not FAIL
+        code, out, err = run(
+            capsys, "sweep", "--trials", "5", "--ell-max", "4", "--seed", "3",
+            "--precision", "40",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "tolerance" in err
+
 
 class TestEvalCommand:
     def test_log_point(self, capsys):

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from strangeval.poly import Poly, RatFunc, exponent_split
+from strangeval.errors import UnsupportedOperatorError
+from strangeval.poly import ONE_MINUS_X, Poly, RatFunc, exponent_split
 
 coeffs = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=5
@@ -12,10 +14,38 @@ coeffs = st.lists(
 
 
 def ratfuncs():
+    """P / (k x^i (1-x)^j), the denominators RatFunc admits."""
     return st.builds(
-        lambda n, d: RatFunc(Poly(n), Poly(d) if Poly(d) else Poly.one()),
+        lambda n, k, i, j: RatFunc(Poly(n), Poly.x() ** i * ONE_MINUS_X ** j * k),
         coeffs,
-        coeffs,
+        st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    )
+
+
+X_SYM = sympy.Symbol("x")
+
+
+def to_sympy(f: RatFunc):
+    """The function the triple (P, i, j) stands for, P / (x^i (1-x)^j)."""
+    num = sum(
+        sympy.Rational(c.numerator, c.denominator) * X_SYM**k
+        for k, c in enumerate(f.poly.coeffs)
+    )
+    return num / (X_SYM**f.i * (1 - X_SYM) ** f.j)
+
+
+def sympy_num_den(expr):
+    """Reduced numerator and monic denominator, computed by sympy."""
+    num, den = sympy.fraction(sympy.cancel(expr))
+    lead = sympy.Poly(den, X_SYM).LC()
+    return tuple(
+        Poly(
+            Fraction(int(c.p), int(c.q))
+            for c in reversed(sympy.Poly(e / lead, X_SYM).all_coeffs())
+        )
+        for e in (num, den)
     )
 
 
@@ -67,34 +97,39 @@ class TestPoly:
 
 class TestRatFunc:
     def test_common_denominator_addition(self):
-        one_minus_x = Poly((1, -1))
-        f = RatFunc(Poly.x(), one_minus_x)
-        g = RatFunc(Poly((0, 0, 1)), one_minus_x)
+        f = RatFunc(Poly.x(), ONE_MINUS_X)
+        g = RatFunc(Poly((0, 0, 1)), ONE_MINUS_X)
         total = f + g
-        assert total == RatFunc(Poly.x() * Poly((1, 1)), one_minus_x)
+        assert total == RatFunc(Poly.x() * Poly((1, 1)), ONE_MINUS_X)
 
     def test_derivative(self):
         f = RatFunc(Poly((0, 0, 1)))
         assert f.derivative() == RatFunc(Poly((0, 2)))
 
     def test_quotient_rule(self):
-        f = RatFunc(Poly.one(), Poly((1, -1)))  # 1/(1-x)
-        assert f.derivative() == RatFunc(Poly.one(), Poly((1, -1)) ** 2)
+        f = RatFunc(Poly.one(), ONE_MINUS_X)  # 1/(1-x)
+        assert f.derivative() == RatFunc(Poly.one(), ONE_MINUS_X**2)
 
-    def test_gcd_cancellation(self):
-        f = RatFunc(Poly((-1, 0, 1)), Poly((-1, 1)))  # (x^2-1)/(x-1)
-        assert f == RatFunc(Poly((1, 1)))
-        assert f.is_poly() and f.as_poly() == Poly((1, 1))
+    def test_x_and_one_minus_x_cancellation(self):
+        x = Poly.x()
+        f = RatFunc(x * ONE_MINUS_X**2, x**2 * ONE_MINUS_X)  # (1-x)/x
+        assert (f.poly, f.i, f.j) == (ONE_MINUS_X, 1, 0)
+        assert f == RatFunc(ONE_MINUS_X, x)
+        g = RatFunc(x * ONE_MINUS_X**2, 3 * ONE_MINUS_X)
+        assert (g.poly, g.i, g.j) == (x * ONE_MINUS_X * Fraction(1, 3), 0, 0)
 
     def test_monic_denominator(self):
-        f = RatFunc(Poly((1,)), Poly((2, 4)))
+        f = RatFunc(Poly((1,)), Poly((0, 2, -2)))  # 1/(2x(1-x))
         assert f.den.leading_coefficient() == 1
+        assert (f.num, f.den) == (Poly((Fraction(-1, 2),)), Poly((0, -1, 1)))
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RatFunc(Poly.one(), Poly.zero())
-        with pytest.raises(ZeroDivisionError):
-            RatFunc(Poly.one()) / RatFunc.zero()
+
+    def test_foreign_denominator_rejected(self):
+        with pytest.raises(UnsupportedOperatorError):
+            RatFunc(Poly.one(), Poly((0, 1, 1)))  # 1/(x(1+x))
 
     @given(ratfuncs(), ratfuncs())
     def test_field_consistency(self, f, g):
@@ -104,7 +139,23 @@ class TestRatFunc:
     def test_normalization_idempotent(self, f):
         again = RatFunc(f.num, f.den)
         assert again.num == f.num and again.den == f.den
+        assert (again.poly, again.i, again.j) == (f.poly, f.i, f.j)
+        assert f.i == 0 or f.poly.coefficient(0) != 0
+        assert f.j == 0 or f.poly(1) != 0
+        assert f.poly or (f.i, f.j) == (0, 0)
 
     @given(ratfuncs(), ratfuncs(), ratfuncs())
     def test_distributivity(self, f, g, h):
         assert f * (g + h) == f * g + f * h
+
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None)
+    @given(ratfuncs(), ratfuncs())
+    def test_matches_sympy(self, f, g):
+        F, G = to_sympy(f), to_sympy(g)
+        for ours, expr in (
+            (f + g, F + G),
+            (f * g, F * G),
+            (f.derivative(), sympy.diff(F, X_SYM)),
+        ):
+            assert (ours.num, ours.den) == sympy_num_den(expr)

@@ -86,6 +86,16 @@ class TestVerifyTheorem:
         with pytest.raises(ParameterError):
             verify_theorem(Fraction(1, 2), Fraction(1, 2), 0)
 
+    def test_rejects_tolerance_below_precision(self):
+        # 2^-40 ~ 9.1e-13: 1e-12 is reachable at 40 bits, 1e-13 is not
+        verify_theorem(3, Fraction(3, 2), 1, precision=40, tolerance=1e-12)
+        with pytest.raises(ParameterError):
+            verify_theorem(3, Fraction(3, 2), 1, precision=40, tolerance=1e-13)
+        with pytest.raises(ParameterError):
+            gosper_check(3, 2, precision=40, tolerance=1e-13)
+        with pytest.raises(ParameterError):
+            sweep(1, precision=40, tolerance=1e-13)
+
     def test_report_dict_shape(self):
         d = verify_theorem(3, Fraction(3, 2), 1).as_dict()
         assert set(d) >= {"params", "flags", "records", "verdict"}
