@@ -343,6 +343,7 @@ def _cmd_eval(args) -> int:
         f"value = {mpmath.nstr(result.value, digits)}",
         f"est error = {mpmath.nstr(result.est_error, 6)}",
         f"path = {result.path}",
+        f"n_terms = {result.n_terms}",
     ]
     payload = {
         "params": {
@@ -356,6 +357,7 @@ def _cmd_eval(args) -> int:
                 "value": mpmath.nstr(result.value, digits),
                 "est_error": mpmath.nstr(result.est_error, 6),
                 "path": result.path,
+                "n_terms": result.n_terms,
             }
         ],
         "verdict": "pass" if result.path != "unsupported" else "unsupported",

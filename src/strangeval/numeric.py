@@ -8,9 +8,16 @@ explicitly and never leaks through global state.  Conventions that matter:
   so every path decision is exact and no integer test needs a tolerance;
 * every fractional power takes the principal branch (log with imaginary
   part in (-pi, pi]); arguments on [1, oo) are rejected, not guessed;
-* error estimates are heuristic last-term bounds with path-specific
-  amplification, adequate for the wide margin between working precision
-  and the verification tolerances, and are not certified enclosures.
+* series are summed in fixed point on Python ints: with the parameters
+  over a common denominator every term ratio is a ratio of integers, so
+  a step is one exact product with the fixed-point argument and one floor
+  division, at the working precision plus at least GUARD_BITS bits (more
+  when a or b sits near a nonpositive integer); the rounding this adds
+  stays below the roundoff allowance in every error estimate;
+* error estimates bound the tail by the last term and the term ratio at
+  the stopping index, add a roundoff allowance and path-specific
+  amplification; they hold against an independent 320-bit reference on
+  every path, but are not certified enclosures.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import to_fixed
 
 from .errors import (
     BranchCutError,
@@ -92,12 +100,14 @@ def _nonpos_int(x: Fraction):
 
 @dataclass
 class EvalResult:
-    """A numeric value with a heuristic absolute error bound and the tag
-    of the evaluation path that produced it."""
+    """A numeric value with a heuristic absolute error bound, the tag of
+    the evaluation path that produced it and the number of series terms
+    summed (both inner sums on the connection path; 0 when none ran)."""
 
     value: object
     est_error: object
     path: str
+    n_terms: int
 
 
 # ---------------------------------------------------------------------------
@@ -196,40 +206,115 @@ KNOWN_PATHS = (
 )
 
 
-def _series_2f1(mp, a, b, c, z, target, max_terms):
-    """Sum the defining series by the term recurrence.
+def _dip_bits(x: Fraction) -> int:
+    """Bits by which the factor (x+k) nearest zero, k >= 0, can shrink a
+    term below the scale of the terms after it: log2(1/d) for
+    d = min(1, min_k |x+k|), and 0 when x is a nonpositive integer (the
+    series then ends at that factor)."""
+    if x >= 1 or (x.denominator == 1 and x <= 0):
+        return 0
+    d = x if x > 0 else min(x - math.floor(x), math.ceil(x) - x)
+    return (d.denominator // d.numerator).bit_length()
 
-    Returns (total, last_term_abs, n_terms, peak_abs); stops after three
-    consecutive terms below target * |total| so an incidental zero term
-    cannot end the sum early."""
-    one = mp.mpf(1)
-    total = mp.mpc(one)
-    term = mp.mpc(one)
-    peak = one
-    tiny = mp.mpf(2) ** (-mp.prec * 4)
-    small = 0
-    n = 0
-    last = mp.mpf(0)
-    while n < max_terms:
-        term = term * ((a + n) * (b + n)) / ((c + n) * (n + 1)) * z
-        total += term
-        n += 1
-        at = abs(term)
-        tt = abs(total)
-        if tt > peak:
-            peak = tt
-        last = at
-        # terms below target * peak cannot move the sum beyond the
-        # roundoff it has already absorbed (a cancelling sum may have
-        # |total| far below peak, so the first test alone could stall)
-        if at <= target * (tt + tiny) or at <= target * peak:
-            small += 1
-            if small >= 3:
-                return total, last, n, peak
+
+def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_terms):
+    """Sum the defining series of F(a, b, c; z) in fixed point on Python ints.
+
+    With D the common denominator of a, b, c, so a = A/D, b = B/D, c = C/D,
+    the term ratio is the ratio of integers (A+nD)(B+nD) / ((C+nD)(n+1)D).
+    A term is held as the integers (tr, ti) = t * 2^wp and each step costs
+    one exact complex product with the fixed-point z and one floor division
+    per component; a real z carries the real part only.
+
+    Returns (total, last_term_abs, n_terms, peak_abs) as mp values, where
+    peak is the largest |partial sum| seen (at least 1, since t_0 = 1).  It
+    stops after three consecutive terms with |t| * 2^target_bits <= peak,
+    tested exactly on integers, so an incidental zero term cannot end the
+    sum early and a cancelling sum (|total| far below peak) cannot stall.
+
+    Error model: each step floors once per component (the floor division
+    by the small integer and the shift by wp compose to a single floor),
+    an absolute error below 2^-wp, and z itself is rounded by less than
+    2^-wp per component.
+    A rounding at step k reaches the n-th term scaled by |t_n / t_k|.  No
+    term exceeds 2 peak (each is the difference of two partial sums), and
+    a term falls below the scale of those after it only at a factor (a+k)
+    or (b+k) near zero -- early, when a or b sits just above (or below) a
+    nonpositive integer -- and then by at most d, that factor's modulus.
+    So the fixed-point sum is within about n^2 (2 peak / d) 2^-wp of the
+    sum over the rounded z, and wp = working precision + GUARD_BITS +
+    log2(1/d) keeps that below the n peak 2^-prec roundoff allowance of
+    ``_tail_estimate`` for every n below 2^31."""
+    den = math.lcm(a.denominator, b.denominator, c.denominator)
+    an, bn = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    cn, kn = c.numerator * (den // c.denominator), den  # (c+n) D, (n+1) D
+    wp = mp.prec + GUARD_BITS + max(_dip_bits(a), _dip_bits(b))
+    zr = to_fixed(mp.re(z)._mpf_, wp)
+    zi = to_fixed(mp.im(z)._mpf_, wp)
+    tr = sr = peak = 1 << wp
+    ti = si = 0
+    small = n = 0
+    # an exactly zero term ends a terminating series; the zero terms that
+    # would follow count as small, so the loop stops and adds them to n
+    if zi == 0:
+        limit = peak >> target_bits
+        while n < max_terms:
+            tr = tr * zr * (an * bn) // (cn * kn) >> wp
+            an += den
+            bn += den
+            cn += den
+            kn += den
+            sr += tr
+            n += 1
+            if abs(sr) > peak:
+                peak = abs(sr)
+                limit = peak >> target_bits
+            if abs(tr) <= limit:
+                small += 1
+                if small == 3 or tr == 0:
+                    break
+            else:
+                small = 0
         else:
-            small = 0
-    raise NonConvergenceError(
-        f"2F1 series did not converge within {max_terms} terms", best=total
+            raise _no_convergence(mp, sr, 0, wp, max_terms)
+    else:
+        peak2 = peak * peak
+        limit = peak2 >> 2 * target_bits
+        while n < max_terms:
+            p, q = an * bn, cn * kn
+            tr, ti = (
+                (tr * zr - ti * zi) * p // q >> wp,
+                (tr * zi + ti * zr) * p // q >> wp,
+            )
+            an += den
+            bn += den
+            cn += den
+            kn += den
+            sr += tr
+            si += ti
+            n += 1
+            s2 = sr * sr + si * si
+            if s2 > peak2:
+                peak2 = s2
+                limit = peak2 >> 2 * target_bits
+            if tr * tr + ti * ti <= limit:
+                small += 1
+                if small == 3 or tr == ti == 0:
+                    break
+            else:
+                small = 0
+        else:
+            raise _no_convergence(mp, sr, si, wp, max_terms)
+        peak = math.isqrt(peak2)
+    total = mp.mpc(mp.mpf((sr, -wp)), mp.mpf((si, -wp)))
+    last = mp.hypot(mp.mpf((tr, -wp)), mp.mpf((ti, -wp)))
+    return total, last, n + 3 - small, mp.mpf((peak, -wp))
+
+
+def _no_convergence(mp, sr, si, wp, max_terms):
+    best = mp.mpc(mp.mpf((sr, -wp)), mp.mpf((si, -wp)))
+    return NonConvergenceError(
+        f"2F1 series did not converge within {max_terms} terms", best=best
     )
 
 
@@ -305,8 +390,8 @@ def hyp2f1_num(
     ez = Fraction(z) if isinstance(z, (int, Fraction)) else None
 
     with ctx.workprec(GUARD_BITS + 32):
-        za, zb, zc, zz = ctx.to_mp(a), ctx.to_mp(b), ctx.to_mp(c), ctx.to_mp(z)
-        target = mp.mpf(2) ** (-(prec + GUARD_BITS))
+        zz = ctx.to_mp(z)
+        target_bits = prec + GUARD_BITS
 
         m_term = min(
             (-m for m in (_nonpos_int(a), _nonpos_int(b)) if m is not None),
@@ -323,15 +408,15 @@ def hyp2f1_num(
             if ez is not None:
                 exact = terminating_exact_value(a, b, c, ez)
                 val = ctx.to_mp(exact)
-                return EvalResult(+val, abs(val) * ctx.eps * 4, _PATH_DIRECT)
+                return EvalResult(+val, abs(val) * ctx.eps * 4, _PATH_DIRECT, m_term)
             total, last, n, peak = _series_2f1(
-                mp, za, zb, zc, zz, target, m_term + 8
+                mp, a, b, c, zz, target_bits, m_term + 8
             )
             value = _demote_real(mp, total)
-            return EvalResult(+value, peak * ctx.eps * (n + 4), _PATH_DIRECT)
+            return EvalResult(+value, peak * ctx.eps * (n + 4), _PATH_DIRECT, n)
 
         if zz == 0:
-            return EvalResult(mp.mpf(1), ctx.eps, _PATH_DIRECT)
+            return EvalResult(mp.mpf(1), ctx.eps, _PATH_DIRECT, 0)
 
         on_cut = (
             abs(mp.im(zz)) <= mp.mpf(2) ** (-prec + 8) * (1 + abs(mp.re(zz)))
@@ -381,7 +466,7 @@ def hyp2f1_num(
                         "only the 1-z connection would converge, but c-a-b "
                         f"= {cab} is an integer"
                     )
-                return EvalResult(mp.nan, mp.inf, _PATH_UNSUPPORTED)
+                return EvalResult(mp.nan, mp.inf, _PATH_UNSUPPORTED, 0)
             options.sort(key=lambda t: t[0])
             path = options[0][1]
 
@@ -389,23 +474,22 @@ def hyp2f1_num(
             max_terms = _max_terms_for(mod_direct, prec, m_term)
             if max_terms is None:
                 raise ParameterError("direct series does not converge at this z")
-            total, last, n, peak = _series_2f1(mp, za, zb, zc, zz, target, max_terms)
-            est = _tail_estimate(mp, last, mod_direct, peak, n, prec)
+            total, last, n, peak = _series_2f1(mp, a, b, c, zz, target_bits, max_terms)
+            est = _tail_estimate(mp, last, mod_direct, peak, n, a, b, c)
             value = total
         elif path in (_PATH_PFAFF_A, _PATH_PFAFF_B):
             if path == _PATH_PFAFF_A:
-                pref = _principal_power(mp, 1 - zz, -za)
-                pa, pb, t_inner = za, ctx.to_mp(c - b), t_cb
+                pa, pb, t_inner = a, c - b, t_cb
             else:
-                pref = _principal_power(mp, 1 - zz, -zb)
-                pa, pb, t_inner = zb, ctx.to_mp(c - a), t_ca
+                pa, pb, t_inner = b, c - a, t_ca
+            pref = _principal_power(ctx, 1 - zz, -pa)
             max_terms = _max_terms_for(
                 mod_pfaff, prec, None if t_inner is None else -t_inner
             )
             if max_terms is None:
                 raise ParameterError("pfaff-transformed series does not converge")
-            total, last, n, peak = _series_2f1(mp, pa, pb, zc, w, target, max_terms)
-            est = abs(pref) * _tail_estimate(mp, last, mod_pfaff, peak, n, prec)
+            total, last, n, peak = _series_2f1(mp, pa, pb, c, w, target_bits, max_terms)
+            est = abs(pref) * _tail_estimate(mp, last, mod_pfaff, peak, n, pa, pb, c)
             value = pref * total
         elif path == _PATH_CONNECTION:
             if conn_degenerate:
@@ -416,28 +500,32 @@ def hyp2f1_num(
             if _max_terms_for(mod_conn, prec, None) is None:
                 raise ParameterError("connection series does not converge")
             u = 1 - zz
+            zc = ctx.to_mp(c)
             coef1 = (
-                gamma_c(zc, ctx) * gamma_c(zc - za - zb, ctx)
+                gamma_c(zc, ctx) * gamma_c(ctx.to_mp(cab), ctx)
                 * rgamma_c(c - a, ctx) * rgamma_c(c - b, ctx)
             )
             coef2 = (
-                _principal_power(mp, u, zc - za - zb)
-                * gamma_c(zc, ctx) * gamma_c(za + zb - zc, ctx)
+                _principal_power(ctx, u, cab)
+                * gamma_c(zc, ctx) * gamma_c(ctx.to_mp(-cab), ctx)
                 * rgamma_c(a, ctx) * rgamma_c(b, ctx)
             )
             part1 = part2 = mp.mpf(0)
             e1 = e2 = mp.mpf(0)
+            n = 0
             uu = 1 - ez if ez is not None else u
             if coef1 != 0:
                 inner1 = hyp2f1_num(a, b, 1 - cab, uu, ctx, _allow_connection=False)
                 part1 = coef1 * inner1.value
                 e1 = abs(coef1) * inner1.est_error
+                n += inner1.n_terms
             if coef2 != 0:
                 inner2 = hyp2f1_num(
                     c - a, c - b, 1 + cab, uu, ctx, _allow_connection=False
                 )
                 part2 = coef2 * inner2.value
                 e2 = abs(coef2) * inner2.est_error
+                n += inner2.n_terms
             value = part1 + part2
             est = e1 + e2 + (abs(part1) + abs(part2)) * ctx.eps * 16
         else:
@@ -445,7 +533,7 @@ def hyp2f1_num(
 
         if mp.im(zz) == 0 and mp.re(zz) < 1:
             value = _demote_real(mp, value)
-        return EvalResult(+value, +est, path)
+        return EvalResult(+value, +est, path, n)
 
 
 def _demote_real(mp, value):
@@ -454,21 +542,30 @@ def _demote_real(mp, value):
     return value
 
 
-def _principal_power(mp, base, expo):
+def _principal_power(ctx: EvalContext, base, expo: Fraction):
     """base**expo on the principal branch; exact for integer exponents."""
-    if mp.im(expo) == 0:
-        e = mp.re(expo)
-        if e == mp.nint(e) and abs(e) < 1 << 30:
-            return mp.power(base, int(e))
-    return mp.power(base, expo)
+    if expo.denominator == 1:
+        return ctx.mp.power(base, int(expo))
+    return ctx.mp.power(base, ctx.to_mp(expo))
 
 
-def _tail_estimate(mp, last, modulus, peak, n_terms, prec):
-    """Last-term tail bound plus accumulated roundoff, as an absolute error."""
-    if modulus < 1:
-        geom = last * modulus / (1 - modulus)
-    else:
-        geom = last
+def _tail_estimate(mp, last, modulus, peak, n_terms, a, b, c):
+    """Tail bound plus accumulated roundoff, as an absolute error.
+
+    Past the last term t_n the term ratios are |w| |(a+k)(b+k)| /
+    |(c+k)(k+1)|, k >= n, with w the series argument of modulus
+    ``modulus``.  Once k exceeds the parameters the factor after |w| moves
+    monotonically to 1 -- from above when a+b-c-1 > 0 -- so
+    rho = modulus * max(1, that factor at k = n) bounds the ratios and the
+    tail is at most |t_n| rho / (1 - rho).  |w| alone would understate
+    the tail whenever a+b > c+1, where that factor exceeds 1."""
+    geom = last
+    if last:  # else a terminating series ended in an exact zero term
+        n = n_terms
+        r = abs((a + n) * (b + n) / ((c + n) * (n + 1)))
+        rho = modulus * max(1, mp.mpf(r.numerator) / r.denominator)
+        if rho < 1:
+            geom = last * rho / (1 - rho)
     return geom + peak * mp.mpf(n_terms + 8) * mp.mpf(2) ** (-mp.prec)
 
 

@@ -164,6 +164,21 @@ class TestEvalCommand:
         assert code == 0
         assert "path = pfaff" in out
 
+    def test_reports_terms_summed(self, capsys):
+        # the connection path sums two inner series; --z=3,2 reaches it
+        code, out, _ = run(
+            capsys, "eval", "--a", "1/2", "--b", "1/3", "--c", "5/7",
+            "--z=3,2", "--json",
+        )
+        assert code == 0
+        (record,) = json.loads(out)["records"]
+        assert record["path"] == "connection-1mz"
+        assert isinstance(record["n_terms"], int) and record["n_terms"] > 0
+        code, out, _ = run(
+            capsys, "eval", "--a", "1/2", "--b", "1/3", "--c", "5/7", "--z=3,2",
+        )
+        assert f"n_terms = {record['n_terms']}" in out.splitlines()
+
     def test_method_override(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--a", "1/3", "--b", "2/5", "--c", "7/5",

@@ -12,6 +12,7 @@ from strangeval.errors import (
 )
 from strangeval.numeric import (
     EvalContext,
+    _series_2f1,
     find_roots,
     gamma_c,
     hyp2f1_num,
@@ -28,10 +29,12 @@ def tol(bits):
 
 class TestEvalContext:
     def test_fresh_contexts_are_isolated(self):
+        before = mpmath.mp.prec
         a = EvalContext(64)
         b = EvalContext(256)
+        hyp2f1_num(1, 1, 2, Fraction(1, 2), b)
         assert a.mp.prec == 64 and b.mp.prec == 256
-        assert mpmath.mp.prec != 256 or mpmath.mp.prec != 64  # global untouched
+        assert mpmath.mp.prec == before  # global untouched
 
     def test_exact_rational_conversion(self):
         x = CTX.to_mp(Fraction(-22, 7))
@@ -55,19 +58,19 @@ class TestGamma:
         assert abs(gamma_c(Fraction(1, 2), CTX) - ref) <= tol(185)
 
     def test_reflection_region_against_mpmath(self):
-        mpmath.mp.prec = 320
-        for z in (Fraction(-10, 9), Fraction(-97, 13), Fraction(-1, 7)):
-            mine = gamma_c(z, CTX)
-            ref = mpmath.gamma(mpmath.mpf(z.numerator) / z.denominator)
-            assert abs(mpmath.mpf(mine) - ref) / abs(ref) <= mpmath.mpf(2) ** -185
+        with mpmath.workprec(320):
+            for z in (Fraction(-10, 9), Fraction(-97, 13), Fraction(-1, 7)):
+                mine = gamma_c(z, CTX)
+                ref = mpmath.gamma(mpmath.mpf(z.numerator) / z.denominator)
+                assert abs(mpmath.mpf(mine) - ref) / abs(ref) <= mpmath.mpf(2) ** -185
 
     def test_complex_argument_against_mpmath(self):
-        mpmath.mp.prec = 320
-        z = CTX.mp.mpc(1.5, 2.5)
-        mine = gamma_c(z, CTX)
-        ref = mpmath.gamma(mpmath.mpc(1.5, 2.5))
-        diff = abs(mpmath.mpc(mine.real, mine.imag) - ref) / abs(ref)
-        assert diff <= mpmath.mpf(2) ** -185
+        with mpmath.workprec(320):
+            z = CTX.mp.mpc(1.5, 2.5)
+            mine = gamma_c(z, CTX)
+            ref = mpmath.gamma(mpmath.mpc(1.5, 2.5))
+            diff = abs(mpmath.mpc(mine.real, mine.imag) - ref) / abs(ref)
+            assert diff <= mpmath.mpf(2) ** -185
 
     def test_pole_rejected(self):
         for z in (0, -1, -7):
@@ -136,6 +139,26 @@ class TestHyp2F1:
     def test_c_pole_after_termination_allowed(self):
         r = hyp2f1_num(-1, 1, -2, Fraction(1, 2), CTX)
         assert abs(r.value - (1 + Fraction(1, 4))) <= tol(185)
+        # a float argument takes the series, which stops at the zero term
+        # instead of stepping into the (c+n) = 0 denominator
+        for c in (-2, -3, -4):
+            r = hyp2f1_num(-1, 1, c, 0.5, CTX)
+            assert abs(r.value - (1 + Fraction(1, 2 * -c))) <= tol(185)
+
+    def test_n_terms(self):
+        a, b, c = Fraction(1, 3), Fraction(2, 5), Fraction(7, 5)
+        assert hyp2f1_num(a, b, c, 0, CTX).n_terms == 0
+        assert hyp2f1_num(-4, b, c, Fraction(1, 2), CTX).n_terms == 4
+        assert hyp2f1_num(a, b, c, Fraction(1, 2), CTX).n_terms > 100
+        # the connection path reports both inner sums
+        z = Fraction(9, 10)
+        conn = hyp2f1_num(a, b, c, z, CTX, method="connection-1mz")
+        cab = c - a - b
+        inner = [
+            hyp2f1_num(a, b, 1 - cab, 1 - z, CTX, _allow_connection=False),
+            hyp2f1_num(c - a, c - b, 1 + cab, 1 - z, CTX, _allow_connection=False),
+        ]
+        assert conn.n_terms == sum(r.n_terms for r in inner) > 0
 
     def test_degenerate_connection_raises(self):
         # z close to 1 so only the connection converges, c - a - b integer
@@ -181,26 +204,130 @@ class TestHyp2F1:
     def test_far_field_via_connection_inner_pfaff(self):
         # Re z > 1/2 with |z|, |1-z|, |z/(z-1)| all > 1: reachable only
         # through the connection formula with Pfaff-evaluated inner sums
-        mpmath.mp.prec = 300
         z = CTX.mp.mpc(2.9, 3.7)
         r = hyp2f1_num(Fraction(1, 2), Fraction(1, 3), Fraction(5, 7), z, CTX)
         assert r.path == "connection-1mz"
-        ref = mpmath.hyp2f1(
-            mpmath.mpf(1) / 2, mpmath.mpf(1) / 3, mpmath.mpf(5) / 7,
-            mpmath.mpc(2.9, 3.7),
-        )
-        diff = abs(mpmath.mpc(r.value.real, r.value.imag) - ref) / abs(ref)
-        assert diff <= mpmath.mpf(1e-45)
-
-    def test_est_error_majorizes_true_error(self):
-        mpmath.mp.prec = 320
-        for z in (Fraction(9, 10), Fraction(-7, 2), Fraction(3, 5)):
-            r = hyp2f1_num(Fraction(1, 2), Fraction(1, 3), Fraction(5, 7), z, CTX)
+        with mpmath.workprec(300):
             ref = mpmath.hyp2f1(
                 mpmath.mpf(1) / 2, mpmath.mpf(1) / 3, mpmath.mpf(5) / 7,
-                mpmath.mpf(z.numerator) / z.denominator,
+                mpmath.mpc(2.9, 3.7),
             )
-            assert abs(mpmath.mpf(r.value) - ref) <= mpmath.mpf(r.est_error) * 64
+            diff = abs(mpmath.mpc(r.value.real, r.value.imag) - ref) / abs(ref)
+            assert diff <= mpmath.mpf(1e-45)
+
+    def test_est_error_majorizes_true_error(self):
+        with mpmath.workprec(320):
+            for z in (Fraction(9, 10), Fraction(-7, 2), Fraction(3, 5)):
+                r = hyp2f1_num(Fraction(1, 2), Fraction(1, 3), Fraction(5, 7), z, CTX)
+                ref = mpmath.hyp2f1(
+                    mpmath.mpf(1) / 2, mpmath.mpf(1) / 3, mpmath.mpf(5) / 7,
+                    mpmath.mpf(z.numerator) / z.denominator,
+                )
+                assert abs(mpmath.mpf(r.value) - ref) <= mpmath.mpf(r.est_error) * 64
+
+
+def _near_lattice_or_small(rng):
+    """A rational within 1/20 of a nonpositive integer 40% of the time
+    (early terms then dip by that factor), else a small rational."""
+    if rng.random() < 0.4:
+        k = rng.randint(0, 6)
+        return -k + Fraction(rng.choice((1, -1)), rng.randint(20, 60))
+    return Fraction(rng.randint(-15, 15), rng.randint(1, 9))
+
+
+def _path_modulus(path, z):
+    if path == "direct-series":
+        return abs(z)
+    if path.startswith("pfaff"):
+        return abs(z / (z - 1))
+    return min(abs(1 - z), abs(1 - 1 / z))
+
+
+class TestOracle:
+    """est_error against a 320-bit mpmath.hyp2f1 on every forced path."""
+
+    @pytest.mark.parametrize(
+        "path", ["direct-series", "pfaff-a", "pfaff-b", "connection-1mz"]
+    )
+    def test_est_error_bounds_true_error(self, path):
+        rng = random.Random(f"oracle-{path}")
+        count = 0
+        while count < 12:
+            a, b, c = (_near_lattice_or_small(rng) for _ in range(3))
+            if any(p.denominator == 1 and p <= 0 for p in (a, b, c, c - a, c - b)):
+                continue
+            if path == "connection-1mz" and (c - a - b).denominator == 1:
+                continue
+            if rng.random() < 0.7:
+                z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            else:
+                z = complex(rng.uniform(-3, 1), 0)
+            if z == 0 or _path_modulus(path, z) > 0.95:
+                continue
+            r = hyp2f1_num(a, b, c, CTX.mp.mpc(z.real, z.imag), CTX, method=path)
+            with mpmath.workprec(320):
+                ref = mpmath.hyp2f1(
+                    *(mpmath.mpf(p.numerator) / p.denominator for p in (a, b, c)),
+                    mpmath.mpc(z.real, z.imag),
+                )
+                err = abs(mpmath.mpmathify(r.value) - ref)
+                assert err <= mpmath.mpmathify(r.est_error), (a, b, c, z)
+            count += 1
+
+
+def _mpc_series(mp, a, b, c, z, target_bits, max_terms):
+    """The term recurrence on mpc objects, as a reference for the kernel:
+    (total, n_terms, peak) with the kernel's stopping rule."""
+    a, b, c = (mp.mpf(x.numerator) / x.denominator for x in (a, b, c))
+    total = term = mp.mpc(1)
+    peak = mp.mpf(1)
+    target = mp.mpf(2) ** -target_bits
+    small = n = 0
+    while n < max_terms:
+        term = term * ((a + n) * (b + n)) / ((c + n) * (n + 1)) * z
+        total += term
+        n += 1
+        peak = max(peak, abs(total))
+        if abs(term) <= target * peak:
+            small += 1
+            if small == 3:
+                return total, n, peak
+        else:
+            small = 0
+    raise AssertionError("reference recurrence did not converge")
+
+
+class TestSeriesKernel:
+    """The fixed-point kernel against the mpc recurrence at 448 bits."""
+
+    MP = CTX.mp
+    CASES = {
+        "real": (Fraction(1, 3), Fraction(2, 5), Fraction(7, 5), MP.mpf(0.6)),
+        "negative-real": (Fraction(7, 3), Fraction(-5, 4), Fraction(1, 6), MP.mpf(-0.85)),
+        "complex": (Fraction(1, 2), Fraction(1, 3), Fraction(5, 7), MP.mpc(0.3, 0.5)),
+        "near-unit": (
+            Fraction(3, 4), Fraction(5, 3), Fraction(11, 7), MP.mpf(0.99) * MP.expj(2)
+        ),
+        "terminating": (Fraction(-7), Fraction(5, 3), Fraction(1, 2), MP.mpc(0.8, 0.3)),
+        "near-lattice": (Fraction(-59, 20), Fraction(17, 3), Fraction(1, 2), MP.mpf(0.9)),
+        # (1-z)^(-25/3): terms up to ~3e6 and partial sums up to ~2e6
+        # cancel to ~5e-3
+        "cancelling": (Fraction(25, 3), Fraction(2, 5), Fraction(2, 5), MP.mpf(-0.9)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_mpc_recurrence(self, case):
+        a, b, c, z = self.CASES[case]
+        mp = CTX.mp
+        with CTX.workprec(64):
+            total, last, n, peak = _series_2f1(mp, a, b, c, z, 224, 100_000)
+        with mp.workprec(448):
+            ref, ref_n, ref_peak = _mpc_series(mp, a, b, c, z, 224, 100_000)
+            assert n == ref_n
+            assert abs(total - ref) <= abs(ref) * mp.mpf(2) ** -200
+            assert abs(peak - ref_peak) <= ref_peak * mp.mpf(2) ** -200
+            if case == "cancelling":
+                assert peak > abs(ref) * 2**20
 
 
 class TestFindRoots:
