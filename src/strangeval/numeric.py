@@ -14,6 +14,14 @@ explicitly and never leaks through global state.  Conventions that matter:
   division, at the working precision plus at least GUARD_BITS bits (more
   when a or b sits near a nonpositive integer); the rounding this adds
   stays below the roundoff allowance in every error estimate;
+* gamma at an int or Fraction argument p/q sums Spouge's series in fixed
+  point too: the coefficients are integers C_k = c_k 2^W, held once per
+  precision, and a term is C_k q // (p + (k-1) q), one product and one
+  floor division; the sum is within 3 units of 2^-W per term, at least
+  1.9 bits per term + 32 - log2(terms) below the delivered precision.
+  Such an argument is a pole exactly when it is a nonpositive integer;
+  float and complex arguments run an mp loop and count as poles within
+  2^-(precision/2) of one;
 * error estimates bound the tail by the last term and the term ratio at
   the stopping index, add a roundoff allowance and path-specific
   amplification; they hold against an independent 320-bit reference on
@@ -25,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import to_fixed
@@ -113,75 +122,137 @@ class EvalResult:
 # ---------------------------------------------------------------------------
 # gamma
 
+# precision -> (terms, wbits, (C_0, ..., C_{terms-1})), C_k = c_k 2^wbits
 _SPOUGE_CACHE: dict = {}
 
 
-def _spouge_coefficients(terms: int, mp):
-    # Cached as raw mantissa tuples, never as mpf objects: an mpf is bound
-    # to the context that created it, and mixed-context arithmetic silently
-    # rounds at the foreign context's current precision.
-    key = (terms, mp.prec)
-    raw = _SPOUGE_CACHE.get(key)
-    if raw is None:
-        coeffs = [mp.sqrt(2 * mp.pi)]
-        fact = mp.mpf(1)
-        for k in range(1, terms):
-            ak = mp.mpf(terms - k)
-            coeffs.append(
-                (-1) ** (k - 1) * ak ** (k - mp.mpf(1) / 2) * mp.exp(ak) / fact
-            )
-            fact *= k
-        raw = tuple(x._mpf_ for x in coeffs)
-        _SPOUGE_CACHE[key] = raw
-    return [mp.make_mpf(t) for t in raw]
+def _spouge_table(ctx: EvalContext):
+    """Spouge's coefficients for the context's precision, in fixed point.
+
+    The result is delivered at precision + 64 bits; the term count a
+    follows from that (the truncation error decays like (2 pi)^-a).  The
+    coefficients c_0 = sqrt(2 pi) and
+    c_k = (-1)^(k-1) (a-k)^(k-1/2) e^(a-k) / (k-1)!
+    are held as the integers C_k = floor(c_k 2^wbits), each computed with
+    2a + 16 bits beyond wbits (|c_k| stays below 2^(1.9 a)), so C_k is
+    within one unit of c_k 2^wbits.  wbits is the delivered precision plus
+    1.9 a + 32 bits: the floating-point loop cancels that many leading
+    bits, because the alternating terms peak near 2^(1.84 a) while the sum
+    is of moderate size.  Cached per precision as plain ints, never as mpf
+    objects: an mpf is bound to the context that created it."""
+    table = _SPOUGE_CACHE.get(ctx.precision)
+    if table is None:
+        mp = ctx.mp
+        deliver = ctx.precision + 64
+        terms = int(deliver * 0.3775) + 8
+        wbits = deliver + int(1.9 * terms) + 32
+        with mp.workprec(wbits + 2 * terms + 16):
+            coeffs = [mp.sqrt(2 * mp.pi)]
+            fact = 1
+            for k in range(1, terms):
+                ak = mp.mpf(terms - k)
+                ck = ak ** (k - 1) * mp.sqrt(ak) * mp.exp(ak) / fact
+                coeffs.append(ck if k % 2 else -ck)
+                fact *= k
+            fixed = tuple(to_fixed(c._mpf_, wbits) for c in coeffs)
+        table = _SPOUGE_CACHE[ctx.precision] = (terms, wbits, fixed)
+    return table
 
 
-def _spouge_gamma(z, mp, terms: int):
-    """Spouge series for gamma, valid for Re z >= 1/2.
+def _spouge_sum(p: int, q: int, coeffs) -> int:
+    """Spouge's sum c_0 + sum_k c_k / (z - 1 + k) at z = p/q >= 1/2, times
+    2^wbits, on the fixed-point coefficients:
+    C_0 + sum_k C_k q // (p + (k-1) q), one integer product and one floor
+    division per term.
 
-    Must run with roughly 1.9 bits of headroom per term beyond the target
-    precision: the alternating coefficients peak near 2^(1.84 terms) while
-    the sum is of moderate size, so that many leading bits cancel."""
-    coeffs = _spouge_coefficients(terms, mp)
+    Each term is off by less than one unit for its floor plus at most two
+    for its coefficient (q / (p + (k-1) q) <= 2 when z >= 1/2), so the
+    result is within 3a units of the exact sum times 2^wbits.  The sum
+    exceeds sqrt(2 pi) > 2 for every z >= 1/2, so its relative error stays
+    below a 2^(1-wbits), more than 1.9 a + 32 - log2(a) bits under the
+    delivered precision."""
     s = coeffs[0]
+    d = p - q
+    for ck in islice(coeffs, 1, None):
+        d += q
+        s += ck * q // d
+    return s
+
+
+def _spouge_rational(z: Fraction, mp, table):
+    """Spouge's series for gamma at a rational z >= 1/2: the sum in fixed
+    point, and only t^(z-1/2) e^(-t) = exp((z-1/2) log t - t),
+    t = z + a - 1, in mp arithmetic at the caller's working precision."""
+    terms, wbits, coeffs = table
+    p, q = z.numerator, z.denominator
+    s = mp.mpf((_spouge_sum(p, q, coeffs), -wbits))
+    t = mp.mpf(p + (terms - 1) * q) / q
+    return mp.exp(mp.mpf(2 * p - q) / (2 * q) * mp.log(t) - t) * s
+
+
+def _spouge_gamma(z, mp, table):
+    """Spouge's series for gamma at a float or complex z with Re z >= 1/2,
+    summed in mp arithmetic at the caller's working precision, which must
+    carry the cancellation headroom that wbits includes."""
+    terms, wbits, coeffs = table
+    s = mp.mpf((coeffs[0], -wbits))
     for k in range(1, terms):
-        s += coeffs[k] / (z - 1 + k)
+        s += mp.mpf((coeffs[k], -wbits)) / (z - 1 + k)
     t = z + terms - 1
     return mp.power(t, z - mp.mpf(1) / 2) * mp.exp(-t) * s
 
 
 def gamma_c(z, ctx: EvalContext | None = None):
-    """Gamma on the complex plane: Spouge series, with the reflection
-    formula for Re z < 1/2.  The term count follows from the target
-    precision (truncation error decays like (2 pi)^-terms) and the series
-    runs with enough extra working precision to absorb its internal
-    cancellation.  Arguments within 2^(-precision/2) of a nonpositive
-    integer are rejected as poles."""
+    """Gamma on the complex plane by Spouge's series, with the reflection
+    formula for Re z < 1/2, delivered at precision + 64 bits.
+
+    An int or Fraction argument is a pole exactly when it is a nonpositive
+    integer; its series is summed in fixed point (``_spouge_rational``) and
+    the sine of the reflection formula is taken at the exact distance to
+    the nearest integer, so arguments however close to a pole keep their
+    accuracy.  A float, complex or mpf argument is rejected as a pole
+    within 2^(-precision/2) of a nonpositive integer and runs the
+    floating-point loop at wbits plus 4 |Im z| bits, since the sum shrinks
+    with |Im z| like exp(-pi |Im z| / 2)."""
     ctx = ctx or EvalContext()
     mp = ctx.mp
-    zz = ctx.to_mp(z)
-    near = _near_int(mp, zz, ctx.precision // 2)
-    if near is not None and near <= 0:
-        raise GammaPoleError(f"gamma pole at {ctx.nstr(zz)}")
-    deliver = ctx.precision + 64
-    terms = int(deliver * 0.3775) + 8
-    # headroom: the alternating sum peaks near 2^(1.84 terms) while its
-    # value shrinks with |Im z| like exp(-pi |Im z| / 2)
-    cancel_headroom = int(1.9 * terms) + 16 + int(4 * abs(mp.im(zz))) + 16
-    with mp.workprec(deliver + cancel_headroom):
+    table = _spouge_table(ctx)
+    wbits = table[1]
+    if isinstance(z, (int, Fraction)):
+        z = Fraction(z)
+        if z.denominator == 1 and z <= 0:
+            raise GammaPoleError(f"gamma pole at {z}")
+        with mp.workprec(wbits):
+            if z < Fraction(1, 2):
+                n = round(z)
+                r = z - n
+                sin = mp.sinpi(mp.mpf(r.numerator) / r.denominator)
+                if n % 2:
+                    sin = -sin
+                value = mp.pi / (sin * _spouge_rational(1 - z, mp, table))
+            else:
+                value = _spouge_rational(z, mp, table)
+    else:
         zz = ctx.to_mp(z)
-        if mp.re(zz) < mp.mpf(1) / 2:
-            value = mp.pi / (mp.sinpi(zz) * _spouge_gamma(1 - zz, mp, terms))
-        else:
-            value = _spouge_gamma(zz, mp, terms)
-        if mp.im(zz) == 0:
-            value = mp.re(value)
-    with mp.workprec(deliver):
+        near = _near_int(mp, zz, ctx.precision // 2)
+        if near is not None and near <= 0:
+            raise GammaPoleError(f"gamma pole at {ctx.nstr(zz)}")
+        with mp.workprec(wbits + int(4 * abs(mp.im(zz)))):
+            zz = ctx.to_mp(z)
+            if mp.re(zz) < mp.mpf(1) / 2:
+                value = mp.pi / (mp.sinpi(zz) * _spouge_gamma(1 - zz, mp, table))
+            else:
+                value = _spouge_gamma(zz, mp, table)
+            if mp.im(zz) == 0:
+                value = mp.re(value)
+    with mp.workprec(ctx.precision + 64):
         return +value
 
 
 def rgamma_c(z, ctx: EvalContext | None = None):
-    """1/Gamma, defined as exact 0 at the poles ``gamma_c`` rejects."""
+    """1/Gamma, defined as exact 0 at the poles ``gamma_c`` rejects: the
+    nonpositive integers for int and Fraction arguments, and every point
+    within 2^(-precision/2) of one for float, complex and mpf arguments."""
     ctx = ctx or EvalContext()
     try:
         return 1 / gamma_c(z, ctx)
@@ -500,14 +571,12 @@ def hyp2f1_num(
             if _max_terms_for(mod_conn, prec, None) is None:
                 raise ParameterError("connection series does not converge")
             u = 1 - zz
-            zc = ctx.to_mp(c)
+            gc = gamma_c(c, ctx)
             coef1 = (
-                gamma_c(zc, ctx) * gamma_c(ctx.to_mp(cab), ctx)
-                * rgamma_c(c - a, ctx) * rgamma_c(c - b, ctx)
+                gc * gamma_c(cab, ctx) * rgamma_c(c - a, ctx) * rgamma_c(c - b, ctx)
             )
             coef2 = (
-                _principal_power(ctx, u, cab)
-                * gamma_c(zc, ctx) * gamma_c(ctx.to_mp(-cab), ctx)
+                _principal_power(ctx, u, cab) * gc * gamma_c(-cab, ctx)
                 * rgamma_c(a, ctx) * rgamma_c(b, ctx)
             )
             part1 = part2 = mp.mpf(0)

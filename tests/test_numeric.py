@@ -11,8 +11,11 @@ from strangeval.errors import (
     ParameterError,
 )
 from strangeval.numeric import (
+    _SPOUGE_CACHE,
     EvalContext,
     _series_2f1,
+    _spouge_sum,
+    _spouge_table,
     find_roots,
     gamma_c,
     hyp2f1_num,
@@ -101,6 +104,104 @@ class TestGamma:
         a = gamma_c(Fraction(-10, 9), EvalContext(192))
         b = gamma_c(Fraction(-10, 9), EvalContext(192))
         assert a == b
+
+    def test_exact_pole_rule_for_rationals(self):
+        for n in (0, -1, -7):
+            with pytest.raises(GammaPoleError):
+                gamma_c(Fraction(n), CTX)
+            # Gamma(n + eps) = (-1)^n / (|n|! eps) (1 + O(eps)), also for
+            # eps far below the working precision
+            for bits in (100, 1000):
+                ref = (-1) ** n * CTX.mp.mpf(2) ** bits / CTX.mp.factorial(-n)
+                got = gamma_c(n + Fraction(1, 2**bits), CTX)
+                assert abs(got / ref - 1) <= tol(90)
+            # float and mpf arguments keep the 2^-(precision/2) tolerance
+            with pytest.raises(GammaPoleError):
+                gamma_c(CTX.mp.mpf(n) + CTX.mp.mpf(2) ** -100, CTX)
+        eps = Fraction(1, 2**100)
+        assert abs(rgamma_c(eps, CTX) / CTX.to_mp(eps) - 1) <= tol(90)
+        assert rgamma_c(Fraction(-7), CTX) == 0
+
+    def test_coefficient_cache_bounded(self):
+        # one table per precision, whatever the arguments' imaginary parts
+        _SPOUGE_CACHE.clear()
+        rng = random.Random(71)
+        for _ in range(100):
+            gamma_c(CTX.mp.mpc(rng.uniform(0.5, 20.0), rng.uniform(-10.0, 10.0)), CTX)
+            gamma_c(Fraction(rng.randint(1, 400), rng.randint(1, 40)), CTX)
+        gamma_c(2.5, CTX)
+        assert list(_SPOUGE_CACHE) == [CTX.precision]
+        gamma_c(Fraction(1, 3), EvalContext(64))
+        assert sorted(_SPOUGE_CACHE) == [64, CTX.precision]
+
+
+def _gamma_oracle_arguments(seed):
+    """Rationals on both sides of 1/2, in the reflection region, within
+    2^-60 of a pole (dyadic, so the reference argument is exact), with
+    denominator 10007, and exact factorials."""
+    rng = random.Random(seed)
+    zs = [Fraction(-97, 13), Fraction(-199, 20), Fraction(1, 2)]
+    zs += [Fraction(rng.randint(1, 9), rng.randint(19, 40)) for _ in range(3)]
+    zs += [Fraction(rng.randint(21, 400), rng.randint(1, 40)) for _ in range(6)]
+    zs += [Fraction(-rng.randint(1, 400), rng.randint(2, 30)) for _ in range(6)]
+    zs += [
+        -rng.randint(0, 12) + Fraction(rng.choice((-1, 1)), 2 ** rng.randint(61, 90))
+        for _ in range(4)
+    ]
+    zs += [Fraction(rng.randint(-10**5, 10**5), 10007) for _ in range(4)]
+    zs += [Fraction(n) for n in (1, 2, 3, 10, 31)]
+    return [z for z in zs if not (z.denominator == 1 and z <= 0)]
+
+
+class TestGammaOracle:
+    """gamma_c at rational arguments against mpmath.gamma at precision + 128."""
+
+    @pytest.mark.parametrize("precision, seed", ((64, 1), (192, 2), (512, 3)))
+    def test_relative_error_below_precision(self, precision, seed):
+        ctx = EvalContext(precision)
+        for z in _gamma_oracle_arguments(seed):
+            mine = gamma_c(z, ctx)
+            with mpmath.workprec(precision + 128):
+                ref = mpmath.gamma(mpmath.mpf(z.numerator) / z.denominator)
+                err = abs(mpmath.mpf(mine) - ref) / abs(ref)
+                assert err <= mpmath.mpf(2) ** -precision, z
+
+
+def _mpf_spouge_coefficients(mp, terms):
+    """Spouge's c_0 .. c_(terms-1), each formed in mp arithmetic."""
+    coeffs = [mp.sqrt(2 * mp.pi)]
+    for k in range(1, terms):
+        ak = mp.mpf(terms - k)
+        ck = ak ** (k - mp.mpf(1) / 2) * mp.exp(ak) / mp.factorial(k - 1)
+        coeffs.append((-1) ** (k - 1) * ck)
+    return coeffs
+
+
+class TestGammaKernel:
+    """The fixed-point Spouge sum against a plain mpf loop at twice the
+    fixed-point width.  The kernel's documented width is the delivered
+    precision plus 1.9 bits per term plus 32, and its error is below 3
+    units of that width per term."""
+
+    ARGS = (
+        Fraction(1, 2), Fraction(3, 5), Fraction(1), Fraction(7, 3), Fraction(41, 3),
+        Fraction(10007 * 3 + 2, 10007), Fraction(10**6 + 1, 3),
+        Fraction(1, 2) + Fraction(1, 2**70),
+    )
+
+    @pytest.mark.parametrize("precision", (64, 192, 512))
+    def test_matches_mpf_loop(self, precision):
+        terms, wbits, coeffs = _spouge_table(EvalContext(precision))
+        width = precision + 64 + int(1.9 * terms) + 32
+        mp = EvalContext(2 * width).mp
+        ref_coeffs = _mpf_spouge_coefficients(mp, terms)
+        for z in self.ARGS:
+            mine = mp.mpf((_spouge_sum(z.numerator, z.denominator, coeffs), -wbits))
+            zz = mp.mpf(z.numerator) / z.denominator
+            ref = ref_coeffs[0] + sum(
+                ref_coeffs[k] / (zz - 1 + k) for k in range(1, terms)
+            )
+            assert abs(mine - ref) <= 3 * terms * mp.mpf(2) ** -width, z
 
 
 class TestHyp2F1:
@@ -241,6 +342,19 @@ def _path_modulus(path, z):
     if path.startswith("pfaff"):
         return abs(z / (z - 1))
     return min(abs(1 - z), abs(1 - 1 / z))
+
+
+def test_connection_near_gamma_pole():
+    # 1/Gamma(a) ~ 2^-100 scales the second connection term; a pole test
+    # with a tolerance set it to 0, and the result missed by ~2e77 est_error
+    a, b, c, z = Fraction(1, 2**100), 40, Fraction(1, 2), Fraction(19, 20)
+    r = hyp2f1_num(a, b, c, z, CTX)
+    assert r.path == "connection-1mz"
+    with mpmath.workprec(700):
+        ref = mpmath.hyp2f1(
+            mpmath.mpf(2) ** -100, b, mpmath.mpf(1) / 2, mpmath.mpf(19) / 20
+        )
+        assert abs(mpmath.mpf(r.value) - ref) <= mpmath.mpf(r.est_error)
 
 
 class TestOracle:
