@@ -49,6 +49,7 @@ from .verify import (
     _flags_dict,
     compute_q0_all_methods,
     gosper_check,
+    report_digits,
     sweep,
     verify_theorem,
 )
@@ -151,16 +152,12 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _digits(precision: int) -> int:
-    return int(precision * 0.30103) + 3
-
-
 def _cmd_verify(args) -> int:
     report = verify_theorem(
         args.a, args.c, args.ell,
         precision=args.precision, order=args.order, tolerance=args.tolerance,
     )
-    digits = _digits(args.precision)
+    digits = report_digits(args.precision)
     lines = [
         f"params: a={format_rational(args.a)} c={format_rational(args.c)} "
         f"ell={args.ell} precision={args.precision} order={report.order} "
@@ -296,7 +293,7 @@ def _cmd_gosper(args) -> int:
     report = gosper_check(
         args.a, args.b, precision=args.precision, tolerance=args.tolerance
     )
-    digits = _digits(args.precision)
+    digits = report_digits(args.precision)
     lines = [
         f"params: a={format_rational(args.a)} b={format_rational(args.b)} "
         f"argument z = {format_rational(report.z)}",
@@ -336,7 +333,7 @@ def _cmd_eval(args) -> int:
         zval = z
         zstr = format_rational(z)
     result = hyp2f1_num(args.a, args.b, args.c, zval, ctx, method=args.method)
-    digits = _digits(args.precision)
+    digits = report_digits(args.precision)
     lines = [
         f"F({format_rational(args.a)}, {format_rational(args.b)}, "
         f"{format_rational(args.c)}; {zstr})",
@@ -368,7 +365,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_roots(args) -> int:
     if args.coeffs is not None:
-        poly = Poly([parse_rational(t) for t in args.coeffs.split(",")])
+        try:
+            coeffs = [parse_rational(t) for t in args.coeffs.split(",")]
+        except ValueError as exc:
+            raise ParameterError(str(exc)) from exc
+        poly = Poly(coeffs)
         source = f"coefficients {args.coeffs}"
     else:
         if args.a is None or args.c is None or args.ell is None:
@@ -378,7 +379,7 @@ def _cmd_roots(args) -> int:
             f"F(1-a, -ell, 2-c; x) at a={format_rational(args.a)} "
             f"c={format_rational(args.c)} ell={args.ell}"
         )
-    digits = _digits(args.precision)
+    digits = report_digits(args.precision)
     lines = [f"polynomial: {poly}   [{source}]"]
     payload_roots = []
     if poly.degree is None or poly.degree == 0:

@@ -27,7 +27,7 @@ class DegenerateConnectionError(ValueError):
 
 
 class GammaPoleError(ValueError):
-    """Gamma requested too close to a nonpositive integer."""
+    """Gamma requested at a nonpositive integer."""
 
 
 class NonConvergenceError(ArithmeticError):

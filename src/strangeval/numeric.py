@@ -14,14 +14,14 @@ explicitly and never leaks through global state.  Conventions that matter:
   division, at the working precision plus at least GUARD_BITS bits (more
   when a or b sits near a nonpositive integer); the rounding this adds
   stays below the roundoff allowance in every error estimate;
-* gamma at an int or Fraction argument p/q sums Spouge's series in fixed
-  point too: the coefficients are integers C_k = c_k 2^W, held once per
-  precision, and a term is C_k q // (p + (k-1) q), one product and one
-  floor division; the sum is within 3 units of 2^-W per term, at least
-  1.9 bits per term + 32 - log2(terms) below the delivered precision.
-  Such an argument is a pole exactly when it is a nonpositive integer;
-  float and complex arguments run an mp loop and count as poles within
-  2^-(precision/2) of one;
+* gamma takes only an int or Fraction argument p/q, which is a pole
+  exactly when it is a nonpositive integer.  It sums Spouge's series in
+  fixed point too: the coefficients are integers C_k = c_k 2^W, held once
+  per precision, W = precision + 64 + 32, and a term is
+  C_k q // (p + (k-1) q), one product and one floor division; the sum is
+  within 3 units of 2^-W per term, so 32 - log2(3 terms / 2) bits below
+  the delivered precision + 64.  The exp/log of t^(z-1/2) e^-t run at W
+  plus the bits of |(z-1/2) log t| + t, worked out from p and q;
 * error estimates bound the tail by the last term and the term ratio at
   the stopping index, add a roundoff allowance and path-specific
   amplification; they hold against an independent 320-bit reference on
@@ -91,15 +91,10 @@ class EvalContext:
         )
 
 
-def _near_int(mp, z, bits: int):
-    """round(z) if z is within 2^-bits of an integer (else None)."""
-    if mp.im(z) != 0 and abs(mp.im(z)) > mp.mpf(2) ** (-bits):
-        return None
-    re = mp.re(z)
-    n = mp.nint(re)
-    if abs(re - n) <= mp.mpf(2) ** (-bits):
-        return int(n)
-    return None
+def _rational_param(x, name: str) -> Fraction:
+    if not isinstance(x, (int, Fraction)):
+        raise ParameterError(f"{name} must be an int or Fraction, got {x!r}")
+    return Fraction(x)
 
 
 def _nonpos_int(x: Fraction):
@@ -129,23 +124,33 @@ _SPOUGE_CACHE: dict = {}
 def _spouge_table(ctx: EvalContext):
     """Spouge's coefficients for the context's precision, in fixed point.
 
-    The result is delivered at precision + 64 bits; the term count a
-    follows from that (the truncation error decays like (2 pi)^-a).  The
-    coefficients c_0 = sqrt(2 pi) and
-    c_k = (-1)^(k-1) (a-k)^(k-1/2) e^(a-k) / (k-1)!
-    are held as the integers C_k = floor(c_k 2^wbits), each computed with
-    2a + 16 bits beyond wbits (|c_k| stays below 2^(1.9 a)), so C_k is
-    within one unit of c_k 2^wbits.  wbits is the delivered precision plus
-    1.9 a + 32 bits: the floating-point loop cancels that many leading
-    bits, because the alternating terms peak near 2^(1.84 a) while the sum
-    is of moderate size.  Cached per precision as plain ints, never as mpf
-    objects: an mpf is bound to the context that created it."""
+    The result is delivered at precision + 64 bits.  Its error budget,
+    relative to the value, with a terms and wbits = precision + 64 + 32:
+
+    * truncation: below a^(-1/2) (2 pi)^-(a + 1/2) (Spouge 1994), which the
+      term count a = 0.3775 (precision + 64) + 8 keeps below
+      2^-(precision + 64 + 20);
+    * coefficients: c_0 = sqrt(2 pi) and
+      c_k = (-1)^(k-1) (a-k)^(k-1/2) e^(a-k) / (k-1)!
+      are held as the integers C_k = floor(c_k 2^wbits), each computed
+      with 2a + 16 bits beyond wbits (|c_k| stays below 2^(1.9 a)), so C_k
+      is within one unit of c_k 2^wbits;
+    * the fixed-point sum (``_spouge_sum``): within 3a units of
+      2^-wbits, and the sum exceeds sqrt(2 pi) > 2, so below
+      3a 2^-(wbits + 1), that is 32 - log2(3a / 2) bits (more than 23 up
+      to 512-bit precision) below the delivered precision + 64;
+    * the mp stage (``_spouge_rational`` and the reflection formula): a
+      few units of 2^-wbits, once the exp/log carry the bits that
+      ``_spouge_rational`` works out from the argument.
+
+    Cached per precision as plain ints, never as mpf objects: an mpf is
+    bound to the context that created it."""
     table = _SPOUGE_CACHE.get(ctx.precision)
     if table is None:
         mp = ctx.mp
         deliver = ctx.precision + 64
         terms = int(deliver * 0.3775) + 8
-        wbits = deliver + int(1.9 * terms) + 32
+        wbits = deliver + 32
         with mp.workprec(wbits + 2 * terms + 16):
             coeffs = [mp.sqrt(2 * mp.pi)]
             fact = 1
@@ -167,10 +172,7 @@ def _spouge_sum(p: int, q: int, coeffs) -> int:
 
     Each term is off by less than one unit for its floor plus at most two
     for its coefficient (q / (p + (k-1) q) <= 2 when z >= 1/2), so the
-    result is within 3a units of the exact sum times 2^wbits.  The sum
-    exceeds sqrt(2 pi) > 2 for every z >= 1/2, so its relative error stays
-    below a 2^(1-wbits), more than 1.9 a + 32 - log2(a) bits under the
-    delivered precision."""
+    result is within 3a units of the exact sum times 2^wbits."""
     s = coeffs[0]
     d = p - q
     for ck in islice(coeffs, 1, None):
@@ -181,78 +183,55 @@ def _spouge_sum(p: int, q: int, coeffs) -> int:
 
 def _spouge_rational(z: Fraction, mp, table):
     """Spouge's series for gamma at a rational z >= 1/2: the sum in fixed
-    point, and only t^(z-1/2) e^(-t) = exp((z-1/2) log t - t),
-    t = z + a - 1, in mp arithmetic at the caller's working precision."""
+    point, and only t^(z-1/2) e^(-t) = exp(y), y = (z-1/2) log t - t,
+    t = z + a - 1, in mp arithmetic.  Rounding y's parts (z-1/2) log t and
+    t to W bits leaves an absolute error in y of their size times 2^-W,
+    which exp turns into a relative error of that size, so the exp/log run
+    at wbits plus the bits of a bound on |(z-1/2) log t| + t: with
+    T = ceil(t) >= |z - 1/2| and log t < bit_length(T), that is
+    T (bit_length(T) + 1)."""
     terms, wbits, coeffs = table
     p, q = z.numerator, z.denominator
-    s = mp.mpf((_spouge_sum(p, q, coeffs), -wbits))
-    t = mp.mpf(p + (terms - 1) * q) / q
-    return mp.exp(mp.mpf(2 * p - q) / (2 * q) * mp.log(t) - t) * s
-
-
-def _spouge_gamma(z, mp, table):
-    """Spouge's series for gamma at a float or complex z with Re z >= 1/2,
-    summed in mp arithmetic at the caller's working precision, which must
-    carry the cancellation headroom that wbits includes."""
-    terms, wbits, coeffs = table
-    s = mp.mpf((coeffs[0], -wbits))
-    for k in range(1, terms):
-        s += mp.mpf((coeffs[k], -wbits)) / (z - 1 + k)
-    t = z + terms - 1
-    return mp.power(t, z - mp.mpf(1) / 2) * mp.exp(-t) * s
+    big_t = -(-(p + (terms - 1) * q) // q)
+    headroom = (big_t * (big_t.bit_length() + 1)).bit_length()
+    with mp.workprec(wbits + headroom):
+        s = mp.mpf((_spouge_sum(p, q, coeffs), -wbits))
+        t = mp.mpf(p + (terms - 1) * q) / q
+        return mp.exp(mp.mpf(2 * p - q) / (2 * q) * mp.log(t) - t) * s
 
 
 def gamma_c(z, ctx: EvalContext | None = None):
-    """Gamma on the complex plane by Spouge's series, with the reflection
-    formula for Re z < 1/2, delivered at precision + 64 bits.
+    """Gamma at an exact rational argument by Spouge's series, with the
+    reflection formula for z < 1/2, delivered at precision + 64 bits.
 
-    An int or Fraction argument is a pole exactly when it is a nonpositive
-    integer; its series is summed in fixed point (``_spouge_rational``) and
-    the sine of the reflection formula is taken at the exact distance to
-    the nearest integer, so arguments however close to a pole keep their
-    accuracy.  A float, complex or mpf argument is rejected as a pole
-    within 2^(-precision/2) of a nonpositive integer and runs the
-    floating-point loop at wbits plus 4 |Im z| bits, since the sum shrinks
-    with |Im z| like exp(-pi |Im z| / 2)."""
+    z must be an int or Fraction; anything else raises ``ParameterError``.
+    z is a pole exactly when it is a nonpositive integer.  The series is
+    summed in fixed point (``_spouge_rational``) and the sine of the
+    reflection formula is taken at the exact distance to the nearest
+    integer, so arguments however close to a pole keep their accuracy."""
+    z = _rational_param(z, "gamma argument")
+    if z.denominator == 1 and z <= 0:
+        raise GammaPoleError(f"gamma pole at {z}")
     ctx = ctx or EvalContext()
     mp = ctx.mp
     table = _spouge_table(ctx)
-    wbits = table[1]
-    if isinstance(z, (int, Fraction)):
-        z = Fraction(z)
-        if z.denominator == 1 and z <= 0:
-            raise GammaPoleError(f"gamma pole at {z}")
-        with mp.workprec(wbits):
-            if z < Fraction(1, 2):
-                n = round(z)
-                r = z - n
-                sin = mp.sinpi(mp.mpf(r.numerator) / r.denominator)
-                if n % 2:
-                    sin = -sin
-                value = mp.pi / (sin * _spouge_rational(1 - z, mp, table))
-            else:
-                value = _spouge_rational(z, mp, table)
+    if z >= Fraction(1, 2):
+        value = _spouge_rational(z, mp, table)
     else:
-        zz = ctx.to_mp(z)
-        near = _near_int(mp, zz, ctx.precision // 2)
-        if near is not None and near <= 0:
-            raise GammaPoleError(f"gamma pole at {ctx.nstr(zz)}")
-        with mp.workprec(wbits + int(4 * abs(mp.im(zz)))):
-            zz = ctx.to_mp(z)
-            if mp.re(zz) < mp.mpf(1) / 2:
-                value = mp.pi / (mp.sinpi(zz) * _spouge_gamma(1 - zz, mp, table))
-            else:
-                value = _spouge_gamma(zz, mp, table)
-            if mp.im(zz) == 0:
-                value = mp.re(value)
+        with mp.workprec(table[1]):
+            n = round(z)
+            r = z - n
+            sin = mp.sinpi(mp.mpf(r.numerator) / r.denominator)
+            if n % 2:
+                sin = -sin
+            value = mp.pi / (sin * _spouge_rational(1 - z, mp, table))
     with mp.workprec(ctx.precision + 64):
         return +value
 
 
 def rgamma_c(z, ctx: EvalContext | None = None):
-    """1/Gamma, defined as exact 0 at the poles ``gamma_c`` rejects: the
-    nonpositive integers for int and Fraction arguments, and every point
-    within 2^(-precision/2) of one for float, complex and mpf arguments."""
+    """1/Gamma, defined as exact 0 at the poles ``gamma_c`` rejects, the
+    nonpositive integers."""
     ctx = ctx or EvalContext()
     try:
         return 1 / gamma_c(z, ctx)
@@ -422,14 +401,6 @@ def terminating_exact_value(ea, eb, ec, ez) -> Fraction:
     return total
 
 
-def _rational_param(x, name: str) -> Fraction:
-    if not isinstance(x, (int, Fraction)):
-        raise ParameterError(
-            f"2F1 parameter {name} must be an int or Fraction, got {x!r}"
-        )
-    return Fraction(x)
-
-
 def hyp2f1_num(
     a, b, c, z,
     ctx: EvalContext | None = None,
@@ -457,7 +428,7 @@ def hyp2f1_num(
     ctx = ctx or EvalContext()
     mp = ctx.mp
     prec = ctx.precision
-    a, b, c = _rational_param(a, "a"), _rational_param(b, "b"), _rational_param(c, "c")
+    a, b, c = (_rational_param(x, f"2F1 parameter {n}") for x, n in zip((a, b, c), "abc"))
     ez = Fraction(z) if isinstance(z, (int, Fraction)) else None
 
     with ctx.workprec(GUARD_BITS + 32):

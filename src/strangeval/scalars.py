@@ -10,16 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rat = Fraction
-
-
-def rat(value, den=None) -> Fraction:
-    """Coerce ``value`` (int, str like "3/2", or Fraction) to a Fraction."""
-    if den is not None:
-        return Fraction(value, den)
-    return Fraction(value)
-
-
 def poch(a, n: int) -> Fraction:
     """Rising factorial a(a+1)...(a+n-1); the empty product 1 for n = 0."""
     if n < 0:

@@ -71,6 +71,11 @@ def eval_poly_mp(p: Poly, x, ctx: EvalContext):
     return out
 
 
+def report_digits(precision: int) -> int:
+    """Decimal digits printed for a value computed at ``precision`` bits."""
+    return int(precision * 0.30103) + 3
+
+
 def _fmt(x, digits: int):
     if isinstance(x, Fraction):
         return format_rational(x)
@@ -161,7 +166,7 @@ class VerifyReport:
         return sum(1 for r in self.records if r.passed(self.tolerance) is False)
 
     def as_dict(self) -> dict:
-        digits = int(self.precision * 0.30103) + 3
+        digits = report_digits(self.precision)
         return {
             "params": {
                 "a": format_rational(self.a),
@@ -186,12 +191,13 @@ class VerifyReport:
 
 
 def _check_tolerance(precision: int, tolerance) -> None:
-    """A tolerance below one ulp of the working precision can only report
-    FAIL, so it is a misconfiguration, not a mathematical failure."""
-    if tolerance < 2.0 ** -precision:
+    """A tolerance below one ulp of the working precision, or a NaN, which
+    no residual compares below, can only report FAIL, so it is a
+    misconfiguration, not a mathematical failure."""
+    if not tolerance >= 2.0 ** -precision:
         raise ParameterError(
-            f"tolerance {tolerance!r} is below 2^-{precision}, "
-            f"finer than {precision}-bit precision can reach"
+            f"tolerance {tolerance!r} is not at least 2^-{precision}, "
+            f"the finest {precision}-bit precision can reach"
         )
 
 
@@ -344,7 +350,7 @@ class GosperReport:
     verdict: str
 
     def as_dict(self) -> dict:
-        digits = int(self.precision * 0.30103) + 3
+        digits = report_digits(self.precision)
         return {
             "params": {
                 "a": format_rational(self.a),
@@ -507,7 +513,7 @@ class SweepReport:
         return self.skipped_roots / self.total_roots if self.total_roots else 0.0
 
     def as_dict(self) -> dict:
-        digits = int(self.precision * 0.30103) + 3
+        digits = report_digits(self.precision)
         return {
             "params": {
                 "trials": self.trials,

@@ -137,14 +137,16 @@ class TestSweepCommand:
         assert payload["verdict"] == "pass"
 
     def test_tolerance_below_precision_is_usage_error(self, capsys):
-        # the default 1e-30 is finer than 40 bits reach: refused, not FAIL
-        code, out, err = run(
-            capsys, "sweep", "--trials", "5", "--ell-max", "4", "--seed", "3",
-            "--precision", "40",
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "tolerance" in err
+        # the default 1e-30 is finer than 40 bits reach, and no residual is
+        # below NaN: refused, not FAIL
+        for extra in (("--precision", "40"), ("--tolerance", "nan")):
+            code, out, err = run(
+                capsys, "sweep", "--trials", "5", "--ell-max", "4", "--seed", "3",
+                *extra,
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "tolerance" in err
 
 
 class TestEvalCommand:
@@ -211,6 +213,13 @@ class TestRootsCommand:
     def test_requires_some_input(self, capsys):
         code, _, err = run(capsys, "roots")
         assert code == 2 and "error" in err
+
+    def test_malformed_coefficient_is_usage_error(self, capsys):
+        for coeffs, bad in (("1,x", "'x'"), ("1,2/0", "'2/0'")):
+            code, out, err = run(capsys, "roots", "--coeffs", coeffs)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: not a rational number: {bad}\n"
 
 
 class TestUsageErrors:

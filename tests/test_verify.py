@@ -89,12 +89,14 @@ class TestVerifyTheorem:
     def test_rejects_tolerance_below_precision(self):
         # 2^-40 ~ 9.1e-13: 1e-12 is reachable at 40 bits, 1e-13 is not
         verify_theorem(3, Fraction(3, 2), 1, precision=40, tolerance=1e-12)
-        with pytest.raises(ParameterError):
-            verify_theorem(3, Fraction(3, 2), 1, precision=40, tolerance=1e-13)
-        with pytest.raises(ParameterError):
-            gosper_check(3, 2, precision=40, tolerance=1e-13)
-        with pytest.raises(ParameterError):
-            sweep(1, precision=40, tolerance=1e-13)
+        # NaN compares below nothing, so it could only report FAIL
+        for tolerance in (1e-13, float("nan")):
+            with pytest.raises(ParameterError):
+                verify_theorem(3, Fraction(3, 2), 1, precision=40, tolerance=tolerance)
+            with pytest.raises(ParameterError):
+                gosper_check(3, 2, precision=40, tolerance=tolerance)
+            with pytest.raises(ParameterError):
+                sweep(1, precision=40, tolerance=tolerance)
 
     def test_report_dict_shape(self):
         d = verify_theorem(3, Fraction(3, 2), 1).as_dict()
