@@ -46,6 +46,7 @@ from .operators import (
     build_L,
     factor_remainder,
     genericity_flags,
+    h_remainder,
     ore_mul,
     right_reduce,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "gamma_c",
     "genericity_flags",
     "gosper_check",
+    "h_remainder",
     "hyp2f1_num",
     "hyp_series",
     "incomplete_beta_check",

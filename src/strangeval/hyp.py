@@ -5,12 +5,13 @@ ell-1 that encode the order-ell contiguity reduction of F(a, b, c; x).
 They are computed here from explicit two-series combinations whose tails
 must cancel identically; the cancellation is asserted coefficient by
 coefficient, which doubles as the strongest internal correctness check the
-series engine has.  An independent route via non-commutative operator
-division lives in ``operators`` and must agree exactly.
+series engine has.  An independent route, the operator remainder
+recurrence, lives in ``operators`` and must agree exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,20 +72,21 @@ def hyp_series(p: HypParams, order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise ParameterError("series order must be >= 0")
-    a, b, c = p.a, p.b, p.c
-    coeffs = [Fraction(1)]
-    cur = Fraction(1)
+    # Over the common denominator d of a, b, c (a = A/d, ...) the ratio is
+    # (A + n d)(B + n d) / ((C + n d)(n + 1) d), all integers.
+    d = math.lcm(p.a.denominator, p.b.denominator, p.c.denominator)
+    A, B, C = (int(v * d) for v in (p.a, p.b, p.c))
+    ups, downs = [], []
     for n in range(order):
-        if cur == 0:
-            coeffs.append(Fraction(0))
-            continue
-        if c + n == 0:
+        if C + n * d == 0:
             raise ParameterError(
-                f"lower parameter pole: c = {c} reaches zero at term {n + 1}"
+                f"lower parameter pole: c = {p.c} reaches zero at term {n + 1}"
             )
-        cur = cur * (a + n) * (b + n) / ((c + n) * (n + 1))
-        coeffs.append(cur)
-    return TruncatedSeries(coeffs, order)
+        ups.append((A + n * d) * (B + n * d))
+        downs.append((C + n * d) * (n + 1) * d)
+        if not ups[-1]:
+            break
+    return TruncatedSeries.from_ratios(ups, downs, order)
 
 
 def terminating_poly(p: HypParams) -> Poly:
@@ -115,9 +117,9 @@ def euler_transform_series(p: HypParams, order: int) -> TruncatedSeries:
 def _extract_poly(series: TruncatedSeries, ell: int, what: str) -> Poly:
     """Assert all coefficients from index ell on vanish, return the head."""
     for i in range(ell, series.order + 1):
-        if series.coeffs[i] != 0:
+        if series.nums[i]:
             raise InternalInconsistencyError(
-                f"{what}: coefficient of x^{i} is {series.coeffs[i]}, "
+                f"{what}: coefficient of x^{i} is {series.coefficient(i)}, "
                 f"expected exact 0 (tail must vanish through x^{series.order})"
             )
     return Poly(series.coeffs[:ell])
@@ -240,4 +242,4 @@ def q0_by_reversal(p: HypParams, ell: int) -> Poly:
         HypParams(c - 1 - ell, -ell, a - ell), u_order
     )
     scale = poch(2 - a, ell - 1) * (-1) ** (ell - 1)
-    return Poly([scale * prod.coeffs[ell - 1 - j] for j in range(ell)])
+    return Poly([scale * prod.coefficient(ell - 1 - j) for j in range(ell)])

@@ -3,10 +3,15 @@
 Operators are polynomials in D = d/dx with rational-function coefficients,
 multiplied under the commutation rule D f = f D + f'.  This module builds
 the hypergeometric operator L(a, b, c) and the contiguity composition
-H(ell), right-divides one by the other, and factors the order-one
-remainder q(x) D + r(x) into x/(1-x) powers times the polynomials q0, r0.
-That remainder route is computed independently of the series formulas in
-``hyp`` and the two must agree exactly.
+H(ell), and factors the order-one remainder q(x) D + r(x) of H(ell) modulo
+L into x/(1-x) powers times the polynomials q0, r0.
+
+The remainder comes from ``h_remainder``, a recurrence on two polynomials
+that follows H(k+1) = (xD + b + k) H(k) and never forms H(ell).  Full right
+division (``right_reduce``) also returns the quotient, for the ``reduce``
+command, and is the oracle the recurrence is tested against.  The
+remainder route shares nothing with the series formulas in ``hyp`` beyond
+``Poly``, and the two must agree exactly.
 """
 
 from __future__ import annotations
@@ -157,6 +162,35 @@ def build_H(b, ell: int) -> DiffOp:
         factor = DiffOp((RatFunc(Poly((b + k,))), RatFunc(Poly.x())))
         out = ore_mul(factor, out)
     return out
+
+
+def h_remainder(p: HypParams, ell: int) -> tuple[RatFunc, RatFunc]:
+    """The order-one remainder q D + r of H(ell) modulo the left ideal of
+    L(a, b, c), without forming H(ell) or a quotient.
+
+    H(k+1) = (xD + b + k) H(k), and modulo L, D^2 = -p1 D - p0 with
+    x p1 = (c - (a+b+1) x)/(1-x) and x p0 = -ab/(1-x), so the remainder of
+    H(k) maps to that of H(k+1) by
+
+        q <- x q' + x r - x p1 q + (b+k) q,    r <- x r' - x p0 q + (b+k) r.
+
+    With q = Q/(1-x)^k and r = R/(1-x)^k this is a step on polynomials,
+
+        Q <- x(1-x)(Q' + R) + ((b+k-c) + (a+1) x) Q
+        R <- x(1-x) R' + ((b+k) - b x) R + ab Q,
+
+    started from Q = 0, R = 1 (H(0) = 1).  Returns (q, r) after ell steps.
+    """
+    _check_ell(ell)
+    a, b, c = p.a, p.b, p.c
+    x_one_minus_x = Poly((0, 1, -1))
+    Q, R = Poly.zero(), Poly.one()
+    for k in range(ell):
+        Q, R = (
+            x_one_minus_x * (Q.derivative() + R) + Poly((b + k - c, a + 1)) * Q,
+            x_one_minus_x * R.derivative() + Poly((b + k, -b)) * R + Q * (a * b),
+        )
+    return RatFunc._of(Q, 0, ell), RatFunc._of(R, 0, ell)
 
 
 @dataclass(frozen=True)

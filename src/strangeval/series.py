@@ -1,9 +1,14 @@
-"""Truncated power series in x over Fraction, plus x^mu (1-x)^nu carriers.
+"""Exact truncated power series in x, plus x^mu (1-x)^nu carriers.
 
-A ``TruncatedSeries`` of order N stores coefficients c_0..c_N and nothing
+A ``TruncatedSeries`` of order N knows coefficients c_0..c_N and nothing
 else: arithmetic never reads or invents coefficients past the order, and
 every operation reports the honest order of its result (shifting by x^k
 raises it, differentiation lowers it, binary operations take the minimum).
+The coefficients are stored as integer numerators over one positive
+denominator in lowest terms, so a product is an integer convolution, sums
+and scalings work over a common denominator, and a vanishing coefficient
+is an integer equal to 0; ``coeffs`` and ``coefficient`` hand out
+Fractions.
 
 ``GenSeries`` wraps a series with a prefactor x^mu (1-x)^nu carrying exact
 rational exponents, which is how objects like x^(1-c) (1-x)^(c-a-1) enter
@@ -12,6 +17,7 @@ operator computations without leaving exact arithmetic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -20,9 +26,14 @@ from .poly import Poly
 
 
 class TruncatedSeries:
-    """Power series known exactly through x^order."""
+    """Power series known exactly through x^order.
 
-    __slots__ = ("order", "coeffs")
+    Stored as integer numerators ``nums`` (one per coefficient) over one
+    positive denominator ``den`` with gcd(den, *nums) = 1, so equal values
+    have equal fields and products are integer convolutions.
+    """
+
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
         cs = [Fraction(c) for c in coeffs]
@@ -30,12 +41,25 @@ class TruncatedSeries:
             order = len(cs) - 1
         if order < 0:
             raise ValueError("series order must be >= 0")
-        if len(cs) < order + 1:
-            cs.extend([Fraction(0)] * (order + 1 - len(cs)))
-        elif len(cs) > order + 1:
-            del cs[order + 1 :]
-        self.order = order
-        self.coeffs = tuple(cs)
+        del cs[order + 1 :]
+        # den = lcm of the reduced denominators is already in lowest terms
+        den = math.lcm(*(c.denominator for c in cs)) if cs else 1
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        nums.extend([0] * (order + 1 - len(nums)))
+        self.order, self.nums, self.den = order, tuple(nums), den
+
+    @classmethod
+    def _of(cls, nums: list, den: int, order: int) -> "TruncatedSeries":
+        """nums / den (len(nums) == order + 1, den != 0), put in lowest terms."""
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+        s = object.__new__(cls)
+        s.order, s.nums, s.den = order, tuple(nums), den
+        return s
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
@@ -49,54 +73,78 @@ class TruncatedSeries:
     def from_poly(cls, p: Poly, order: int) -> "TruncatedSeries":
         return cls(p.coeffs, order)
 
+    @classmethod
+    def from_ratios(cls, ups: list, downs: list, order: int) -> "TruncatedSeries":
+        """The series with c_0 = 1 and c_(n+1) = c_n ups[n] / downs[n].
+
+        Every downs[n] is a nonzero int and coefficients past len(ups) are
+        zero, so a terminating caller stops both lists at the vanishing
+        upper factor.  Over the common denominator prod(downs), c_k has
+        numerator prod(ups[:k]) * prod(downs[k:]): prefix products of the
+        upper factors times suffix products of the lower ones.
+        """
+        steps = len(ups)
+        suffix = [1] * (steps + 1)
+        for n in range(steps - 1, -1, -1):
+            suffix[n] = downs[n] * suffix[n + 1]
+        nums = [0] * (order + 1)
+        prefix = 1
+        for k in range(steps + 1):
+            nums[k] = prefix * suffix[k]
+            if k < steps:
+                prefix *= ups[k]
+        return cls._of(nums, suffix[0], order)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients c_0..c_order as Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
+
     def coefficient(self, i: int) -> Fraction:
         if not 0 <= i <= self.order:
             raise IndexError(f"coefficient {i} beyond truncation order {self.order}")
-        return self.coeffs[i]
+        return Fraction(self.nums[i], self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         if order == self.order:
             return self
-        return TruncatedSeries(self.coeffs[: order + 1], order)
+        return TruncatedSeries._of(self.nums[: order + 1], self.den, order)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
-        return TruncatedSeries(
-            (self.coeffs[i] + other.coeffs[i] for i in range(n + 1)), n
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return TruncatedSeries._of(
+            [fa * x + fb * y for x, y in zip(self.nums[: n + 1], other.nums)], den, n
         )
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries((-c for c in self.coeffs), self.order)
+        return TruncatedSeries._of([-x for x in self.nums], self.den, self.order)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            (self.coeffs[i] - other.coeffs[i] for i in range(n + 1)), n
-        )
+        return self + (-other)
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a:
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return TruncatedSeries(out, n)
+        return TruncatedSeries._of(
+            _convolve(self.nums, other.nums, n), self.den * other.den, n
+        )
 
     __rmul__ = __mul__
 
     def scale(self, s) -> "TruncatedSeries":
         s = Fraction(s)
-        return TruncatedSeries((s * c for c in self.coeffs), self.order)
+        return TruncatedSeries._of(
+            [s.numerator * x for x in self.nums], s.denominator * self.den, self.order
+        )
 
     def mul_poly(self, p: Poly) -> "TruncatedSeries":
         """Multiply by an exact polynomial.
@@ -107,15 +155,12 @@ class TruncatedSeries:
         """
         if p.is_zero():
             return TruncatedSeries.zero(self.order)
-        v = p.valuation_at_zero()
-        n = self.order + v
-        out = [Fraction(0)] * (n + 1)
-        for k, pc in enumerate(p.coeffs):
-            if pc:
-                for i, c in enumerate(self.coeffs):
-                    if c and k + i <= n:
-                        out[k + i] += pc * c
-        return TruncatedSeries(out, n)
+        n = self.order + p.valuation_at_zero()
+        pden = math.lcm(*(c.denominator for c in p.coeffs))
+        pnums = [c.numerator * (pden // c.denominator) for c in p.coeffs]
+        return TruncatedSeries._of(
+            _convolve(pnums, self.nums, n), pden * self.den, n
+        )
 
     def shift_up(self, k: int) -> "TruncatedSeries":
         """Multiply by x^k; knowledge extends to order + k."""
@@ -123,7 +168,7 @@ class TruncatedSeries:
             raise ValueError("negative shift; use shift_down")
         if k == 0:
             return self
-        return TruncatedSeries((Fraction(0),) * k + self.coeffs, self.order + k)
+        return TruncatedSeries._of((0,) * k + self.nums, self.den, self.order + k)
 
     def shift_down(self, k: int) -> "TruncatedSeries":
         """Divide by x^k; requires the low k coefficients to vanish."""
@@ -131,15 +176,17 @@ class TruncatedSeries:
             return self
         if k > self.order:
             raise ValueError("shift below constant term")
-        if any(self.coeffs[i] != 0 for i in range(k)):
+        if any(self.nums[:k]):
             raise InternalInconsistencyError("series not divisible by x^k")
-        return TruncatedSeries(self.coeffs[k:], self.order - k)
+        return TruncatedSeries._of(self.nums[k:], self.den, self.order - k)
 
     def derivative(self) -> "TruncatedSeries":
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 series")
-        return TruncatedSeries(
-            (i * self.coeffs[i] for i in range(1, self.order + 1)), self.order - 1
+        return TruncatedSeries._of(
+            [i * self.nums[i] for i in range(1, self.order + 1)],
+            self.den,
+            self.order - 1,
         )
 
     def matches(self, other: "TruncatedSeries", through: int | None = None) -> bool:
@@ -147,15 +194,18 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         if through is not None:
             n = min(n, through)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+        da, db = self.den, other.den
+        return all(
+            x * db == y * da for x, y in zip(self.nums[: n + 1], other.nums[: n + 1])
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order, self.den, self.nums) == (other.order, other.den, other.nums)
 
     def __hash__(self):
-        return hash(("TruncatedSeries", self.order, self.coeffs))
+        return hash(("TruncatedSeries", self.order, self.den, self.nums))
 
     def __str__(self) -> str:
         head = str(Poly(self.coeffs[: min(self.order, 6) + 1]))
@@ -165,13 +215,32 @@ class TruncatedSeries:
         return f"TruncatedSeries({self})"
 
 
+def _convolve(a, b, n: int) -> list:
+    """Coefficients 0..n of the product of the integer vectors a and b."""
+    out = [0] * (n + 1)
+    b = b[: n + 1]
+    for i, x in enumerate(a[: n + 1]):
+        if x:
+            for j, y in enumerate(b[: n + 1 - i], i):
+                out[j] += x * y
+    return out
+
+
 def binomial_series(alpha, order: int) -> TruncatedSeries:
-    """Expansion of (1-x)^alpha: c_0 = 1, c_{n+1} = c_n (n - alpha)/(n + 1)."""
+    """Expansion of (1-x)^alpha: c_0 = 1, c_{n+1} = c_n (n - alpha)/(n + 1).
+
+    With alpha = p/q the ratio is (n q - p) / ((n + 1) q); it stops at the
+    first vanishing factor, when alpha is a nonnegative integer below order.
+    """
     alpha = Fraction(alpha)
-    coeffs = [Fraction(1)]
+    p, q = alpha.numerator, alpha.denominator
+    ups, downs = [], []
     for n in range(order):
-        coeffs.append(coeffs[-1] * (n - alpha) / (n + 1))
-    return TruncatedSeries(coeffs, order)
+        ups.append(n * q - p)
+        downs.append((n + 1) * q)
+        if not ups[-1]:
+            break
+    return TruncatedSeries.from_ratios(ups, downs, order)
 
 
 class GenSeries:
@@ -197,7 +266,7 @@ class GenSeries:
         if self.is_zero():
             return GenSeries(0, 0, self.body)
         v = 0
-        while self.body.coeffs[v] == 0:
+        while self.body.nums[v] == 0:
             v += 1
         if v == 0:
             return self

@@ -28,6 +28,7 @@ from strangeval.operators import (
     build_L,
     factor_remainder,
     genericity_flags,
+    h_remainder,
     right_reduce,
 )
 from strangeval.poly import Poly
@@ -55,7 +56,7 @@ def triple_runs():
         qr = q0_r0_by_series(params, ell)
         red = right_reduce(build_H(1, ell), build_L(params))
         fac = factor_remainder(red.q, red.r, ell)
-        runs.append((a, c, ell, params, qr, fac))
+        runs.append((a, c, ell, params, qr, fac, red))
     return runs
 
 
@@ -116,7 +117,9 @@ def test_criterion_2_gosper_identity(capsys):
 def test_criterion_3_triple_agreement(triple_runs, capsys):
     start = time.perf_counter()
     reversal_checked = 0
-    for a, c, ell, params, qr, fac in triple_runs:
+    for a, c, ell, params, qr, fac, red in triple_runs:
+        # the remainder recurrence is the division's remainder, exactly
+        assert h_remainder(params, ell) == (red.q, red.r), (a, c, ell)
         canon = fac.canonical_qr()
         assert canon.q0 == qr.q0 and canon.r0 == qr.r0, (a, c, ell)
         if not is_integer(a):
@@ -139,7 +142,7 @@ def test_criterion_3_triple_agreement(triple_runs, capsys):
 def test_criterion_4_tail_vanishing(triple_runs, capsys):
     start = time.perf_counter()
     coefficients_checked = 0
-    for a, c, ell, params, qr, _ in triple_runs:
+    for a, c, ell, params, qr, _, _ in triple_runs:
         order = ell + 24
         tpoly = TruncatedSeries.from_poly(
             terminating_poly(HypParams(1 - a, -ell, 2 - c)), order
@@ -160,8 +163,9 @@ def test_criterion_4_tail_vanishing(triple_runs, capsys):
         ).shift_up(1).scale(-a * poch(2 - c, ell) / (c * one_minus_c)).truncate(order)
 
         for combo in (q_combo, r_combo):
+            coeffs = combo.coeffs
             for i in range(ell, order + 1):
-                assert combo.coeffs[i] == 0, (a, c, ell, i)
+                assert coeffs[i] == 0, (a, c, ell, i)
                 coefficients_checked += 1
         # and the heads are the polynomials themselves
         assert Poly(q_combo.coeffs[:ell]) == qr.q0
@@ -197,7 +201,7 @@ def test_criterion_5_theorem_sweep(capsys):
 
 def test_criterion_6_exponent_pattern(triple_runs, capsys):
     generic = 0
-    for a, c, ell, params, _, fac in triple_runs:
+    for a, c, ell, params, _, fac, _ in triple_runs:
         flags = genericity_flags(params, ell)
         if is_integer(a) or not flags.generic_apart_from_b():
             continue

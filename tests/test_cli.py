@@ -137,9 +137,11 @@ class TestSweepCommand:
         assert payload["verdict"] == "pass"
 
     def test_tolerance_below_precision_is_usage_error(self, capsys):
-        # the default 1e-30 is finer than 40 bits reach, and no residual is
-        # below NaN: refused, not FAIL
-        for extra in (("--precision", "40"), ("--tolerance", "nan")):
+        # the default 1e-30 is finer than 40 bits reach, no residual is
+        # below NaN, and every residual is below inf: refused, not a verdict
+        for extra in (
+            ("--precision", "40"), ("--tolerance", "nan"), ("--tolerance", "inf"),
+        ):
             code, out, err = run(
                 capsys, "sweep", "--trials", "5", "--ell-max", "4", "--seed", "3",
                 *extra,

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from strangeval.errors import ParameterError
+from strangeval.errors import InternalInconsistencyError, ParameterError
 from strangeval.hyp import (
     HypParams,
+    _extract_poly,
     euler_transform_series,
     hyp_series,
     q0_by_reversal,
@@ -14,6 +15,7 @@ from strangeval.hyp import (
 )
 from strangeval.poly import Poly
 from strangeval.scalars import poch
+from strangeval.series import TruncatedSeries
 
 
 class TestHypSeries:
@@ -99,6 +101,16 @@ class TestQ0R0BySeries:
     def test_rejects_small_order(self):
         with pytest.raises(ParameterError):
             q0_r0_by_series(HypParams(Fraction(1, 2), 1, Fraction(1, 2)), 2, order=10)
+
+    def test_nonzero_tail_raises(self):
+        series = TruncatedSeries((1, 2, 0, Fraction(1, 3), 0), 4)
+        assert _extract_poly(series.truncate(2), 2, "combo") == Poly((1, 2))
+        with pytest.raises(InternalInconsistencyError) as err:
+            _extract_poly(series, 2, "combo")
+        assert str(err.value) == (
+            "combo: coefficient of x^3 is 1/3, expected exact 0 "
+            "(tail must vanish through x^4)"
+        )
 
     def test_tail_vanishes_with_margin(self, param_pool):
         # recompute the combinations at a deeper order and confirm the

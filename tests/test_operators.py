@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,14 @@ from strangeval.operators import (
     build_L,
     factor_remainder,
     genericity_flags,
+    h_remainder,
     ore_mul,
     right_reduce,
 )
 from strangeval.poly import Poly, RatFunc
 from strangeval.scalars import poch
 from strangeval.series import GenSeries, TruncatedSeries
+from strangeval.verify import random_rational
 
 X = Poly.x()
 X_ONE_MINUS_X = Poly((0, 1, -1))
@@ -123,6 +126,31 @@ class TestRightReduce:
         L = build_L(HypParams(Fraction(1, 2), 1, Fraction(1, 3)))
         with pytest.raises(ParameterError):
             right_reduce(build_H(1, 3), L.scale(RatFunc(2)))
+
+
+class TestHRemainder:
+    def test_ell_one(self):
+        # H(1) = xD + b is its own remainder
+        q, r = h_remainder(HypParams(Fraction(2, 7), Fraction(-3, 4), Fraction(1, 3)), 1)
+        assert q == RatFunc(X) and r == RatFunc(Poly((Fraction(-3, 4),)))
+
+    def test_rejects_bad_ell(self):
+        with pytest.raises(ParameterError):
+            h_remainder(HypParams(Fraction(1, 2), 1, Fraction(1, 3)), 0)
+
+    def test_matches_right_reduce(self, param_pool):
+        # the recurrence against full right division, b = 0 and b = -2
+        # (nonpositive integers) included
+        rng = random.Random(7_070_707)
+        bs = [Fraction(1), Fraction(2), Fraction(0), Fraction(-2), Fraction(1, 2),
+              Fraction(-3, 7)]
+        bs += [random_rational(rng, 9, 9) for _ in range(3)]
+        for (a, c), b in zip(param_pool[40:], bs):
+            params = HypParams(a, b, c)
+            L = build_L(params)
+            for ell in range(1, 9):
+                red = right_reduce(build_H(b, ell), L)
+                assert h_remainder(params, ell) == (red.q, red.r), (a, b, c, ell)
 
 
 class TestFactorRemainder:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,65 @@ class TestTruncatedSeries:
     @settings(max_examples=60)
     def test_mul_associative_to_truncation(self, f, g, h):
         assert (f * g) * h == f * (g * h)
+
+
+class TestCanonicalForm:
+    """Integer numerators over one positive denominator, in lowest terms:
+    equal values have equal fields, whatever built them."""
+
+    @staticmethod
+    def assert_canonical(s):
+        assert s.den > 0 and math.gcd(s.den, *s.nums) == 1
+        assert len(s.nums) == s.order + 1
+
+    def test_scale_round_trip(self):
+        s = TruncatedSeries((Fraction(3, 4), Fraction(-5, 6), 2), 4)
+        t = s.scale(2).scale(Fraction(1, 2))
+        assert t == s and hash(t) == hash(s)
+
+    def test_same_value_different_routes(self):
+        # (1-x)^(1/2) from its ratio recurrence and from Fraction coefficients
+        direct = binomial_series(Fraction(1, 2), 3)
+        built = TruncatedSeries(
+            (1, Fraction(-1, 2), Fraction(-1, 8), Fraction(-1, 16)), 3
+        )
+        assert direct == built and hash(direct) == hash(built)
+        doubled = built + built
+        assert doubled == built.scale(2) and hash(doubled) == hash(built.scale(2))
+
+    def test_zero_is_unique(self):
+        z = TruncatedSeries((Fraction(1, 3), 1), 2).scale(0)
+        assert z == TruncatedSeries.zero(2) and (z.nums, z.den) == ((0, 0, 0), 1)
+
+    def test_coefficients_are_fractions(self):
+        s = TruncatedSeries((Fraction(1, 2), 3), 2)
+        assert all(type(c) is Fraction for c in s.coeffs)
+        assert type(s.coefficient(1)) is Fraction and s.coefficient(1) == 3
+        with pytest.raises(IndexError):
+            s.coefficient(3)
+
+    @given(series_strategy, series_strategy, st.integers(0, 8))
+    @settings(max_examples=60)
+    def test_product_commutes_with_truncation(self, f, g, k):
+        before = (f * g).truncate(k)
+        after = f.truncate(k) * g.truncate(k)
+        assert before == after and hash(before) == hash(after)
+
+    @given(series_strategy, series_strategy, st.fractions(max_denominator=9))
+    @settings(max_examples=60)
+    def test_operations_stay_canonical(self, f, g, s):
+        for out in (f + g, f - g, -f, f * g, f.scale(s), f.mul_poly(Poly((s, 1))),
+                    f.shift_up(2), f.derivative(), f.truncate(3)):
+            self.assert_canonical(out)
+
+    @given(series_strategy, series_strategy)
+    @settings(max_examples=60)
+    def test_matches_fraction_arithmetic(self, f, g):
+        # the integer representation computes the same values as Fractions
+        fc, gc = f.coeffs, g.coeffs
+        prod = [sum(fc[i] * gc[k - i] for i in range(k + 1)) for k in range(9)]
+        assert (f * g).coeffs == tuple(prod)
+        assert (f + g).coeffs == tuple(x + y for x, y in zip(fc, gc))
 
 
 class TestBinomialSeries:

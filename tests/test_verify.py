@@ -1,16 +1,22 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from strangeval.errors import BranchCutError, ParameterError
-from strangeval.hyp import HypParams, hyp_series
+from strangeval.hyp import HypParams, hyp_series, q0_r0_general_b
 from strangeval.numeric import EvalContext
+from strangeval.operators import factor_remainder, genericity_flags, h_remainder
 from strangeval.poly import Poly
+from strangeval.scalars import is_integer
 from strangeval.verify import (
     CHECK_REFLECTED,
     CHECK_SHIFTED,
+    compute_q0_all_methods,
     gosper_check,
     incomplete_beta_check,
+    random_non_integer,
+    random_rational,
     sweep,
     verify_theorem,
 )
@@ -89,8 +95,9 @@ class TestVerifyTheorem:
     def test_rejects_tolerance_below_precision(self):
         # 2^-40 ~ 9.1e-13: 1e-12 is reachable at 40 bits, 1e-13 is not
         verify_theorem(3, Fraction(3, 2), 1, precision=40, tolerance=1e-12)
-        # NaN compares below nothing, so it could only report FAIL
-        for tolerance in (1e-13, float("nan")):
+        # NaN compares below nothing, so it could only report FAIL, and
+        # every residual compares below inf, so it could only report PASS
+        for tolerance in (1e-13, float("nan"), float("inf")):
             with pytest.raises(ParameterError):
                 verify_theorem(3, Fraction(3, 2), 1, precision=40, tolerance=tolerance)
             with pytest.raises(ParameterError):
@@ -187,3 +194,37 @@ class TestSweep:
             sweep(0)
         with pytest.raises(ParameterError):
             sweep(1, ell_max=0)
+
+
+class TestHighEllQ0:
+    """q0 by every route at ell far above the sweep's range."""
+
+    def test_generic_draws_at_ell_20_and_40(self):
+        rng = random.Random(40_404)
+        draws = []
+        while len(draws) < 3:
+            a, c = random_rational(rng), random_non_integer(rng)
+            params = HypParams(a, 1, c)
+            if not is_integer(a) and all(
+                genericity_flags(params, ell).generic_apart_from_b() for ell in (20, 40)
+            ):
+                draws.append((a, c, params))
+        for a, c, params in draws:
+            for ell in (20, 40):
+                # the series route asserts its tail vanishes through ell + 32
+                q0, r0, provenance, agree = compute_q0_all_methods(a, c, ell, ell + 32)
+                assert provenance == ("series", "operator", "reversal") and agree
+                assert q0.degree == ell - 1 and r0.degree == ell - 1
+                fac = factor_remainder(*h_remainder(params, ell), ell)
+                assert (fac.v0, fac.v1, fac.g) == (1, 1 - ell, ell - 1), (a, c, ell)
+                assert (fac.w0, fac.w1, fac.h) == (0, 1 - ell, ell - 1), (a, c, ell)
+
+    def test_general_b_at_ell_12(self):
+        a, b, c, ell = Fraction(7, 3), Fraction(1, 2), Fraction(5, 11), 12
+        params = HypParams(a, b, c)
+        canon = factor_remainder(*h_remainder(params, ell), ell).canonical_qr()
+        qr = q0_r0_general_b(params, ell)
+        assert (canon.q0, canon.r0) == (qr.q0, qr.r0)
+        q0, r0, provenance, agree = compute_q0_all_methods(a, c, ell, None, b)
+        assert provenance == ("series", "operator") and agree
+        assert (q0, r0) == (qr.q0, qr.r0)
