@@ -24,7 +24,6 @@ from .hyp import (
     hyp_series,
     q0_by_reversal,
     q0_r0_by_series,
-    q0_r0_general_b,
     terminating_poly,
 )
 from .numeric import (
@@ -110,7 +109,6 @@ __all__ = [
     "poch",
     "q0_by_reversal",
     "q0_r0_by_series",
-    "q0_r0_general_b",
     "rgamma_c",
     "right_reduce",
     "sweep",

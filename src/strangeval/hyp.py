@@ -2,11 +2,13 @@
 
 The central objects are the two polynomials q0(x), r0(x) of degree at most
 ell-1 that encode the order-ell contiguity reduction of F(a, b, c; x).
-They are computed here from explicit two-series combinations whose tails
-must cancel identically; the cancellation is asserted coefficient by
+They are computed here, for every b, from one pair of explicit
+two-series combinations (at b = 1 they are the paper's theorem) whose
+tails must cancel identically; the cancellation is asserted coefficient by
 coefficient, which doubles as the strongest internal correctness check the
-series engine has.  An independent route, the operator remainder
-recurrence, lives in ``operators`` and must agree exactly.
+series engine has.  Two independent routes must agree exactly: the
+operator remainder recurrence in ``operators`` and, for b = 1 and a not an
+integer, the reversed expansion ``q0_by_reversal``.
 """
 
 from __future__ import annotations
@@ -126,64 +128,19 @@ def _extract_poly(series: TruncatedSeries, ell: int, what: str) -> Poly:
 
 
 def q0_r0_by_series(p: HypParams, ell: int, order: int | None = None) -> QRPair:
-    """q0, r0 for the b = 1 reduction, from the explicit series combinations
-
-        q0 = -(1,l)/(1-c) (1-x)^(c-a-1) F(c-a, c-1-l, c; x)
-             + (2-c,l)/(1-c) F(a, 1, c; x) F(1-a, -l, 2-c; x)
-        r0 = (1,l) F(c-a, c-1-l, c; x) F(a+1-c, 2-c, 1-c; x)
-             - a (2-c,l)/(c(1-c)) x F(a+1, 2, c+1; x) F(1-a, -l, 2-c; x)
-
-    Both right-hand sides are polynomials of degree <= ell-1; every
-    computed coefficient past that is asserted to vanish exactly.
-    """
-    _check_ell(ell)
-    p.require_c_non_integer()
-    if p.b != 1:
-        raise ParameterError(f"this reduction requires b = 1, got b = {p.b}")
-    if order is None:
-        order = ell + 32
-    if order < ell + 16:
-        raise ParameterError(f"series order {order} too small; need >= ell + 16")
-    a, c = p.a, p.c
-    tpoly = TruncatedSeries.from_poly(
-        terminating_poly(HypParams(1 - a, -ell, 2 - c)), order
-    )
-    one_minus_c = 1 - c
-
-    q0_series = binomial_series(c - a - 1, order) * hyp_series(
-        HypParams(c - a, c - 1 - ell, c), order
-    )
-    q0_series = q0_series.scale(-poch(1, ell) / one_minus_c)
-    q0_series = q0_series + (hyp_series(HypParams(a, 1, c), order) * tpoly).scale(
-        poch(2 - c, ell) / one_minus_c
-    )
-
-    r0_series = (
-        hyp_series(HypParams(c - a, c - 1 - ell, c), order)
-        * hyp_series(HypParams(a + 1 - c, 2 - c, 1 - c), order)
-    ).scale(poch(1, ell))
-    r0_series = r0_series + (
-        hyp_series(HypParams(a + 1, 2, c + 1), order) * tpoly
-    ).shift_up(1).scale(-a * poch(2 - c, ell) / (c * one_minus_c))
-
-    return QRPair(
-        _extract_poly(q0_series, ell, "q0 series combination"),
-        _extract_poly(r0_series, ell, "r0 series combination"),
-        ell,
-    )
-
-
-def q0_r0_general_b(p: HypParams, ell: int, order: int | None = None) -> QRPair:
-    """q0, r0 for general b, from
+    """q0, r0 of the order-ell reduction of F(a, b, c; x), from the explicit
+    series combinations
 
         q0 = -(b,l)/(1-c) F(c-a, c-b-l, c; x) F(a+1-c, b+1-c, 2-c; x)
              + (b+1-c,l)/(1-c) F(a, b, c; x) F(1-a, 1-b-l, 2-c; x)
         r0 = (b,l) F(c-a, c-b-l, c; x) F(a+1-c, b+1-c, 1-c; x)
              - ab (b+1-c,l)/(c(1-c)) x F(a+1, b+1, c+1; x) F(1-a, 1-b-l, 2-c; x)
 
-    For b = 1 this agrees exactly with ``q0_r0_by_series``: the two-series
-    form of the first term turns into the (1-x)-power form under the Euler
-    transformation, since F(a+1-c, 2-c, 2-c; x) = (1-x)^(c-a-1).
+    At b = 1 these are the paper's theorem, since
+    F(a+1-c, 2-c, 2-c; x) = (1-x)^(c-a-1) and F(1-a, -l, 2-c; x) is the
+    terminating polynomial.  Both right-hand sides are polynomials of
+    degree <= ell-1; every computed coefficient past that is asserted to
+    vanish exactly.
     """
     _check_ell(ell)
     p.require_c_non_integer()
@@ -212,8 +169,8 @@ def q0_r0_general_b(p: HypParams, ell: int, order: int | None = None) -> QRPair:
     ).shift_up(1).scale(-a * b * poch(b + 1 - c, ell) / (c * one_minus_c))
 
     return QRPair(
-        _extract_poly(q0_series, ell, "general-b q0 series combination"),
-        _extract_poly(r0_series, ell, "general-b r0 series combination"),
+        _extract_poly(q0_series, ell, "q0 series combination"),
+        _extract_poly(r0_series, ell, "r0 series combination"),
         ell,
     )
 

@@ -8,6 +8,10 @@ explicitly and never leaks through global state.  Conventions that matter:
   so every path decision is exact and no integer test needs a tolerance;
 * every fractional power takes the principal branch (log with imaginary
   part in (-pi, pi]); arguments on [1, oo) are rejected, not guessed;
+* a sum that terminates at a rational argument is evaluated exactly, by
+  ``hyp.terminating_poly``; when no evaluation map converges within the
+  term budget, ``hyp2f1_num`` raises ``NonConvergenceError`` rather than
+  returning a value;
 * series are summed in fixed point on Python ints: with the parameters
   over a common denominator every term ratio is a ratio of integers, so
   a step is one exact product with the fixed-point argument and one floor
@@ -45,6 +49,7 @@ from .errors import (
     NonConvergenceError,
     ParameterError,
 )
+from .hyp import HypParams, terminating_poly
 from .poly import Poly
 
 GUARD_BITS = 32
@@ -80,15 +85,6 @@ class EvalContext:
         if isinstance(x, complex):
             return self.mp.mpc(x.real, x.imag)
         return self.mp.convert(x)
-
-    def decimal_digits(self) -> int:
-        return int(self.precision * 0.30103) + 2
-
-    def nstr(self, x, digits: int | None = None) -> str:
-        return self.mp.nstr(
-            x, digits if digits is not None else self.decimal_digits(),
-            strip_zeros=True,
-        )
 
 
 def _rational_param(x, name: str) -> Fraction:
@@ -246,7 +242,6 @@ _PATH_DIRECT = "direct-series"
 _PATH_PFAFF_A = "pfaff-a"
 _PATH_PFAFF_B = "pfaff-b"
 _PATH_CONNECTION = "connection-1mz"
-_PATH_UNSUPPORTED = "unsupported"
 
 KNOWN_PATHS = (
     _PATH_DIRECT,
@@ -386,19 +381,10 @@ def _max_terms_for(modulus, prec: int, terminating: int | None):
     return need if need <= _MAX_TERMS_CAP else None
 
 
-def terminating_exact_value(ea, eb, ec, ez) -> Fraction:
-    """Exact rational value of a terminating series at rational z."""
-    if not (eb.denominator == 1 and eb <= 0):
-        ea, eb = eb, ea
-    m = -int(eb)
-    total = Fraction(1)
-    term = Fraction(1)
-    for n in range(m):
-        term = term * (ea + n) * (eb + n) / ((ec + n) * (n + 1)) * ez
-        total += term
-        if term == 0:
-            break
-    return total
+def _out_of_budget(mp, z, what: str) -> NonConvergenceError:
+    return NonConvergenceError(
+        f"{what} at z = {mp.nstr(z, 15)} within the {_MAX_TERMS_CAP}-term budget"
+    )
 
 
 def hyp2f1_num(
@@ -423,7 +409,8 @@ def hyp2f1_num(
     after a Pfaff transformation) are summed as finite sums regardless of
     |z|, and in exact arithmetic when they terminate directly and z is
     rational.  ``method`` forces a specific path, mainly for cross-path
-    agreement tests.
+    agreement tests.  ``NonConvergenceError`` is raised when no path, or
+    the forced one, converges within the term budget.
     """
     ctx = ctx or EvalContext()
     mp = ctx.mp
@@ -448,7 +435,10 @@ def hyp2f1_num(
 
         if m_term is not None and method is None:
             if ez is not None:
-                exact = terminating_exact_value(a, b, c, ez)
+                # the parameter that ends the sum first goes in the b slot,
+                # so the c-pole check sees only the terms that are summed
+                other = b if _nonpos_int(a) == -m_term else a
+                exact = terminating_poly(HypParams(other, -m_term, c))(ez)
                 val = ctx.to_mp(exact)
                 return EvalResult(+val, abs(val) * ctx.eps * 4, _PATH_DIRECT, m_term)
             total, last, n, peak = _series_2f1(
@@ -466,7 +456,7 @@ def hyp2f1_num(
         )
         if on_cut and m_term is None:
             raise BranchCutError(
-                f"z = {ctx.nstr(zz)} lies on the branch cut [1, oo)"
+                f"z = {mp.nstr(zz, 15)} lies on the branch cut [1, oo)"
             )
 
         w = zz / (zz - 1)
@@ -508,14 +498,14 @@ def hyp2f1_num(
                         "only the 1-z connection would converge, but c-a-b "
                         f"= {cab} is an integer"
                     )
-                return EvalResult(mp.nan, mp.inf, _PATH_UNSUPPORTED, 0)
+                raise _out_of_budget(mp, zz, "no evaluation map of 2F1 converges")
             options.sort(key=lambda t: t[0])
             path = options[0][1]
 
         if path == _PATH_DIRECT:
             max_terms = _max_terms_for(mod_direct, prec, m_term)
             if max_terms is None:
-                raise ParameterError("direct series does not converge at this z")
+                raise _out_of_budget(mp, zz, "the direct series does not converge")
             total, last, n, peak = _series_2f1(mp, a, b, c, zz, target_bits, max_terms)
             est = _tail_estimate(mp, last, mod_direct, peak, n, a, b, c)
             value = total
@@ -529,7 +519,9 @@ def hyp2f1_num(
                 mod_pfaff, prec, None if t_inner is None else -t_inner
             )
             if max_terms is None:
-                raise ParameterError("pfaff-transformed series does not converge")
+                raise _out_of_budget(
+                    mp, zz, "the pfaff-transformed series does not converge"
+                )
             total, last, n, peak = _series_2f1(mp, pa, pb, c, w, target_bits, max_terms)
             est = abs(pref) * _tail_estimate(mp, last, mod_pfaff, peak, n, pa, pb, c)
             value = pref * total
@@ -540,7 +532,7 @@ def hyp2f1_num(
                     "connection formula degenerates"
                 )
             if _max_terms_for(mod_conn, prec, None) is None:
-                raise ParameterError("connection series does not converge")
+                raise _out_of_budget(mp, zz, "the connection series does not converge")
             u = 1 - zz
             gc = gamma_c(c, ctx)
             coef1 = (

@@ -343,9 +343,6 @@ class GenericityFlags:
     details: dict = field(default_factory=dict)
     note: str | None = None
 
-    def all_generic(self) -> bool:
-        return self.a1 and self.a2 and self.e1 and self.e2p
-
     def generic_apart_from_b(self) -> bool:
         """A1 with the two conditions involving b dropped, plus the rest.
 

@@ -136,9 +136,6 @@ class Poly:
                     rem[i + j] -= factor * b
         return Poly(quot), Poly(rem[: dlen - 1])
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 

@@ -105,10 +105,11 @@ class TestReduceCommand:
 
 class TestGosperCommand:
     def test_exact_instance(self, capsys):
-        code, out, _ = run(capsys, "gosper", "--a", "2", "--b", "1")
-        assert code == 0
-        assert "residual = 0.0" in out
-        assert "exact arithmetic" in out
+        for a, b in (("2", "1"), ("3", "2")):
+            code, out, _ = run(capsys, "gosper", "--a", a, "--b", b)
+            assert code == 0
+            assert "residual = 0.0" in out
+            assert "exact arithmetic" in out
 
     def test_unit_instance(self, capsys):
         code, out, _ = run(capsys, "gosper", "--a", "1", "--b", "1")
@@ -190,6 +191,16 @@ class TestEvalCommand:
         )
         assert code == 0
         assert "path = pfaff-a" in out
+
+    def test_no_convergent_map_is_domain_error(self, capsys):
+        for extra in ((), ("--method", "direct-series")):
+            code, out, err = run(
+                capsys, "eval", "--a", "1/3", "--b", "2/5", "--c", "7/5",
+                "--z", "1/2,433/500", *extra,
+            )
+            assert code == 2 and out == ""
+            (line,) = err.splitlines()
+            assert line.startswith("error: ") and "budget" in line
 
     def test_degenerate_connection_is_domain_error(self, capsys):
         code, out, err = run(

@@ -10,7 +10,6 @@ from strangeval.hyp import (
     hyp_series,
     q0_by_reversal,
     q0_r0_by_series,
-    q0_r0_general_b,
     terminating_poly,
 )
 from strangeval.poly import Poly
@@ -94,10 +93,6 @@ class TestQ0R0BySeries:
         with pytest.raises(ParameterError):
             q0_r0_by_series(HypParams(Fraction(1, 2), 1, 2), 1)
 
-    def test_rejects_wrong_b(self):
-        with pytest.raises(ParameterError):
-            q0_r0_by_series(HypParams(Fraction(1, 2), 2, Fraction(1, 2)), 1)
-
     def test_rejects_small_order(self):
         with pytest.raises(ParameterError):
             q0_r0_by_series(HypParams(Fraction(1, 2), 1, Fraction(1, 2)), 2, order=10)
@@ -123,27 +118,20 @@ class TestQ0R0BySeries:
 
 
 class TestQ0R0GeneralB:
-    def test_matches_b1_route(self, param_pool):
-        for a, c in param_pool[:15]:
-            for ell in (1, 2, 3):
-                qr1 = q0_r0_by_series(HypParams(a, 1, c), ell)
-                qrg = q0_r0_general_b(HypParams(a, 1, c), ell)
-                assert qrg.q0 == qr1.q0 and qrg.r0 == qr1.r0
-
     def test_q0_constant_term(self):
         b, ell, c = Fraction(1), 2, Fraction(1, 2)
-        qr = q0_r0_general_b(HypParams(5, b, c), ell)
+        qr = q0_r0_by_series(HypParams(5, b, c), ell)
         expected = (poch(b + 1 - c, ell) - poch(b, ell)) / (1 - c)
         assert qr.q0.coefficient(0) == expected == Fraction(7, 2)
 
     def test_r0_constant_term(self):
-        qr = q0_r0_general_b(HypParams(5, 2, Fraction(1, 2)), 3)
+        qr = q0_r0_by_series(HypParams(5, 2, Fraction(1, 2)), 3)
         assert qr.r0.coefficient(0) == poch(2, 3) == 24
 
     def test_general_b_constant_terms_random(self, param_pool):
         for (a, c), b_num in zip(param_pool[:8], range(-3, 5)):
             b = Fraction(b_num, 2)
-            qr = q0_r0_general_b(HypParams(a, b, c), 2)
+            qr = q0_r0_by_series(HypParams(a, b, c), 2)
             assert qr.r0.coefficient(0) == poch(b, 2)
             assert qr.q0.coefficient(0) == (poch(b + 1 - c, 2) - poch(b, 2)) / (1 - c)
 

@@ -8,6 +8,7 @@ from strangeval.errors import (
     BranchCutError,
     DegenerateConnectionError,
     GammaPoleError,
+    NonConvergenceError,
     ParameterError,
 )
 from strangeval.numeric import (
@@ -250,6 +251,11 @@ class TestHyp2F1:
     def test_c_pole_after_termination_allowed(self):
         r = hyp2f1_num(-1, 1, -2, Fraction(1, 2), CTX)
         assert abs(r.value - (1 + Fraction(1, 4))) <= tol(185)
+        # the parameter ending the sum first (-1) bounds the pole check in
+        # either slot: summing to -3 would divide by c + 2 = 0
+        for a, b in ((-1, -3), (-3, -1)):
+            r = hyp2f1_num(a, b, -2, Fraction(1, 2), CTX)
+            assert r.value == CTX.mp.mpf(1) / 4 and r.path == "direct-series"
         # a float argument takes the series, which stops at the zero term
         # instead of stepping into the (c+n) = 0 denominator
         for c in (-2, -3, -4):
@@ -281,8 +287,13 @@ class TestHyp2F1:
     def test_unsupported_at_triple_point(self):
         mp = CTX.mp
         z = mp.expjpi(mp.mpf(1) / 3)  # |z| = |1-z| = |z/(z-1)| = |1-1/z| = 1
-        r = hyp2f1_num(Fraction(1, 3), Fraction(2, 5), Fraction(7, 5), z, CTX)
-        assert r.path == "unsupported"
+        a, b, c = Fraction(1, 3), Fraction(2, 5), Fraction(7, 5)
+        with pytest.raises(NonConvergenceError, match="300000-term budget"):
+            hyp2f1_num(a, b, c, z, CTX)
+        # a forced path out of budget fails the same way
+        for method in ("direct-series", "pfaff-a", "pfaff-b"):
+            with pytest.raises(NonConvergenceError, match="z = "):
+                hyp2f1_num(a, b, c, z, CTX, method=method)
 
     def test_path_agreement_sweep(self):
         # direct vs pfaff on the overlap region, ~quarter of working digits

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from strangeval.errors import ParameterError, UnsupportedOperatorError
-from strangeval.hyp import HypParams, hyp_series, q0_r0_by_series, q0_r0_general_b, terminating_poly
+from strangeval.hyp import HypParams, hyp_series, q0_r0_by_series, terminating_poly
 from strangeval.operators import (
     DiffOp,
     apply_to_genseries,
@@ -201,7 +201,7 @@ class TestFactorRemainder:
         for (a, c), b in zip(param_pool[:8], bs * 2):
             for ell in (1, 2, 3, 6):
                 params = HypParams(a, b, c)
-                qr = q0_r0_general_b(params, ell)
+                qr = q0_r0_by_series(params, ell)
                 red = right_reduce(build_H(b, ell), build_L(params))
                 canon = factor_remainder(red.q, red.r, ell).canonical_qr()
                 assert canon.q0 == qr.q0

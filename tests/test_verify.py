@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from strangeval.errors import BranchCutError, ParameterError
-from strangeval.hyp import HypParams, hyp_series, q0_r0_general_b
+from strangeval.hyp import HypParams, hyp_series, q0_r0_by_series
 from strangeval.numeric import EvalContext
 from strangeval.operators import factor_remainder, genericity_flags, h_remainder
 from strangeval.poly import Poly
@@ -83,6 +83,14 @@ class TestVerifyTheorem:
             report = verify_theorem(a, c, ell)
             assert report.verdict == "pass"
             assert [(r.multiplicity, r.skip_reason) for r in report.records] == expected
+
+    def test_no_convergent_map_skipped(self):
+        # a=4/3, c=8/3, l=2: F(-1/3, -2, -2/3; x) = 1 - x + x^2, whose roots
+        # e^(+-i pi/3) have every map's modulus equal to 1
+        report = verify_theorem(Fraction(4, 3), Fraction(8, 3), 2)
+        assert report.poly == Poly((1, -1, 1))
+        assert [r.skip_reason for r in report.records] == ["eval-failed"] * 2
+        assert report.verdict == "pass" and report.skip_rate == 1.0
 
     def test_rejects_integer_c(self):
         with pytest.raises(ParameterError):
@@ -223,7 +231,7 @@ class TestHighEllQ0:
         a, b, c, ell = Fraction(7, 3), Fraction(1, 2), Fraction(5, 11), 12
         params = HypParams(a, b, c)
         canon = factor_remainder(*h_remainder(params, ell), ell).canonical_qr()
-        qr = q0_r0_general_b(params, ell)
+        qr = q0_r0_by_series(params, ell)
         assert (canon.q0, canon.r0) == (qr.q0, qr.r0)
         q0, r0, provenance, agree = compute_q0_all_methods(a, c, ell, None, b)
         assert provenance == ("series", "operator") and agree
