@@ -104,7 +104,7 @@ def terminating_poly(p: HypParams) -> Poly:
             raise ParameterError(
                 f"lower parameter pole: c = {p.c} inside summation range 0..{m}"
             )
-    return Poly(hyp_series(p, m).coeffs)
+    return hyp_series(p, m).poly
 
 
 def euler_transform_series(p: HypParams, order: int) -> TruncatedSeries:
@@ -117,14 +117,15 @@ def euler_transform_series(p: HypParams, order: int) -> TruncatedSeries:
 
 
 def _extract_poly(series: TruncatedSeries, ell: int, what: str) -> Poly:
-    """Assert all coefficients from index ell on vanish, return the head."""
-    for i in range(ell, series.order + 1):
-        if series.nums[i]:
-            raise InternalInconsistencyError(
-                f"{what}: coefficient of x^{i} is {series.coefficient(i)}, "
-                f"expected exact 0 (tail must vanish through x^{series.order})"
-            )
-    return Poly(series.coeffs[:ell])
+    """Assert every coefficient from x^ell through the order vanishes, that
+    is the degree is below ell, and return the polynomial."""
+    p, d = series.poly, series.poly.degree
+    if d is not None and d >= ell:
+        raise InternalInconsistencyError(
+            f"{what}: coefficient of x^{d} is {p.leading_coefficient()}, "
+            f"expected exact 0 (tail must vanish through x^{series.order})"
+        )
+    return p
 
 
 def q0_r0_by_series(p: HypParams, ell: int, order: int | None = None) -> QRPair:
@@ -199,4 +200,6 @@ def q0_by_reversal(p: HypParams, ell: int) -> Poly:
         HypParams(c - 1 - ell, -ell, a - ell), u_order
     )
     scale = poch(2 - a, ell - 1) * (-1) ** (ell - 1)
-    return Poly([scale * prod.coefficient(ell - 1 - j) for j in range(ell)])
+    head = prod.poly  # degree <= l-1; x^j takes the coefficient of u^(l-1-j)
+    rev = Poly.from_numerators(head.nums[::-1], head.den)
+    return rev.shift_up(ell - len(head.nums)) * scale

@@ -614,7 +614,6 @@ class RootSet:
 
     roots: tuple
     multiplicities: tuple
-    source_poly: Poly
     residual_bound: object
 
     def total_count(self) -> int:
@@ -678,7 +677,6 @@ def find_roots(poly: Poly, precision: int = 192) -> RootSet:
     return RootSet(
         roots=tuple(x for x, _ in found),
         multiplicities=tuple(m for _, m in found),
-        source_poly=poly,
         residual_bound=residual,
     )
 

@@ -1,17 +1,21 @@
-"""Dense univariate polynomials over Fraction, and the rational functions
-with poles only at x = 0 and x = 1 that operator coefficients need.
+"""Dense univariate polynomials over the rationals, and the rational
+functions with poles only at x = 0 and x = 1 that operator coefficients need.
 
-``Poly`` stores coefficients by ascending degree with the trailing zeros
-trimmed; the zero polynomial has an empty tuple and ``degree is None``
-(a sentinel rather than -1, so degree arithmetic cannot silently treat
-zero as an ordinary polynomial).  ``RatFunc`` stores P / (x^i (1-x)^j) as
-the tuple (P, i, j), cancelling common x and 1-x factors by exact
-division, so its arithmetic never takes a gcd; any other denominator is
-refused at construction.  Both are immutable.
+``Poly`` stores integer numerators ``nums`` by ascending degree over one
+denominator ``den > 0`` with gcd(den, *nums) = 1 and no trailing zero, so
+equal values have equal fields, a product is an integer convolution and
+division and gcd are pseudo-division on the numerators.  Zero is
+``nums == ()``, ``den == 1``, with ``degree is None`` (a sentinel rather
+than -1, so degree arithmetic cannot treat zero as an ordinary
+polynomial); ``coeffs`` hands out Fractions.  ``RatFunc`` stores
+P / (x^i (1-x)^j) as the tuple (P, i, j), cancelling common x and 1-x
+factors by exact division, so its arithmetic never takes a gcd; any other
+denominator is refused at construction.  Both are immutable.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -19,15 +23,23 @@ from .errors import InternalInconsistencyError, UnsupportedOperatorError
 
 
 class Poly:
-    """Polynomial in x with exact rational coefficients."""
+    """Polynomial in x, integer numerators ``nums`` over ``den``."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs))
+        self.nums, self.den = _canonical(
+            [c.numerator * (den // c.denominator) for c in cs], den
+        )
+
+    @classmethod
+    def from_numerators(cls, nums, den: int) -> "Poly":
+        """The polynomial with coefficients nums[i] / den (den != 0)."""
+        p = object.__new__(cls)
+        p.nums, p.den = _canonical(nums, den)
+        return p
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -42,50 +54,60 @@ class Poly:
         return cls((0, 1))
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients by ascending degree, as Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
+
+    @property
     def degree(self):
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.nums) - 1 if self.nums else None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        inside = 0 <= i < len(self.nums)
+        return Fraction(self.nums[i] if inside else 0, self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == Poly((other,))
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.nums, self.den))
 
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly((other,))
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            (self.coefficient(i) + other.coefficient(i) for i in range(n))
-        )
+        den = math.lcm(self.den, other.den)
+        a, fa = self.nums, den // self.den
+        b, fb = other.nums, den // other.den
+        if len(a) < len(b):
+            a, fa, b, fb = b, fb, a, fa
+        out = [fa * x for x in a]
+        for i, y in enumerate(b):
+            out[i] += fb * y
+        return Poly.from_numerators(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly((-c for c in self.coeffs))
+        return Poly.from_numerators([-x for x in self.nums], self.den)
 
     def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
         return self + (-other)
 
     def __rsub__(self, other) -> "Poly":
@@ -93,19 +115,28 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly((Fraction(other) * c for c in self.coeffs))
+            s = Fraction(other)
+            return Poly.from_numerators(
+                [s.numerator * x for x in self.nums], s.denominator * self.den
+            )
         if not isinstance(other, Poly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        return self.mul_trunc(other, len(self.nums) + len(other.nums) - 2)
 
     __rmul__ = __mul__
+
+    def mul_trunc(self, other: "Poly", n: int) -> "Poly":
+        """The product with ``other`` cut after x^n; only coefficients 0..n
+        are convolved."""
+        return Poly.from_numerators(
+            _convolve(self.nums, other.nums, n), self.den * other.den
+        )
+
+    def truncate(self, n: int) -> "Poly":
+        """The coefficients through x^n."""
+        return Poly.from_numerators(self.nums[: n + 1], self.den)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -120,24 +151,17 @@ class Poly:
         return out
 
     def __divmod__(self, other: "Poly"):
+        """(q, r) with self = q other + r and deg r < deg other: for
+        self = A / da, other = B / db and s A = Q B + R on integers,
+        q = Q db / (s da) and r = R / (s da)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlen = len(other.coeffs)
-        lead = other.coeffs[-1]
-        if len(rem) < dlen:
-            return Poly.zero(), self
-        quot = [Fraction(0)] * (len(rem) - dlen + 1)
-        for i in range(len(rem) - dlen, -1, -1):
-            factor = rem[i + dlen - 1] / lead
-            quot[i] = factor
-            if factor:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= factor * b
-        return Poly(quot), Poly(rem[: dlen - 1])
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        quot, rem, s = _pseudo_divmod(self.nums, other.nums)
+        den = s * self.den
+        return (
+            Poly.from_numerators([other.den * x for x in quot], den),
+            Poly.from_numerators(rem, den),
+        )
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = divmod(self, other)
@@ -148,45 +172,44 @@ class Poly:
         return q
 
     def derivative(self) -> "Poly":
-        return Poly((i * c for i, c in enumerate(self.coeffs) if i))
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Poly((c / lead for c in self.coeffs))
+        return Poly.from_numerators(
+            [i * x for i, x in enumerate(self.nums)][1:], self.den
+        )
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        """Monic gcd by the Euclidean algorithm on integer numerators, each
+        pseudo-remainder divided by its content (what ``_canonical`` leaves
+        of a zero denominator); gcd(0, 0) = 0."""
+        a, b = self.nums, _canonical(other.nums, 0)[0]
+        while b:
+            a, b = b, _canonical(_pseudo_divmod(a, b)[1], 0)[0]
+        return Poly.from_numerators(a, a[-1] if a else 1)
 
     def valuation_at_zero(self) -> int:
         """Multiplicity of the root x = 0 (0 for nonzero constant term)."""
         if self.is_zero():
             raise ValueError("zero polynomial has no finite valuation")
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise AssertionError("unreachable: trimmed polynomial was zero")
+        return next(i for i, n in enumerate(self.nums) if n)
 
     def __call__(self, x):
-        """Horner evaluation; works for any ring element x that mixes with
-        Fraction (exact inputs stay exact)."""
+        """Horner evaluation on the numerators, then one division by den; x
+        may be any ring element that mixes with Fraction."""
         out = 0 * x
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        for n in reversed(self.nums):
+            out = out * x + n
+        return out * Fraction(1, self.den)
 
     def shift_up(self, k: int) -> "Poly":
         """Multiply by x^k."""
         if k < 0:
-            raise ValueError("negative shift; use exact_div")
-        if self.is_zero() or k == 0:
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+            raise ValueError("negative shift; use shift_down")
+        return Poly.from_numerators((0,) * k + self.nums, self.den)
+
+    def shift_down(self, k: int) -> "Poly":
+        """Divide by x^k; requires the low k coefficients to vanish."""
+        if any(self.nums[:k]):
+            raise InternalInconsistencyError(f"{self} not divisible by x^{k}")
+        return Poly.from_numerators(self.nums[k:], self.den)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -215,6 +238,55 @@ class Poly:
         return f"Poly({self})"
 
 
+def _canonical(nums, den: int):
+    """(nums, den) with trailing zeros trimmed and gcd(den, *nums) divided
+    out, den > 0; den = 0 divides the numerators by their content."""
+    end = len(nums)
+    while end and not nums[end - 1]:
+        end -= 1
+    g = math.gcd(den, *nums[:end]) or 1
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums[:end]), den
+    return tuple([n // g for n in nums[:end]]), den // g
+
+
+def _convolve(a, b, n: int) -> list:
+    """Coefficients 0..n of the product of the integer vectors a and b."""
+    out = [0] * (n + 1)
+    b = b[: n + 1]
+    for i, x in enumerate(a[: n + 1]):
+        if x:
+            for j, y in enumerate(b[: n + 1 - i], i):
+                out[j] += x * y
+    return out
+
+
+def _pseudo_divmod(a, b):
+    """(q, r, s) with s a = q b + r and len(r) < len(b) for integer vectors,
+    b trimmed and nonzero; s > 0 gathers only the part of lead(b) each
+    cancellation needs, so lead(b) = +-1 gives s = 1."""
+    m, lead = len(b), b[-1]
+    rem = list(a)
+    quot = [0] * (len(rem) - m + 1)
+    s = 1
+    for i in range(len(rem) - m, -1, -1):
+        t = rem[i + m - 1]
+        g = math.gcd(t, lead)
+        if lead < 0:
+            g = -g
+        f, u = lead // g, t // g  # f t = lead u, f > 0
+        if f != 1:
+            s *= f
+            rem = [f * x for x in rem]
+            quot = [f * x for x in quot]
+        quot[i] = u
+        for j in range(m - 1):
+            rem[i + j] -= u * b[j]
+    return quot, rem[: m - 1], s
+
+
 ONE_MINUS_X = Poly((1, -1))
 
 
@@ -224,9 +296,9 @@ def exponent_split(p: Poly):
     Returns (i, j, rest); ``rest`` has degree 0 exactly when p has no
     irreducible factor besides x and 1-x."""
     i = p.valuation_at_zero()
-    rest = Poly(p.coeffs[i:])
+    rest = p.shift_down(i)
     j = 0
-    while rest(Fraction(1)) == 0:
+    while rest(1) == 0:
         rest = rest.exact_div(ONE_MINUS_X)
         j += 1
     return i, j, rest
@@ -301,7 +373,7 @@ class RatFunc:
         return (self.poly, self.i, self.j) == (other.poly, other.i, other.j)
 
     def __hash__(self):
-        return hash(("RatFunc", self.poly.coeffs, self.i, self.j))
+        return hash(("RatFunc", self.poly, self.i, self.j))
 
     def _lift(self, i: int, j: int) -> Poly:
         """The numerator over x^i (1-x)^j, for i >= self.i and j >= self.j."""
@@ -353,7 +425,7 @@ def _normal_form(poly: Poly, i: int, j: int):
         return poly, 0, 0
     v = min(i, poly.valuation_at_zero())
     if v:
-        poly, i = Poly(poly.coeffs[v:]), i - v
+        poly, i = poly.shift_down(v), i - v
     while j and poly(1) == 0:
         poly, j = poly.exact_div(ONE_MINUS_X), j - 1
     return poly, i, j

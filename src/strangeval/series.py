@@ -4,11 +4,9 @@ A ``TruncatedSeries`` of order N knows coefficients c_0..c_N and nothing
 else: arithmetic never reads or invents coefficients past the order, and
 every operation reports the honest order of its result (shifting by x^k
 raises it, differentiation lowers it, binary operations take the minimum).
-The coefficients are stored as integer numerators over one positive
-denominator in lowest terms, so a product is an integer convolution, sums
-and scalings work over a common denominator, and a vanishing coefficient
-is an integer equal to 0; ``coeffs`` and ``coefficient`` hand out
-Fractions.
+It is a ``Poly`` of c_0..c_N plus the order, each operation the ``Poly``
+one cut at the honest order (a product convolves only through it), so a
+vanishing coefficient is an integer 0; ``coeffs`` hands out Fractions.
 
 ``GenSeries`` wraps a series with a prefactor x^mu (1-x)^nu carrying exact
 rational exponents, which is how objects like x^(1-c) (1-x)^(c-a-1) enter
@@ -17,8 +15,9 @@ operator computations without leaving exact arithmetic.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Iterable
 
 from .errors import InternalInconsistencyError
@@ -26,39 +25,27 @@ from .poly import Poly
 
 
 class TruncatedSeries:
-    """Power series known exactly through x^order.
+    """Power series known exactly through x^order: the polynomial ``poly``
+    of its coefficients c_0..c_order, so equal values have equal fields."""
 
-    Stored as integer numerators ``nums`` (one per coefficient) over one
-    positive denominator ``den`` with gcd(den, *nums) = 1, so equal values
-    have equal fields and products are integer convolutions.
-    """
-
-    __slots__ = ("order", "nums", "den")
+    __slots__ = ("poly", "order")
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         if order is None:
             order = len(cs) - 1
         if order < 0:
             raise ValueError("series order must be >= 0")
-        del cs[order + 1 :]
-        # den = lcm of the reduced denominators is already in lowest terms
-        den = math.lcm(*(c.denominator for c in cs)) if cs else 1
-        nums = [c.numerator * (den // c.denominator) for c in cs]
-        nums.extend([0] * (order + 1 - len(nums)))
-        self.order, self.nums, self.den = order, tuple(nums), den
+        self.poly, self.order = Poly(cs[: order + 1]), order
 
     @classmethod
-    def _of(cls, nums: list, den: int, order: int) -> "TruncatedSeries":
-        """nums / den (len(nums) == order + 1, den != 0), put in lowest terms."""
-        g = math.gcd(den, *nums)
-        if den < 0:
-            g = -g
-        if g != 1:
-            nums = [n // g for n in nums]
-            den //= g
+    def from_poly(cls, p: Poly, order: int) -> "TruncatedSeries":
+        """p cut after x^order."""
+        if order < 0:
+            raise ValueError("series order must be >= 0")
         s = object.__new__(cls)
-        s.order, s.nums, s.den = order, tuple(nums), den
+        s.poly = p if len(p.nums) <= order + 1 else p.truncate(order)
+        s.order = order
         return s
 
     @classmethod
@@ -70,10 +57,6 @@ class TruncatedSeries:
         return cls((1,), order)
 
     @classmethod
-    def from_poly(cls, p: Poly, order: int) -> "TruncatedSeries":
-        return cls(p.coeffs, order)
-
-    @classmethod
     def from_ratios(cls, ups: list, downs: list, order: int) -> "TruncatedSeries":
         """The series with c_0 = 1 and c_(n+1) = c_n ups[n] / downs[n].
 
@@ -83,49 +66,37 @@ class TruncatedSeries:
         numerator prod(ups[:k]) * prod(downs[k:]): prefix products of the
         upper factors times suffix products of the lower ones.
         """
-        steps = len(ups)
-        suffix = [1] * (steps + 1)
-        for n in range(steps - 1, -1, -1):
-            suffix[n] = downs[n] * suffix[n + 1]
-        nums = [0] * (order + 1)
-        prefix = 1
-        for k in range(steps + 1):
-            nums[k] = prefix * suffix[k]
-            if k < steps:
-                prefix *= ups[k]
-        return cls._of(nums, suffix[0], order)
+        prefix = accumulate(ups, mul, initial=1)
+        suffix = list(accumulate(reversed(downs), mul, initial=1))[::-1]
+        nums = [u * d for u, d in zip(prefix, suffix)]
+        return cls.from_poly(Poly.from_numerators(nums, suffix[0]), order)
 
     @property
     def coeffs(self) -> tuple:
         """The coefficients c_0..c_order as Fractions."""
-        den = self.den
-        return tuple(Fraction(n, den) for n in self.nums)
+        pad = self.order + 1 - len(self.poly.nums)
+        return self.poly.coeffs + (Fraction(0),) * pad
 
     def coefficient(self, i: int) -> Fraction:
         if not 0 <= i <= self.order:
             raise IndexError(f"coefficient {i} beyond truncation order {self.order}")
-        return Fraction(self.nums[i], self.den)
+        return self.poly.coefficient(i)
 
     def is_zero(self) -> bool:
-        return not any(self.nums)
+        return self.poly.is_zero()
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        if order == self.order:
-            return self
-        return TruncatedSeries._of(self.nums[: order + 1], self.den, order)
+        return TruncatedSeries.from_poly(self.poly, order)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        den = math.lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        return TruncatedSeries._of(
-            [fa * x + fb * y for x, y in zip(self.nums[: n + 1], other.nums)], den, n
+        return TruncatedSeries.from_poly(
+            self.poly + other.poly, min(self.order, other.order)
         )
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._of([-x for x in self.nums], self.den, self.order)
+        return TruncatedSeries.from_poly(-self.poly, self.order)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
@@ -134,17 +105,12 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         n = min(self.order, other.order)
-        return TruncatedSeries._of(
-            _convolve(self.nums, other.nums, n), self.den * other.den, n
-        )
+        return TruncatedSeries.from_poly(self.poly.mul_trunc(other.poly, n), n)
 
     __rmul__ = __mul__
 
     def scale(self, s) -> "TruncatedSeries":
-        s = Fraction(s)
-        return TruncatedSeries._of(
-            [s.numerator * x for x in self.nums], s.denominator * self.den, self.order
-        )
+        return TruncatedSeries.from_poly(self.poly * Fraction(s), self.order)
 
     def mul_poly(self, p: Poly) -> "TruncatedSeries":
         """Multiply by an exact polynomial.
@@ -153,77 +119,44 @@ class TruncatedSeries:
         zero (a polynomial with p(0) != 0 contributes full knowledge at
         every order; a factor x^v shifts knowledge up by v).
         """
-        if p.is_zero():
-            return TruncatedSeries.zero(self.order)
-        n = self.order + p.valuation_at_zero()
-        pden = math.lcm(*(c.denominator for c in p.coeffs))
-        pnums = [c.numerator * (pden // c.denominator) for c in p.coeffs]
-        return TruncatedSeries._of(
-            _convolve(pnums, self.nums, n), pden * self.den, n
-        )
+        n = self.order + (p.valuation_at_zero() if p else 0)
+        return TruncatedSeries.from_poly(self.poly.mul_trunc(p, n), n)
 
     def shift_up(self, k: int) -> "TruncatedSeries":
         """Multiply by x^k; knowledge extends to order + k."""
-        if k < 0:
-            raise ValueError("negative shift; use shift_down")
-        if k == 0:
-            return self
-        return TruncatedSeries._of((0,) * k + self.nums, self.den, self.order + k)
+        return TruncatedSeries.from_poly(self.poly.shift_up(k), self.order + k)
 
     def shift_down(self, k: int) -> "TruncatedSeries":
         """Divide by x^k; requires the low k coefficients to vanish."""
-        if k == 0:
-            return self
         if k > self.order:
             raise ValueError("shift below constant term")
-        if any(self.nums[:k]):
-            raise InternalInconsistencyError("series not divisible by x^k")
-        return TruncatedSeries._of(self.nums[k:], self.den, self.order - k)
+        return TruncatedSeries.from_poly(self.poly.shift_down(k), self.order - k)
 
     def derivative(self) -> "TruncatedSeries":
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 series")
-        return TruncatedSeries._of(
-            [i * self.nums[i] for i in range(1, self.order + 1)],
-            self.den,
-            self.order - 1,
-        )
+        return TruncatedSeries.from_poly(self.poly.derivative(), self.order - 1)
 
     def matches(self, other: "TruncatedSeries", through: int | None = None) -> bool:
         """Coefficientwise equality through min(orders, through)."""
         n = min(self.order, other.order)
         if through is not None:
             n = min(n, through)
-        da, db = self.den, other.den
-        return all(
-            x * db == y * da for x, y in zip(self.nums[: n + 1], other.nums[: n + 1])
-        )
+        return self.poly.truncate(n) == other.poly.truncate(n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (self.order, self.den, self.nums) == (other.order, other.den, other.nums)
+        return self.order == other.order and self.poly == other.poly
 
     def __hash__(self):
-        return hash(("TruncatedSeries", self.order, self.den, self.nums))
+        return hash(("TruncatedSeries", self.order, self.poly))
 
     def __str__(self) -> str:
-        head = str(Poly(self.coeffs[: min(self.order, 6) + 1]))
-        return f"{head} + O(x^{self.order + 1})"
+        return f"{self.poly.truncate(6)} + O(x^{self.order + 1})"
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self})"
-
-
-def _convolve(a, b, n: int) -> list:
-    """Coefficients 0..n of the product of the integer vectors a and b."""
-    out = [0] * (n + 1)
-    b = b[: n + 1]
-    for i, x in enumerate(a[: n + 1]):
-        if x:
-            for j, y in enumerate(b[: n + 1 - i], i):
-                out[j] += x * y
-    return out
 
 
 def binomial_series(alpha, order: int) -> TruncatedSeries:
@@ -265,9 +198,7 @@ class GenSeries:
     def normalized(self) -> "GenSeries":
         if self.is_zero():
             return GenSeries(0, 0, self.body)
-        v = 0
-        while self.body.nums[v] == 0:
-            v += 1
+        v = self.body.poly.valuation_at_zero()
         if v == 0:
             return self
         return GenSeries(self.mu + v, self.nu, self.body.shift_down(v))

@@ -265,15 +265,10 @@ def verify_theorem(
 
     roots = find_roots(tpoly, precision)
     ctx = EvalContext(precision)
-    mp = ctx.mp
     records = []
     for lam, mult in zip(roots.roots, roots.multiplicities):
         rec = RootRecord(lam=lam, multiplicity=mult)
         records.append(rec)
-        if mp.im(lam) == 0 and mp.re(lam) >= 1 - mp.mpf(2) ** -40:
-            rec.skipped = True
-            rec.skip_reason = SKIP_BRANCH_CUT
-            continue
         try:
             rec.checks = _check_both_identities(a, c, ell, q0, lam, ctx)
         except BranchCutError:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -245,3 +246,27 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+GOLDEN = [
+    ("verify --a 3 --c 3/2 --ell 1 --json",
+     "330e26fffa2f26809e7155ff0b9125eba7593424c991b901d1e797566d749cc1"),
+    ("q0 --a 7/3 --c 5/11 --ell 12 --b 1/2 --json",
+     "ce83390005afe2904b7b97f71632d3e3b6a5cf48d4688abeca0502f5a201515a"),
+    ("q0 --a 5 --c 1/2 --ell 2 --json",
+     "002649a68baf53c48d31e17c0739def32dfe59de1739d192cd35a680ab07c429"),
+    ("reduce --a 1/3 --b 1 --c 1/2 --ell 3 --json",
+     "ee88a4576044e84c389bde371f853d4ae1fad4cc10ec427ad19ce58b48c94001"),
+    ("gosper --a 3 --b 2 --json",
+     "1377305ad825a4429a22494b35636974cbfa5413dc9addff982faf7fc257b7eb"),
+    ("eval --a=-3 --b 2/7 --c 5/3 --z 37/64 --json",
+     "65b2fabdaee11ae3cda2be97ab6a7363904d401d7e9bf4064549d064ada4a6cd"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_output(capsys, argv, digest):
+    """The deterministic JSON is byte-identical to the pinned output."""
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

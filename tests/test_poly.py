@@ -36,6 +36,18 @@ def to_sympy(f: RatFunc):
     return num / (X_SYM**f.i * (1 - X_SYM) ** f.j)
 
 
+def sympy_poly(p: Poly):
+    return sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
+        X_SYM,
+        domain="QQ",
+    )
+
+
+def from_sympy(p) -> Poly:
+    return Poly(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
 def sympy_num_den(expr):
     """Reduced numerator and monic denominator, computed by sympy."""
     num, den = sympy.fraction(sympy.cancel(expr))
@@ -88,6 +100,25 @@ class TestPoly:
         p = Poly((0, 0, 2)) * Poly((-1, 1)) ** 2  # 2 x^2 (x-1)^2
         assert exponent_split(p) == (2, 2, Poly((2,)))
         assert exponent_split(Poly((1, 1))) == (0, 0, Poly((1, 1)))
+
+    @seed(20261018)
+    @settings(max_examples=80, deadline=None)
+    @given(st.builds(Poly, coeffs), st.builds(Poly, coeffs).filter(bool))
+    def test_divmod_property(self, a, b):
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert r.is_zero() or r.degree < b.degree
+
+    @seed(20261018)
+    @settings(max_examples=80, deadline=None)
+    @given(st.builds(Poly, coeffs), st.builds(Poly, coeffs), st.builds(Poly, coeffs))
+    def test_gcd_matches_sympy(self, f, g, h):
+        # a common factor f makes most gcds nontrivial
+        a, b = f * g, f * h
+        want = sympy.gcd(sympy_poly(a), sympy_poly(b))
+        ours = a.gcd(b)
+        assert ours == (from_sympy(want.monic()) if not want.is_zero else Poly.zero())
+        assert ours.is_zero() or ours.leading_coefficient() == 1
 
     def test_str(self):
         assert str(Poly((Fraction(7, 2), 3))) == "7/2 + 3*x"

@@ -69,13 +69,15 @@ class TestTruncatedSeries:
 
 
 class TestCanonicalForm:
-    """Integer numerators over one positive denominator, in lowest terms:
-    equal values have equal fields, whatever built them."""
+    """A series is a Poly (integer numerators over one positive denominator,
+    in lowest terms, no trailing zero) cut at its order: equal values have
+    equal fields, whatever built them."""
 
     @staticmethod
     def assert_canonical(s):
-        assert s.den > 0 and math.gcd(s.den, *s.nums) == 1
-        assert len(s.nums) == s.order + 1
+        p = s.poly
+        assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+        assert len(p.nums) <= s.order + 1 and (not p.nums or p.nums[-1])
 
     def test_scale_round_trip(self):
         s = TruncatedSeries((Fraction(3, 4), Fraction(-5, 6), 2), 4)
@@ -94,7 +96,7 @@ class TestCanonicalForm:
 
     def test_zero_is_unique(self):
         z = TruncatedSeries((Fraction(1, 3), 1), 2).scale(0)
-        assert z == TruncatedSeries.zero(2) and (z.nums, z.den) == ((0, 0, 0), 1)
+        assert z == TruncatedSeries.zero(2) and (z.poly.nums, z.poly.den) == ((), 1)
 
     def test_coefficients_are_fractions(self):
         s = TruncatedSeries((Fraction(1, 2), 3), 2)
