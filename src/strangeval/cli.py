@@ -188,7 +188,8 @@ def _cmd_verify(args) -> int:
     skipped = sum(1 for r in report.records if r.skipped)
     if report.records:
         lines.append(f"skip rate: {skipped} of {len(report.records)} roots")
-    lines.append(f"verdict: {report.verdict.upper()}")
+    vacuous = " (vacuous: no root checked)" if report.vacuous else ""
+    lines.append(f"verdict: {report.verdict.upper()}{vacuous}")
     _emit(args, report.as_dict(), lines)
     return 0 if report.verdict in ("pass", "no-roots") else 1
 
@@ -319,6 +320,7 @@ def _cmd_sweep(args) -> int:
         f"{report.failures} failures",
         f"roots: {report.total_roots} total, {report.skipped_roots} skipped "
         f"(rate {report.skip_rate:.3f})",
+        f"vacuous passes: {report.vacuous_passes} (trials with no root checked)",
         f"verdict: {report.verdict.upper()}",
     ]
     _emit(args, report.as_dict(), lines)
@@ -384,6 +386,7 @@ def _cmd_roots(args) -> int:
     digits = report_digits(args.precision)
     lines = [f"polynomial: {poly}   [{source}]"]
     payload_roots = []
+    radius = None
     if poly.degree is None or poly.degree == 0:
         lines.append("no roots (constant polynomial)")
         verdict = "no-roots"
@@ -401,12 +404,15 @@ def _cmd_roots(args) -> int:
                 }
             )
         lines.append(f"max |P(root)| = {mpmath.nstr(rs.residual_bound, 6)}")
+        radius = mpmath.nstr(rs.inclusion_radius, 6)
+        lines.append(f"inclusion radius = {radius}  (certified, disjoint discs)")
         verdict = "pass"
     payload = {
         "params": {"poly": [format_rational(cf) for cf in poly.coeffs],
                    "precision": args.precision},
         "flags": {},
         "records": payload_roots,
+        "inclusion_radius": radius,
         "verdict": verdict,
     }
     _emit(args, payload, lines)

@@ -29,18 +29,25 @@ explicitly and never leaks through global state.  Conventions that matter:
 * error estimates bound the tail by the last term and the term ratio at
   the stopping index, add a roundoff allowance and path-specific
   amplification; they hold against an independent 320-bit reference on
-  every path, but are not certified enclosures.
+  every path, but are not certified enclosures;
+* roots are found on the integer numerators of each squarefree factor:
+  Aberth in Python ``complex`` from Newton-polygon circles, Newton in
+  fixed-point Gaussian integers at doubling precision, and certification
+  from the exact values of P and P' at the dyadic result (disjoint
+  inclusion discs); where that fails, Aberth reruns in fixed point at
+  doubling precision.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_man_exp, from_rational, round_ceiling, to_fixed
 
 from .errors import (
     BranchCutError,
@@ -604,30 +611,38 @@ def _tail_estimate(mp, last, modulus, peak, n_terms, a, b, c):
 # ---------------------------------------------------------------------------
 # polynomial roots
 
+# Aberth sweeps per stage; a stage that has not converged by then hands
+# its approximations on, and certification decides.
+_ABERTH_SWEEPS = 100
+# Fixed-point Aberth reruns, at 106, 212, ... bits, before giving up.
+_ESCALATIONS = 6
+# Newton steps per precision level of the polish, and exact steps at the end.
+_LEVEL_STEPS = 4
+_EXACT_STEPS = 3
+# Offset of the starting angles, so no starting point lies on the real axis.
+_START_ANGLE = 0.4
+
+
 @dataclass
 class RootSet:
     """Roots of an exact polynomial with their exact multiplicities.
 
     len(roots) == number of distinct roots; multiplicities sum to the
-    degree; residual_bound majorizes |P(root)| over all reported roots.
+    degree.  Every root is an exact dyadic centre of a certified inclusion
+    disc of radius at most ``inclusion_radius``: the discs of one
+    squarefree factor are pairwise disjoint and each holds exactly one of
+    its roots.  A root with zero imaginary part is proved real, and a
+    non-real root's conjugate is reported as its exact conjugate.
+    ``residual_bound`` majorizes |P(root)| over all reported roots.
     """
 
     roots: tuple
     multiplicities: tuple
     residual_bound: object
+    inclusion_radius: object
 
     def total_count(self) -> int:
         return sum(self.multiplicities)
-
-
-def _horner_pair(coeffs, x):
-    """(P(x), P'(x)) with ascending mp coefficients."""
-    p = coeffs[-1]
-    dp = p * 0
-    for c in reversed(coeffs[:-1]):
-        dp = dp * x + p
-        p = p * x + c
-    return p, dp
 
 
 def _squarefree_factors(poly: Poly) -> list:
@@ -651,118 +666,375 @@ def _squarefree_factors(poly: Poly) -> list:
 
 def find_roots(poly: Poly, precision: int = 192) -> RootSet:
     """All complex roots, with multiplicities taken from the exact
-    squarefree decomposition of ``poly``.
+    squarefree decomposition of ``poly``, each certified to within
+    2^-precision of its size.
 
-    Each squarefree factor is solved by simultaneous Aberth iteration at
-    an elevated working precision; its roots are simple, so the iteration
-    converges fast and Newton steps polish every one of them.  Conjugate
-    symmetry is enforced (the inputs here always have rational
-    coefficients).  A squarefree ``poly`` is its own single factor.
-    """
+    Each squarefree factor, held as its integer numerators, goes through
+    ``_factor_roots``: Aberth in Python ``complex``, Newton polishing in
+    fixed-point Gaussian integers with doubling precision, and a proof
+    from exact arithmetic that the inclusion discs are disjoint.
+    ``NonConvergenceError`` is raised only when a factor cannot be
+    certified after every fixed-point escalation."""
     if poly.degree is None or poly.degree < 1:
         raise ParameterError("root finding needs a polynomial of degree >= 1")
-    work = EvalContext(precision + GUARD_BITS)
-    mp = work.mp
+    target = precision + GUARD_BITS
+    mp = EvalContext(target).mp
     found = []
+    radius = Fraction(0)
     for factor, mult in _squarefree_factors(poly):
-        found.extend((x, mult) for x in _simple_roots(factor, work, precision))
-    found.sort(key=lambda t: (mp.re(t[0]), mp.im(t[0])))
+        for xr, xi, w, rho, t in _factor_roots(factor.nums, target):
+            x = mp.make_mpc((from_man_exp(xr, -w), from_man_exp(xi, -w)))
+            found.append((x, mult, xr, xi, w))
+            radius = max(radius, Fraction(rho, 1 << t))
+    found.sort(key=lambda f: (mp.re(f[0]), mp.im(f[0])))
 
-    pcoeffs = [work.to_mp(c) for c in poly.coeffs]
-    residual = mp.mpf(0)
-    for x, _ in found:
-        r = abs(_horner_pair(pcoeffs, x)[0])
-        if r > residual:
-            residual = r
+    residual = Fraction(0)
+    n = poly.degree
+    for _, _, xr, xi, w in found:
+        pr, pi = _horner_exact(poly.nums, xr, xi, w)[:2]
+        bound = Fraction(_ceil_sqrt(pr * pr + pi * pi), poly.den << w * n)
+        residual = max(residual, bound)
     return RootSet(
-        roots=tuple(x for x, _ in found),
-        multiplicities=tuple(m for _, m in found),
-        residual_bound=residual,
+        roots=tuple(f[0] for f in found),
+        multiplicities=tuple(f[1] for f in found),
+        residual_bound=_upper_mpf(mp, residual, target),
+        inclusion_radius=_upper_mpf(mp, radius, target),
     )
 
 
-def _simple_roots(monic: Poly, work: EvalContext, precision: int) -> list:
-    """Roots of a monic squarefree polynomial by Aberth iteration."""
-    mp = work.mp
-    n = monic.degree
-    coeffs = [work.to_mp(c) for c in monic.coeffs]
+def _upper_mpf(mp, q: Fraction, prec: int):
+    """The rational q rounded up to a ``prec``-bit mpf."""
+    return mp.make_mpf(from_rational(q.numerator, q.denominator, prec, round_ceiling))
 
-    radius = 1 + max(abs(c) for c in coeffs[:-1])
-    roots = [
-        radius * mp.expjpi(mp.mpf(2 * k) / n + mp.mpf(1) / (2 * n + 1))
-        for k in range(n)
-    ]
-    tol = mp.mpf(2) ** (-(precision // 2) - 8)
-    converged = False
-    for _ in range(400):
-        max_step = mp.mpf(0)
-        for i in range(n):
-            x = roots[i]
-            p, dp = _horner_pair(coeffs, x)
-            if p == 0:
-                continue
-            if dp == 0:
-                roots[i] = x + tol * (1 + abs(x))
-                max_step = mp.inf
-                continue
-            newton = p / dp
-            accum = mp.mpc(0)
-            for j in range(n):
-                if j != i:
-                    accum += 1 / (x - roots[j])
-            denom = 1 - newton * accum
-            step = newton if denom == 0 else newton / denom
-            roots[i] = x - step
-            rel = abs(step) / (1 + abs(roots[i]))
-            if rel > max_step:
-                max_step = rel
-        if max_step <= tol:
-            converged = True
-            break
-    if not converged:
-        raise NonConvergenceError(
-            f"Aberth iteration did not converge for {monic}", best=tuple(roots)
-        )
 
-    real_tol = mp.mpf(2) ** (-(precision // 2))
-    roots = [
-        mp.mpc(mp.re(r), 0) if abs(mp.im(r)) <= real_tol * (1 + abs(r)) else r
-        for r in roots
-    ]
-    polished = []
-    for x in _pair_conjugates(mp, roots, real_tol):
-        for _ in range(4):
-            p, dp = _horner_pair(coeffs, x)
-            if dp == 0 or p == 0:
+def _ceil_sqrt(n: int) -> int:
+    return math.isqrt(n - 1) + 1 if n else 0
+
+
+def _factor_roots(nums, target: int) -> list:
+    """The roots of the squarefree integer polynomial ``nums`` as
+    certified discs (xr, xi, w, rho, t): centre (xr + i xi) / 2^w, radius
+    rho / 2^t, the centre within four units of 2^-w of its root and
+    w = target - floor(log2 max(|Re|, |Im|)) - 1.
+
+    The double-precision Aberth stage runs first; where its roots cannot
+    be polished and certified, Aberth runs again from them in fixed point
+    at 106 bits, then 212, ... up to ``_ESCALATIONS`` times."""
+    approx = [_from_complex(x) for x in _aberth_float(nums)]
+    bits = 53
+    for escalation in range(_ESCALATIONS + 1):
+        if escalation:
+            bits *= 2
+            approx = _aberth_fixed(nums, approx, bits)
+        polished = []
+        for x in approx:
+            polished.append(_polish(nums, x, bits, target))
+            if polished[-1] is None:
                 break
-            x = x - p / dp
-        if abs(mp.im(x)) <= real_tol * (1 + abs(x)):
-            x = mp.mpc(mp.re(x), 0)
-        polished.append(x)
-    return polished
-
-
-def _pair_conjugates(mp, roots, real_tol):
-    """Replace near-conjugate pairs by exact conjugates (real coefficients
-    force the root set to be symmetric; the iteration only gets close)."""
-    out = []
-    upper = [r for r in roots if mp.im(r) > 0]
-    lower = [r for r in roots if mp.im(r) < 0]
-    out.extend(r for r in roots if mp.im(r) == 0)
-    used = [False] * len(lower)
-    for u in upper:
-        best_j, best_d = None, None
-        for j, l in enumerate(lower):
-            if used[j]:
-                continue
-            d = abs(u - mp.conj(l))
-            if best_d is None or d < best_d:
-                best_j, best_d = j, d
-        if best_j is not None and best_d <= mp.sqrt(real_tol) * (1 + abs(u)):
-            used[best_j] = True
-            w = (u + mp.conj(lower[best_j])) / 2
-            out.extend([w, mp.conj(w)])
         else:
-            out.append(u)
-    out.extend(l for j, l in enumerate(lower) if not used[j])
-    return out
+            discs = _certify(nums, polished, target)
+            if discs is not None:
+                return discs
+    raise NonConvergenceError(
+        f"roots of {Poly.from_numerators(nums, 1)} not certified at {bits} bits",
+        best=tuple(complex(xr / 2**w, xi / 2**w) for xr, xi, w in approx),
+    )
+
+
+def _start_points(nums) -> list:
+    """Aberth starting points from the Newton polygon (Bini 1996): for
+    each edge of the upper convex hull of (k, log2 |c_k|) from k0 to k1,
+    k1 - k0 points on the circle of radius (|c_k0| / |c_k1|)^(1/(k1-k0)),
+    with zero roots at 0 exactly."""
+    n = len(nums) - 1
+    hull = []
+    for k, c in enumerate(nums):
+        if not c:
+            continue
+        p = (k, math.log2(abs(c)))
+        while len(hull) > 1 and (
+            (hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+            >= (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append(p)
+    points = [0j] * hull[0][0]
+    for (k0, l0), (k1, l1) in zip(hull, hull[1:]):
+        m = k1 - k0
+        r = 2.0 ** max(-1000.0, min(1000.0, (l0 - l1) / m))
+        for j in range(m):
+            points.append(cmath.rect(r, 2 * math.pi * (j / m + k0 / n) + _START_ANGLE))
+    return points
+
+
+def _aberth_float(nums) -> list:
+    """Aberth iteration in Python ``complex`` (Gauss-Seidel order).  A root
+    stops moving once |p(x)| is within the rounding error 4n 2^-53 s(|x|)
+    of its evaluation, s(r) = sum |c_k| r^k, so further steps would only
+    follow noise; |x| > 1 is evaluated on the reversed polynomial, so no
+    power of x overflows."""
+    n = len(nums) - 1
+    shift = max(0, max(abs(c).bit_length() for c in nums) - 1000)
+    fwd = [c / (1 << shift) for c in nums]
+    rev = fwd[::-1]
+    tol = 4 * n * 2.0**-53
+    roots = _start_points(nums)
+    done = [False] * n
+    for _ in range(_ABERTH_SWEEPS):
+        for i, x in enumerate(roots):
+            if done[i]:
+                continue
+            inside = abs(x) <= 1
+            p, dp, s = _horner_float(fwd if inside else rev, x if inside else 1 / x)
+            if abs(p) <= tol * s:
+                done[i] = True
+                continue
+            try:
+                newton = p / dp if inside else x / (n - dp / (x * p))
+                accum = sum(1 / (x - y) for j, y in enumerate(roots) if j != i)
+                step = newton / (1 - newton * accum)
+            except ZeroDivisionError:
+                continue
+            if cmath.isfinite(step):
+                roots[i] = x - step
+        if all(done):
+            break
+    return roots
+
+
+def _horner_float(coeffs, x):
+    """(p(x), p'(x), sum |c_k| |x|^k) for ascending float coefficients."""
+    p, dp, s, r = coeffs[-1], 0.0, abs(coeffs[-1]), abs(x)
+    for c in reversed(coeffs[:-1]):
+        dp = dp * x + p
+        p = p * x + c
+        s = s * r + abs(c)
+    return p, dp, s
+
+
+def _from_complex(x: complex):
+    """x as a fixed-point Gaussian integer (xr, xi, w) with 53 bits below
+    its largest component."""
+    m = max(abs(x.real), abs(x.imag))
+    w = 53 - (math.frexp(m)[1] if m else 1)
+    return round(math.ldexp(x.real, w)), round(math.ldexp(x.imag, w)), w
+
+
+def _grid(xr: int, xi: int, w: int, bits: int) -> int:
+    """The fractional bits that hold ``bits`` bits of x = (xr + i xi) / 2^w
+    below its largest component (0 counts as size 1), and at least 0."""
+    m = max(abs(xr), abs(xi))
+    return max(0, w + bits - m.bit_length() if m else bits - 1)
+
+
+def _regrid(xr: int, xi: int, w: int, w2: int):
+    """(xr + i xi) / 2^w on the grid of 2^-w2, floored: (xr', xi', w2)."""
+    if w2 >= w:
+        return xr << (w2 - w), xi << (w2 - w), w2
+    return xr >> (w - w2), xi >> (w - w2), w2
+
+
+def _horner_fixed(nums, xr: int, xi: int, w: int):
+    """(p(x), p'(x)) at x = (xr + i xi) / 2^w, each component times 2^w and
+    floored after every product: four integers."""
+    pr, pi, dr, di = nums[-1] << w, 0, 0, 0
+    for c in reversed(nums[:-1]):
+        dr, di = ((dr * xr - di * xi) >> w) + pr, ((dr * xi + di * xr) >> w) + pi
+        pr, pi = ((pr * xr - pi * xi) >> w) + (c << w), (pr * xi + pi * xr) >> w
+    return pr, pi, dr, di
+
+
+def _horner_exact(nums, xr: int, xi: int, w: int):
+    """Exact (p, d) with p = P(x) 2^(wn) and d = P'(x) 2^(w(n-1)) at the
+    dyadic x = (xr + i xi) / 2^w: Gaussian integers, as four ints."""
+    pr, pi, dr, di = nums[-1], 0, 0, 0
+    s1, s2 = xi - xr, xr + xi
+    shift = 0
+    for c in reversed(nums[:-1]):
+        shift += w
+        # (a + i b)(xr + i xi) in three products: k = xr (a + b),
+        # re = k - b (xr + xi), im = k + a (xi - xr)
+        k = xr * (dr + di)
+        dr, di = k - di * s2 + pr, k + dr * s1 + pi
+        k = xr * (pr + pi)
+        pr, pi = k - pi * s2 + (c << shift), k + pr * s1
+    return pr, pi, dr, di
+
+
+def _cdiv(ar: int, ai: int, br: int, bi: int, shift: int):
+    """floor((a / b) 2^shift) per component for Gaussian integers a and b,
+    or None when b = 0."""
+    den = br * br + bi * bi
+    if not den:
+        return None
+    return (ar * br + ai * bi << shift) // den, (ai * br - ar * bi << shift) // den
+
+
+def _aberth_fixed(nums, approx, bits: int) -> list:
+    """Aberth iteration in fixed-point Gaussian integers, every root on
+    one grid that holds ``bits`` bits of the smallest nonzero one.  A root
+    stops moving once |p(x)| <= n 2^-bits s, s = sum |c_k| (|Re x| +
+    |Im x|)^k, which bounds the evaluation noise."""
+    n = len(nums) - 1
+    w = max(_grid(*x, bits) for x in approx)
+    roots = [_regrid(*x, w)[:2] for x in approx]
+    mags = [abs(c) for c in nums]
+    one = 1 << w
+    done = [False] * n
+    for _ in range(_ABERTH_SWEEPS):
+        for i, (xr, xi) in enumerate(roots):
+            if done[i]:
+                continue
+            pr, pi, dr, di = _horner_fixed(nums, xr, xi, w)
+            m, s = abs(xr) + abs(xi), mags[-1] << w
+            for c in reversed(mags[:-1]):
+                s = (s * m >> w) + (c << w)
+            if pr * pr + pi * pi << 2 * bits <= n * n * s * s:
+                done[i] = True
+                continue
+            newton = _cdiv(pr, pi, dr, di, w)
+            if newton is None:
+                continue
+            ar = ai = 0
+            for j, (yr, yi) in enumerate(roots):
+                if j != i:
+                    inv = _cdiv(one, 0, xr - yr, xi - yi, w)
+                    if inv is not None:
+                        ar += inv[0]
+                        ai += inv[1]
+            # the Aberth step newton / (1 - newton * sum_j 1 / (x - x_j))
+            nr, ni = newton
+            den_r = one - (nr * ar - ni * ai >> w)
+            den_i = -(nr * ai + ni * ar >> w)
+            sr, si = _cdiv(nr, ni, den_r, den_i, w) or newton
+            roots[i] = (xr - sr, xi - si)
+        if all(done):
+            break
+    return [(xr, xi, w) for xr, xi in roots]
+
+
+def _polish(nums, approx, bits: int, target: int):
+    """Newton from an approximation good to about ``bits`` bits, at
+    doubling precision: levels target / 2^k above ``bits``, each holding x
+    to its level's bits and stepping until the step is below half of them,
+    then ``_settle``.  None when Newton does not settle."""
+    xr, xi, w = approx
+    levels = []
+    b = target
+    while b > bits:
+        levels.append(b)
+        b = (b + 1) // 2
+    for b in reversed(levels):
+        xr, xi, w = _regrid(xr, xi, w, _grid(xr, xi, w, b))
+        for _ in range(_LEVEL_STEPS):
+            step = _cdiv(*_horner_fixed(nums, xr, xi, w), w)
+            if step is None:
+                return None
+            xr, xi = xr - step[0], xi - step[1]
+            if max(abs(step[0]), abs(step[1])) <= 1 << b // 2:
+                break
+    return _settle(nums, xr, xi, w, target)
+
+
+def _settle(nums, xr: int, xi: int, w: int, target: int):
+    """Exact Newton at ``target`` bits: (xr, xi, w, exact) once the exact
+    correction |P(x) / P'(x)| is at most four units of 2^-w, with ``exact``
+    the values (pr, pi, dr, di) of ``_horner_exact`` at x, else None after
+    ``_EXACT_STEPS`` steps.  x = 0 is kept only when P(0) = 0.  A real x
+    stays real."""
+    for _ in range(_EXACT_STEPS):
+        xr, xi, w = _regrid(xr, xi, w, _grid(xr, xi, w, target))
+        pr, pi, dr, di = exact = _horner_exact(nums, xr, xi, w)
+        shift = 0
+        if not (xr or xi):
+            if not (pr or pi):
+                return xr, xi, w, exact
+            # 0 has no size to set the grid by; the step has
+            shift = max(0, target + _bits(dr, di) - _bits(pr, pi))
+        elif pr * pr + pi * pi <= 16 * (dr * dr + di * di):
+            return xr, xi, w, exact
+        step = _cdiv(pr, pi, dr, di, shift)
+        if step is None:
+            return None
+        xr, xi, w = (xr << shift) - step[0], (xi << shift) - step[1], w + shift
+    return None
+
+
+def _bits(a: int, b: int) -> int:
+    return max(abs(a), abs(b)).bit_length()
+
+
+def _discs(n: int, points):
+    """The inclusion discs of ``points`` (xr, xi, w, exact) on one grid of
+    2^-t, t = 16 + max w: (cr, ci, rho) with centre (cr + i ci) / 2^t and
+    rho / 2^t >= n |P(x) / P'(x)|, the radius of a disc about x that holds
+    a root of P.  rho is None where P'(x) = 0."""
+    t = 16 + max(p[2] for p in points)
+    out = []
+    for xr, xi, w, (pr, pi, dr, di) in points:
+        # on k bits fewer, |p| rounded up and |P'| down keep rho an upper bound
+        k = max(0, max(abs(dr), abs(di)).bit_length() - 64)
+        if k:
+            pr, pi = (abs(pr) >> k) + 1, (abs(pi) >> k) + 1
+            dr, di = abs(dr) >> k, abs(di) >> k
+        den = dr * dr + di * di
+        rho = None
+        if den:
+            num = n * n * (pr * pr + pi * pi) << 2 * (t - w)
+            rho = _ceil_sqrt(-(-num // den))
+        out.append((xr << t - w, xi << t - w, rho))
+    return t, out
+
+
+def _meet(d, e, mirror: bool = False) -> bool:
+    """Whether the closed discs d and e (or the mirror image of d in the
+    real axis, and e) share a point."""
+    (ar, ai, ra), (br, bi, rb) = d, e
+    if mirror:
+        ai = -ai
+    return (ar - br) ** 2 + (ai - bi) ** 2 <= (ra + rb) ** 2
+
+
+def _disjoint(discs) -> bool:
+    return None not in (d[2] for d in discs) and not any(
+        _meet(d, e) for i, d in enumerate(discs) for e in discs[i + 1:]
+    )
+
+
+def _certify(nums, points, target: int):
+    """Certified discs (xr, xi, w, rho, t) for the polished ``points`` of
+    the squarefree ``nums``, or None when the proof fails.
+
+    n pairwise disjoint discs, each holding a root of a degree-n
+    polynomial, hold one root each.  Real coefficients make the roots
+    symmetric, so a disc that meets the real axis, and whose mirror image
+    meets no other disc, holds a real root: it is snapped onto the axis
+    and settled again.  Each disc in the upper half-plane gives a pair,
+    itself and its exact conjugate; discs in the lower half-plane are
+    dropped for their partners.  The real count plus twice the pair count
+    must be n, and the final discs, real ones symmetric about the axis,
+    are checked disjoint again."""
+    n = len(nums) - 1
+    _, discs = _discs(n, points)
+    if not _disjoint(discs):
+        return None
+    out = []
+    for i, ((xr, xi, w, exact), d) in enumerate(zip(points, discs)):
+        if d[1] > d[2]:
+            pr, pi, dr, di = exact
+            out += [(xr, xi, w, exact), (xr, -xi, w, (pr, -pi, dr, -di))]
+        elif d[1] < -d[2]:
+            continue
+        elif any(_meet(d, e, mirror=True) for j, e in enumerate(discs) if j != i):
+            return None
+        else:
+            real = _settle(nums, xr, 0, w, target)
+            if real is None:
+                return None
+            out.append(real)
+    if len(out) != n:
+        return None
+    t, discs = _discs(n, out)
+    if not _disjoint(discs):
+        return None
+    return [(xr, xi, w, d[2], t) for (xr, xi, w, _), d in zip(out, discs)]

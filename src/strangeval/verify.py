@@ -158,6 +158,11 @@ class VerifyReport:
             return 0.0
         return sum(1 for r in self.records if r.skipped) / len(self.records)
 
+    @property
+    def vacuous(self) -> bool:
+        """A pass at which every root was skipped, so no identity was checked."""
+        return self.verdict == "pass" and all(r.skipped for r in self.records)
+
     def as_dict(self) -> dict:
         digits = report_digits(self.precision)
         return {
@@ -496,6 +501,14 @@ class SweepReport:
     @property
     def skip_rate(self) -> float:
         return self.skipped_roots / self.total_roots if self.total_roots else 0.0
+
+    @property
+    def vacuous_passes(self) -> int:
+        """Trials that passed with every root skipped (VerifyReport.vacuous)."""
+        return sum(
+            t.verdict == "pass" and t.roots_skipped == t.roots_total
+            for t in self.records
+        )
 
     def as_dict(self) -> dict:
         digits = report_digits(self.precision)

@@ -47,6 +47,18 @@ class TestVerifyCommand:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
+    def test_all_roots_skipped_is_a_vacuous_pass(self, capsys):
+        argv = ("verify", "--a", "4/3", "--c", "8/3", "--ell", "2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "skip rate: 2 of 2 roots" in out
+        assert out.endswith("verdict: PASS (vacuous: no root checked)\n")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
+        # a pass that checked a root says nothing more
+        _, out, _ = run(capsys, "verify", "--a", "3", "--c", "3/2", "--ell", "1")
+        assert out.endswith("verdict: PASS\n")
+
 
 class TestQ0Command:
     def test_ell_one(self, capsys):
@@ -138,6 +150,14 @@ class TestSweepCommand:
         payload = json.loads(out1)
         assert payload["verdict"] == "pass"
 
+    def test_counts_vacuous_passes(self, capsys):
+        # seed 9: trial 0 skips its only root, trials 1 and 2 check theirs
+        code, out, _ = run(
+            capsys, "sweep", "--trials", "3", "--ell-max", "2", "--seed", "9"
+        )
+        assert code == 0
+        assert "vacuous passes: 1 (trials with no root checked)" in out
+
     def test_tolerance_below_precision_is_usage_error(self, capsys):
         # the default 1e-30 is finer than 40 bits reach, no residual is
         # below NaN, and every residual is below inf: refused, not a verdict
@@ -223,6 +243,21 @@ class TestRootsCommand:
         code, out, _ = run(capsys, "roots", "--coeffs", "1,0,1")
         assert code == 0
         assert "multiplicity 1" in out
+
+    def test_reports_inclusion_radius(self, capsys):
+        argv = ("roots", "--a", "7/3", "--c", "5/11", "--ell", "6")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        line = next(x for x in out.splitlines() if x.startswith("inclusion radius = "))
+        text_radius = float(line.split()[3])
+        code, out, _ = run(capsys, *argv, "--json")
+        payload = json.loads(out)
+        assert float(payload["inclusion_radius"]) == text_radius
+        largest = max(abs(complex(float(r["re"]), float(r["im"])))
+                      for r in payload["records"])
+        assert 0 < text_radius <= 2.0**-192 * largest
+        _, out, _ = run(capsys, "roots", "--coeffs", "3", "--json")
+        assert json.loads(out)["inclusion_radius"] is None
 
     def test_requires_some_input(self, capsys):
         code, _, err = run(capsys, "roots")

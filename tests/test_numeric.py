@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 
+from strangeval import numeric
 from strangeval.errors import (
     BranchCutError,
     DegenerateConnectionError,
@@ -11,6 +13,7 @@ from strangeval.errors import (
     NonConvergenceError,
     ParameterError,
 )
+from strangeval.hyp import HypParams, terminating_poly
 from strangeval.numeric import (
     _SPOUGE_CACHE,
     EvalContext,
@@ -23,6 +26,7 @@ from strangeval.numeric import (
     rgamma_c,
 )
 from strangeval.poly import Poly
+from strangeval.verify import draw_theorem_params
 
 CTX = EvalContext(192)
 
@@ -524,3 +528,196 @@ class TestFindRoots:
         roots = list(rs.roots)
         for r in roots:
             assert any(abs(mp.conj(r) - s) <= tol(150) for s in roots)
+
+
+def _gosper_poly(a, c, ell):
+    """The terminating polynomial F(1-a, -ell, 2-c; x) of verify_theorem."""
+    return terminating_poly(HypParams(1 - a, -ell, 2 - c))
+
+
+def _reference_roots(p: Poly, bits: int):
+    """[(root, multiplicity)] from sympy's squarefree decomposition and
+    mpmath.polyroots on each factor at ``bits`` bits."""
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k
+               for k, c in enumerate(p.coeffs))
+    out = []
+    with mpmath.workprec(bits):
+        for factor, mult in sympy.Poly(expr, x).sqf_list()[1]:
+            cs = [mpmath.mpf(int(c.p)) / int(c.q) for c in factor.all_coeffs()]
+            if len(cs) == 2:
+                out.append((-cs[1] / cs[0], mult))
+                continue
+            roots = mpmath.polyroots(cs, maxsteps=400, extraprec=2 * bits)
+            out.extend((r, mult) for r in roots)
+    return out
+
+
+class TestFindRootsOracle:
+    """find_roots against sympy + mpmath.polyroots at twice the precision,
+    on the polynomials verify_theorem sees: seeded sweep draws (ell 1-5)
+    and ell-7 draws."""
+
+    PRECISION = 192
+
+    @staticmethod
+    def _draws():
+        rng = random.Random(1009)
+        polys = []
+        for _ in range(30):
+            a, c, ell = draw_theorem_params(rng, 5)
+            polys.append(_gosper_poly(a, c, ell))
+        for _ in range(8):
+            a, c, _ = draw_theorem_params(rng, 5)
+            polys.append(_gosper_poly(a, c, 7))
+        return [p for p in polys if p.degree]
+
+    def test_against_polyroots(self):
+        prec = self.PRECISION
+        for p in self._draws():
+            rs = find_roots(p, prec)
+            assert rs.total_count() == p.degree
+            ref = _reference_roots(p, 2 * prec)
+            assert len(ref) == len(rs.roots)
+            with mpmath.workprec(2 * prec):
+                got = [mpmath.mpc(r) for r in rs.roots]
+                for r, mult in ref:
+                    i = min(range(len(got)), key=lambda k: abs(got[k] - r))
+                    assert abs(got[i] - r) <= abs(r) * mpmath.mpf(2) ** -prec, (p, r)
+                    assert rs.multiplicities[i] == mult, p
+                    real = abs(r.imag) <= abs(r) * mpmath.mpf(2) ** -(2 * prec - 16)
+                    assert (got[i].imag == 0) == real, (p, r)
+            for x in rs.roots:
+                if x.imag != 0:
+                    assert rs.roots.count(x.conjugate()) == 1
+            radius_rel = rs.inclusion_radius / max(abs(x) for x in rs.roots)
+            assert radius_rel <= mpmath.mpf(2) ** -prec
+
+
+def _independent_certificate(p: Poly, rs):
+    """Re-check with mpmath at 2048 bits, far more than the cancellation in
+    P(x) costs at these degrees, that for squarefree p every root's disc of
+    radius deg |P(x) / P'(x)| lies within inclusion_radius and that discs
+    of that radius are pairwise disjoint."""
+    n = p.degree
+    with mpmath.workprec(2048):
+        cs = [mpmath.mpf(c.numerator) / c.denominator for c in p.coeffs]
+        for x in rs.roots:
+            val, der = mpmath.polyval(cs[::-1], mpmath.mpc(x), derivative=True)
+            assert n * abs(val) <= rs.inclusion_radius * abs(der)
+        for i, x in enumerate(rs.roots):
+            for y in rs.roots[i + 1:]:
+                assert abs(mpmath.mpc(x) - y) > 2 * rs.inclusion_radius
+
+
+class TestFindRootsHardCases:
+    """Inputs that the double-precision stage cannot finish: each must come
+    back certified, some through the fixed-point Aberth escalation."""
+
+    @pytest.fixture
+    def escalations(self, monkeypatch):
+        calls = []
+        inner = numeric._aberth_fixed
+
+        def spy(nums, approx, bits):
+            calls.append(bits)
+            return inner(nums, approx, bits)
+
+        monkeypatch.setattr(numeric, "_aberth_fixed", spy)
+        return calls
+
+    def test_cluster_at_two_to_minus_sixty(self, escalations):
+        third = Fraction(1, 3)
+        p = Poly((-third, 1)) * Poly((-third - Fraction(1, 2**60), 1)) * Poly((2, 1))
+        rs = find_roots(p, 192)
+        assert rs.multiplicities == (1, 1, 1)
+        assert all(x.imag == 0 for x in rs.roots)
+        for x, want in zip(rs.roots, (-2, third, third + Fraction(1, 2**60))):
+            assert abs(x - CTX.to_mp(want)) <= tol(192)
+        _independent_certificate(p, rs)
+        assert escalations and max(escalations) >= 212  # 106 bits cannot split it
+
+    def test_pair_just_off_the_real_axis(self):
+        # roots 1 +- 2^-50 i, which double precision sees as a real double root
+        p = Poly((1 + Fraction(1, 2**100), -2, 1))
+        rs = find_roots(p, 192)
+        lower, upper = rs.roots
+        assert upper == lower.conjugate()
+        assert abs(upper - CTX.mp.mpc(1, CTX.mp.mpf(2) ** -50)) <= tol(192)
+        _independent_certificate(p, rs)
+
+    def test_root_below_double_range(self):
+        # x^2 + x + 3^-700: the small root, about -3^-700 ~ 1e-334, is 0 in
+        # double precision, yet must come back to 2^-192 of its own size
+        eps = Fraction(1, 3**700)
+        rs = find_roots(Poly((eps, 1, 1)), 192)
+        small = max(rs.roots, key=lambda x: x.real)
+        with mpmath.workprec(400):
+            e = mpmath.mpf(eps.numerator) / eps.denominator
+            want = -2 * e / (1 + mpmath.sqrt(1 - 4 * e))
+            assert small.imag == 0
+            assert abs(small - want) <= abs(want) * mpmath.mpf(2) ** -192
+
+    def test_wilkinson_degree_20(self, escalations):
+        p = Poly((1,))
+        for k in range(1, 21):
+            p = p * Poly((-k, 1))
+        rs = find_roots(p, 192)
+        assert rs.multiplicities == (1,) * 20
+        for k, x in enumerate(rs.roots, 1):
+            assert x.imag == 0 and abs(x - k) <= k * tol(192)
+        _independent_certificate(p, rs)
+        assert escalations
+
+    @pytest.mark.parametrize("ell", [30, 40, 60])
+    def test_high_ell_certified(self, ell):
+        p = _gosper_poly(Fraction(7, 3), Fraction(5, 11), ell)
+        rs = find_roots(p, 192)  # raised NonConvergenceError at ell 40
+        assert rs.multiplicities == (1,) * ell
+        assert rs.inclusion_radius <= tol(192) * max(abs(x) for x in rs.roots)
+        for x in rs.roots:
+            if x.imag != 0:
+                assert x.conjugate() in rs.roots
+        _independent_certificate(p, rs)
+
+    def test_gives_up_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(numeric, "_certify", lambda nums, points, target: None)
+        with pytest.raises(NonConvergenceError):
+            find_roots(Poly((-2, 0, 1)), 64)
+
+
+class TestCertification:
+    TARGET = 96
+
+    def _polished(self, nums, x: complex):
+        return numeric._polish(nums, numeric._from_complex(x), 53, self.TARGET)
+
+    def test_a_root_found_twice_is_refused(self):
+        # (x^2 + 1)(x^2 + 4): i twice, -i and -2i count 2 + 2 like the true
+        # roots, so only the disjointness of the discs rejects them
+        nums = (Poly((1, 0, 1)) * Poly((4, 0, 1))).nums
+        i, i2 = (self._polished(nums, z) for z in (1.001j, 0.999j))
+        low, low2 = (self._polished(nums, z) for z in (-1j, -2j))
+        assert numeric._certify(nums, [i, i2, low, low2], self.TARGET) is None
+        two = self._polished(nums, 2j)
+        assert numeric._certify(nums, [i, two, low, low2], self.TARGET)
+
+    def test_settle_leaves_at_most_four_units(self):
+        nums = Poly((-2, 0, 1)).nums
+        xr, xi, w, _ = self._polished(nums, 1.4142)
+        xr, xi, w, (pr, pi, dr, di) = numeric._settle(
+            nums, xr + 2**20, xi, w, self.TARGET
+        )
+        assert pr * pr + pi * pi <= 16 * (dr * dr + di * di)
+
+
+class TestStartPoints:
+    def test_newton_polygon_radii(self):
+        # (x - 2^10)(x - 2^-10) x: one root at 0, one circle of each radius
+        nums = (Poly((-(2**10), 1)) * Poly((-Fraction(1, 2**10), 1)) * Poly.x()).nums
+        starts = numeric._start_points(nums)
+        assert starts[0] == 0
+        assert sorted(abs(z) for z in starts[1:]) == pytest.approx(
+            [2.0**-10, 2.0**10], rel=1e-3
+        )
+        assert all(z.imag != 0 for z in starts[1:])
