@@ -1,11 +1,16 @@
 """High-precision complex numerics: gamma, 2F1 evaluation, root finding.
 
-Everything runs inside an ``EvalContext`` carrying its own mpmath context
-pinned to a mantissa precision (default 192 bits), so precision is passed
-explicitly and never leaks through global state.  Conventions that matter:
+Everything runs inside an ``EvalContext``, which carries the mpmath
+context of its mantissa precision (default 192 bits; one context per
+precision, apart from the global one), so precision is passed explicitly
+and never leaks through global state.  Conventions that matter:
 
 * 2F1 parameters are exact rationals; only the argument is floating-point,
   so every path decision is exact and no integer test needs a tolerance;
+* the 2F1 evaluation maps (direct series, the two Pfaff maps, the 1-z
+  connection) are described once per call, in a table of effective
+  argument modulus, term count when the map's series terminates, and term
+  budget; the path choice and the evaluation both read it;
 * every fractional power takes the principal branch (log with imaginary
   part in (-pi, pi]); arguments on [1, oo) are rejected, not guessed;
 * a sum that terminates at a rational argument is evaluated exactly, by
@@ -41,6 +46,7 @@ explicitly and never leaks through global state.  Conventions that matter:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,16 +73,24 @@ GUARD_BITS = 32
 _MAX_TERMS_CAP = 300_000
 
 
+@functools.cache
+def _mp_context(precision: int) -> MPContext:
+    ctx = MPContext()
+    ctx.prec = precision
+    return ctx
+
+
 class EvalContext:
-    """An isolated mpmath context at a fixed mantissa precision."""
+    """An mpmath context at a fixed mantissa precision, apart from the
+    global one.  Every EvalContext of one precision shares one MPContext,
+    since building one costs ~0.6 ms and every mpf keeps its context
+    alive; so its precision is changed only inside ``workprec``."""
 
     def __init__(self, precision: int = 192):
         if not isinstance(precision, int) or precision < 24:
             raise ParameterError(f"precision must be an integer >= 24 bits: {precision}")
         self.precision = precision
-        ctx = MPContext()
-        ctx.prec = precision
-        self.mp = ctx
+        self.mp = _mp_context(precision)
 
     @property
     def eps(self):
@@ -100,9 +114,10 @@ def _rational_param(x, name: str) -> Fraction:
     return Fraction(x)
 
 
-def _nonpos_int(x: Fraction):
-    """x as an int when it is a nonpositive integer, else None."""
-    return int(x) if x.denominator == 1 and x <= 0 else None
+def _vanishes_at(x: Fraction):
+    """The index k >= 0 at which the factor (x+k) is zero, when x is a
+    nonpositive integer, else None."""
+    return -int(x) if x.denominator == 1 and x <= 0 else None
 
 
 @dataclass
@@ -250,12 +265,9 @@ _PATH_PFAFF_A = "pfaff-a"
 _PATH_PFAFF_B = "pfaff-b"
 _PATH_CONNECTION = "connection-1mz"
 
-KNOWN_PATHS = (
-    _PATH_DIRECT,
-    _PATH_PFAFF_A,
-    _PATH_PFAFF_B,
-    _PATH_CONNECTION,
-)
+# the maps a series is summed on; the connection formula sums two of them
+_SERIES_PATHS = (_PATH_DIRECT, _PATH_PFAFF_A, _PATH_PFAFF_B)
+KNOWN_PATHS = _SERIES_PATHS + (_PATH_CONNECTION,)
 
 
 def _dip_bits(x: Fraction) -> int:
@@ -307,11 +319,14 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
     ti = si = 0
     small = n = 0
     # an exactly zero term ends a terminating series; the zero terms that
-    # would follow count as small, so the loop stops and adds them to n
+    # would follow count as small, so the loop stops and adds them to n.
+    # A nonpositive-integer c is reached at most together with the upper
+    # factor that ends the sum (hyp2f1_num checks this); that term is 0
+    # whatever it is divided by, so a zero divisor is taken as 1.
     if zi == 0:
         limit = peak >> target_bits
         while n < max_terms:
-            tr = tr * zr * (an * bn) // (cn * kn) >> wp
+            tr = tr * zr * (an * bn) // (cn * kn or 1) >> wp
             an += den
             bn += den
             cn += den
@@ -333,7 +348,7 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
         peak2 = peak * peak
         limit = peak2 >> 2 * target_bits
         while n < max_terms:
-            p, q = an * bn, cn * kn
+            p, q = an * bn, cn * kn or 1
             tr, ti = (
                 (tr * zr - ti * zi) * p // q >> wp,
                 (tr * zi + ti * zr) * p // q >> wp,
@@ -388,191 +403,154 @@ def _max_terms_for(modulus, prec: int, terminating: int | None):
     return need if need <= _MAX_TERMS_CAP else None
 
 
-def _out_of_budget(mp, z, what: str) -> NonConvergenceError:
-    return NonConvergenceError(
-        f"{what} at z = {mp.nstr(z, 15)} within the {_MAX_TERMS_CAP}-term budget"
-    )
-
-
 def hyp2f1_num(
-    a, b, c, z,
-    ctx: EvalContext | None = None,
-    method: str | None = None,
-    _allow_connection: bool = True,
+    a, b, c, z, ctx: EvalContext | None = None, method: str | None = None
 ) -> EvalResult:
     """Evaluate F(a, b, c; z) at the context precision.
 
-    The parameters a, b, c are exact rationals (int or Fraction; anything
-    else raises ``ParameterError``), so every path decision -- termination,
-    the c pole, the Pfaff choice, connection degeneracy -- is made exactly;
-    only z may be floating-point.  The path is chosen to minimize the
-    effective argument modulus among the direct series, the two z/(z-1)
-    maps, and the 1-z connection formula; the direct series is kept
-    whenever |z| <= 0.7.  The two series inside the connection formula are
-    themselves evaluated by the best of the direct and Pfaff routes, so the
-    connection path reaches an effective argument of min(|1-z|, |1-1/z|),
-    which covers the half-plane Re z > 1/2 where neither |z| nor |z/(z-1)|
-    falls below 1.  Terminating series (including ones that terminate only
-    after a Pfaff transformation) are summed as finite sums regardless of
-    |z|, and in exact arithmetic when they terminate directly and z is
-    rational.  ``method`` forces a specific path, mainly for cross-path
-    agreement tests.  ``NonConvergenceError`` is raised when no path, or
-    the forced one, converges within the term budget.
+    a, b, c are exact rationals (int or Fraction; anything else raises
+    ``ParameterError``), so every path decision -- termination, the c pole,
+    the Pfaff choice, connection degeneracy -- is made exactly; only z may
+    be floating-point.  The effective argument modulus is |z| on the direct
+    series, |z/(z-1)| on the two Pfaff maps, and min(|1-z|, |1-1/z|) on the
+    1-z connection formula, whose two inner series take the best of the
+    other maps; that covers Re z > 1/2, where neither |z| nor |z/(z-1)|
+    falls below 1.  A Pfaff map whose series terminates is taken first,
+    then the direct series while |z| <= 0.7, else the map of least modulus.
+    A sum that terminates directly is finite whatever |z|, and exact at a
+    rational z.  ``method``, one of ``KNOWN_PATHS``, forces a path, mainly
+    for cross-path agreement tests.  ``NonConvergenceError`` is raised when
+    no path, or the forced one, converges within the term budget.
     """
     ctx = ctx or EvalContext()
+    a, b, c = (_rational_param(x, f"2F1 parameter {n}") for x, n in zip((a, b, c), "abc"))
+    if method is not None and method not in KNOWN_PATHS:
+        raise ParameterError(f"unknown evaluation method {method!r}")
+    ez = Fraction(z) if isinstance(z, (int, Fraction)) else None
+    with ctx.workprec(GUARD_BITS + 32):
+        return _hyp2f1(ctx, a, b, c, ctx.to_mp(z), ez, method, KNOWN_PATHS)
+
+
+def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
+    """``hyp2f1_num`` at the working precision it sets: zz is z in the
+    context, ez the exact rational z or None, and the path is the forced
+    ``method`` or the best of ``paths``."""
     mp = ctx.mp
     prec = ctx.precision
-    a, b, c = (_rational_param(x, f"2F1 parameter {n}") for x, n in zip((a, b, c), "abc"))
-    ez = Fraction(z) if isinstance(z, (int, Fraction)) else None
+    target_bits = prec + GUARD_BITS
 
-    with ctx.workprec(GUARD_BITS + 32):
-        zz = ctx.to_mp(z)
-        target_bits = prec + GUARD_BITS
-
-        m_term = min(
-            (-m for m in (_nonpos_int(a), _nonpos_int(b)) if m is not None),
-            default=None,
+    m_term = min(
+        (k for k in (_vanishes_at(a), _vanishes_at(b)) if k is not None), default=None
+    )
+    c_pole = _vanishes_at(c)
+    if c_pole is not None and (m_term is None or m_term > c_pole):
+        raise ParameterError(
+            f"lower parameter c = {c} is a nonpositive integer "
+            "and the series does not terminate before the pole"
         )
-        c_pole = _nonpos_int(c)
-        if c_pole is not None and (m_term is None or m_term > -c_pole):
-            raise ParameterError(
-                f"lower parameter c = {c} is a nonpositive integer "
-                "and the series does not terminate before the pole"
+
+    if m_term is not None and method is None:
+        if ez is not None:
+            # the parameter that ends the sum first goes in the b slot,
+            # so the c-pole check sees only the terms that are summed
+            other = b if _vanishes_at(a) == m_term else a
+            exact = terminating_poly(HypParams(other, -m_term, c))(ez)
+            val = ctx.to_mp(exact)
+            return EvalResult(+val, abs(val) * ctx.eps * 4, _PATH_DIRECT, m_term)
+        total, last, n, peak = _series_2f1(mp, a, b, c, zz, target_bits, m_term + 8)
+        value = _demote_real(mp, total)
+        return EvalResult(+value, peak * ctx.eps * (n + 4), _PATH_DIRECT, n)
+
+    if zz == 0:
+        return EvalResult(mp.mpf(1), ctx.eps, _PATH_DIRECT, 0)
+
+    on_cut = (
+        abs(mp.im(zz)) <= mp.mpf(2) ** (-prec + 8) * (1 + abs(mp.re(zz)))
+        and mp.re(zz) >= 1 - mp.mpf(2) ** -40
+    )
+    if on_cut and m_term is None:
+        raise BranchCutError(f"z = {mp.nstr(zz, 15)} lies on the branch cut [1, oo)")
+
+    w = zz / (zz - 1)
+    cab = c - a - b
+    # path -> (effective argument modulus, term count when the map's series
+    # terminates, term budget); a Pfaff series terminates when c-b or c-a
+    # is a nonpositive integer, and the connection's inner series fall back
+    # to their own Pfaff map, whose argument is (1-z)/(-z) = 1 - 1/z
+    maps = {}
+    for path, modulus, terms in (
+        (_PATH_DIRECT, abs(zz), m_term),
+        (_PATH_PFAFF_A, abs(w), _vanishes_at(c - b)),
+        (_PATH_PFAFF_B, abs(w), _vanishes_at(c - a)),
+        (_PATH_CONNECTION, min(abs(1 - zz), abs(1 - 1 / zz)), None),
+    ):
+        if path in paths:
+            maps[path] = (modulus, terms, _max_terms_for(modulus, prec, terms))
+
+    if method is None:
+        ending = [p for p, (_, terms, _) in maps.items() if terms is not None]
+        if ending:
+            method = ending[0]
+        elif abs(zz) <= mp.mpf(7) / 10:
+            method = _PATH_DIRECT
+        else:
+            # least modulus among the maps in budget, ties in table order;
+            # a degenerate connection only when nothing else converges
+            pfaff = _PATH_PFAFF_A if abs(a) <= abs(b) else _PATH_PFAFF_B
+            method = min(
+                (p for p in (_PATH_DIRECT, pfaff, _PATH_CONNECTION) if p in maps),
+                key=lambda p: (
+                    maps[p][2] is None,
+                    p == _PATH_CONNECTION and cab.denominator == 1,
+                    maps[p][0],
+                ),
             )
 
-        if m_term is not None and method is None:
-            if ez is not None:
-                # the parameter that ends the sum first goes in the b slot,
-                # so the c-pole check sees only the terms that are summed
-                other = b if _nonpos_int(a) == -m_term else a
-                exact = terminating_poly(HypParams(other, -m_term, c))(ez)
-                val = ctx.to_mp(exact)
-                return EvalResult(+val, abs(val) * ctx.eps * 4, _PATH_DIRECT, m_term)
-            total, last, n, peak = _series_2f1(
-                mp, a, b, c, zz, target_bits, m_term + 8
-            )
-            value = _demote_real(mp, total)
-            return EvalResult(+value, peak * ctx.eps * (n + 4), _PATH_DIRECT, n)
-
-        if zz == 0:
-            return EvalResult(mp.mpf(1), ctx.eps, _PATH_DIRECT, 0)
-
-        on_cut = (
-            abs(mp.im(zz)) <= mp.mpf(2) ** (-prec + 8) * (1 + abs(mp.re(zz)))
-            and mp.re(zz) >= 1 - mp.mpf(2) ** -40
+    modulus, _, max_terms = maps[method]
+    if method == _PATH_CONNECTION and cab.denominator == 1:
+        raise DegenerateConnectionError(
+            f"c-a-b = {cab} is an integer; the two-term connection formula degenerates"
         )
-        if on_cut and m_term is None:
-            raise BranchCutError(
-                f"z = {mp.nstr(zz, 15)} lies on the branch cut [1, oo)"
-            )
+    if max_terms is None:
+        raise NonConvergenceError(
+            f"the {method} map of 2F1 does not converge at z = {mp.nstr(zz, 15)} "
+            f"within the {_MAX_TERMS_CAP}-term budget"
+        )
 
-        w = zz / (zz - 1)
-        mod_direct = abs(zz)
-        mod_pfaff = abs(w)
-        # the connection's inner series fall back to their own Pfaff map,
-        # whose argument is (1-z)/(-z) = 1 - 1/z
-        mod_conn = min(abs(1 - zz), abs(1 - 1 / zz))
-
-        # a transformed series terminates when c-a or c-b is a nonpositive
-        # integer (the directly terminating cases were handled above)
-        t_cb = _nonpos_int(c - b)
-        t_ca = _nonpos_int(c - a)
-        cab = c - a - b
-        conn_degenerate = cab.denominator == 1
-
-        if method is not None:
-            path = method
-        elif t_cb is not None or t_ca is not None:
-            path = _PATH_PFAFF_A if t_cb is not None else _PATH_PFAFF_B
-        elif mod_direct <= mp.mpf(7) / 10:
-            path = _PATH_DIRECT
+    if method == _PATH_CONNECTION:
+        u = 1 - zz
+        gc = gamma_c(c, ctx)
+        coef1 = gc * gamma_c(cab, ctx) * rgamma_c(c - a, ctx) * rgamma_c(c - b, ctx)
+        coef2 = (
+            _principal_power(ctx, u, cab) * gc * gamma_c(-cab, ctx)
+            * rgamma_c(a, ctx) * rgamma_c(b, ctx)
+        )
+        # the inner series run at 1 - z, exactly when z is rational
+        eu = None if ez is None else 1 - ez
+        uu = u if eu is None else ctx.to_mp(eu)
+        parts, errs, n = [], [], 0
+        for coef, pa, pb, pc in ((coef1, a, b, 1 - cab), (coef2, c - a, c - b, 1 + cab)):
+            if coef != 0:
+                inner = _hyp2f1(ctx, pa, pb, pc, uu, eu, None, _SERIES_PATHS)
+                parts.append(coef * inner.value)
+                errs.append(abs(coef) * inner.est_error)
+                n += inner.n_terms
+        zero = mp.mpf(0)
+        value = sum(parts, zero)
+        est = sum(errs, zero) + sum(map(abs, parts), zero) * ctx.eps * 16
+    else:
+        if method == _PATH_DIRECT:
+            pref, pa, pb, arg = 1, a, b, zz
         else:
-            options = []
-            if _max_terms_for(mod_direct, prec, None) is not None:
-                options.append((mod_direct, _PATH_DIRECT))
-            if _max_terms_for(mod_pfaff, prec, None) is not None:
-                pf = _PATH_PFAFF_A if abs(a) <= abs(b) else _PATH_PFAFF_B
-                options.append((mod_pfaff, pf))
-            conn_usable = (
-                _allow_connection
-                and _max_terms_for(mod_conn, prec, None) is not None
-            )
-            if conn_usable and not conn_degenerate:
-                options.append((mod_conn, _PATH_CONNECTION))
-            if not options:
-                if conn_usable and conn_degenerate:
-                    raise DegenerateConnectionError(
-                        "only the 1-z connection would converge, but c-a-b "
-                        f"= {cab} is an integer"
-                    )
-                raise _out_of_budget(mp, zz, "no evaluation map of 2F1 converges")
-            options.sort(key=lambda t: t[0])
-            path = options[0][1]
+            pa, pb = (a, c - b) if method == _PATH_PFAFF_A else (b, c - a)
+            pref, arg = _principal_power(ctx, 1 - zz, -pa), w
+        total, last, n, peak = _series_2f1(mp, pa, pb, c, arg, target_bits, max_terms)
+        est = abs(pref) * _tail_estimate(mp, last, modulus, peak, n, pa, pb, c)
+        value = pref * total
 
-        if path == _PATH_DIRECT:
-            max_terms = _max_terms_for(mod_direct, prec, m_term)
-            if max_terms is None:
-                raise _out_of_budget(mp, zz, "the direct series does not converge")
-            total, last, n, peak = _series_2f1(mp, a, b, c, zz, target_bits, max_terms)
-            est = _tail_estimate(mp, last, mod_direct, peak, n, a, b, c)
-            value = total
-        elif path in (_PATH_PFAFF_A, _PATH_PFAFF_B):
-            if path == _PATH_PFAFF_A:
-                pa, pb, t_inner = a, c - b, t_cb
-            else:
-                pa, pb, t_inner = b, c - a, t_ca
-            pref = _principal_power(ctx, 1 - zz, -pa)
-            max_terms = _max_terms_for(
-                mod_pfaff, prec, None if t_inner is None else -t_inner
-            )
-            if max_terms is None:
-                raise _out_of_budget(
-                    mp, zz, "the pfaff-transformed series does not converge"
-                )
-            total, last, n, peak = _series_2f1(mp, pa, pb, c, w, target_bits, max_terms)
-            est = abs(pref) * _tail_estimate(mp, last, mod_pfaff, peak, n, pa, pb, c)
-            value = pref * total
-        elif path == _PATH_CONNECTION:
-            if conn_degenerate:
-                raise DegenerateConnectionError(
-                    f"c-a-b = {cab} is an integer; the two-term "
-                    "connection formula degenerates"
-                )
-            if _max_terms_for(mod_conn, prec, None) is None:
-                raise _out_of_budget(mp, zz, "the connection series does not converge")
-            u = 1 - zz
-            gc = gamma_c(c, ctx)
-            coef1 = (
-                gc * gamma_c(cab, ctx) * rgamma_c(c - a, ctx) * rgamma_c(c - b, ctx)
-            )
-            coef2 = (
-                _principal_power(ctx, u, cab) * gc * gamma_c(-cab, ctx)
-                * rgamma_c(a, ctx) * rgamma_c(b, ctx)
-            )
-            part1 = part2 = mp.mpf(0)
-            e1 = e2 = mp.mpf(0)
-            n = 0
-            uu = 1 - ez if ez is not None else u
-            if coef1 != 0:
-                inner1 = hyp2f1_num(a, b, 1 - cab, uu, ctx, _allow_connection=False)
-                part1 = coef1 * inner1.value
-                e1 = abs(coef1) * inner1.est_error
-                n += inner1.n_terms
-            if coef2 != 0:
-                inner2 = hyp2f1_num(
-                    c - a, c - b, 1 + cab, uu, ctx, _allow_connection=False
-                )
-                part2 = coef2 * inner2.value
-                e2 = abs(coef2) * inner2.est_error
-                n += inner2.n_terms
-            value = part1 + part2
-            est = e1 + e2 + (abs(part1) + abs(part2)) * ctx.eps * 16
-        else:
-            raise ParameterError(f"unknown evaluation method {method!r}")
-
-        if mp.im(zz) == 0 and mp.re(zz) < 1:
-            value = _demote_real(mp, value)
-        return EvalResult(+value, +est, path, n)
+    if mp.im(zz) == 0 and mp.re(zz) < 1:
+        value = _demote_real(mp, value)
+    return EvalResult(+value, +est, method, n)
 
 
 def _demote_real(mp, value):
@@ -640,9 +618,6 @@ class RootSet:
     multiplicities: tuple
     residual_bound: object
     inclusion_radius: object
-
-    def total_count(self) -> int:
-        return sum(self.multiplicities)
 
 
 def _squarefree_factors(poly: Poly) -> list:

@@ -223,6 +223,16 @@ class TestEvalCommand:
             (line,) = err.splitlines()
             assert line.startswith("error: ") and "budget" in line
 
+    def test_c_pole_at_the_ending_factor(self, capsys):
+        # a = c = -2: the pole (c+2) comes with the factor (a+2) that ends
+        # the sum, which stops there: 1 + z/3 + 2z^2/9
+        code, out, _ = run(
+            capsys, "eval", "--a=-2", "--b=1/3", "--c=-2", "--z", "1/2,1/3"
+        )
+        assert code == 0
+        assert "value = (1.1975308641975308641" in out
+        assert "0.18518518518518518518" in out
+
     def test_degenerate_connection_is_domain_error(self, capsys):
         code, out, err = run(
             capsys, "eval", "--a", "1/2", "--b", "1/2", "--c", "1",

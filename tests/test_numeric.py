@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -271,15 +272,35 @@ class TestHyp2F1:
         assert hyp2f1_num(a, b, c, 0, CTX).n_terms == 0
         assert hyp2f1_num(-4, b, c, Fraction(1, 2), CTX).n_terms == 4
         assert hyp2f1_num(a, b, c, Fraction(1, 2), CTX).n_terms > 100
-        # the connection path reports both inner sums
+        # the connection path reports both inner sums; at 1 - z = 1/10 the
+        # selector never takes the connection map, so a public call takes
+        # the path the connection takes for each
         z = Fraction(9, 10)
         conn = hyp2f1_num(a, b, c, z, CTX, method="connection-1mz")
         cab = c - a - b
         inner = [
-            hyp2f1_num(a, b, 1 - cab, 1 - z, CTX, _allow_connection=False),
-            hyp2f1_num(c - a, c - b, 1 + cab, 1 - z, CTX, _allow_connection=False),
+            hyp2f1_num(a, b, 1 - cab, 1 - z, CTX),
+            hyp2f1_num(c - a, c - b, 1 + cab, 1 - z, CTX),
         ]
+        assert "connection-1mz" not in (r.path for r in inner)
         assert conn.n_terms == sum(r.n_terms for r in inner) > 0
+
+    def test_c_pole_at_the_ending_factor(self):
+        # a = c = -2: the pole (c+2) comes with the factor (a+2) that ends
+        # the sum, which stops there rather than divide 0 by 0
+        mp = CTX.mp
+        for z in (0.5, mp.mpc(0.5, mp.mpf(1) / 3)):
+            r = hyp2f1_num(-2, Fraction(1, 3), -2, z, CTX)
+            want = 1 + CTX.to_mp(z) / 3 + 2 * CTX.to_mp(z) ** 2 / 9
+            assert abs(r.value - want) <= tol(185)
+        for z in (0.5, mp.mpc(0.5, 0.25)):
+            assert hyp2f1_num(-3, 0, 0, z, CTX, method="direct-series").value == 1
+
+    def test_unknown_method_rejected(self):
+        # before any shortcut: z = 0 returns 1 and z = 2 lies on the cut
+        for z in (0, 2):
+            with pytest.raises(ParameterError, match="unknown evaluation method"):
+                hyp2f1_num(1, 1, 2, z, CTX, method="bogus")
 
     def test_degenerate_connection_raises(self):
         # z close to 1 so only the connection converges, c - a - b integer
@@ -350,6 +371,60 @@ class TestHyp2F1:
                     mpmath.mpf(z.numerator) / z.denominator,
                 )
                 assert abs(mpmath.mpf(r.value) - ref) <= mpmath.mpf(r.est_error) * 64
+
+
+def _selector_draws(mp, seed, count):
+    """(a, b, c, z, method) draws that reach every branch of the path
+    choice: terminating sums at rational and float z, sums that terminate
+    under Pfaff, |z| <= 0.7, the minimum-modulus choice, the degenerate
+    connection, the out-of-budget error near e^(+-i pi/3) and the cut; 40%
+    force a method.  c is never a nonpositive integer."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, b, c = (Fraction(rng.randint(-10, 10), rng.randint(1, 6)) for _ in range(3))
+        kind = rng.random()
+        if kind < 0.1:
+            a = Fraction(-rng.randint(0, 4))
+        elif kind < 0.2:
+            b = c + rng.randint(0, 3)
+        elif kind < 0.3:
+            a = c + rng.randint(0, 3)
+        elif kind < 0.4:
+            b = c - a - rng.randint(-2, 2)
+        if c.denominator == 1 and c <= 0:
+            continue
+        r = rng.random()
+        if r < 0.15:
+            z = Fraction(rng.randint(-7, 7), rng.randint(1, 10))
+        elif r < 0.3:
+            z = rng.choice((Fraction(9, 10), Fraction(99, 100), Fraction(999, 1000),
+                            Fraction(-9, 2), Fraction(7, 3), 0, 2.5))
+        elif r < 0.45:
+            z = mp.mpf(rng.uniform(-3, 0.95))
+        elif r < 0.55:
+            z = mp.expjpi(mp.mpf(rng.choice((1, -1))) / 3) * rng.choice((1, mp.mpf(0.9)))
+        else:
+            z = mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        method = rng.choice(numeric.KNOWN_PATHS) if rng.random() < 0.4 else None
+        out.append((a, b, c, z, method))
+    return out
+
+
+def test_selector_pin():
+    # path, n_terms, value and est_error (or the exception type) of 300
+    # draws across every branch of the path choice, pinned by hash
+    ctx = EvalContext(96)
+    outcomes = []
+    for a, b, c, z, method in _selector_draws(ctx.mp, 2024, 300):
+        try:
+            r = hyp2f1_num(a, b, c, z, ctx, method=method)
+        except (ValueError, NonConvergenceError) as exc:
+            outcomes.append(type(exc).__name__)
+        else:
+            outcomes.append(f"{r.path} {r.n_terms} {r.value!r} {r.est_error!r}")
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
+    assert digest == "bc9a3def88fb9f23"
 
 
 def _near_lattice_or_small(rng):
@@ -502,7 +577,7 @@ class TestFindRoots:
         for coeffs in [(6, -5, 1), (-1, 0, 0, 1), (2, 0, -3, 0, 1)]:
             p = Poly(coeffs)
             rs = find_roots(p, 192)
-            assert rs.total_count() == p.degree
+            assert sum(rs.multiplicities) == p.degree
 
     def test_residual_bound_holds(self):
         p = Poly((-6, 11, -6, 1))  # roots 1, 2, 3
@@ -576,7 +651,7 @@ class TestFindRootsOracle:
         prec = self.PRECISION
         for p in self._draws():
             rs = find_roots(p, prec)
-            assert rs.total_count() == p.degree
+            assert sum(rs.multiplicities) == p.degree
             ref = _reference_roots(p, 2 * prec)
             assert len(ref) == len(rs.roots)
             with mpmath.workprec(2 * prec):
