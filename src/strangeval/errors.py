@@ -31,8 +31,4 @@ class GammaPoleError(ValueError):
 
 
 class NonConvergenceError(ArithmeticError):
-    """An iteration hit its cap; ``best`` carries the final iterate."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """An iteration hit its cap."""

@@ -10,7 +10,11 @@ and never leaks through global state.  Conventions that matter:
 * the 2F1 evaluation maps (direct series, the two Pfaff maps, the 1-z
   connection) are described once per call, in a table of effective
   argument modulus, term count when the map's series terminates, and term
-  budget; the path choice and the evaluation both read it;
+  budget; the path choice and the evaluation both read it.  The table
+  holds only the maps defined at the input: the Pfaff maps and the
+  connection need z != 1 and c not a nonpositive integer, and a forced
+  method outside the table raises ``ParameterError``.  A terminating sum
+  is the table's direct map, with its tail estimate as the error;
 * every fractional power takes the principal branch (log with imaginary
   part in (-pi, pi]); arguments on [1, oo) are rejected, not guessed;
 * a sum that terminates at a rational argument is evaluated exactly, by
@@ -342,8 +346,6 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
                     break
             else:
                 small = 0
-        else:
-            raise _no_convergence(mp, sr, 0, wp, max_terms)
     else:
         peak2 = peak * peak
         limit = peak2 >> 2 * target_bits
@@ -370,19 +372,14 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
                     break
             else:
                 small = 0
-        else:
-            raise _no_convergence(mp, sr, si, wp, max_terms)
         peak = math.isqrt(peak2)
+    if small < 3 and (tr or ti):  # no break: the budget ran out
+        raise NonConvergenceError(
+            f"2F1 series did not converge within {max_terms} terms"
+        )
     total = mp.mpc(mp.mpf((sr, -wp)), mp.mpf((si, -wp)))
     last = mp.hypot(mp.mpf((tr, -wp)), mp.mpf((ti, -wp)))
     return total, last, n + 3 - small, mp.mpf((peak, -wp))
-
-
-def _no_convergence(mp, sr, si, wp, max_terms):
-    best = mp.mpc(mp.mpf((sr, -wp)), mp.mpf((si, -wp)))
-    return NonConvergenceError(
-        f"2F1 series did not converge within {max_terms} terms", best=best
-    )
 
 
 def _max_terms_for(modulus, prec: int, terminating: int | None):
@@ -415,12 +412,18 @@ def hyp2f1_num(
     series, |z/(z-1)| on the two Pfaff maps, and min(|1-z|, |1-1/z|) on the
     1-z connection formula, whose two inner series take the best of the
     other maps; that covers Re z > 1/2, where neither |z| nor |z/(z-1)|
-    falls below 1.  A Pfaff map whose series terminates is taken first,
-    then the direct series while |z| <= 0.7, else the map of least modulus.
-    A sum that terminates directly is finite whatever |z|, and exact at a
-    rational z.  ``method``, one of ``KNOWN_PATHS``, forces a path, mainly
-    for cross-path agreement tests.  ``NonConvergenceError`` is raised when
-    no path, or the forced one, converges within the term budget.
+    falls below 1.  A map whose series terminates is taken first (the
+    direct series before the Pfaff maps), then the direct series while
+    |z| <= 0.7, else the map of least modulus.  A sum that terminates
+    directly is finite whatever |z|, and exact at a rational z; otherwise
+    its error estimate is the direct map's, as for a forced direct-series.
+    ``method``, one of ``KNOWN_PATHS``, forces a path, mainly for
+    cross-path agreement tests; it must be a map defined at the input (the
+    Pfaff maps and the connection need z != 1 and c not a nonpositive
+    integer), else ``ParameterError`` is raised.  ``NonConvergenceError``
+    is raised when no path, or the forced one, converges within the term
+    budget.  A value whose imaginary part is exactly 0 is returned as an
+    mpf.
     """
     ctx = ctx or EvalContext()
     a, b, c = (_rational_param(x, f"2F1 parameter {n}") for x, n in zip((a, b, c), "abc"))
@@ -449,17 +452,13 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
             "and the series does not terminate before the pole"
         )
 
-    if m_term is not None and method is None:
-        if ez is not None:
-            # the parameter that ends the sum first goes in the b slot,
-            # so the c-pole check sees only the terms that are summed
-            other = b if _vanishes_at(a) == m_term else a
-            exact = terminating_poly(HypParams(other, -m_term, c))(ez)
-            val = ctx.to_mp(exact)
-            return EvalResult(+val, abs(val) * ctx.eps * 4, _PATH_DIRECT, m_term)
-        total, last, n, peak = _series_2f1(mp, a, b, c, zz, target_bits, m_term + 8)
-        value = _demote_real(mp, total)
-        return EvalResult(+value, peak * ctx.eps * (n + 4), _PATH_DIRECT, n)
+    if m_term is not None and method is None and ez is not None:
+        # the parameter that ends the sum first goes in the b slot, so the
+        # c-pole check sees only the terms that are summed
+        other = b if _vanishes_at(a) == m_term else a
+        exact = terminating_poly(HypParams(other, -m_term, c))(ez)
+        val = ctx.to_mp(exact)
+        return EvalResult(+val, abs(val) * ctx.eps * 4, _PATH_DIRECT, m_term)
 
     if zz == 0:
         return EvalResult(mp.mpf(1), ctx.eps, _PATH_DIRECT, 0)
@@ -471,21 +470,28 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
     if on_cut and m_term is None:
         raise BranchCutError(f"z = {mp.nstr(zz, 15)} lies on the branch cut [1, oo)")
 
-    w = zz / (zz - 1)
     cab = c - a - b
     # path -> (effective argument modulus, term count when the map's series
-    # terminates, term budget); a Pfaff series terminates when c-b or c-a
-    # is a nonpositive integer, and the connection's inner series fall back
-    # to their own Pfaff map, whose argument is (1-z)/(-z) = 1 - 1/z
-    maps = {}
-    for path, modulus, terms in (
-        (_PATH_DIRECT, abs(zz), m_term),
-        (_PATH_PFAFF_A, abs(w), _vanishes_at(c - b)),
-        (_PATH_PFAFF_B, abs(w), _vanishes_at(c - a)),
-        (_PATH_CONNECTION, min(abs(1 - zz), abs(1 - 1 / zz)), None),
-    ):
-        if path in paths:
-            maps[path] = (modulus, terms, _max_terms_for(modulus, prec, terms))
+    # terminates, term budget), for the maps defined at the input: the
+    # Pfaff maps (DLMF 15.8.1) move c-b or c-a with c, so they and the
+    # connection formula (15.8.4) need z != 1 and c not a nonpositive
+    # integer.  A Pfaff series terminates when c-b or c-a is a nonpositive
+    # integer; the connection's inner series fall back to their own Pfaff
+    # map, of argument (1-z)/(-z) = 1 - 1/z
+    defined = [(_PATH_DIRECT, abs(zz), m_term)]
+    if zz != 1 and c_pole is None:
+        w = zz / (zz - 1)
+        mw = abs(w)
+        defined += [
+            (_PATH_PFAFF_A, mw, _vanishes_at(c - b)),
+            (_PATH_PFAFF_B, mw, _vanishes_at(c - a)),
+        ]
+        if _PATH_CONNECTION in paths:
+            defined.append((_PATH_CONNECTION, min(abs(1 - zz), abs(1 - 1 / zz)), None))
+    maps = {
+        path: (modulus, terms, _max_terms_for(modulus, prec, terms))
+        for path, modulus, terms in defined
+    }
 
     if method is None:
         ending = [p for p, (_, terms, _) in maps.items() if terms is not None]
@@ -505,6 +511,11 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
                     maps[p][0],
                 ),
             )
+    elif method not in maps:
+        raise ParameterError(
+            f"the {method} map of 2F1 is not defined at c = {c}, "
+            f"z = {mp.nstr(zz, 15)}; it needs z != 1 and c not a nonpositive integer"
+        )
 
     modulus, _, max_terms = maps[method]
     if method == _PATH_CONNECTION and cab.denominator == 1:
@@ -548,15 +559,9 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
         est = abs(pref) * _tail_estimate(mp, last, modulus, peak, n, pa, pb, c)
         value = pref * total
 
-    if mp.im(zz) == 0 and mp.re(zz) < 1:
-        value = _demote_real(mp, value)
-    return EvalResult(+value, +est, method, n)
-
-
-def _demote_real(mp, value):
     if mp.im(value) == 0:
-        return mp.re(value)
-    return value
+        value = mp.re(value)
+    return EvalResult(+value, +est, method, n)
 
 
 def _principal_power(ctx: EvalContext, base, expo: Fraction):
@@ -575,11 +580,14 @@ def _tail_estimate(mp, last, modulus, peak, n_terms, a, b, c):
     monotonically to 1 -- from above when a+b-c-1 > 0 -- so
     rho = modulus * max(1, that factor at k = n) bounds the ratios and the
     tail is at most |t_n| rho / (1 - rho).  |w| alone would understate
-    the tail whenever a+b > c+1, where that factor exceeds 1."""
+    the tail whenever a+b > c+1, where that factor exceeds 1.  A
+    nonpositive-integer c gives c+n = 0 only together with the upper
+    factor that ends the sum at t_n, so that divisor is taken as 1, as in
+    ``_series_2f1``."""
     geom = last
     if last:  # else a terminating series ended in an exact zero term
         n = n_terms
-        r = abs((a + n) * (b + n) / ((c + n) * (n + 1)))
+        r = abs((a + n) * (b + n) / ((c + n) * (n + 1) or 1))
         rho = modulus * max(1, mp.mpf(r.numerator) / r.denominator)
         if rho < 1:
             geom = last * rho / (1 - rho)
@@ -711,8 +719,7 @@ def _factor_roots(nums, target: int) -> list:
             if discs is not None:
                 return discs
     raise NonConvergenceError(
-        f"roots of {Poly.from_numerators(nums, 1)} not certified at {bits} bits",
-        best=tuple(complex(xr / 2**w, xi / 2**w) for xr, xi, w in approx),
+        f"roots of {Poly.from_numerators(nums, 1)} not certified at {bits} bits"
     )
 
 

@@ -303,25 +303,18 @@ def _check_both_identities(a, c, ell, q0: Poly, lam, ctx: EvalContext):
         rhs1 = neg_1mc * q0val / (fact * mp.power(one_minus, ell))
         power = mp.power(one_minus, ctx.to_mp(a + 1 - c))
         rhs2 = neg_1mc / fact * power * q0val
-        checks = [
+        identities = ((CHECK_SHIFTED, res1, rhs1), (CHECK_REFLECTED, res2, rhs2))
+        return [
             IdentityCheck(
-                name=CHECK_SHIFTED,
-                lhs=res1.value,
-                rhs=rhs1,
-                residual=+(abs(res1.value - rhs1) / (1 + abs(rhs1))),
-                path=res1.path,
-                est_error=res1.est_error,
-            ),
-            IdentityCheck(
-                name=CHECK_REFLECTED,
-                lhs=res2.value,
-                rhs=rhs2,
-                residual=+(abs(res2.value - rhs2) / (1 + abs(rhs2))),
-                path=res2.path,
-                est_error=res2.est_error,
-            ),
+                name=name,
+                lhs=res.value,
+                rhs=rhs,
+                residual=+(abs(res.value - rhs) / (1 + abs(rhs))),
+                path=res.path,
+                est_error=res.est_error,
+            )
+            for name, res, rhs in identities
         ]
-    return checks
 
 
 # ---------------------------------------------------------------------------

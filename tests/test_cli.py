@@ -233,6 +233,29 @@ class TestEvalCommand:
         assert "value = (1.1975308641975308641" in out
         assert "0.18518518518518518518" in out
 
+    def test_forced_map_undefined_at_the_input_is_usage_error(self, capsys):
+        # a Pfaff map at a nonpositive-integer c, and any map but the direct
+        # sum at z = 1, is refused rather than evaluated
+        for params in (
+            ("--a=1/2", "--b=-1", "--c=-2", "--z", "3/10", "--method", "pfaff-a"),
+            ("--a=1/2", "--b=-1", "--c=-2", "--z", "3/10", "--method", "pfaff-b"),
+            ("--a=-2", "--b=1/3", "--c=2", "--z", "1", "--method", "pfaff-a"),
+            ("--a=-2", "--b=1/3", "--c=2", "--z", "1", "--method", "connection-1mz"),
+        ):
+            code, out, err = run(capsys, "eval", *params)
+            assert code == 2 and out == ""
+            (line,) = err.splitlines()
+            assert line.startswith("error: ") and "not defined" in line
+
+    def test_forced_direct_sum_at_z_one(self, capsys):
+        # Chu-Vandermonde: F(-2, 1/3; 2; 1) = 20/27
+        code, out, _ = run(
+            capsys, "eval", "--a=-2", "--b=1/3", "--c=2", "--z", "1",
+            "--method", "direct-series",
+        )
+        assert code == 0
+        assert "value = 0.74074074074074074074" in out
+
     def test_degenerate_connection_is_domain_error(self, capsys):
         code, out, err = run(
             capsys, "eval", "--a", "1/2", "--b", "1/2", "--c", "1",

@@ -295,12 +295,57 @@ class TestHyp2F1:
             assert abs(r.value - want) <= tol(185)
         for z in (0.5, mp.mpc(0.5, 0.25)):
             assert hyp2f1_num(-3, 0, 0, z, CTX, method="direct-series").value == 1
+        # at z = 2^-28 the sum stops by its small-term rule at t_10, where
+        # c + 10 = 0 meets a + 10 = 0 in the tail estimate's term ratio;
+        # with a = c the sum is that of (1/2)_k z^k / k!, k <= 10
+        z = mp.mpf(2) ** -28
+        with mp.workprec(400):
+            half = mp.mpf(1) / 2
+            want = sum(mp.rf(half, k) * z**k / mp.factorial(k) for k in range(11))
+        for method in (None, "direct-series"):
+            r = hyp2f1_num(-10, Fraction(1, 2), -10, z, CTX, method=method)
+            assert r.n_terms == 10
+            with mp.workprec(400):
+                assert abs(r.value - want) <= r.est_error <= tol(185)
 
     def test_unknown_method_rejected(self):
         # before any shortcut: z = 0 returns 1 and z = 2 lies on the cut
         for z in (0, 2):
             with pytest.raises(ParameterError, match="unknown evaluation method"):
                 hyp2f1_num(1, 1, 2, z, CTX, method="bogus")
+
+    def test_forced_map_undefined_at_the_input_refused(self):
+        # the Pfaff maps move c-b or c-a with c, so at a nonpositive-integer
+        # c they would cut the sum at the wrong term (the sum here is 1.075)
+        for method in ("pfaff-a", "pfaff-b"):
+            with pytest.raises(ParameterError, match="not defined"):
+                hyp2f1_num(Fraction(1, 2), -1, -2, Fraction(3, 10), CTX, method=method)
+        # neither they nor the connection formula are defined at z = 1
+        for z in (1, CTX.mp.mpf(1), CTX.mp.mpc(1, 0)):
+            for method in ("pfaff-a", "pfaff-b", "connection-1mz"):
+                with pytest.raises(ParameterError, match="not defined"):
+                    hyp2f1_num(-2, Fraction(1, 3), 2, z, CTX, method=method)
+
+    def test_forced_direct_sum_at_z_one(self):
+        # Chu-Vandermonde: F(-2, 1/3; 2; 1) = (5/3)_2 / (2)_2 = 20/27
+        for z in (1, CTX.mp.mpf(1)):
+            r = hyp2f1_num(-2, Fraction(1, 3), 2, z, CTX, method="direct-series")
+            assert r.path == "direct-series"
+            with CTX.mp.workprec(400):
+                assert abs(r.value - CTX.mp.mpf(20) / 27) <= r.est_error <= tol(185)
+
+    def test_terminating_sum_is_the_tables_direct_map(self):
+        # the automatic path picks the direct map because its series ends,
+        # and returns what a forced direct-series returns, field for field
+        rng = random.Random("terminating-table")
+        for _ in range(40):
+            a, b, c, z, _ = _terminating_draw(rng)
+            auto = hyp2f1_num(a, b, c, z, CTX)
+            forced = hyp2f1_num(a, b, c, z, CTX, method="direct-series")
+            assert auto.path == "direct-series"
+            assert (auto.n_terms, repr(auto.value), repr(auto.est_error)) == (
+                forced.n_terms, repr(forced.value), repr(forced.est_error)
+            ), (a, b, c, z)
 
     def test_degenerate_connection_raises(self):
         # z close to 1 so only the connection converges, c - a - b integer
@@ -424,7 +469,7 @@ def test_selector_pin():
         else:
             outcomes.append(f"{r.path} {r.n_terms} {r.value!r} {r.est_error!r}")
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
-    assert digest == "bc9a3def88fb9f23"
+    assert digest == "6d83aed628559d6b"
 
 
 def _near_lattice_or_small(rng):
@@ -434,6 +479,28 @@ def _near_lattice_or_small(rng):
         k = rng.randint(0, 6)
         return -k + Fraction(rng.choice((1, -1)), rng.randint(20, 60))
     return Fraction(rng.randint(-15, 15), rng.randint(1, 9))
+
+
+def _terminating_draw(rng):
+    """(a, b, c, z, m): a or b is a nonpositive integer down to -12 and the
+    sum ends at z^m, m <= 12; z is an mpf or mpc with |z| <= 3, never
+    rational, and a nonpositive-integer c comes no earlier than m."""
+    mp = CTX.mp
+    while True:
+        a, b, c = (_near_lattice_or_small(rng) for _ in range(3))
+        if rng.random() < 0.5:
+            a = Fraction(-rng.randint(0, 12))
+        else:
+            b = Fraction(-rng.randint(0, 12))
+        m = min(-x for x in (a, b) if x.denominator == 1 and x <= 0)
+        if c.denominator == 1 and c <= 0 and -c < m:
+            continue
+        if rng.random() < 0.3:
+            z = mp.mpf(rng.uniform(-3, 3))
+        else:
+            z = mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        if abs(z) <= 3:
+            return a, b, c, z, int(m)
 
 
 def _path_modulus(path, z):
@@ -458,13 +525,29 @@ def test_connection_near_gamma_pole():
 
 
 class TestOracle:
-    """est_error against a 320-bit mpmath.hyp2f1 on every forced path."""
+    """est_error against a 320-bit mpmath.hyp2f1 on every forced path, and
+    against the finite sum at 400 bits for the automatic path of a
+    terminating series."""
 
     @pytest.mark.parametrize(
-        "path", ["direct-series", "pfaff-a", "pfaff-b", "connection-1mz"]
+        "path", ["direct-series", "pfaff-a", "pfaff-b", "connection-1mz", "terminating"]
     )
     def test_est_error_bounds_true_error(self, path):
         rng = random.Random(f"oracle-{path}")
+        if path == "terminating":
+            for _ in range(12):
+                a, b, c, z, m = _terminating_draw(rng)
+                r = hyp2f1_num(a, b, c, z, CTX)
+                with mpmath.workprec(400):
+                    zz = mpmath.mpmathify(z)
+                    ref = term = mpmath.mpf(1)
+                    for k in range(m):
+                        q = (a + k) * (b + k) / ((c + k) * (k + 1))
+                        term *= zz * q.numerator / q.denominator
+                        ref += term
+                    err = abs(mpmath.mpmathify(r.value) - ref)
+                    assert err <= mpmath.mpmathify(r.est_error), (a, b, c, z)
+            return
         count = 0
         while count < 12:
             a, b, c = (_near_lattice_or_small(rng) for _ in range(3))
