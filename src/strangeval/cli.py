@@ -37,7 +37,7 @@ from .errors import (
     ParameterError,
 )
 from .hyp import HypParams, terminating_poly
-from .numeric import KNOWN_PATHS, EvalContext, find_roots, hyp2f1_num
+from .numeric import KNOWN_PATHS, EvalContext, check_precision, find_roots, hyp2f1_num
 from .operators import (
     build_H,
     build_L,
@@ -368,12 +368,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_roots(args) -> int:
+    # a constant polynomial reaches no find_roots call, so its rule is here
+    check_precision(args.precision)
     if args.coeffs is not None:
         try:
             coeffs = [parse_rational(t) for t in args.coeffs.split(",")]
         except ValueError as exc:
             raise ParameterError(str(exc)) from exc
         poly = Poly(coeffs)
+        if poly.is_zero():
+            raise ParameterError("every x is a root of the zero polynomial")
         source = f"coefficients {args.coeffs}"
     else:
         if args.a is None or args.c is None or args.ell is None:
@@ -387,7 +391,7 @@ def _cmd_roots(args) -> int:
     lines = [f"polynomial: {poly}   [{source}]"]
     payload_roots = []
     radius = None
-    if poly.degree is None or poly.degree == 0:
+    if poly.degree == 0:
         lines.append("no roots (constant polynomial)")
         verdict = "no-roots"
     else:

@@ -35,6 +35,15 @@ and never leaks through global state.  Conventions that matter:
   within 3 units of 2^-W per term, so 32 - log2(3 terms / 2) bits below
   the delivered precision + 64.  The exp/log of t^(z-1/2) e^-t run at W
   plus the bits of |(z-1/2) log t| + t, worked out from p and q;
+* inside ``EvalContext.sharing()``, a scope that ``verify_theorem`` opens
+  around its root loop and nothing else opens, the series kernel keeps
+  each sum under its exact inputs (the unordered pair {a, b}, since the
+  kernel is symmetric in a and b bit for bit; c; the argument's exact
+  mpf/mpc value; the working precision, the target bits and the term
+  budget), and ``gamma_c`` each value under its exact rational argument.
+  A repeat returns the value already computed from the same inputs, so
+  every result is the same with or without the scope; outside it nothing
+  is kept;
 * error estimates bound the tail by the last term and the term ratio at
   the stopping index, add a roundoff allowance and path-specific
   amplification; they hold against an independent 320-bit reference on
@@ -52,6 +61,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -84,17 +94,48 @@ def _mp_context(precision: int) -> MPContext:
     return ctx
 
 
+def check_precision(precision) -> None:
+    """The precision rule of every entry point: an integer of at least 24
+    bits, else ``ParameterError``."""
+    if not isinstance(precision, int) or precision < 24:
+        raise ParameterError(f"precision must be an integer >= 24 bits: {precision}")
+
+
 class EvalContext:
     """An mpmath context at a fixed mantissa precision, apart from the
     global one.  Every EvalContext of one precision shares one MPContext,
     since building one costs ~0.6 ms and every mpf keeps its context
-    alive; so its precision is changed only inside ``workprec``."""
+    alive; so its precision is changed only inside ``workprec``.
+
+    Inside ``sharing()`` the series kernel and ``gamma_c`` keep what they
+    compute on this context and return it again for the same exact inputs;
+    outside it nothing is kept."""
 
     def __init__(self, precision: int = 192):
-        if not isinstance(precision, int) or precision < 24:
-            raise ParameterError(f"precision must be an integer >= 24 bits: {precision}")
+        check_precision(precision)
         self.precision = precision
         self.mp = _mp_context(precision)
+        self._shared = None
+
+    @contextmanager
+    def sharing(self):
+        """Share the series kernel's sums and the gamma values among the
+        calls made inside the block; every result is a function of the
+        exact inputs it is keyed by, so a repeat returns the same value."""
+        self._shared = {}
+        try:
+            yield
+        finally:
+            self._shared = None
+
+    def _recall(self, key, compute):
+        """compute(), or inside ``sharing()`` the value kept for ``key``."""
+        shared = self._shared
+        if shared is None:
+            return compute()
+        if key not in shared:
+            shared[key] = compute()
+        return shared[key]
 
     @property
     def eps(self):
@@ -230,11 +271,17 @@ def gamma_c(z, ctx: EvalContext | None = None):
     z is a pole exactly when it is a nonpositive integer.  The series is
     summed in fixed point (``_spouge_rational``) and the sine of the
     reflection formula is taken at the exact distance to the nearest
-    integer, so arguments however close to a pole keep their accuracy."""
+    integer, so arguments however close to a pole keep their accuracy.
+    Inside ``ctx.sharing()`` a value is computed once per argument."""
     z = _rational_param(z, "gamma argument")
     if z.denominator == 1 and z <= 0:
         raise GammaPoleError(f"gamma pole at {z}")
     ctx = ctx or EvalContext()
+    return ctx._recall(("gamma", z), lambda: _gamma_rational(z, ctx))
+
+
+def _gamma_rational(z: Fraction, ctx: EvalContext):
+    """``gamma_c`` at a rational z that is not a pole."""
     mp = ctx.mp
     table = _spouge_table(ctx)
     if z >= Fraction(1, 2):
@@ -297,8 +344,10 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
     Returns (total, last_term_abs, n_terms, peak_abs) as mp values, where
     peak is the largest |partial sum| seen (at least 1, since t_0 = 1).  It
     stops after three consecutive terms with |t| * 2^target_bits <= peak,
-    tested exactly on integers, so an incidental zero term cannot end the
-    sum early and a cancelling sum (|total| far below peak) cannot stall.
+    tested exactly on integers (so a cancelling sum, |total| far below
+    peak, cannot stall), or at an exactly zero term, after which every
+    term is zero.  n_terms is the index of the last term summed: of the last
+    nonzero term when the sum stops at a zero one, as for the exact sum.
 
     Error model: each step floors once per component (the floor division
     by the small integer and the shift by wp compose to a single floor),
@@ -322,11 +371,11 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
     tr = sr = peak = 1 << wp
     ti = si = 0
     small = n = 0
-    # an exactly zero term ends a terminating series; the zero terms that
-    # would follow count as small, so the loop stops and adds them to n.
-    # A nonpositive-integer c is reached at most together with the upper
-    # factor that ends the sum (hyp2f1_num checks this); that term is 0
-    # whatever it is divided by, so a zero divisor is taken as 1.
+    # an exactly zero term ends a terminating series, whose last term is
+    # then the one before it.  A nonpositive-integer c is reached at most
+    # together with the upper factor that ends the sum (hyp2f1_num checks
+    # this); that term is 0 whatever it is divided by, so a zero divisor
+    # is taken as 1.
     if zi == 0:
         limit = peak >> target_bits
         while n < max_terms:
@@ -379,7 +428,7 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
         )
     total = mp.mpc(mp.mpf((sr, -wp)), mp.mpf((si, -wp)))
     last = mp.hypot(mp.mpf((tr, -wp)), mp.mpf((ti, -wp)))
-    return total, last, n + 3 - small, mp.mpf((peak, -wp))
+    return total, last, n if tr or ti else n - 1, mp.mpf((peak, -wp))
 
 
 def _max_terms_for(modulus, prec: int, terminating: int | None):
@@ -555,7 +604,12 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
         else:
             pa, pb = (a, c - b) if method == _PATH_PFAFF_A else (b, c - a)
             pref, arg = _principal_power(ctx, 1 - zz, -pa), w
-        total, last, n, peak = _series_2f1(mp, pa, pb, c, arg, target_bits, max_terms)
+        # the kernel is symmetric in pa and pb, bit for bit
+        exact_arg = getattr(arg, "_mpc_", None) or arg._mpf_
+        key = ("series", *sorted((pa, pb)), c, exact_arg, mp.prec, target_bits, max_terms)
+        total, last, n, peak = ctx._recall(
+            key, lambda: _series_2f1(mp, pa, pb, c, arg, target_bits, max_terms)
+        )
         est = abs(pref) * _tail_estimate(mp, last, modulus, peak, n, pa, pb, c)
         value = pref * total
 
@@ -658,6 +712,7 @@ def find_roots(poly: Poly, precision: int = 192) -> RootSet:
     from exact arithmetic that the inclusion discs are disjoint.
     ``NonConvergenceError`` is raised only when a factor cannot be
     certified after every fixed-point escalation."""
+    check_precision(precision)
     if poly.degree is None or poly.degree < 1:
         raise ParameterError("root finding needs a polynomial of degree >= 1")
     target = precision + GUARD_BITS

@@ -15,6 +15,20 @@ Roots on [1, oo) are skipped (no branch convention is defined there), as
 are roots whose only convergent evaluation route degenerates and roots at
 which no evaluation route converges within the term budget.
 
+The two identities are Euler transforms of each other (DLMF 15.8.1):
+F(c-a, c-1-ell, c; lam) = (1-lam)^(a+1+ell-c) F(a, 1+ell, c; lam).  So
+where the 1-z connection formula (DLMF 15.8.4) evaluates them, both sum
+the same two inner series at 1-lam, F(a, 1+ell; a+ell+2-c) and
+F(c-a, c-1-ell; c-a-ell), and take the same seven gamma values, at c,
++-(c-a-1-ell), a, c-a, 1+ell and c-1-ell, which depend only on (a, c, ell);
+and the Pfaff map that keeps b in one identity sums the series of the
+map that keeps a in the other.  ``verify_theorem`` therefore checks its
+roots inside one ``EvalContext.sharing()`` scope, which computes each such
+sum and gamma value once per call.  A shared result is looked up by its
+exact inputs, so it is the value the second computation would give; both
+identities are still evaluated and compared with their own right-hand
+sides, and nothing is kept past the call.
+
 ``gosper_check`` verifies F(1-a, b, b+2; b/(a+b)) = (b+1) (a/(a+b))^a,
 exactly when the left side terminates.  ``incomplete_beta_check`` verifies
 the integral representation of F(a, 1, c; x) by termwise integration, and
@@ -38,7 +52,7 @@ from .errors import (
     ParameterError,
 )
 from .hyp import HypParams, q0_by_reversal, q0_r0_by_series, terminating_poly
-from .numeric import EvalContext, RootSet, find_roots, hyp2f1_num
+from .numeric import EvalContext, RootSet, check_precision, find_roots, hyp2f1_num
 # right_reduce is not called here; the name stays bound in this module
 # because bench/selftest.py checks that its tracer rebinds it at this import.
 from .operators import (  # noqa: F401
@@ -192,7 +206,10 @@ def _check_tolerance(precision: int, tolerance) -> None:
     """A tolerance below one ulp of the working precision, or a NaN, which
     no residual compares below, can only report FAIL; an infinite one,
     which every residual compares below, can only report PASS.  Each is a
-    misconfiguration, not a mathematical result."""
+    misconfiguration, not a mathematical result.  The precision rule of
+    ``check_precision`` comes first, so a precision below it is not blamed
+    on the tolerance."""
+    check_precision(precision)
     if not math.isfinite(tolerance):
         raise ParameterError(
             f"tolerance {tolerance!r} is not finite, so it bounds no residual"
@@ -271,17 +288,20 @@ def verify_theorem(
     roots = find_roots(tpoly, precision)
     ctx = EvalContext(precision)
     records = []
-    for lam, mult in zip(roots.roots, roots.multiplicities):
-        rec = RootRecord(lam=lam, multiplicity=mult)
-        records.append(rec)
-        try:
-            rec.checks = _check_both_identities(a, c, ell, q0, lam, ctx)
-        except BranchCutError:
-            rec.skipped, rec.skip_reason = True, SKIP_BRANCH_CUT
-        except DegenerateConnectionError:
-            rec.skipped, rec.skip_reason = True, SKIP_DEGENERATE_CONNECTION
-        except NonConvergenceError:
-            rec.skipped, rec.skip_reason = True, SKIP_EVAL_FAILED
+    # the identities share their connection series and gamma values
+    # (module docstring), so the roots are checked in one sharing scope
+    with ctx.sharing():
+        for lam, mult in zip(roots.roots, roots.multiplicities):
+            rec = RootRecord(lam=lam, multiplicity=mult)
+            records.append(rec)
+            try:
+                rec.checks = _check_both_identities(a, c, ell, q0, lam, ctx)
+            except BranchCutError:
+                rec.skipped, rec.skip_reason = True, SKIP_BRANCH_CUT
+            except DegenerateConnectionError:
+                rec.skipped, rec.skip_reason = True, SKIP_DEGENERATE_CONNECTION
+            except NonConvergenceError:
+                rec.skipped, rec.skip_reason = True, SKIP_EVAL_FAILED
 
     failed = any(r.passed(tolerance) is False for r in records)
     return VerifyReport(

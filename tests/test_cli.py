@@ -303,6 +303,36 @@ class TestRootsCommand:
             assert out == ""
             assert err == f"error: not a rational number: {bad}\n"
 
+    def test_zero_polynomial_is_usage_error(self, capsys):
+        # every x is a root of 0, so "no roots" would be false
+        for coeffs in ("0", "0,0", "0/3,0"):
+            code, out, err = run(capsys, "roots", "--coeffs", coeffs)
+            assert code == 2
+            assert out == ""
+            assert err == "error: every x is a root of the zero polynomial\n"
+        # a nonzero constant has no roots
+        code, out, _ = run(capsys, "roots", "--coeffs", "3")
+        assert code == 0
+        assert out == "polynomial: 3   [coefficients 3]\nno roots (constant polynomial)\n"
+
+
+class TestPrecisionRule:
+    @pytest.mark.parametrize("argv", [
+        ("roots", "--coeffs", "1,2"),
+        ("roots", "--coeffs", "3"),
+        ("roots", "--a", "3", "--c", "3/2", "--ell", "1"),
+        ("verify", "--a", "3", "--c", "3/2", "--ell", "1"),
+        ("sweep", "--trials", "2"),
+        ("gosper", "--a", "3", "--b", "2"),
+        ("eval", "--a", "1", "--b", "1", "--c", "2", "--z", "1/2"),
+    ], ids=lambda argv: argv[0] + "-" + argv[2])
+    @pytest.mark.parametrize("precision", ["0", "-5", "23"])
+    def test_every_command_refuses_a_tiny_precision(self, capsys, argv, precision):
+        code, out, err = run(capsys, *argv, f"--precision={precision}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: precision must be an integer >= 24 bits: {precision}\n"
+
 
 class TestUsageErrors:
     def test_bad_rational(self, capsys):

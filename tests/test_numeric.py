@@ -271,6 +271,10 @@ class TestHyp2F1:
         a, b, c = Fraction(1, 3), Fraction(2, 5), Fraction(7, 5)
         assert hyp2f1_num(a, b, c, 0, CTX).n_terms == 0
         assert hyp2f1_num(-4, b, c, Fraction(1, 2), CTX).n_terms == 4
+        # the series route to the same finite sum counts the same terms:
+        # it stops at the zero term t_5 and reports t_4, the last nonzero
+        for z in (0.5, CTX.mp.mpc(0.5, 0.25)):
+            assert hyp2f1_num(-4, b, c, z, CTX).n_terms == 4
         assert hyp2f1_num(a, b, c, Fraction(1, 2), CTX).n_terms > 100
         # the connection path reports both inner sums; at 1 - z = 1/10 the
         # selector never takes the connection map, so a public call takes
@@ -469,7 +473,7 @@ def test_selector_pin():
         else:
             outcomes.append(f"{r.path} {r.n_terms} {r.value!r} {r.est_error!r}")
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
-    assert digest == "6d83aed628559d6b"
+    assert digest == "614a78a91128eabf"
 
 
 def _near_lattice_or_small(rng):
@@ -574,7 +578,8 @@ class TestOracle:
 
 def _mpc_series(mp, a, b, c, z, target_bits, max_terms):
     """The term recurrence on mpc objects, as a reference for the kernel:
-    (total, n_terms, peak) with the kernel's stopping rule."""
+    (total, n_terms, peak) with the kernel's stopping rule; a sum that
+    ends at a zero term reports the index of the last nonzero one."""
     a, b, c = (mp.mpf(x.numerator) / x.denominator for x in (a, b, c))
     total = term = mp.mpc(1)
     peak = mp.mpf(1)
@@ -585,6 +590,8 @@ def _mpc_series(mp, a, b, c, z, target_bits, max_terms):
         total += term
         n += 1
         peak = max(peak, abs(total))
+        if term == 0:
+            return total, n - 1, peak
         if abs(term) <= target * peak:
             small += 1
             if small == 3:
@@ -672,6 +679,11 @@ class TestFindRoots:
             for cf in reversed(coeffs[:-1]):
                 val = val * root + cf
             assert abs(val) <= rs.residual_bound + work.eps
+
+    def test_rejects_tiny_precision(self):
+        for precision in (0, -5, 23):
+            with pytest.raises(ParameterError, match="precision must be"):
+                find_roots(Poly((1, 4)), precision)
 
     def test_rejects_constant(self):
         with pytest.raises(ParameterError):

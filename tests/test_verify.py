@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from strangeval import numeric, verify
 from strangeval.errors import BranchCutError, ParameterError
-from strangeval.hyp import HypParams, hyp_series, q0_r0_by_series
-from strangeval.numeric import EvalContext
+from strangeval.hyp import HypParams, hyp_series, q0_r0_by_series, terminating_poly
+from strangeval.numeric import EvalContext, find_roots, gamma_c, hyp2f1_num
 from strangeval.operators import factor_remainder, genericity_flags, h_remainder
 from strangeval.poly import Poly
 from strangeval.scalars import is_integer
@@ -13,6 +14,7 @@ from strangeval.verify import (
     CHECK_REFLECTED,
     CHECK_SHIFTED,
     compute_q0_all_methods,
+    draw_theorem_params,
     gosper_check,
     incomplete_beta_check,
     random_non_integer,
@@ -113,11 +115,158 @@ class TestVerifyTheorem:
             with pytest.raises(ParameterError):
                 sweep(1, precision=40, tolerance=tolerance)
 
+    def test_precision_rule_comes_before_the_tolerance(self):
+        # the tolerance 1e-30 is below 2^-0 too; the precision is what is wrong
+        for precision in (0, -5, 23):
+            for call in (
+                lambda: verify_theorem(3, Fraction(3, 2), 1, precision=precision),
+                lambda: verify_theorem(1, Fraction(1, 2), 3, precision=precision),
+                lambda: gosper_check(3, 2, precision=precision),
+                lambda: gosper_check(-2, 3, precision=precision),
+                lambda: sweep(1, precision=precision),
+            ):
+                with pytest.raises(ParameterError, match="precision must be"):
+                    call()
+
     def test_report_dict_shape(self):
         d = verify_theorem(3, Fraction(3, 2), 1).as_dict()
         assert set(d) >= {"params", "flags", "records", "verdict"}
         assert d["verdict"] == "pass"
         assert d["records"][0]["checks"][0]["path"] == "direct-series"
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """The argument tuples of every call of ``numeric.<name>`` from now on."""
+    calls = []
+    fn = getattr(numeric, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(numeric, name, counting)
+    return calls
+
+
+def _identities(a, c, ell):
+    """The parameters (a, b, c) of the two identities of verify_theorem."""
+    return (a, 1 + ell, c), (c - a, c - 1 - ell, c)
+
+
+def _roots(a, c, ell):
+    return find_roots(terminating_poly(HypParams(1 - a, -ell, 2 - c))).roots
+
+
+# seed-42 draws 3 and 14: every root takes connection-1mz in both identities
+CONNECTION_DRAW = (Fraction(3, 5), Fraction(-19, 18), 2)
+CONNECTION_ROOTS_DRAW = (Fraction(-7, 9), Fraction(-4, 5), 2)
+
+
+class TestSharedWork:
+    """verify_theorem computes the series sums and gamma values its two
+    identities share once per call, and keeps nothing past it."""
+
+    def test_second_identity_sums_no_series_at_a_connection_root(self, monkeypatch):
+        a, c, ell = CONNECTION_DRAW
+        lam = _roots(a, c, ell)[0]
+        first, second = _identities(a, c, ell)
+        ctx = EvalContext()
+        runs = _counted(monkeypatch, "_series_2f1")
+        with ctx.sharing():
+            r1 = hyp2f1_num(*first, lam, ctx)
+            after_first = len(runs)
+            r2 = hyp2f1_num(*second, lam, ctx)
+        assert r1.path == r2.path == "connection-1mz"
+        assert after_first == 2 and len(runs) == after_first
+
+    def test_spouge_kernel_runs_at_most_seven_times_per_trial(self, monkeypatch):
+        runs = _counted(monkeypatch, "_spouge_rational")
+        report = verify_theorem(*CONNECTION_ROOTS_DRAW)
+        paths = [ch.path for r in report.records for ch in r.checks]
+        assert paths == ["connection-1mz"] * 4
+        assert 0 < len(runs) <= 7
+
+    def test_results_equal_with_and_without_sharing(self, monkeypatch):
+        rng = random.Random(42)
+        draws = [draw_theorem_params(rng, 5) for _ in range(37)]
+        runs = _counted(monkeypatch, "_series_2f1")
+        paths, terminating, unshared_runs = set(), 0, 0
+        for i in (0, 3, 5, 11, 36):
+            a, c, ell = draws[i]
+            shared = EvalContext()
+            with shared.sharing():
+                for lam in _roots(a, c, ell):
+                    for params in _identities(a, c, ell):
+                        outcomes = []
+                        for ctx in (EvalContext(), shared):
+                            before = len(runs)
+                            try:
+                                r = hyp2f1_num(*params, lam, ctx)
+                            except BranchCutError as exc:
+                                outcomes.append(type(exc))
+                            else:
+                                outcomes.append(
+                                    (repr(r.value), repr(r.est_error), r.path, r.n_terms)
+                                )
+                            if ctx is not shared:
+                                unshared_runs += len(runs) - before
+                        assert outcomes[0] == outcomes[1], (a, c, ell, params, lam)
+                        if isinstance(outcomes[0], tuple):
+                            paths.add(outcomes[0][2])
+                            terminating += params[0].denominator == 1 and params[0] <= 0
+        assert paths == set(numeric.KNOWN_PATHS) and terminating
+        # the shared context summed fewer series than the fresh ones
+        assert len(runs) - unshared_runs < unshared_runs
+
+    def test_consecutive_calls_run_the_kernels_alike(self, monkeypatch):
+        series = _counted(monkeypatch, "_series_2f1")
+        spouge = _counted(monkeypatch, "_spouge_rational")
+        counts = []
+        for _ in range(2):
+            before = len(series), len(spouge)
+            verify_theorem(*CONNECTION_DRAW)
+            counts.append((len(series) - before[0], len(spouge) - before[1]))
+        assert counts[0] == counts[1] and min(counts[0]) > 0
+
+    def test_nothing_is_reused_outside_the_scope(self, monkeypatch):
+        series = _counted(monkeypatch, "_series_2f1")
+        spouge = _counted(monkeypatch, "_spouge_rational")
+        a, b, c, z = Fraction(1, 3), Fraction(1, 2), Fraction(5, 4), complex(0.75, 0.5)
+        ctx = EvalContext()
+        results = [hyp2f1_num(a, b, c, z, ctx) for _ in range(2)]
+        assert results[0].path == "connection-1mz"
+        assert len(series) == 4 and len(spouge) == 14
+        assert gamma_c(Fraction(1, 3), ctx) is not gamma_c(Fraction(1, 3), ctx)
+
+    def test_scope_ends_with_verify_theorem(self, monkeypatch):
+        made = []
+
+        class Recorded(EvalContext):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(verify, "EvalContext", Recorded)
+        # a branch-cut root, and two roots no map reaches (NonConvergenceError)
+        for args, reasons in (
+            ((Fraction(-6, 5), Fraction(-7, 9), 1), ["branch-cut"]),
+            ((Fraction(4, 3), Fraction(8, 3), 2), ["eval-failed"] * 2),
+        ):
+            report = verify_theorem(*args)
+            assert [r.skip_reason for r in report.records] == reasons
+        # an exception that leaves verify_theorem
+
+        def broken(*args):
+            raise RuntimeError("broken evaluation")
+
+        monkeypatch.setattr(verify, "hyp2f1_num", broken)
+        with pytest.raises(RuntimeError):
+            verify_theorem(*CONNECTION_DRAW)
+        assert len(made) == 3
+        for ctx in made:
+            assert gamma_c(Fraction(1, 3), ctx) is not gamma_c(Fraction(1, 3), ctx)
+            with ctx.sharing():
+                assert gamma_c(Fraction(1, 3), ctx) is gamma_c(Fraction(1, 3), ctx)
 
 
 class TestGosper:
