@@ -332,6 +332,63 @@ def _dip_bits(x: Fraction) -> int:
     return (d.denominator // d.numerator).bit_length()
 
 
+def _monotone_from(a: Fraction, b: Fraction, c: Fraction) -> int:
+    """The least index K >= 0 with c + K > 0 past which the term ratio
+    r(x) = (x+a)(x+b) / ((x+c)(x+1)) is monotone, from the exact parameters.
+
+    r - 1 = (al x + be) / ((x+c)(x+1)) with al = a+b-c-1, be = ab-c, so on
+    x > max(-c, -1) the sign of r' is that of
+    -(al x^2 + 2 be x - ga), ga = al c - be (c+1).  Past the largest real
+    root of that quadratic r is monotone, and it tends to 1; every root of
+    x^2 + p x + q lies within (|p| + sqrt(p^2 + 4|q|)) / 2 of 0."""
+    al, be = a + b - c - 1, a * b - c
+    ga = al * c - be * (c + 1)
+    if al:
+        p, q = 2 * be / al, ga / al
+        disc = p * p + 4 * abs(q)
+        root = (abs(p) + _ceil_sqrt(math.ceil(disc))) / 2
+    elif be:
+        root = ga / (2 * be)
+    else:
+        root = 0  # r is constant
+    return max(0, math.ceil(root), math.floor(-c) + 1)
+
+
+# terms summed per block in the geometric tail of a complex series
+_BLOCK = 16
+
+
+def _powers(zr: int, zi: int, wp: int):
+    """z^1..z^_BLOCK for block mode, z = (zr + i zi) / 2^wp with |z| < 1,
+    held at wp + e bits, 2^e >= |z|^-_BLOCK, so that a power times a
+    coefficient c_j <= |z|^-j keeps wp bits: ([(Zr_j, Zi_j)], wp + e)."""
+    e = (_BLOCK * ((1 << 2 * wp) // (zr * zr + zi * zi)).bit_length() + 1) // 2
+    xr, xi = zr << e, zi << e
+    out = [(xr, xi)]
+    for _ in range(_BLOCK - 1):
+        xr, xi = xr * zr - xi * zi >> wp, xr * zi + xi * zr >> wp
+        out.append((xr, xi))
+    return out, wp + e
+
+
+def _block(wp, an, bn, cn, kn, den, powers, shift):
+    """One block from the term index of (an, bn, cn, kn): the integers
+    sum_j c_j z^j 2^wp and c_m z^m 2^wp, two components each, with c_j 2^wp
+    advanced by the ratio (an bn) / (cn kn) of integers, one product and
+    one floor division per term."""
+    cj = 1 << wp
+    qr = qi = 0
+    for xr, xi in powers:
+        cj = cj * (an * bn) // (cn * kn)
+        qr += cj * xr
+        qi += cj * xi
+        an += den
+        bn += den
+        cn += den
+        kn += den
+    return qr >> shift, qi >> shift, cj * xr >> shift, cj * xi >> shift
+
+
 def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_terms):
     """Sum the defining series of F(a, b, c; z) in fixed point on Python ints.
 
@@ -349,6 +406,25 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
     term is zero.  n_terms is the index of the last term summed: of the last
     nonzero term when the sum stops at a zero one, as for the exact sum.
 
+    Block mode.  A complex z sums the geometric tail _BLOCK terms at a
+    time (rectangular splitting, Paterson & Stockmeyer 1973): from the
+    term W = t_n, t_(n+j) = W c_j z^j with real c_j = r_n ... r_(n+j-1),
+    so a block advances the integer c_j 2^wp by one small-integer product
+    and one floor division per term, sums c_j z^j against the powers
+    z^1..z^_BLOCK (held once per call, with enough extra bits that
+    c_j <= |z|^-j loses none), and applies one complex product to W for
+    the sum and one for the next W.  It runs only where it cannot change
+    the stopping index or the peak:
+
+    * past ``_monotone_from``, where every later ratio is at most
+      rho = |z| max(1, |r_n|), and rho < 1, so the terms decrease;
+    * once the peak is proved final: |S_n| + |t_n| rho / (1 - rho), the
+      bound on every later partial sum, is below peak (1 - 2^-GUARD_BITS);
+    * while the block's last term, the least of its terms, exceeds the
+      stopping limit by 1/16 of it, so no term of the block is small.
+
+    The rest, the final stretch included, runs term by term.
+
     Error model: each step floors once per component (the floor division
     by the small integer and the shift by wp compose to a single floor),
     an absolute error below 2^-wp, and z itself is rounded by less than
@@ -358,10 +434,17 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
     a term falls below the scale of those after it only at a factor (a+k)
     or (b+k) near zero -- early, when a or b sits just above (or below) a
     nonpositive integer -- and then by at most d, that factor's modulus.
+    A block floors each c_j, each power and the two block sums once per
+    component: as c_j |z|^j <= rho^j <= 1, each term of the block is off
+    by at most about 2j |W| 2^-wp, and W by 2 _BLOCK |W| 2^-wp, so the
+    block adds below _BLOCK^2 (2 peak) 2^-wp where the term-by-term loop
+    adds 2 _BLOCK 2^-wp.
     So the fixed-point sum is within about n^2 (2 peak / d) 2^-wp of the
     sum over the rounded z, and wp = working precision + GUARD_BITS +
     log2(1/d) keeps that below the n peak 2^-prec roundoff allowance of
-    ``_tail_estimate`` for every n below 2^31."""
+    ``_tail_estimate`` for every n below 2^31; it also keeps the margins
+    of the peak proof and of the block's last term far above the
+    difference between the two ways of summing."""
     den = math.lcm(a.denominator, b.denominator, c.denominator)
     an, bn = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
     cn, kn = c.numerator * (den // c.denominator), den  # (c+n) D, (n+1) D
@@ -398,7 +481,44 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
     else:
         peak2 = peak * peak
         limit = peak2 >> 2 * target_bits
+        # block mode is tried at `check`, then every _BLOCK terms until
+        # the peak is proved final; `powers` holds z^j from then on
+        check = _monotone_from(a, b, c)
+        powers = None
         while n < max_terms:
+            if n == check:
+                check = -1
+                if powers is None:
+                    check = n + _BLOCK
+                    # rho = rn / rd >= |z| max(1, |r_n|), |z| rounded up
+                    p, q = abs(an * bn), cn * kn
+                    rn = (math.isqrt(zr * zr + zi * zi) + 1) * max(p, q)
+                    rd = q << wp
+                    if rn < rd:
+                        top = math.isqrt(peak2)
+                        tail = -(-(math.isqrt(tr * tr + ti * ti) + 1) * rn // (rd - rn))
+                        if math.isqrt(sr * sr + si * si) + 1 + tail <= top - (top >> GUARD_BITS):
+                            check = -1
+                            powers, shift = _powers(zr, zi, wp)
+                            edge = math.isqrt(limit) + 1
+                            floor2 = (edge + (edge >> 4)) ** 2
+                if powers is not None:
+                    while n + _BLOCK <= max_terms:
+                        qr, qi, ur, ui = _block(wp, an, bn, cn, kn, den, powers, shift)
+                        wr, wi = tr * ur - ti * ui >> wp, tr * ui + ti * ur >> wp
+                        if wr * wr + wi * wi <= floor2:
+                            break
+                        sr += tr * qr - ti * qi >> wp
+                        si += tr * qi + ti * qr >> wp
+                        tr, ti = wr, wi
+                        step = _BLOCK * den
+                        an += step
+                        bn += step
+                        cn += step
+                        kn += step
+                        n += _BLOCK
+                        small = 0
+                continue
             p, q = an * bn, cn * kn or 1
             tr, ti = (
                 (tr * zr - ti * zi) * p // q >> wp,
