@@ -15,8 +15,8 @@ Rationals cross the boundary as exact "p/q" strings.  Exit codes: 0 on
 success, 1 when a residual check of verify, gosper or sweep fails, 2 on
 usage and domain errors (invalid parameters, branch cut, degenerate
 connection, gamma pole, no evaluation map converging within the term
-budget, no convergence), 3 when routes the theory proves equal disagree
-(a bug).
+budget, no convergence, a precision whose report Python cannot print),
+3 when routes the theory proves equal disagree (a bug).
 """
 
 from __future__ import annotations
@@ -144,6 +144,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=192)
     p.add_argument("--json", action="store_true")
     return parser
+
+
+def max_report_precision() -> int | None:
+    """The largest precision whose report prints, or None for no bound.
+
+    A reported value carries up to precision + 64 bits, and mpmath formats
+    a small one through an integer of about that many bits times log10(2)
+    decimal digits, which must stay within Python's limit on int-to-str
+    conversion (``sys.get_int_max_str_digits()``, 0 for none); 64 more
+    bits keep a margin."""
+    digits = sys.get_int_max_str_digits()
+    return int(digits / 0.30103) - 128 if digits else None
+
+
+def _check_precision(precision: int) -> None:
+    """The precision rule, then the bound under which a report prints."""
+    check_precision(precision)
+    top = max_report_precision()
+    if top is not None and precision > top:
+        raise ParameterError(
+            f"precision must be at most {top} bits, so that the report fits "
+            f"Python's {sys.get_int_max_str_digits()}-digit limit on printing "
+            f"an integer: {precision}"
+        )
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -368,8 +392,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    # a constant polynomial reaches no find_roots call, so its rule is here
-    check_precision(args.precision)
     if args.coeffs is not None:
         try:
             coeffs = [parse_rational(t) for t in args.coeffs.split(",")]
@@ -438,6 +460,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "precision"):
+            _check_precision(args.precision)
         return _COMMANDS[args.command](args)
     except (
         ParameterError,

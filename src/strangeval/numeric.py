@@ -14,7 +14,9 @@ and never leaks through global state.  Conventions that matter:
   holds only the maps defined at the input: the Pfaff maps and the
   connection need z != 1 and c not a nonpositive integer, and a forced
   method outside the table raises ``ParameterError``.  A terminating sum
-  is the table's direct map, with its tail estimate as the error;
+  is the table's direct map, with its tail estimate as the error.  Of the
+  two Pfaff maps the path choice takes the one whose series grows slower,
+  the one that keeps the smaller of a and b;
 * every fractional power takes the principal branch (log with imaginary
   part in (-pi, pi]); arguments on [1, oo) are rejected, not guessed;
 * a sum that terminates at a rational argument is evaluated exactly, by
@@ -26,7 +28,14 @@ and never leaks through global state.  Conventions that matter:
   a step is one exact product with the fixed-point argument and one floor
   division, at the working precision plus at least GUARD_BITS bits (more
   when a or b sits near a nonpositive integer); the rounding this adds
-  stays below the roundoff allowance in every error estimate;
+  stays below the roundoff allowance in every error estimate.  A complex
+  series sums its geometric tail in blocks of _BLOCK terms: real
+  coefficients advanced by the exact integer ratios, summed against the
+  powers of z held once per call, and one complex product per block.
+  Blocks run only where they cannot move the stopping index or the peak
+  (past the index of monotone term ratios, once the peak is proved final,
+  and while a block's last term stays above the stopping limit), so the
+  stopping rule is the term-by-term one;
 * gamma takes only an int or Fraction argument p/q, which is a pole
   exactly when it is a nonpositive integer.  It sums Spouge's series in
   fixed point too: the coefficients are integers C_k = c_k 2^W, held once
@@ -47,7 +56,8 @@ and never leaks through global state.  Conventions that matter:
 * error estimates bound the tail by the last term and the term ratio at
   the stopping index, add a roundoff allowance and path-specific
   amplification; they hold against an independent 320-bit reference on
-  every path, but are not certified enclosures;
+  every path, and a 400-bit one on the series maps at modulus 0.95-0.99,
+  but are not certified enclosures;
 * roots are found on the integer numerators of each squarefree factor:
   Aberth in Python ``complex`` from Newton-polygon circles, Newton in
   fixed-point Gaussian integers at doubling precision, and certification
@@ -583,7 +593,9 @@ def hyp2f1_num(
     other maps; that covers Re z > 1/2, where neither |z| nor |z/(z-1)|
     falls below 1.  A map whose series terminates is taken first (the
     direct series before the Pfaff maps), then the direct series while
-    |z| <= 0.7, else the map of least modulus.  A sum that terminates
+    |z| <= 0.7, else the map of least modulus; the Pfaff map there is the
+    one whose series grows slower, the one that keeps the smaller of a and
+    b (pfaff-a when a <= b).  A sum that terminates
     directly is finite whatever |z|, and exact at a rational z; otherwise
     its error estimate is the direct map's, as for a forced direct-series.
     ``method``, one of ``KNOWN_PATHS``, forces a path, mainly for
@@ -670,8 +682,10 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
             method = _PATH_DIRECT
         else:
             # least modulus among the maps in budget, ties in table order;
-            # a degenerate connection only when nothing else converges
-            pfaff = _PATH_PFAFF_A if abs(a) <= abs(b) else _PATH_PFAFF_B
+            # a degenerate connection only when nothing else converges.
+            # Of the two Pfaff series, F(a, c-b; c; w) grows like
+            # n^(a-b-1) and F(b, c-a; c; w) like n^(b-a-1): take the slower
+            pfaff = _PATH_PFAFF_A if a <= b else _PATH_PFAFF_B
             method = min(
                 (p for p in (_PATH_DIRECT, pfaff, _PATH_CONNECTION) if p in maps),
                 key=lambda p: (

@@ -20,10 +20,14 @@ F(c-a, c-1-ell, c; lam) = (1-lam)^(a+1+ell-c) F(a, 1+ell, c; lam).  So
 where the 1-z connection formula (DLMF 15.8.4) evaluates them, both sum
 the same two inner series at 1-lam, F(a, 1+ell; a+ell+2-c) and
 F(c-a, c-1-ell; c-a-ell), and take the same seven gamma values, at c,
-+-(c-a-1-ell), a, c-a, 1+ell and c-1-ell, which depend only on (a, c, ell);
-and the Pfaff map that keeps b in one identity sums the series of the
-map that keeps a in the other.  ``verify_theorem`` therefore checks its
-roots inside one ``EvalContext.sharing()`` scope, which computes each such
++-(c-a-1-ell), a, c-a, 1+ell and c-1-ell, which depend only on (a, c, ell).
+Where the engine takes a Pfaff map both sum one series too: it takes the
+Pfaff map whose series grows slower, the one that keeps the smaller upper
+parameter, and for both identities that series is
+F(a, c-1-ell; c; lam/(lam-1)) when a <= 1+ell, else
+F(1+ell, c-a; c; lam/(lam-1)).
+``verify_theorem`` therefore checks its roots inside one
+``EvalContext.sharing()`` scope, which computes each such
 sum and gamma value once per call.  A shared result is looked up by its
 exact inputs, so it is the value the second computation would give; both
 identities are still evaluated and compared with their own right-hand

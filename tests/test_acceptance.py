@@ -183,29 +183,29 @@ def test_criterion_4_tail_vanishing(triple_runs, capsys):
 # coefficients, and per root its skip reason, evaluation paths and lambda
 # to 40 digits (``_trial_digest``)
 SWEEP_42_TRIALS = """
-    43d2ecdf517bd4bd abbb69ab84cd1b71 0e83e6dfc7677e2b fc5a1ead65f89b80
+    a531e8bee0a41c4c abbb69ab84cd1b71 77a42f74356825fa fc5a1ead65f89b80
     9dbd49f79bcf1d3a 3927cd21df3c9dd8 a8df7d0f2e9953e4 22f8f29b9fe6de8f
     c1797ba0fc944452 11771df283bdbd3b 1b54d3cfa0014422 0e68d46d9b0df700
-    2cfa9eb8225abd8a 81a2b09b55bfdf47 ca2c97d44582ae2a b7102923f4689135
+    2cfa9eb8225abd8a 293f4254812f48be ca2c97d44582ae2a 74cff331a83975c7
     3603df2c16f4fa51 693e2f3775cc6d25 e3711a812403f600 595c6ada1a1ea4ca
-    c2b8e0032442d990 68f94b80ed84c77f 166f40e8c826ac33 2ae8f5302feeccfd
-    615162a28e1fbd48 9e1dc31065d2797b 1e0ca7bd0e76aed3 7315ab0e36e9c89f
-    182345a49460fb8e 738867091c707489 ae503dbab876e18c 28b57a45380fa8a5
-    ff24c47f989e74fc bcd2fdf90a07026f 0195b09034c6804f 70a623c6b417c7cf
-    d6ed1f8312e898a4 84539652b7f1a5cd 0d350266c6a752b7 1815ace877fb0499
-    5b04a66d50b49a72 0386c2826886c1f6 c231185be47962f2 c072faca818811c1
+    c2b8e0032442d990 7424969bfdd8ea7c 166f40e8c826ac33 5942235d2ccc079e
+    1f2545d269319da5 9e1dc31065d2797b 1e0ca7bd0e76aed3 7315ab0e36e9c89f
+    182345a49460fb8e f0e0564028b7db6b ae503dbab876e18c 654c6df4b0a4b0f4
+    ff24c47f989e74fc 437cbc5e80db709f df864fc48a30d817 70a623c6b417c7cf
+    d6ed1f8312e898a4 84539652b7f1a5cd 6db0aa8248ad9f48 1815ace877fb0499
+    4f64972beb613541 85ec4929e82bd5a5 c231185be47962f2 c072faca818811c1
     6fb74eb4409413e0 8a7ef36f8245c649 30c7327d77792a71 de8013fce2f2895a
     7c003f53fafcaf39 dea49c5a5cef7285 990789c929550b27 2c1a3f2580c0cf96
-    2b2d724704b45665 e9878505299077db eb14ac423424a0ea e24429b8d231e06a
-    bebf1c2232370824 8c421807111c9f9e 319afa99e59dd7ce 9ec9df71967c5c66
+    e7914077d453a723 e9878505299077db eb14ac423424a0ea 68d79bffa9d67f50
+    74c329c505a729f4 8c421807111c9f9e 319afa99e59dd7ce 9ec9df71967c5c66
     a4b92369fd86a260 daac6b039d4fcffa 40946eebccca0b16 9c2d222e6d79996c
-    8ff33ccb570f0f38 da5bcd684f0b98c7 306d843fbeb66006 3870ab67cb979102
-    f609b576753b76f4 4d15d7d241a396e9 a00428cb84972ded 628db00ae7edb7fc
+    8ff33ccb570f0f38 da5bcd684f0b98c7 b23cdc3da3716d2a 3870ab67cb979102
+    3a05d9ac5671e925 8d7d5e5e7e54c544 a00428cb84972ded 8b0f4b0b1a7fb4e0
     2ec08d0ec4cdf49d 6b0a5dda1c4afcdf 2bf430b908286ad5 4deeab935fc93f9b
     286f2f65d6ee9edf a9851b44f56d8488 c2f28c35f0d4a341 b4d51ee52ad8be89
-    807e4d0f708cb771 ca6c0a3c2bd8aad7 3b7a222abd7bd1b2 ae3ac1c00c66b4d3
-    e78cbea62a56ca9a e011c0dc5f0c7beb f8717a53fb389ebf fc69c40580020b2c
-    a8b3692aa527c207 0929d03c95a4f8e3 1ca8ece6bf6f006a d30a527ef2432883
+    200eac8a4169f7ff ca6c0a3c2bd8aad7 6098b72fa26ae54b ae3ac1c00c66b4d3
+    e78cbea62a56ca9a e011c0dc5f0c7beb be1417f4328beb50 fc69c40580020b2c
+    a8b3692aa527c207 1f0884054735428c 1ca8ece6bf6f006a d30a527ef2432883
     034ab9583c1be0c9 460f34c09639ba43 b2e4772a73e916ab cf1f5e0c3a102f8f
     544a83e008fff2ff a15ebdd9b7259d7e d2a5f2485fb75107 05ca450a9d12ac30
 """.split()

@@ -334,6 +334,41 @@ class TestPrecisionRule:
         assert err == f"error: precision must be an integer >= 24 bits: {precision}\n"
 
 
+class TestReportPrecision:
+    """A precision whose report Python cannot print is a usage error, found
+    before any work; at the bound both commands print."""
+
+    COMMANDS = {
+        "eval": ("eval", "--a", "1/3", "--b", "1/2", "--c", "5/4", "--z", "0.5"),
+        "verify": ("verify", "--a", "3", "--c", "3/2", "--ell", "1"),
+    }
+
+    def test_bound_follows_the_int_to_str_limit(self):
+        assert cli.max_report_precision() == 14156  # at Python's default 4300
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("above", [1, 144, 5844])
+    def test_above_the_bound_is_usage_error(self, capsys, monkeypatch, command, above):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the library was called")
+
+        monkeypatch.setattr(cli, "verify_theorem", no_work)
+        monkeypatch.setattr(cli, "hyp2f1_num", no_work)
+        precision = cli.max_report_precision() + above
+        code, out, err = run(capsys, *self.COMMANDS[command], f"--precision={precision}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: precision must be at most 14156 bits")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_at_the_bound_prints(self, capsys, command):
+        precision = cli.max_report_precision()
+        code, out, err = run(capsys, *self.COMMANDS[command], f"--precision={precision}")
+        assert code == 0 and err == ""
+        assert "e-42" in out  # the residual or error estimate, near 2^-precision
+
+
 class TestUsageErrors:
     def test_bad_rational(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import random
 from fractions import Fraction
@@ -473,7 +474,7 @@ def test_selector_pin():
         else:
             outcomes.append(f"{r.path} {r.n_terms} {r.value!r} {r.est_error!r}")
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
-    assert digest == "62400fe38bbeb4fd"
+    assert digest == "576ccdd701243b8e"
 
 
 def _near_lattice_or_small(rng):
@@ -576,6 +577,42 @@ class TestOracle:
             count += 1
 
 
+@pytest.mark.parametrize("path", ["direct-series", "pfaff-a", "pfaff-b"])
+def test_est_error_in_the_near_unit_complex_tail(path):
+    # the series argument w at modulus 0.95-0.99, complex, parameters up to
+    # ~36 in size (so tails start late and peaks run high); est_error
+    # against mpmath.hyp2f1 at 400 bits, over the draws that converge
+    # within the term budget
+    rng = random.Random(f"near-unit-{path}")
+
+    def param():
+        den = rng.randint(1, 9)
+        return Fraction(rng.randint(-36 * den, 36 * den), den)
+
+    checked = 0
+    for _ in range(40):
+        if checked == 10:
+            break
+        a, b, c = param(), param(), param()
+        if any(p.denominator == 1 and p <= 0 for p in (a, b, c, c - a, c - b)):
+            continue
+        w = cmath.rect(rng.uniform(0.95, 0.99), rng.uniform(0.1, 3.1) * rng.choice((1, -1)))
+        z = w if path == "direct-series" else w / (w - 1)
+        try:
+            r = hyp2f1_num(a, b, c, CTX.mp.mpc(z.real, z.imag), CTX, method=path)
+        except NonConvergenceError:
+            continue
+        with mpmath.workprec(400):
+            ref = mpmath.hyp2f1(
+                *(mpmath.mpf(p.numerator) / p.denominator for p in (a, b, c)),
+                mpmath.mpc(z.real, z.imag),
+            )
+            err = abs(mpmath.mpmathify(r.value) - ref)
+            assert err <= mpmath.mpmathify(r.est_error), (a, b, c, z)
+        checked += 1
+    assert checked == 10
+
+
 def _mpc_series(mp, a, b, c, z, target_bits, max_terms):
     """The term recurrence on mpc objects, as a reference for the kernel:
     (total, n_terms, peak) with the kernel's stopping rule; a sum that
@@ -617,6 +654,28 @@ class TestSeriesKernel:
         # (1-z)^(-25/3): terms up to ~3e6 and partial sums up to ~2e6
         # cancel to ~5e-3
         "cancelling": (Fraction(25, 3), Fraction(2, 5), Fraction(2, 5), MP.mpf(-0.9)),
+        # complex tails summed in blocks (see TestBlockMode)
+        "tail-0.975": (
+            Fraction(3, 4), Fraction(-5, 3), Fraction(11, 7), MP.mpf(0.975) * MP.expj(-2.5)
+        ),
+        # the pfaff-a series of F(6/5, 37, 13/9) near its ell-36 root
+        # 0.43 + 1.05i: terms grow ~1e9-fold over the first 36, per term
+        "ell-36-pfaff": (
+            Fraction(6, 5), Fraction(-320, 9), Fraction(13, 9),
+            MP.mpc(0.43, 1.05) / (MP.mpc(0.43, 1.05) - 1),
+        ),
+        # the zero term t_98 ends the block 82..98, falls one term before
+        # its end (t_97) or starts the next one (t_99)
+        "terminating-block-end": (Fraction(-97), Fraction(1, 2), Fraction(3, 4), MP.expj(1) * 0.6),
+        "terminating-block-end-1": (Fraction(-96), Fraction(1, 2), Fraction(3, 4), MP.expj(1) * 0.6),
+        "terminating-block-end+1": (Fraction(-98), Fraction(1, 2), Fraction(3, 4), MP.expj(1) * 0.6),
+        "terminating-beyond-unit": (
+            Fraction(-40), Fraction(1, 3), Fraction(1, 2), MP.mpf(1.5) * MP.expj(0.7)
+        ),
+        # |S_n| grows for a long stretch, so the peak is proved final late
+        "slow-rotation": (
+            Fraction(1, 2), Fraction(1, 3), Fraction(5, 7), MP.mpf(0.9) * MP.expj(0.05)
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -632,6 +691,67 @@ class TestSeriesKernel:
             assert abs(peak - ref_peak) <= ref_peak * mp.mpf(2) ** -200
             if case == "cancelling":
                 assert peak > abs(ref) * 2**20
+
+
+def _block_starts(monkeypatch) -> list:
+    """The index at which the kernel tries each block, from now on."""
+    starts = []
+    block = numeric._block
+
+    def recording(wp, an, bn, cn, kn, den, powers, shift):
+        starts.append(kn // den - 1)
+        return block(wp, an, bn, cn, kn, den, powers, shift)
+
+    monkeypatch.setattr(numeric, "_block", recording)
+    return starts
+
+
+class TestBlockMode:
+    """Where the kernel sums a complex series in blocks; TestSeriesKernel
+    checks what it returns."""
+
+    MP = CTX.mp
+
+    @staticmethod
+    def _sum(case, max_terms=100_000):
+        a, b, c, z = TestSeriesKernel.CASES[case]
+        with CTX.workprec(64):
+            return _series_2f1(CTX.mp, a, b, c, z, 224, max_terms)
+
+    def test_runs_on_a_modulus_0_9_tail(self, monkeypatch):
+        starts = _block_starts(monkeypatch)
+        z = self.MP.mpf(0.9) * self.MP.expj(1.3)
+        with CTX.workprec(64):
+            n = _series_2f1(self.MP, Fraction(2, 3), Fraction(1, 5), Fraction(9, 7), z, 224, 10**5)[2]
+        assert len(starts) * numeric._BLOCK >= 0.9 * n
+
+    def test_not_on_a_real_argument(self, monkeypatch):
+        starts = _block_starts(monkeypatch)
+        self._sum("negative-real")
+        assert not starts
+
+    def test_growth_phase_is_summed_term_by_term(self, monkeypatch):
+        starts = _block_starts(monkeypatch)
+        self._sum("ell-36-pfaff")
+        assert starts and min(starts) >= 36
+
+    @pytest.mark.parametrize("case", [
+        "terminating-block-end", "terminating-block-end-1", "terminating-block-end+1"
+    ])
+    def test_zero_term_near_a_block_end(self, monkeypatch, case):
+        starts = _block_starts(monkeypatch)
+        n = self._sum(case)[2]
+        assert n == -TestSeriesKernel.CASES[case][0]  # the last nonzero term
+        assert 98 - numeric._BLOCK in starts
+
+    def test_budget_inside_a_block_raises_as_term_by_term(self, monkeypatch):
+        starts = _block_starts(monkeypatch)
+        full = self._sum("near-unit")
+        n = full[2]
+        for budget in (starts[5] + 7, starts[-1] + 1, n - 1):
+            with pytest.raises(NonConvergenceError, match=f"within {budget} terms"):
+                self._sum("near-unit", budget)
+        assert self._sum("near-unit", n) == full
 
 
 class TestFindRoots:

@@ -94,6 +94,24 @@ class TestVerifyTheorem:
         assert [r.skip_reason for r in report.records] == ["eval-failed"] * 2
         assert report.verdict == "pass" and report.skip_rate == 1.0
 
+    @pytest.mark.parametrize("a, c, ell", [
+        (Fraction(6, 5), Fraction(13, 9), 36),
+        (Fraction(5, 9), Fraction(-10, 9), 34),
+    ])
+    def test_high_ell_pfaff_roots_checked(self, a, c, ell):
+        # near 0.43 +- 1.05i the second identity's series took the Pfaff map
+        # that keeps c-1-l ~ -35, whose terms grow like n^(l-a), and ran out
+        # of budget (eval-failed); the map of slower growth converges
+        report = verify_theorem(a, c, ell)
+        assert report.verdict == "pass"
+        for rec in report.records:
+            if rec.skipped:
+                assert rec.skip_reason == "branch-cut" and rec.lam.imag == 0
+            else:
+                assert rec.passed(report.tolerance)
+                assert len(rec.checks) == 2
+        assert sum(not r.skipped for r in report.records) >= len(report.records) - 1
+
     def test_rejects_integer_c(self):
         with pytest.raises(ParameterError):
             verify_theorem(Fraction(1, 2), 2, 1)
@@ -178,6 +196,25 @@ class TestSharedWork:
             r2 = hyp2f1_num(*second, lam, ctx)
         assert r1.path == r2.path == "connection-1mz"
         assert after_first == 2 and len(runs) == after_first
+
+    def test_second_identity_sums_no_series_at_a_pfaff_root(self, monkeypatch):
+        # the slower-growing Pfaff map of one identity sums the series of
+        # the other's, so the second identity reuses it
+        a, c, ell = Fraction(5, 9), Fraction(-10, 9), 34
+        first, second = _identities(a, c, ell)
+        ctx = EvalContext()
+        runs = _counted(monkeypatch, "_series_2f1")
+        seen = 0
+        for lam in _roots(a, c, ell):
+            with ctx.sharing():
+                r1 = hyp2f1_num(*first, lam, ctx)
+                after_first = len(runs)
+                r2 = hyp2f1_num(*second, lam, ctx)
+            if r1.path.startswith("pfaff"):
+                seen += 1
+                assert {r1.path, r2.path} <= {"pfaff-a", "pfaff-b"}
+                assert len(runs) == after_first
+        assert seen
 
     def test_spouge_kernel_runs_at_most_seven_times_per_trial(self, monkeypatch):
         runs = _counted(monkeypatch, "_spouge_rational")
