@@ -342,26 +342,28 @@ def _dip_bits(x: Fraction) -> int:
     return (d.denominator // d.numerator).bit_length()
 
 
-def _monotone_from(a: Fraction, b: Fraction, c: Fraction) -> int:
-    """The least index K >= 0 with c + K > 0 past which the term ratio
-    r(x) = (x+a)(x+b) / ((x+c)(x+1)) is monotone, from the exact parameters.
+def _monotone_from(an: int, bn: int, cn: int, den: int) -> int:
+    """An index K >= 0, with c + K > 0, from which the term ratio
+    r(x) = (x+a)(x+b) / ((x+c)(x+1)) is monotone, worked out exactly from
+    a = an/den, b = bn/den, c = cn/den.
 
     r - 1 = (al x + be) / ((x+c)(x+1)) with al = a+b-c-1, be = ab-c, so on
-    x > max(-c, -1) the sign of r' is that of
-    -(al x^2 + 2 be x - ga), ga = al c - be (c+1).  Past the largest real
-    root of that quadratic r is monotone, and it tends to 1; every root of
-    x^2 + p x + q lies within (|p| + sqrt(p^2 + 4|q|)) / 2 of 0."""
-    al, be = a + b - c - 1, a * b - c
-    ga = al * c - be * (c + 1)
-    if al:
-        p, q = 2 * be / al, ga / al
-        disc = p * p + 4 * abs(q)
-        root = (abs(p) + _ceil_sqrt(math.ceil(disc))) / 2
-    elif be:
-        root = ga / (2 * be)
+    x > max(-c, -1) the sign of r' is that of -(al x^2 + 2 be x - ga),
+    ga = al c - be (c+1).  Past the largest real root of that quadratic r
+    is monotone, and it tends to 1.  Times den^3 the quadratic is
+    s x^2 + 2 e x - g in integers, and every root of it lies within
+    (|e| + sqrt(e^2 + |g s|)) / |s| of 0."""
+    al = an + bn - cn - den
+    be = an * bn - cn * den
+    s, e = al * den * den, be * den
+    g = al * cn * den - be * (cn + den)
+    if s:
+        root = -(-(abs(e) + _ceil_sqrt(e * e + abs(g * s))) // abs(s))
+    elif e:
+        root = -(-g // (2 * e))
     else:
         root = 0  # r is constant
-    return max(0, math.ceil(root), math.floor(-c) + 1)
+    return max(0, root, -cn // den + 1)
 
 
 # terms summed per block in the geometric tail of a complex series
@@ -493,7 +495,7 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
         limit = peak2 >> 2 * target_bits
         # block mode is tried at `check`, then every _BLOCK terms until
         # the peak is proved final; `powers` holds z^j from then on
-        check = _monotone_from(a, b, c)
+        check = _monotone_from(an, bn, cn, den)
         powers = None
         while n < max_terms:
             if n == check:
