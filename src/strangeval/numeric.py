@@ -493,43 +493,43 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
     else:
         peak2 = peak * peak
         limit = peak2 >> 2 * target_bits
-        # block mode is tried at `check`, then every _BLOCK terms until
-        # the peak is proved final; `powers` holds z^j from then on
+        # block mode is tried at `check`, then every _BLOCK terms until the
+        # peak is proved final; from then on it runs until a block's last
+        # term comes near the limit, and the rest is summed term by term
         check = _monotone_from(an, bn, cn, den)
-        powers = None
         while n < max_terms:
             if n == check:
-                check = -1
-                if powers is None:
-                    check = n + _BLOCK
-                    # rho = rn / rd >= |z| max(1, |r_n|), |z| rounded up
-                    p, q = abs(an * bn), cn * kn
-                    rn = (math.isqrt(zr * zr + zi * zi) + 1) * max(p, q)
-                    rd = q << wp
-                    if rn < rd:
-                        top = math.isqrt(peak2)
-                        tail = -(-(math.isqrt(tr * tr + ti * ti) + 1) * rn // (rd - rn))
-                        if math.isqrt(sr * sr + si * si) + 1 + tail <= top - (top >> GUARD_BITS):
-                            check = -1
-                            powers, shift = _powers(zr, zi, wp)
-                            edge = math.isqrt(limit) + 1
-                            floor2 = (edge + (edge >> 4)) ** 2
-                if powers is not None:
-                    while n + _BLOCK <= max_terms:
-                        qr, qi, ur, ui = _block(wp, an, bn, cn, kn, den, powers, shift)
-                        wr, wi = tr * ur - ti * ui >> wp, tr * ui + ti * ur >> wp
-                        if wr * wr + wi * wi <= floor2:
-                            break
-                        sr += tr * qr - ti * qi >> wp
-                        si += tr * qi + ti * qr >> wp
-                        tr, ti = wr, wi
-                        step = _BLOCK * den
-                        an += step
-                        bn += step
-                        cn += step
-                        kn += step
-                        n += _BLOCK
-                        small = 0
+                check = n + _BLOCK
+                # rho = rn / rd >= |z| max(1, |r_n|), |z| rounded up, and
+                # |S_n| + |t_n| rho / (1 - rho) bounds every later |S_k|
+                p, q = abs(an * bn), cn * kn
+                rn = (math.isqrt(zr * zr + zi * zi) + 1) * max(p, q)
+                rd = q << wp
+                if rn >= rd:
+                    continue
+                tail = -(-(math.isqrt(tr * tr + ti * ti) + 1) * rn // (rd - rn))
+                top = math.isqrt(peak2)
+                if math.isqrt(sr * sr + si * si) + 1 + tail > top - (top >> GUARD_BITS):
+                    continue
+                check = -1  # the peak is final: blocks from here on
+                powers, shift = _powers(zr, zi, wp)
+                edge = math.isqrt(limit) + 1
+                floor2 = (edge + (edge >> 4)) ** 2
+                while n + _BLOCK <= max_terms:
+                    qr, qi, ur, ui = _block(wp, an, bn, cn, kn, den, powers, shift)
+                    wr, wi = tr * ur - ti * ui >> wp, tr * ui + ti * ur >> wp
+                    if wr * wr + wi * wi <= floor2:
+                        break  # a term of the block may be small
+                    sr += tr * qr - ti * qi >> wp
+                    si += tr * qi + ti * qr >> wp
+                    tr, ti = wr, wi
+                    step = _BLOCK * den
+                    an += step
+                    bn += step
+                    cn += step
+                    kn += step
+                    n += _BLOCK
+                    small = 0
                 continue
             p, q = an * bn, cn * kn or 1
             tr, ti = (
