@@ -8,9 +8,13 @@ and never leaks through global state.  Conventions that matter:
 * 2F1 parameters are exact rationals; only the argument is floating-point,
   so every path decision is exact and no integer test needs a tolerance;
 * the 2F1 evaluation maps (direct series, the two Pfaff maps, the 1-z
-  connection) are described once per call, in a table of effective
-  argument modulus, term count when the map's series terminates, and term
-  budget; the path choice and the evaluation both read it.  The table
+  connection) are described once per call, in a table built from two
+  squared norms of the argument, N0 = |z|^2 and N1 = |z-1|^2, held as
+  integers from z's dyadic components: the maps' squared moduli are N0,
+  N0/N1 and min(N1, N1/N0), compared exactly by cross-multiplication.  A
+  table entry holds the term count when the map's series terminates; the
+  modulus as an mp value, the term budget worked out from it and the
+  Pfaff argument z/(z-1) are computed only for the map taken.  The table
   holds only the maps defined at the input: the Pfaff maps and the
   connection need z != 1 and c not a nonpositive integer, and a forced
   method outside the table raises ``ParameterError``.  A terminating sum
@@ -45,14 +49,21 @@ and never leaks through global state.  Conventions that matter:
   the delivered precision + 64.  The exp/log of t^(z-1/2) e^-t run at W
   plus the bits of |(z-1/2) log t| + t, worked out from p and q;
 * inside ``EvalContext.sharing()``, a scope that ``verify_theorem`` opens
-  around its root loop and nothing else opens, the series kernel keeps
-  each sum under its exact inputs (the unordered pair {a, b}, since the
-  kernel is symmetric in a and b bit for bit; c; the argument's exact
-  mpf/mpc value; the working precision, the target bits and the term
-  budget), and ``gamma_c`` each value under its exact rational argument.
-  A repeat returns the value already computed from the same inputs, so
-  every result is the same with or without the scope; outside it nothing
-  is kept;
+  around its root loop and nothing else opens, the engine keeps each
+  result under its exact inputs, rationals as (numerator, denominator)
+  pairs and mp values as their exact mpf/mpc tuples: each series sum
+  with its tail estimate (under the unordered pair {a, b}, since the
+  kernel is symmetric in a and b bit for bit; c; the argument; the
+  working precision, the target bits and the term budget), each
+  argument's description (under the argument and the working
+  precision), each inner result of the connection formula (under the
+  ordered pair (a, b), c, the argument 1-z, the exact rational 1-z or
+  None, and the working precision), each logarithm a fractional power
+  takes (under the exact base and the working precision), each
+  ``gamma_c`` value (under its argument) and each ``rgamma_c`` value
+  (under its argument and the working precision).  A repeat returns the
+  value already computed from the same inputs, so every result is the
+  same with or without the scope; outside it nothing is kept;
 * error estimates bound the tail by the last term and the term ratio at
   the stopping index, add a roundoff allowance and path-specific
   amplification; they hold against an independent 320-bit reference on
@@ -77,7 +88,19 @@ from fractions import Fraction
 from itertools import islice
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_man_exp, from_rational, round_ceiling, to_fixed
+from mpmath.libmp import (
+    from_man_exp,
+    from_rational,
+    fzero,
+    mpc_exp,
+    mpc_log,
+    mpc_mul_mpf,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    round_ceiling,
+    to_fixed,
+)
 
 from .errors import (
     BranchCutError,
@@ -117,9 +140,9 @@ class EvalContext:
     since building one costs ~0.6 ms and every mpf keeps its context
     alive; so its precision is changed only inside ``workprec``.
 
-    Inside ``sharing()`` the series kernel and ``gamma_c`` keep what they
-    compute on this context and return it again for the same exact inputs;
-    outside it nothing is kept."""
+    Inside ``sharing()`` the 2F1 engine and the gamma functions keep what
+    they compute on this context and return it again for the same exact
+    inputs; outside it nothing is kept."""
 
     def __init__(self, precision: int = 192):
         check_precision(precision)
@@ -129,7 +152,8 @@ class EvalContext:
 
     @contextmanager
     def sharing(self):
-        """Share the series kernel's sums and the gamma values among the
+        """Share the 2F1 engine's series sums, argument descriptions, inner
+        connection results and logarithms, and the gamma values, among the
         calls made inside the block; every result is a function of the
         exact inputs it is keyed by, so a repeat returns the same value."""
         self._shared = {}
@@ -164,7 +188,9 @@ class EvalContext:
 
 
 def _rational_param(x, name: str) -> Fraction:
-    if not isinstance(x, (int, Fraction)):
+    if isinstance(x, Fraction):
+        return x
+    if not isinstance(x, int):
         raise ParameterError(f"{name} must be an int or Fraction, got {x!r}")
     return Fraction(x)
 
@@ -287,7 +313,9 @@ def gamma_c(z, ctx: EvalContext | None = None):
     if z.denominator == 1 and z <= 0:
         raise GammaPoleError(f"gamma pole at {z}")
     ctx = ctx or EvalContext()
-    return ctx._recall(("gamma", z), lambda: _gamma_rational(z, ctx))
+    return ctx._recall(
+        ("gamma", z.numerator, z.denominator), lambda: _gamma_rational(z, ctx)
+    )
 
 
 def _gamma_rational(z: Fraction, ctx: EvalContext):
@@ -310,8 +338,16 @@ def _gamma_rational(z: Fraction, ctx: EvalContext):
 
 def rgamma_c(z, ctx: EvalContext | None = None):
     """1/Gamma, defined as exact 0 at the poles ``gamma_c`` rejects, the
-    nonpositive integers."""
+    nonpositive integers.  Inside ``ctx.sharing()`` the reciprocal is
+    computed once per argument and working precision."""
+    z = _rational_param(z, "gamma argument")
     ctx = ctx or EvalContext()
+    return ctx._recall(
+        ("rgamma", z.numerator, z.denominator, ctx.mp.prec), lambda: _rgamma(z, ctx)
+    )
+
+
+def _rgamma(z: Fraction, ctx: EvalContext):
     try:
         return 1 / gamma_c(z, ctx)
     except GammaPoleError:
@@ -589,11 +625,13 @@ def hyp2f1_num(
     a, b, c are exact rationals (int or Fraction; anything else raises
     ``ParameterError``), so every path decision -- termination, the c pole,
     the Pfaff choice, connection degeneracy -- is made exactly; only z may
-    be floating-point.  The effective argument modulus is |z| on the direct
-    series, |z/(z-1)| on the two Pfaff maps, and min(|1-z|, |1-1/z|) on the
-    1-z connection formula, whose two inner series take the best of the
-    other maps; that covers Re z > 1/2, where neither |z| nor |z/(z-1)|
-    falls below 1.  A map whose series terminates is taken first (the
+    be floating-point, and it must be finite.  The effective argument
+    modulus is |z| on the direct series, |z/(z-1)| on the two Pfaff maps,
+    and min(|1-z|, |1-1/z|) on the 1-z connection formula, whose two inner
+    series take the best of the other maps; that covers Re z > 1/2, where
+    neither |z| nor |z/(z-1)| falls below 1.  The choice compares the
+    squared moduli exactly, as ratios of the integer squared norms |z|^2
+    and |z-1|^2.  A map whose series terminates is taken first (the
     direct series before the Pfaff maps), then the direct series while
     |z| <= 0.7, else the map of least modulus; the Pfaff map there is the
     one whose series grows slower, the one that keeps the smaller of a and
@@ -614,7 +652,92 @@ def hyp2f1_num(
         raise ParameterError(f"unknown evaluation method {method!r}")
     ez = Fraction(z) if isinstance(z, (int, Fraction)) else None
     with ctx.workprec(GUARD_BITS + 32):
-        return _hyp2f1(ctx, a, b, c, ctx.to_mp(z), ez, method, KNOWN_PATHS)
+        zz = ctx.to_mp(z)
+        if not ctx.mp.isfinite(zz):
+            raise ParameterError(f"z must be finite, got {z!r}")
+        return _hyp2f1(ctx, a, b, c, zz, ez, method, KNOWN_PATHS)
+
+
+def _exact(x):
+    """The exact value of an mpf or mpc, as a hashable key."""
+    return getattr(x, "_mpc_", None) or x._mpf_
+
+
+def _dyadic(x) -> tuple:
+    """A finite mpf value (sign, man, exp, bc) as (m, e): m 2^e, m signed."""
+    sign, man, exp, _ = x
+    return -man if sign else man, exp
+
+
+class _Argument:
+    """The argument z of ``_hyp2f1`` as its path choice reads it: whether
+    z lies on the branch cut, and the squared norms N0 = |z|^2 = n0 / 4^s
+    and N1 = |z-1|^2 = n1 / 4^s, integers from z's dyadic components.  Each
+    map's squared modulus is then an exact ratio of integers: n0 / 4^s on
+    the direct series, N0 / N1 = n0 / n1 on the Pfaff maps, and
+    min(N1, N1 / N0) = n1 / max(4^s, n0) on the connection, as
+    |1-z|^2 = N1 and |1-1/z|^2 = N1 / N0.  The mp modulus of a map, and the
+    Pfaff argument w = z/(z-1), are computed only for a map that is taken,
+    as ``modulus`` does, and kept."""
+
+    def __init__(self, mp, zz, prec: int):
+        self.z = zz
+        self.cut = (
+            abs(mp.im(zz)) <= mp.mpf(2) ** (-prec + 8) * (1 + abs(mp.re(zz)))
+            and mp.re(zz) >= 1 - mp.mpf(2) ** -40
+        )
+        parts = zz._mpc_ if hasattr(zz, "_mpc_") else (zz._mpf_, fzero)
+        (xr, er), (xi, ei) = map(_dyadic, parts)
+        e = min(er, ei, 0)
+        xr, xi, one = xr << er - e, xi << ei - e, 1 << -e
+        self.scale = one * one
+        self.n0 = xr * xr + xi * xi
+        self.n1 = (xr - one) ** 2 + xi * xi
+        self.w = None
+        self._moduli = {}
+
+    def squared(self, path: str) -> tuple:
+        """The map's squared modulus as (numerator, denominator)."""
+        if path == _PATH_DIRECT:
+            return self.n0, self.scale
+        if path == _PATH_CONNECTION:
+            return self.n1, max(self.scale, self.n0)
+        return self.n0, self.n1
+
+    def least(self, paths, prec: int, degenerate: bool) -> str:
+        """The map of least modulus among ``paths`` whose series is in
+        budget, ties in the order of ``paths``; a connection that
+        ``degenerate``s is taken only when no other map is in budget.  The
+        moduli are compared exactly, by cross-multiplication."""
+        best = None
+        for path in paths:
+            num, den = self.squared(path)
+            rank = (
+                num >= den or _max_terms_for(math.sqrt(num / den), prec, None) is None,
+                path == _PATH_CONNECTION and degenerate,
+            )
+            if best is None or rank < best[0] or (
+                rank == best[0] and num * best[2] < best[1] * den
+            ):
+                best = rank, num, den, path
+        return best[3]
+
+    def modulus(self, path: str):
+        """The map's effective argument modulus as an mp value: |z|,
+        |z/(z-1)| on both Pfaff maps, min(|1-z|, |1-1/z|)."""
+        kind = _PATH_PFAFF_A if path == _PATH_PFAFF_B else path
+        m = self._moduli.get(kind)
+        if m is None:
+            zz = self.z
+            if kind == _PATH_DIRECT:
+                m = abs(zz)
+            elif kind == _PATH_CONNECTION:
+                m = min(abs(1 - zz), abs(1 - 1 / zz))
+            else:
+                self.w = zz / (zz - 1)
+                m = abs(self.w)
+            self._moduli[kind] = m
+        return m
 
 
 def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
@@ -646,55 +769,40 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
     if zz == 0:
         return EvalResult(mp.mpf(1), ctx.eps, _PATH_DIRECT, 0)
 
-    on_cut = (
-        abs(mp.im(zz)) <= mp.mpf(2) ** (-prec + 8) * (1 + abs(mp.re(zz)))
-        and mp.re(zz) >= 1 - mp.mpf(2) ** -40
-    )
-    if on_cut and m_term is None:
+    z_key = _exact(zz)
+    arg = ctx._recall(("argument", z_key, mp.prec), lambda: _Argument(mp, zz, prec))
+    if arg.cut and m_term is None:
         raise BranchCutError(f"z = {mp.nstr(zz, 15)} lies on the branch cut [1, oo)")
 
     cab = c - a - b
-    # path -> (effective argument modulus, term count when the map's series
-    # terminates, term budget), for the maps defined at the input: the
-    # Pfaff maps (DLMF 15.8.1) move c-b or c-a with c, so they and the
-    # connection formula (15.8.4) need z != 1 and c not a nonpositive
-    # integer.  A Pfaff series terminates when c-b or c-a is a nonpositive
-    # integer; the connection's inner series fall back to their own Pfaff
-    # map, of argument (1-z)/(-z) = 1 - 1/z
-    defined = [(_PATH_DIRECT, abs(zz), m_term)]
-    if zz != 1 and c_pole is None:
-        w = zz / (zz - 1)
-        mw = abs(w)
-        defined += [
-            (_PATH_PFAFF_A, mw, _vanishes_at(c - b)),
-            (_PATH_PFAFF_B, mw, _vanishes_at(c - a)),
-        ]
+    # path -> term count when the map's series terminates, else None, for
+    # the maps defined at the input: the Pfaff maps (DLMF 15.8.1) move c-b
+    # or c-a with c, so they and the connection formula (15.8.4) need
+    # z != 1 and c not a nonpositive integer.  A Pfaff series terminates
+    # when c-b or c-a is a nonpositive integer; the connection's inner
+    # series fall back to their own Pfaff map, of argument
+    # (1-z)/(-z) = 1 - 1/z
+    maps = {_PATH_DIRECT: m_term}
+    if arg.n1 and c_pole is None:
+        maps[_PATH_PFAFF_A] = _vanishes_at(c - b)
+        maps[_PATH_PFAFF_B] = _vanishes_at(c - a)
         if _PATH_CONNECTION in paths:
-            defined.append((_PATH_CONNECTION, min(abs(1 - zz), abs(1 - 1 / zz)), None))
-    maps = {
-        path: (modulus, terms, _max_terms_for(modulus, prec, terms))
-        for path, modulus, terms in defined
-    }
+            maps[_PATH_CONNECTION] = None
 
     if method is None:
-        ending = [p for p, (_, terms, _) in maps.items() if terms is not None]
+        ending = [p for p, terms in maps.items() if terms is not None]
         if ending:
             method = ending[0]
-        elif abs(zz) <= mp.mpf(7) / 10:
+        elif 100 * arg.n0 <= 49 * arg.scale:  # |z| <= 0.7
             method = _PATH_DIRECT
         else:
-            # least modulus among the maps in budget, ties in table order;
-            # a degenerate connection only when nothing else converges.
             # Of the two Pfaff series, F(a, c-b; c; w) grows like
             # n^(a-b-1) and F(b, c-a; c; w) like n^(b-a-1): take the slower
             pfaff = _PATH_PFAFF_A if a <= b else _PATH_PFAFF_B
-            method = min(
-                (p for p in (_PATH_DIRECT, pfaff, _PATH_CONNECTION) if p in maps),
-                key=lambda p: (
-                    maps[p][2] is None,
-                    p == _PATH_CONNECTION and cab.denominator == 1,
-                    maps[p][0],
-                ),
+            method = arg.least(
+                [p for p in (_PATH_DIRECT, pfaff, _PATH_CONNECTION) if p in maps],
+                prec,
+                cab.denominator == 1,
             )
     elif method not in maps:
         raise ParameterError(
@@ -702,7 +810,8 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
             f"z = {mp.nstr(zz, 15)}; it needs z != 1 and c not a nonpositive integer"
         )
 
-    modulus, _, max_terms = maps[method]
+    modulus = arg.modulus(method)
+    max_terms = _max_terms_for(modulus, prec, maps[method])
     if method == _PATH_CONNECTION and cab.denominator == 1:
         raise DegenerateConnectionError(
             f"c-a-b = {cab} is an integer; the two-term connection formula degenerates"
@@ -724,10 +833,16 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
         # the inner series run at 1 - z, exactly when z is rational
         eu = None if ez is None else 1 - ez
         uu = u if eu is None else ctx.to_mp(eu)
+        u_key = (_exact(uu), None if eu is None else (eu.numerator, eu.denominator))
         parts, errs, n = [], [], 0
         for coef, pa, pb, pc in ((coef1, a, b, 1 - cab), (coef2, c - a, c - b, 1 + cab)):
             if coef != 0:
-                inner = _hyp2f1(ctx, pa, pb, pc, uu, eu, None, _SERIES_PATHS)
+                # ordered (pa, pb): with c-a and c-b both nonpositive
+                # integers the terminating Pfaff map taken depends on it
+                key = ("inner", _pair(pa), _pair(pb), _pair(pc), u_key, mp.prec)
+                inner = ctx._recall(
+                    key, lambda: _hyp2f1(ctx, pa, pb, pc, uu, eu, None, _SERIES_PATHS)
+                )
                 parts.append(coef * inner.value)
                 errs.append(abs(coef) * inner.est_error)
                 n += inner.n_terms
@@ -736,17 +851,22 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
         est = sum(errs, zero) + sum(map(abs, parts), zero) * ctx.eps * 16
     else:
         if method == _PATH_DIRECT:
-            pref, pa, pb, arg = 1, a, b, zz
+            pref, pa, pb, x, x_key = 1, a, b, zz, z_key
         else:
             pa, pb = (a, c - b) if method == _PATH_PFAFF_A else (b, c - a)
-            pref, arg = _principal_power(ctx, 1 - zz, -pa), w
-        # the kernel is symmetric in pa and pb, bit for bit
-        exact_arg = getattr(arg, "_mpc_", None) or arg._mpf_
-        key = ("series", *sorted((pa, pb)), c, exact_arg, mp.prec, target_bits, max_terms)
-        total, last, n, peak = ctx._recall(
-            key, lambda: _series_2f1(mp, pa, pb, c, arg, target_bits, max_terms)
-        )
-        est = abs(pref) * _tail_estimate(mp, last, modulus, peak, n, pa, pb, c)
+            pref, x = _principal_power(ctx, 1 - zz, -pa), arg.w
+            x_key = _exact(x)
+        # the kernel and the tail estimate are symmetric in pa and pb, bit
+        # for bit, and the modulus is |x| on every series map
+        key = ("series", *sorted((_pair(pa), _pair(pb))), _pair(c), x_key,
+               mp.prec, target_bits, max_terms)
+
+        def summed():
+            total, last, n, peak = _series_2f1(mp, pa, pb, c, x, target_bits, max_terms)
+            return total, n, _tail_estimate(mp, last, modulus, peak, n, pa, pb, c)
+
+        total, n, tail = ctx._recall(key, summed)
+        est = abs(pref) * tail
         value = pref * total
 
     if mp.im(value) == 0:
@@ -754,11 +874,33 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
     return EvalResult(+value, +est, method, n)
 
 
+def _pair(x: Fraction) -> tuple:
+    """An exact rational as a memo key: (numerator, denominator), since
+    hashing a Fraction costs a modular inverse."""
+    return x.numerator, x.denominator
+
+
 def _principal_power(ctx: EvalContext, base, expo: Fraction):
-    """base**expo on the principal branch; exact for integer exponents."""
+    """base**expo on the principal branch, bit for bit ``mp.power``: exact
+    for integer exponents, through the square root for half-integers, and
+    otherwise exp(expo L) with L = log(base) at the working precision + 10,
+    formed as mpmath's ``mpc_pow_mpf`` and ``mpf_pow`` form it.  Inside
+    ``ctx.sharing()`` L is kept under the exact base, so the powers of one
+    base take one logarithm."""
+    mp = ctx.mp
     if expo.denominator == 1:
-        return ctx.mp.power(base, int(expo))
-    return ctx.mp.power(base, ctx.to_mp(expo))
+        return mp.power(base, int(expo))
+    p = ctx.to_mp(expo)
+    prec, rnd = mp._prec_rounding
+    z = getattr(base, "_mpc_", None)
+    if expo.denominator == 2 or z is None and (base._mpf_[0] or not base):
+        return mp.power(base, p)
+    if z is not None:
+        log = ctx._recall(("log", z, prec), lambda: mpc_log(z, prec + 10))
+        return mp.make_mpc(mpc_exp(mpc_mul_mpf(log, p._mpf_, prec + 10), prec, rnd))
+    x = base._mpf_
+    log = ctx._recall(("log", x, prec), lambda: mpf_log(x, prec + 10, rnd))
+    return mp.make_mpf(mpf_exp(mpf_mul(p._mpf_, log), prec, rnd))
 
 
 def _tail_estimate(mp, last, modulus, peak, n_terms, a, b, c):

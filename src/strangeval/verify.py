@@ -27,11 +27,14 @@ parameter, and for both identities that series is
 F(a, c-1-ell; c; lam/(lam-1)) when a <= 1+ell, else
 F(1+ell, c-a; c; lam/(lam-1)).
 ``verify_theorem`` therefore checks its roots inside one
-``EvalContext.sharing()`` scope, which computes each such
-sum and gamma value once per call.  A shared result is looked up by its
-exact inputs, so it is the value the second computation would give; both
-identities are still evaluated and compared with their own right-hand
-sides, and nothing is kept past the call.
+``EvalContext.sharing()`` scope, which computes each such sum and gamma
+value once per call.  At a connection root the second identity reads both
+inner connection results of the first, and the powers (1-lam)^(+-(c-a-1-ell))
+of the two identities, and the Pfaff prefactors (1-lam)^(-p), share one
+logarithm of 1-lam; each root's argument is described once.  A shared
+result is looked up by its exact inputs, so it is the value the second
+computation would give; both identities are still evaluated and compared
+with their own right-hand sides, and nothing is kept past the call.
 
 ``gosper_check`` verifies F(1-a, b, b+2; b/(a+b)) = (b+1) (a/(a+b))^a,
 exactly when the left side terminates.  ``incomplete_beta_check`` verifies

@@ -254,6 +254,11 @@ class TestHyp2F1:
             with pytest.raises(ParameterError):
                 hyp2f1_num(*params, Fraction(1, 2), CTX)
 
+    def test_non_finite_argument_rejected(self):
+        for z in (float("nan"), float("inf"), complex(0.5, float("-inf"))):
+            with pytest.raises(ParameterError, match="finite"):
+                hyp2f1_num(Fraction(1, 3), Fraction(1, 2), Fraction(5, 4), z, CTX)
+
     def test_c_pole_after_termination_allowed(self):
         r = hyp2f1_num(-1, 1, -2, Fraction(1, 2), CTX)
         assert abs(r.value - (1 + Fraction(1, 4))) <= tol(185)
@@ -636,6 +641,37 @@ def _mpc_series(mp, a, b, c, z, target_bits, max_terms):
         else:
             small = 0
     raise AssertionError("reference recurrence did not converge")
+
+
+class TestPrincipalPower:
+    """``_principal_power`` is ``mp.power`` bit for bit, whether or not a
+    sharing scope keeps the logarithm of its base."""
+
+    @pytest.mark.parametrize("precision", [64, 192, 512])
+    def test_equals_mp_power(self, precision):
+        rng = random.Random(precision)
+        ctx = EvalContext(precision)
+        mp = ctx.mp
+
+        def draw():
+            return ctx.to_mp(Fraction(rng.randint(-999, 999), rng.randint(1, 999)))
+
+        bases = [mp.mpc(draw(), draw()) for _ in range(6)]
+        bases += [abs(draw()) for _ in range(4)] + [-abs(draw()), mp.mpc(draw(), 0)]
+        expos = [Fraction(rng.randint(-40, 40), d) for d in (1, 1, 2, 2, 3, 4, 7, 45)]
+        for base in bases:
+            expected = [
+                mp.power(base, int(e) if e.denominator == 1 else ctx.to_mp(e))
+                for e in expos
+            ]
+            outside = [numeric._principal_power(ctx, base, e) for e in expos]
+            with ctx.sharing():
+                inside = [numeric._principal_power(ctx, base, e) for e in expos * 2]
+            for got in (outside, inside[:len(expos)], inside[len(expos):]):
+                assert [type(x) for x in got] == [type(x) for x in expected]
+                assert [numeric._exact(x) for x in got] == [
+                    numeric._exact(x) for x in expected
+                ]
 
 
 class TestSeriesKernel:

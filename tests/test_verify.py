@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from strangeval import numeric, verify
-from strangeval.errors import BranchCutError, ParameterError
+from strangeval.errors import BranchCutError, NonConvergenceError, ParameterError
 from strangeval.hyp import HypParams, hyp_series, q0_r0_by_series, terminating_poly
 from strangeval.numeric import EvalContext, find_roots, gamma_c, hyp2f1_num
 from strangeval.operators import factor_remainder, genericity_flags, h_remainder
@@ -224,22 +225,30 @@ class TestSharedWork:
         assert 0 < len(runs) <= 7
 
     def test_results_equal_with_and_without_sharing(self, monkeypatch):
+        # 20 seeded draws (4 and 10 have no roots): every path, Pfaff
+        # roots, a terminating draw and real roots, each of which is also
+        # taken as an mpf, whose powers go through mpf_log, not mpc_log
         rng = random.Random(42)
         draws = [draw_theorem_params(rng, 5) for _ in range(37)]
         runs = _counted(monkeypatch, "_series_2f1")
-        paths, terminating, unshared_runs = set(), 0, 0
-        for i in (0, 3, 5, 11, 36):
+        real_logs = _counted(monkeypatch, "mpf_log")
+        paths, terminating, unshared_runs, reals = set(), 0, 0, 0
+        for i in (0, 1, 2, 3, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 36):
             a, c, ell = draws[i]
             shared = EvalContext()
             with shared.sharing():
                 for lam in _roots(a, c, ell):
-                    for params in _identities(a, c, ell):
+                    points = [lam]
+                    if lam.imag == 0:
+                        points.append(lam.real)
+                        reals += 1
+                    for z, params in itertools.product(points, _identities(a, c, ell)):
                         outcomes = []
                         for ctx in (EvalContext(), shared):
                             before = len(runs)
                             try:
-                                r = hyp2f1_num(*params, lam, ctx)
-                            except BranchCutError as exc:
+                                r = hyp2f1_num(*params, z, ctx)
+                            except (BranchCutError, NonConvergenceError) as exc:
                                 outcomes.append(type(exc))
                             else:
                                 outcomes.append(
@@ -247,13 +256,27 @@ class TestSharedWork:
                                 )
                             if ctx is not shared:
                                 unshared_runs += len(runs) - before
-                        assert outcomes[0] == outcomes[1], (a, c, ell, params, lam)
+                        assert outcomes[0] == outcomes[1], (a, c, ell, params, z)
                         if isinstance(outcomes[0], tuple):
                             paths.add(outcomes[0][2])
                             terminating += params[0].denominator == 1 and params[0] <= 0
-        assert paths == set(numeric.KNOWN_PATHS) and terminating
+        assert paths == set(numeric.KNOWN_PATHS) and terminating and reals and real_logs
         # the shared context summed fewer series than the fresh ones
         assert len(runs) - unshared_runs < unshared_runs
+
+    def test_connection_roots_share_inner_results_logs_and_tables(self, monkeypatch):
+        """At a connection root the second identity's inner series are the
+        first's: each root evaluates two inner results, takes one logarithm
+        per base and precision, and describes each argument once."""
+        inner = _counted(monkeypatch, "_hyp2f1")
+        logs = _counted(monkeypatch, "mpc_log")
+        tables = _counted(monkeypatch, "_Argument")
+        report = verify_theorem(*CONNECTION_ROOTS_DRAW)
+        paths = [ch.path for r in report.records for ch in r.checks]
+        assert paths == ["connection-1mz"] * 4
+        assert len([c for c in inner if c[7] == numeric._SERIES_PATHS]) == 2 * len(report.records)
+        assert logs and len({(z, prec) for z, prec in logs}) == len(logs)
+        assert len({numeric._exact(t[1]) for t in tables}) == len(tables)
 
     def test_consecutive_calls_run_the_kernels_alike(self, monkeypatch):
         series = _counted(monkeypatch, "_series_2f1")
