@@ -1018,6 +1018,22 @@ def find_roots(poly: Poly, precision: int = 192) -> RootSet:
     )
 
 
+def exact_poly_value(poly: Poly, x, mp):
+    """poly(x) at a finite mpf or mpc x, which is a dyadic rational, as an
+    mpc rounded once to the precision of ``mp``: x = (xr + i xi) / 2^w,
+    and ``_horner_exact`` gives poly.nums at x times 2^(w deg) exactly, so
+    only the division by poly.den 2^(w deg) rounds."""
+    if poly.is_zero():
+        return mp.mpc(0)
+    parts = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
+    (xr, er), (xi, ei) = map(_dyadic, parts)
+    e = min(er, ei, 0)
+    pr, pi = _horner_exact(poly.nums, xr << er - e, xi << ei - e, -e)[:2]
+    den = poly.den << -e * poly.degree
+    prec, rnd = mp._prec_rounding
+    return mp.make_mpc((from_rational(pr, den, prec, rnd), from_rational(pi, den, prec, rnd)))
+
+
 def _upper_mpf(mp, q: Fraction, prec: int):
     """The rational q rounded up to a ``prec``-bit mpf."""
     return mp.make_mpf(from_rational(q.numerator, q.denominator, prec, round_ceiling))

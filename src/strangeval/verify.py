@@ -10,7 +10,9 @@ evaluation identities
     F(a, 1+ell, c; lam)       = -(1-c) q0(lam) / ((1,ell) (1-lam)^ell)
     F(c-a, c-1-ell, c; lam)   = -(1-c)/(1,ell) (1-lam)^(a+1-c) q0(lam)
 
-numerically at every root lam, using principal branches throughout.
+numerically at every root lam, using principal branches throughout.  Each
+root is an exact dyadic, so q0(lam) on the right-hand sides is its exact
+value there (``numeric.exact_poly_value``), rounded once.
 Roots on [1, oo) are skipped (no branch convention is defined there), as
 are roots whose only convergent evaluation route degenerates and roots at
 which no evaluation route converges within the term budget.
@@ -59,7 +61,14 @@ from .errors import (
     ParameterError,
 )
 from .hyp import HypParams, q0_by_reversal, q0_r0_by_series, terminating_poly
-from .numeric import EvalContext, RootSet, check_precision, find_roots, hyp2f1_num
+from .numeric import (
+    EvalContext,
+    RootSet,
+    check_precision,
+    exact_poly_value,
+    find_roots,
+    hyp2f1_num,
+)
 # right_reduce is not called here; the name stays bound in this module
 # because bench/selftest.py checks that its tracer rebinds it at this import.
 from .operators import (  # noqa: F401
@@ -78,14 +87,6 @@ CHECK_REFLECTED = "F(c-a,c-1-l,c)"
 SKIP_BRANCH_CUT = "branch-cut"
 SKIP_DEGENERATE_CONNECTION = "degenerate-connection"
 SKIP_EVAL_FAILED = "eval-failed"
-
-
-def eval_poly_mp(p: Poly, x, ctx: EvalContext):
-    """Horner evaluation of an exact polynomial at an mp point."""
-    out = ctx.mp.mpf(0)
-    for coeff in reversed(p.coeffs):
-        out = out * x + ctx.to_mp(coeff)
-    return out
 
 
 def report_digits(precision: int) -> int:
@@ -323,7 +324,7 @@ def _check_both_identities(a, c, ell, q0: Poly, lam, ctx: EvalContext):
     res2 = hyp2f1_num(c - a, c - 1 - ell, c, lam, ctx)
     with ctx.workprec():
         lam = ctx.to_mp(lam)
-        q0val = eval_poly_mp(q0, lam, ctx)
+        q0val = exact_poly_value(q0, lam, mp)
         neg_1mc = ctx.to_mp(-(1 - c))
         fact = ctx.to_mp(poch(1, ell))
         one_minus = 1 - lam

@@ -886,6 +886,18 @@ def _reference_roots(p: Poly, bits: int):
     return out
 
 
+def test_exact_poly_value_rounds_the_exact_value_once():
+    mp = EvalContext(64).mp
+    p = Poly((Fraction(1, 3), -2, 5))
+    # p(1/2 - i/4) = 13/48 - 3i/4 and p(12) = 696 + 1/3, exactly
+    for x, re, im in ((mp.mpc(0.5, -0.25), Fraction(13, 48), Fraction(-3, 4)),
+                      (mp.mpf(12), Fraction(2089, 3), Fraction(0))):
+        value = numeric.exact_poly_value(p, x, mp)
+        assert value == mp.mpc(mp.mpf(re.numerator) / re.denominator,
+                               mp.mpf(im.numerator) / im.denominator)
+    assert numeric.exact_poly_value(Poly.zero(), mp.mpf(3), mp) == 0
+
+
 class TestFindRootsOracle:
     """find_roots against sympy + mpmath.polyroots at twice the precision,
     on the polynomials verify_theorem sees: seeded sweep draws (ell 1-5)

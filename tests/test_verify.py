@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from strangeval import numeric, verify
@@ -46,6 +47,28 @@ class TestVerifyTheorem:
         assert abs(reflected.lhs - expected) <= mp.mpf(1e-40)
         assert shifted.residual <= mp.mpf(1e-40)
         assert reflected.residual <= mp.mpf(1e-40)
+
+    def test_right_sides_carry_an_exact_q0(self):
+        # at ell 40 Horner in mp arithmetic cancels ~40 of q0's bits at the
+        # roots; the exact value of q0 at the dyadic root, rounded once,
+        # leaves each right-hand side within 2^-190 of a 1600-bit one
+        a, c, ell = Fraction(-2, 5), Fraction(3, 7), 40
+        report = verify_theorem(a, c, ell)
+        assert len(report.records) == ell
+        with mpmath.workprec(1600):
+            q = [mpmath.mpf(x.numerator) / x.denominator for x in report.q0.coeffs]
+            scale = mpmath.mpf((c - 1).numerator) / (c - 1).denominator / mpmath.factorial(ell)
+            expo = mpmath.mpf((a + 1 - c).numerator) / (a + 1 - c).denominator
+            for rec in report.records:
+                lam = mpmath.mpmathify(rec.lam)
+                q0 = mpmath.polyval(q[::-1], lam)
+                exact = {
+                    CHECK_SHIFTED: scale * q0 / (1 - lam) ** ell,
+                    CHECK_REFLECTED: scale * (1 - lam) ** expo * q0,
+                }
+                for ch in rec.checks:
+                    ref = exact[ch.name]
+                    assert abs(ch.rhs - ref) <= mpmath.mpf(2) ** -190 * abs(ref)
 
     def test_no_roots_when_a_is_one(self):
         report = verify_theorem(1, Fraction(1, 2), 3)
