@@ -37,7 +37,7 @@ from .errors import (
     ParameterError,
 )
 from .hyp import HypParams, terminating_poly
-from .numeric import KNOWN_PATHS, EvalContext, check_precision, find_roots, hyp2f1_num
+from .numeric import KNOWN_PATHS, EvalContext, find_roots, hyp2f1_num
 from .operators import (
     build_H,
     build_L,
@@ -49,6 +49,7 @@ from .poly import Poly
 from .scalars import format_rational, parse_rational
 from .verify import (
     _flags_dict,
+    check_report_precision,
     compute_q0_all_methods,
     gosper_check,
     report_digits,
@@ -144,30 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=192)
     p.add_argument("--json", action="store_true")
     return parser
-
-
-def max_report_precision() -> int | None:
-    """The largest precision whose report prints, or None for no bound.
-
-    A reported value carries up to precision + 64 bits, and mpmath formats
-    a small one through an integer of about that many bits times log10(2)
-    decimal digits, which must stay within Python's limit on int-to-str
-    conversion (``sys.get_int_max_str_digits()``, 0 for none); 64 more
-    bits keep a margin."""
-    digits = sys.get_int_max_str_digits()
-    return int(digits / 0.30103) - 128 if digits else None
-
-
-def _check_precision(precision: int) -> None:
-    """The precision rule, then the bound under which a report prints."""
-    check_precision(precision)
-    top = max_report_precision()
-    if top is not None and precision > top:
-        raise ParameterError(
-            f"precision must be at most {top} bits, so that the report fits "
-            f"Python's {sys.get_int_max_str_digits()}-digit limit on printing "
-            f"an integer: {precision}"
-        )
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -461,7 +438,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "precision"):
-            _check_precision(args.precision)
+            check_report_precision(args.precision)
         return _COMMANDS[args.command](args)
     except (
         ParameterError,

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -92,6 +93,33 @@ SKIP_EVAL_FAILED = "eval-failed"
 def report_digits(precision: int) -> int:
     """Decimal digits printed for a value computed at ``precision`` bits."""
     return int(precision * 0.30103) + 3
+
+
+def max_report_precision() -> int | None:
+    """The largest precision whose report prints, or None for no bound.
+
+    A reported value carries up to precision + 64 bits, and mpmath formats
+    a small one through an integer of about that many bits times log10(2)
+    decimal digits, which must stay within Python's limit on int-to-str
+    conversion (``sys.get_int_max_str_digits()``, 0 for none); 64 more
+    bits keep a margin."""
+    digits = sys.get_int_max_str_digits()
+    return int(digits / 0.30103) - 128 if digits else None
+
+
+def check_report_precision(precision) -> None:
+    """The precision rule of ``check_precision``, then the bound under
+    which a report prints, else ``ParameterError``.  Every function that
+    returns a report (``verify_theorem``, ``gosper_check``, ``sweep``)
+    applies it before any work, and so does the CLI for every command."""
+    check_precision(precision)
+    top = max_report_precision()
+    if top is not None and precision > top:
+        raise ParameterError(
+            f"precision must be at most {top} bits, so that the report fits "
+            f"Python's {sys.get_int_max_str_digits()}-digit limit on printing "
+            f"an integer: {precision}"
+        )
 
 
 def _fmt(x, digits: int):
@@ -215,9 +243,9 @@ def _check_tolerance(precision: int, tolerance) -> None:
     no residual compares below, can only report FAIL; an infinite one,
     which every residual compares below, can only report PASS.  Each is a
     misconfiguration, not a mathematical result.  The precision rule of
-    ``check_precision`` comes first, so a precision below it is not blamed
-    on the tolerance."""
-    check_precision(precision)
+    ``check_report_precision`` comes first, so a precision outside it is
+    not blamed on the tolerance."""
+    check_report_precision(precision)
     if not math.isfinite(tolerance):
         raise ParameterError(
             f"tolerance {tolerance!r} is not finite, so it bounds no residual"

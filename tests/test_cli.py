@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from strangeval import cli
+from strangeval import cli, verify
 from strangeval.cli import main
 from strangeval.errors import InternalInconsistencyError
 
@@ -344,7 +344,7 @@ class TestReportPrecision:
     }
 
     def test_bound_follows_the_int_to_str_limit(self):
-        assert cli.max_report_precision() == 14156  # at Python's default 4300
+        assert verify.max_report_precision() == 14156  # at Python's default 4300
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     @pytest.mark.parametrize("above", [1, 144, 5844])
@@ -354,7 +354,7 @@ class TestReportPrecision:
 
         monkeypatch.setattr(cli, "verify_theorem", no_work)
         monkeypatch.setattr(cli, "hyp2f1_num", no_work)
-        precision = cli.max_report_precision() + above
+        precision = verify.max_report_precision() + above
         code, out, err = run(capsys, *self.COMMANDS[command], f"--precision={precision}")
         assert code == 2
         assert out == ""
@@ -363,7 +363,7 @@ class TestReportPrecision:
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_at_the_bound_prints(self, capsys, command):
-        precision = cli.max_report_precision()
+        precision = verify.max_report_precision()
         code, out, err = run(capsys, *self.COMMANDS[command], f"--precision={precision}")
         assert code == 0 and err == ""
         assert "e-42" in out  # the residual or error estimate, near 2^-precision

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -434,6 +435,35 @@ class TestSweep:
             sweep(0)
         with pytest.raises(ParameterError):
             sweep(1, ell_max=0)
+
+
+class TestReportPrecision:
+    """Every function that returns a report refuses, before any work, a
+    precision whose report Python cannot print; at the bound the report
+    prints."""
+
+    CALLS = {
+        "verify": lambda p: verify_theorem(3, Fraction(3, 2), 1, precision=p),
+        "gosper": lambda p: gosper_check(3, 2, precision=p),
+        # seed 7 draws a = 0, c = 5/2, ell = 1: one root, direct series
+        "sweep": lambda p: sweep(1, ell_max=1, seed=7, precision=p),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_above_the_bound_is_a_parameter_error(self, monkeypatch, name):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work was done")
+
+        for fn in ("genericity_flags", "terminating_poly", "hyp2f1_num"):
+            monkeypatch.setattr(verify, fn, no_work)
+        with pytest.raises(ParameterError, match="at most 14156 bits"):
+            self.CALLS[name](15000)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_at_the_bound_prints(self, name):
+        report = self.CALLS[name](verify.max_report_precision())
+        assert report.verdict == "pass"
+        assert json.dumps(report.as_dict())
 
 
 class TestHighEllQ0:
