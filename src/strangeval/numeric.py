@@ -663,10 +663,13 @@ def _exact(x):
     return getattr(x, "_mpc_", None) or x._mpf_
 
 
-def _dyadic(x) -> tuple:
-    """A finite mpf value (sign, man, exp, bc) as (m, e): m 2^e, m signed."""
-    sign, man, exp, _ = x
-    return -man if sign else man, exp
+def _gaussian(x) -> tuple:
+    """A finite mpf or mpc x, a dyadic rational, as (xr, xi, w) with
+    x = (xr + i xi) / 2^w exactly, xr and xi integers and w >= 0."""
+    parts = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
+    (sr, mr, er, _), (si, mi, ei, _) = parts
+    e = min(er, ei, 0)
+    return (-mr if sr else mr) << er - e, (-mi if si else mi) << ei - e, -e
 
 
 class _Argument:
@@ -686,10 +689,8 @@ class _Argument:
             abs(mp.im(zz)) <= mp.mpf(2) ** (-prec + 8) * (1 + abs(mp.re(zz)))
             and mp.re(zz) >= 1 - mp.mpf(2) ** -40
         )
-        parts = zz._mpc_ if hasattr(zz, "_mpc_") else (zz._mpf_, fzero)
-        (xr, er), (xi, ei) = map(_dyadic, parts)
-        e = min(er, ei, 0)
-        xr, xi, one = xr << er - e, xi << ei - e, 1 << -e
+        xr, xi, s = _gaussian(zz)
+        one = 1 << s
         self.scale = one * one
         self.n0 = xr * xr + xi * xi
         self.n1 = (xr - one) ** 2 + xi * xi
@@ -708,7 +709,10 @@ class _Argument:
         """The map of least modulus among ``paths`` whose series is in
         budget, ties in the order of ``paths``; a connection that
         ``degenerate``s is taken only when no other map is in budget.  The
-        moduli are compared exactly, by cross-multiplication."""
+        moduli are compared exactly, by cross-multiplication.  A budget is
+        judged at the square root, in double precision, of the squared
+        modulus; that is within an ulp of the double nearest the mp
+        modulus, from which the budget of the map taken is computed."""
         best = None
         for path in paths:
             num, den = self.squared(path)
@@ -891,10 +895,11 @@ def _principal_power(ctx: EvalContext, base, expo: Fraction):
     if expo.denominator == 1:
         return mp.power(base, int(expo))
     p = ctx.to_mp(expo)
-    prec, rnd = mp._prec_rounding
     z = getattr(base, "_mpc_", None)
-    if expo.denominator == 2 or z is None and (base._mpf_[0] or not base):
+    if expo.denominator == 2 or z is None and base <= 0:
+        # the square root, or a real base mpf_pow hands to the complex plane
         return mp.power(base, p)
+    prec, rnd = mp._prec_rounding
     if z is not None:
         log = ctx._recall(("log", z, prec), lambda: mpc_log(z, prec + 10))
         return mp.make_mpc(mpc_exp(mpc_mul_mpf(log, p._mpf_, prec + 10), prec, rnd))
@@ -1025,11 +1030,9 @@ def exact_poly_value(poly: Poly, x, mp):
     only the division by poly.den 2^(w deg) rounds."""
     if poly.is_zero():
         return mp.mpc(0)
-    parts = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
-    (xr, er), (xi, ei) = map(_dyadic, parts)
-    e = min(er, ei, 0)
-    pr, pi = _horner_exact(poly.nums, xr << er - e, xi << ei - e, -e)[:2]
-    den = poly.den << -e * poly.degree
+    xr, xi, w = _gaussian(x)
+    pr, pi = _horner_exact(poly.nums, xr, xi, w)[:2]
+    den = poly.den << w * poly.degree
     prec, rnd = mp._prec_rounding
     return mp.make_mpc((from_rational(pr, den, prec, rnd), from_rational(pi, den, prec, rnd)))
 
