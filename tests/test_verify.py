@@ -50,9 +50,10 @@ class TestVerifyTheorem:
         assert reflected.residual <= mp.mpf(1e-40)
 
     def test_right_sides_carry_an_exact_q0(self):
-        # at ell 40 Horner in mp arithmetic cancels ~40 of q0's bits at the
-        # roots; the exact value of q0 at the dyadic root, rounded once,
-        # leaves each right-hand side within 2^-190 of a 1600-bit one
+        # at ell 40, Horner in mp arithmetic loses ~60 of q0's bits to
+        # cancellation at the roots (3e-49 relative); the exact value at
+        # the dyadic root, rounded once, leaves each right-hand side
+        # within 2^-190 of a 1600-bit one
         a, c, ell = Fraction(-2, 5), Fraction(3, 7), 40
         report = verify_theorem(a, c, ell)
         assert len(report.records) == ell
