@@ -83,12 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, order=True):
+    def common(p):
         p.add_argument("--precision", type=int, default=192,
                        help="mantissa bits (default 192)")
-        if order:
-            p.add_argument("--order", type=int, default=None,
-                           help="series truncation order (default ell + 32)")
         p.add_argument("--tolerance", type=float, default=1e-30,
                        help="residual tolerance (default 1e-30)")
         p.add_argument("--json", action="store_true", help="emit JSON")
@@ -105,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--b", type=_rat, default=Fraction(1),
                    help="second parameter (default 1)")
-    p.add_argument("--order", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("reduce", help="right division of H(ell) by L(a,b,c)")
@@ -118,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gosper", help="check the Gosper evaluation")
     p.add_argument("--a", type=_rat, required=True)
     p.add_argument("--b", type=_rat, required=True)
-    common(p, order=False)
+    common(p)
 
     p = sub.add_parser("sweep", help="seeded random verify runs")
     p.add_argument("--trials", type=int, required=True)
@@ -158,7 +154,7 @@ def _emit(args, payload: dict, text_lines) -> None:
 def _cmd_verify(args) -> int:
     report = verify_theorem(
         args.a, args.c, args.ell,
-        precision=args.precision, order=args.order, tolerance=args.tolerance,
+        precision=args.precision, tolerance=args.tolerance,
     )
     digits = report_digits(args.precision)
     lines = [
@@ -199,7 +195,7 @@ def _cmd_q0(args) -> int:
     a, b, c, ell = args.a, args.b, args.c, args.ell
     flags = genericity_flags(HypParams(a, b, c), ell)
     # routes that disagree raise InternalInconsistencyError (exit 3)
-    q0, r0, provenance, _ = compute_q0_all_methods(a, c, ell, args.order, b)
+    q0, r0, provenance, _ = compute_q0_all_methods(a, c, ell, ell + 32, b)
     records = []
     for method in provenance:
         rec = {"method": method, "q0": str(q0)}
@@ -314,7 +310,7 @@ def _cmd_gosper(args) -> int:
 def _cmd_sweep(args) -> int:
     report = sweep(
         args.trials, ell_max=args.ell_max, seed=args.seed,
-        precision=args.precision, tolerance=args.tolerance, order=args.order,
+        precision=args.precision, tolerance=args.tolerance,
     )
     lines = [
         f"{report.trials} trials, ell 1..{report.ell_max}, seed {report.seed}: "

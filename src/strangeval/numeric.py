@@ -10,17 +10,17 @@ and never leaks through global state.  Conventions that matter:
 * the 2F1 evaluation maps (direct series, the two Pfaff maps, the 1-z
   connection) are described once per call, in a table built from two
   squared norms of the argument, N0 = |z|^2 and N1 = |z-1|^2, held as
-  integers from z's dyadic components: the maps' squared moduli are N0,
-  N0/N1 and min(N1, N1/N0), compared exactly by cross-multiplication.  A
-  table entry holds the term count when the map's series terminates; the
-  modulus as an mp value, the term budget worked out from it and the
-  Pfaff argument z/(z-1) are computed only for the map taken.  The table
-  holds only the maps defined at the input: the Pfaff maps and the
+  integers from z's dyadic components (only their mantissas squared):
+  the maps' squared moduli are N0, N0/N1 and min(N1, N1/N0), compared
+  exactly by cross-multiplication, and give the term budgets as doubles.
+  A table entry holds the term count when the map's series terminates;
+  the Pfaff argument z/(z-1) is computed only for a Pfaff map taken.  The
+  table holds only the maps defined at the input: the Pfaff maps and the
   connection need z != 1 and c not a nonpositive integer, and a forced
   method outside the table raises ``ParameterError``.  A terminating sum
-  is the table's direct map, with its tail estimate as the error.  Of the
-  two Pfaff maps the path choice takes the one whose series grows slower,
-  the one that keeps the smaller of a and b;
+  is the table's direct map, with that map's error.  Of the two Pfaff
+  maps the path choice takes the one whose series grows slower, the one
+  that keeps the smaller of a and b;
 * every fractional power takes the principal branch (log with imaginary
   part in (-pi, pi]); arguments on [1, oo) are rejected, not guessed;
 * a sum that terminates at a rational argument is evaluated exactly, by
@@ -39,7 +39,8 @@ and never leaks through global state.  Conventions that matter:
   Blocks run only where they cannot move the stopping index or the peak
   (past the index of monotone term ratios, once the peak is proved final,
   and while a block's last term stays above the stopping limit), so the
-  stopping rule is the term-by-term one;
+  stopping rule is the term-by-term one: three small terms end a sum
+  only where the kernel proves a bound on its tail;
 * gamma takes only an int or Fraction argument p/q, which is a pole
   exactly when it is a nonpositive integer.  It sums Spouge's series in
   fixed point too: the coefficients are integers C_k = c_k 2^W, held once
@@ -52,7 +53,7 @@ and never leaks through global state.  Conventions that matter:
   around its root loop and nothing else opens, the engine keeps each
   result under its exact inputs, rationals as (numerator, denominator)
   pairs and mp values as their exact mpf/mpc tuples: each series sum
-  with its tail estimate (under the unordered pair {a, b}, since the
+  with its error (under the unordered pair {a, b}, since the
   kernel is symmetric in a and b bit for bit; c; the argument; the
   working precision, the target bits and the term budget), each
   argument's description (under the argument and the working
@@ -64,11 +65,12 @@ and never leaks through global state.  Conventions that matter:
   (under its argument and the working precision).  A repeat returns the
   value already computed from the same inputs, so every result is the
   same with or without the scope; outside it nothing is kept;
-* error estimates bound the tail by the last term and the term ratio at
-  the stopping index, add a roundoff allowance and path-specific
-  amplification; they hold against an independent 320-bit reference on
-  every path, and a 400-bit one on the series maps at modulus 0.95-0.99,
-  but are not certified enclosures;
+* a series' error is the kernel's proved bound on its tail, from the
+  last term and a bound on every later term ratio, plus a roundoff
+  allowance that is an estimate; the paths add their amplification.
+  The errors hold against an independent 320-bit reference on every
+  path, and a 400-bit one on the series maps at modulus 0.95-0.99, but
+  are not certified enclosures;
 * roots are found on the integer numerators of each squarefree factor:
   Aberth in Python ``complex`` from Newton-polygon circles, Newton in
   fixed-point Gaussian integers at doubling precision, and certification
@@ -402,6 +404,30 @@ def _monotone_from(an: int, bn: int, cn: int, den: int) -> int:
     return max(0, root, -cn // den + 1)
 
 
+def _tail_bound(zbar, wp, an, bn, cn, kn, tr, ti, monotone: bool):
+    """A bound in units of 2^-wp on sum_(k>n) |t_k| past the term
+    t_n = (tr + i ti) / 2^wp at z, |z| 2^wp <= zbar, (an, bn, cn, kn) =
+    D (a+n, b+n, c+n, n+1): 0 after a zero term, else |t_n| rho / (1 - rho)
+    rounded up while rho = rn / rd < 1 bounds every later term ratio, else
+    None.  Past ``_monotone_from`` (``monotone``) rho = |z| max(1, |r_n|),
+    r_n = (a+n)(b+n) / ((c+n)(n+1)).  Before it, with c+n > 0, (a+k)/(k+1)
+    and (b+k)/(c+k) each move monotonically to 1 as k grows, so rho is
+    |z| max(1, |a+n|/(n+1)) max(1, |b+n|/(c+n)), or that with a and b
+    swapped if less (so the bound is symmetric in a and b)."""
+    if not (tr or ti):
+        return 0
+    q = cn * kn
+    if monotone:
+        rn = zbar * max(abs(an * bn), q)
+    else:
+        an, bn = abs(an), abs(bn)
+        rn = zbar * min(max(an, kn) * max(bn, cn), max(bn, kn) * max(an, cn))
+    rd = q << wp
+    if rn >= rd:
+        return None
+    return -(-(math.isqrt(tr * tr + ti * ti) + 1) * rn // (rd - rn))
+
+
 # terms summed per block in the geometric tail of a complex series
 _BLOCK = 16
 
@@ -446,13 +472,17 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
     one exact complex product with the fixed-point z and one floor division
     per component; a real z carries the real part only.
 
-    Returns (total, last_term_abs, n_terms, peak_abs) as mp values, where
-    peak is the largest |partial sum| seen (at least 1, since t_0 = 1).  It
-    stops after three consecutive terms with |t| * 2^target_bits <= peak,
-    tested exactly on integers (so a cancelling sum, |total| far below
-    peak, cannot stall), or at an exactly zero term, after which every
-    term is zero.  n_terms is the index of the last term summed: of the last
-    nonzero term when the sum stops at a zero one, as for the exact sum.
+    Returns (total, tail, n_terms, peak_abs) as mp values: tail is
+    ``_tail_bound`` where the sum stops, peak the largest |partial sum|
+    seen (at least 1, since t_0 = 1).  It stops at an exactly zero term,
+    after which every term is zero, or at the third or a later of
+    consecutive small terms, |t| * 2^target_bits <= peak (tested exactly
+    on integers, so a cancelling sum, |total| far below peak, cannot
+    stall), once ``_tail_bound`` proves the tail there: small terms
+    before the terms stop growing do not end the sum, and a sum whose
+    tail is proved at its third small term stops there.
+    n_terms is the index of the last term summed: of the last nonzero
+    term when the sum stops at a zero one, as for the exact sum.
 
     Block mode.  A complex z sums the geometric tail _BLOCK terms at a
     time (rectangular splitting, Paterson & Stockmeyer 1973): from the
@@ -466,7 +496,7 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
 
     * past ``_monotone_from``, where every later ratio is at most
       rho = |z| max(1, |r_n|), and rho < 1, so the terms decrease;
-    * once the peak is proved final: |S_n| + |t_n| rho / (1 - rho), the
+    * once the peak is proved final: |S_n| plus ``_tail_bound``, the
       bound on every later partial sum, is below peak (1 - 2^-GUARD_BITS);
     * while the block's last term, the least of its terms, exceeds the
       stopping limit by 1/16 of it, so no term of the block is small.
@@ -489,10 +519,11 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
     adds 2 _BLOCK 2^-wp.
     So the fixed-point sum is within about n^2 (2 peak / d) 2^-wp of the
     sum over the rounded z, and wp = working precision + GUARD_BITS +
-    log2(1/d) keeps that below the n peak 2^-prec roundoff allowance of
-    ``_tail_estimate`` for every n below 2^31; it also keeps the margins
-    of the peak proof and of the block's last term far above the
-    difference between the two ways of summing."""
+    log2(1/d) keeps that below the (n + 8) peak 2^-prec roundoff allowance
+    that ``_hyp2f1`` adds to the tail for every n below 2^31; it also
+    keeps the margins of the peak proof and of the block's last term far
+    above the difference between the two ways of summing.  The tail is
+    proved; the roundoff allowance is an estimate."""
     den = math.lcm(a.denominator, b.denominator, c.denominator)
     an, bn = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
     cn, kn = c.numerator * (den // c.denominator), den  # (c+n) D, (n+1) D
@@ -502,6 +533,9 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
     tr = sr = peak = 1 << wp
     ti = si = 0
     small = n = 0
+    mono = check = _monotone_from(an, bn, cn, den)
+    zbar = math.isqrt(zr * zr + zi * zi) + 1  # |z| 2^wp, rounded up
+    tail = None
     # an exactly zero term ends a terminating series, whose last term is
     # then the one before it.  A nonpositive-integer c is reached at most
     # together with the upper factor that ends the sum (hyp2f1_num checks
@@ -522,8 +556,10 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
                 limit = peak >> target_bits
             if abs(tr) <= limit:
                 small += 1
-                if small == 3 or tr == 0:
-                    break
+                if small >= 3 or tr == 0:
+                    tail = _tail_bound(zbar, wp, an, bn, cn, kn, tr, 0, n >= mono)
+                    if tail is not None:
+                        break
             else:
                 small = 0
     else:
@@ -532,20 +568,15 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
         # block mode is tried at `check`, then every _BLOCK terms until the
         # peak is proved final; from then on it runs until a block's last
         # term comes near the limit, and the rest is summed term by term
-        check = _monotone_from(an, bn, cn, den)
         while n < max_terms:
             if n == check:
                 check = n + _BLOCK
-                # rho = rn / rd >= |z| max(1, |r_n|), |z| rounded up, and
-                # |S_n| + |t_n| rho / (1 - rho) bounds every later |S_k|
-                p, q = abs(an * bn), cn * kn
-                rn = (math.isqrt(zr * zr + zi * zi) + 1) * max(p, q)
-                rd = q << wp
-                if rn >= rd:
+                # |S_n| plus the tail bound bounds every later |S_k|
+                rest = _tail_bound(zbar, wp, an, bn, cn, kn, tr, ti, True)
+                if rest is None:
                     continue
-                tail = -(-(math.isqrt(tr * tr + ti * ti) + 1) * rn // (rd - rn))
                 top = math.isqrt(peak2)
-                if math.isqrt(sr * sr + si * si) + 1 + tail > top - (top >> GUARD_BITS):
+                if math.isqrt(sr * sr + si * si) + 1 + rest > top - (top >> GUARD_BITS):
                     continue
                 check = -1  # the peak is final: blocks from here on
                 powers, shift = _powers(zr, zi, wp)
@@ -585,32 +616,34 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
                 limit = peak2 >> 2 * target_bits
             if tr * tr + ti * ti <= limit:
                 small += 1
-                if small == 3 or tr == ti == 0:
-                    break
+                if small >= 3 or tr == ti == 0:
+                    tail = _tail_bound(zbar, wp, an, bn, cn, kn, tr, ti, n >= mono)
+                    if tail is not None:
+                        break
             else:
                 small = 0
         peak = math.isqrt(peak2)
-    if small < 3 and (tr or ti):  # no break: the budget ran out
+    if tail is None:  # no break: the budget ran out
         raise NonConvergenceError(
             f"2F1 series did not converge within {max_terms} terms"
         )
     total = mp.mpc(mp.mpf((sr, -wp)), mp.mpf((si, -wp)))
-    last = mp.hypot(mp.mpf((tr, -wp)), mp.mpf((ti, -wp)))
-    return total, last, n if tr or ti else n - 1, mp.mpf((peak, -wp))
+    tail = mp.make_mpf(from_man_exp(tail, -wp, mp.prec, round_ceiling))
+    return total, tail, n if tr or ti else n - 1, mp.mpf((peak, -wp))
 
 
-def _max_terms_for(modulus, prec: int, terminating: int | None):
-    """Term budget for a series at the given argument modulus, or None
-    when convergence to full precision is out of budget.
+def _max_terms_for(num: int, den: int, prec: int, terminating: int | None):
+    """Term budget for a series whose argument has the squared modulus
+    num / den > 0, or None when convergence to full precision is out of
+    budget.  The modulus is read as the double sqrt(num / den), and one
+    below the least double as the least double.
 
     The 1.3 factor plus additive headroom covers the initial hump and the
     polynomial growth of the coefficient ratio that a pure geometric
     estimate ignores."""
     if terminating is not None:
         return terminating + 8
-    m = float(modulus)
-    if m <= 0:
-        return 16
+    m = 1.0 if num >= den else max(math.sqrt(num / den), math.ulp(0))
     if m >= 1 - 2**-14:
         return None
     need = int(1.3 * (prec + 64) * math.log(2) / -math.log(m)) + 256
@@ -635,16 +668,19 @@ def hyp2f1_num(
     direct series before the Pfaff maps), then the direct series while
     |z| <= 0.7, else the map of least modulus; the Pfaff map there is the
     one whose series grows slower, the one that keeps the smaller of a and
-    b (pfaff-a when a <= b).  A sum that terminates
-    directly is finite whatever |z|, and exact at a rational z; otherwise
-    its error estimate is the direct map's, as for a forced direct-series.
-    ``method``, one of ``KNOWN_PATHS``, forces a path, mainly for
-    cross-path agreement tests; it must be a map defined at the input (the
-    Pfaff maps and the connection need z != 1 and c not a nonpositive
-    integer), else ``ParameterError`` is raised.  ``NonConvergenceError``
-    is raised when no path, or the forced one, converges within the term
-    budget.  A value whose imaginary part is exactly 0 is returned as an
-    mpf.
+    b (pfaff-a when a <= b).  On a series map ``est_error`` is the
+    prefactor's modulus times the kernel's proved tail bound plus the
+    roundoff allowance peak (n+8) 2^-prec at the working precision; the
+    connection adds 16 2^-precision of each part to the parts' errors.
+    A sum that terminates directly is finite whatever |z|, and exact at a
+    rational z; otherwise its error estimate is the direct map's, as for a
+    forced direct-series.  ``method``, one of ``KNOWN_PATHS``, forces a
+    path, mainly for cross-path agreement tests; it must be a map defined
+    at the input (the Pfaff maps and the connection need z != 1 and c not
+    a nonpositive integer), else ``ParameterError`` is raised.
+    ``NonConvergenceError`` is raised when no path, or the forced one,
+    converges within the term budget.  A value whose imaginary part is
+    exactly 0 is returned as an mpf.
     """
     ctx = ctx or EvalContext()
     a, b, c = (_rational_param(x, f"2F1 parameter {n}") for x, n in zip((a, b, c), "abc"))
@@ -679,9 +715,10 @@ class _Argument:
     map's squared modulus is then an exact ratio of integers: n0 / 4^s on
     the direct series, N0 / N1 = n0 / n1 on the Pfaff maps, and
     min(N1, N1 / N0) = n1 / max(4^s, n0) on the connection, as
-    |1-z|^2 = N1 and |1-1/z|^2 = N1 / N0.  The mp modulus of a map, and the
-    Pfaff argument w = z/(z-1), are computed only for a map that is taken,
-    as ``modulus`` does, and kept."""
+    |1-z|^2 = N1 and |1-1/z|^2 = N1 / N0.  Only the components' mantissas
+    are squared: N1 = N0 - 2 Re z + 1, and the rest are shifts, so a
+    component of tiny exponent costs shifts of s bits, not products.  The
+    Pfaff argument w = z/(z-1) is computed only for a Pfaff map taken."""
 
     def __init__(self, mp, zz, prec: int):
         self.z = zz
@@ -689,13 +726,16 @@ class _Argument:
             abs(mp.im(zz)) <= mp.mpf(2) ** (-prec + 8) * (1 + abs(mp.re(zz)))
             and mp.re(zz) >= 1 - mp.mpf(2) ** -40
         )
-        xr, xi, s = _gaussian(zz)
-        one = 1 << s
-        self.scale = one * one
-        self.n0 = xr * xr + xi * xi
-        self.n1 = (xr - one) ** 2 + xi * xi
-        self.w = None
-        self._moduli = {}
+        parts = zz._mpc_ if hasattr(zz, "_mpc_") else (zz._mpf_, fzero)
+        (sr, mr, er, _), (_, mi, ei, _) = parts
+        s = -min(er, ei, 0)
+        self.scale = 1 << 2 * s
+        self.n0 = (mr * mr << 2 * (er + s)) + (mi * mi << 2 * (ei + s))
+        self.n1 = self.n0 - ((-mr if sr else mr) << er + 2 * s + 1) + self.scale
+
+    @functools.cached_property
+    def w(self):
+        return self.z / (self.z - 1)
 
     def squared(self, path: str) -> tuple:
         """The map's squared modulus as (numerator, denominator)."""
@@ -709,15 +749,12 @@ class _Argument:
         """The map of least modulus among ``paths`` whose series is in
         budget, ties in the order of ``paths``; a connection that
         ``degenerate``s is taken only when no other map is in budget.  The
-        moduli are compared exactly, by cross-multiplication.  A budget is
-        judged at the square root, in double precision, of the squared
-        modulus; that is within an ulp of the double nearest the mp
-        modulus, from which the budget of the map taken is computed."""
+        moduli are compared exactly, by cross-multiplication."""
         best = None
         for path in paths:
             num, den = self.squared(path)
             rank = (
-                num >= den or _max_terms_for(math.sqrt(num / den), prec, None) is None,
+                _max_terms_for(num, den, prec, None) is None,
                 path == _PATH_CONNECTION and degenerate,
             )
             if best is None or rank < best[0] or (
@@ -725,23 +762,6 @@ class _Argument:
             ):
                 best = rank, num, den, path
         return best[3]
-
-    def modulus(self, path: str):
-        """The map's effective argument modulus as an mp value: |z|,
-        |z/(z-1)| on both Pfaff maps, min(|1-z|, |1-1/z|)."""
-        kind = _PATH_PFAFF_A if path == _PATH_PFAFF_B else path
-        m = self._moduli.get(kind)
-        if m is None:
-            zz = self.z
-            if kind == _PATH_DIRECT:
-                m = abs(zz)
-            elif kind == _PATH_CONNECTION:
-                m = min(abs(1 - zz), abs(1 - 1 / zz))
-            else:
-                self.w = zz / (zz - 1)
-                m = abs(self.w)
-            self._moduli[kind] = m
-        return m
 
 
 def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
@@ -814,8 +834,7 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
             f"z = {mp.nstr(zz, 15)}; it needs z != 1 and c not a nonpositive integer"
         )
 
-    modulus = arg.modulus(method)
-    max_terms = _max_terms_for(modulus, prec, maps[method])
+    max_terms = _max_terms_for(*arg.squared(method), prec, maps[method])
     if method == _PATH_CONNECTION and cab.denominator == 1:
         raise DegenerateConnectionError(
             f"c-a-b = {cab} is an integer; the two-term connection formula degenerates"
@@ -860,14 +879,13 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
             pa, pb = (a, c - b) if method == _PATH_PFAFF_A else (b, c - a)
             pref, x = _principal_power(ctx, 1 - zz, -pa), arg.w
             x_key = _exact(x)
-        # the kernel and the tail estimate are symmetric in pa and pb, bit
-        # for bit, and the modulus is |x| on every series map
+        # the kernel is symmetric in pa and pb, bit for bit
         key = ("series", *sorted((_pair(pa), _pair(pb))), _pair(c), x_key,
                mp.prec, target_bits, max_terms)
 
         def summed():
-            total, last, n, peak = _series_2f1(mp, pa, pb, c, x, target_bits, max_terms)
-            return total, n, _tail_estimate(mp, last, modulus, peak, n, pa, pb, c)
+            total, tail, n, peak = _series_2f1(mp, pa, pb, c, x, target_bits, max_terms)
+            return total, n, tail + peak * mp.mpf(n + 8) * mp.mpf(2) ** (-mp.prec)
 
         total, n, tail = ctx._recall(key, summed)
         est = abs(pref) * tail
@@ -906,29 +924,6 @@ def _principal_power(ctx: EvalContext, base, expo: Fraction):
     x = base._mpf_
     log = ctx._recall(("log", x, prec), lambda: mpf_log(x, prec + 10, rnd))
     return mp.make_mpf(mpf_exp(mpf_mul(p._mpf_, log), prec, rnd))
-
-
-def _tail_estimate(mp, last, modulus, peak, n_terms, a, b, c):
-    """Tail bound plus accumulated roundoff, as an absolute error.
-
-    Past the last term t_n the term ratios are |w| |(a+k)(b+k)| /
-    |(c+k)(k+1)|, k >= n, with w the series argument of modulus
-    ``modulus``.  Once k exceeds the parameters the factor after |w| moves
-    monotonically to 1 -- from above when a+b-c-1 > 0 -- so
-    rho = modulus * max(1, that factor at k = n) bounds the ratios and the
-    tail is at most |t_n| rho / (1 - rho).  |w| alone would understate
-    the tail whenever a+b > c+1, where that factor exceeds 1.  A
-    nonpositive-integer c gives c+n = 0 only together with the upper
-    factor that ends the sum at t_n, so that divisor is taken as 1, as in
-    ``_series_2f1``."""
-    geom = last
-    if last:  # else a terminating series ended in an exact zero term
-        n = n_terms
-        r = abs((a + n) * (b + n) / ((c + n) * (n + 1) or 1))
-        rho = modulus * max(1, mp.mpf(r.numerator) / r.denominator)
-        if rho < 1:
-            geom = last * rho / (1 - rho)
-    return geom + peak * mp.mpf(n_terms + 8) * mp.mpf(2) ** (-mp.prec)
 
 
 # ---------------------------------------------------------------------------

@@ -295,19 +295,18 @@ def verify_theorem(
     c,
     ell: int,
     precision: int = 192,
-    order: int | None = None,
     tolerance: float = 1e-30,
 ) -> VerifyReport:
     """Verify both strange-evaluation identities at every root of
-    F(1-a, -ell, 2-c; x)."""
+    F(1-a, -ell, 2-c; x).  q0 and r0 come from series truncated at order
+    ell + 32, the order the report records."""
     a, c = Fraction(a), Fraction(c)
     if is_integer(c):
         raise ParameterError(f"c = {c} must not be an integer")
     if not isinstance(ell, int) or ell < 1:
         raise ParameterError(f"ell must be a positive integer, got {ell}")
     _check_tolerance(precision, tolerance)
-    if order is None:
-        order = ell + 32
+    order = ell + 32
 
     flags = genericity_flags(HypParams(a, 1, c), ell)
     q0, r0, provenance, agree = compute_q0_all_methods(a, c, ell, order)
@@ -594,7 +593,6 @@ def sweep(
     seed: int = 0,
     precision: int = 192,
     tolerance: float = 1e-30,
-    order: int | None = None,
 ) -> SweepReport:
     """Run seeded random verify_theorem instances; deterministic in seed.
 
@@ -612,9 +610,7 @@ def sweep(
     skipped_roots = 0
     for i in range(trials):
         a, c, ell = draw_theorem_params(rng, ell_max)
-        report = verify_theorem(
-            a, c, ell, precision=precision, tolerance=tolerance, order=order
-        )
+        report = verify_theorem(a, c, ell, precision=precision, tolerance=tolerance)
         roots_total = len(report.records)
         roots_skipped = sum(1 for r in report.records if r.skipped)
         total_roots += roots_total

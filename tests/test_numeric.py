@@ -479,7 +479,7 @@ def test_selector_pin():
         else:
             outcomes.append(f"{r.path} {r.n_terms} {r.value!r} {r.est_error!r}")
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
-    assert digest == "f8f8efeeb6c188e7"
+    assert digest == "dcfa1ccad52febc1"
 
 
 def _near_lattice_or_small(rng):
@@ -728,6 +728,18 @@ class TestSeriesKernel:
             if case == "cancelling":
                 assert peak > abs(ref) * 2**20
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_tail_and_roundoff_bound_the_error(self, case):
+        # the kernel's tail bound plus the roundoff allowance of _hyp2f1
+        a, b, c, z = self.CASES[case]
+        mp = CTX.mp
+        with CTX.workprec(64):
+            total, tail, n, peak = _series_2f1(mp, a, b, c, z, 224, 100_000)
+            est = tail + peak * mp.mpf(n + 8) * mp.mpf(2) ** -mp.prec
+        with mp.workprec(448):
+            ref = mp.hyp2f1(*(mp.mpf(x.numerator) / x.denominator for x in (a, b, c)), z)
+            assert abs(total - ref) <= est
+
 
 def _block_starts(monkeypatch) -> list:
     """The index at which the kernel tries each block, from now on."""
@@ -795,6 +807,104 @@ class TestBlockMode:
             with pytest.raises(NonConvergenceError, match=f"within {budget} terms"):
                 self._sum("near-unit", budget)
         assert self._sum("near-unit", n) == full
+
+
+class TestEarlyStop:
+    """Three small terms end a sum only where the kernel proves a bound on
+    its tail: with a = 2^-245 the terms start near 2^-237, below the
+    stopping limit, and grow for ~100 terms, so a stop at the third term
+    misses the sum by ~1e-44.  est_error, and a relative error of at most
+    2^-190, against mpmath.hyp2f1 at 1200 bits."""
+
+    MP = CTX.mp
+    TINY = Fraction(1, 2**240)
+    CASES = {
+        "direct-real": (Fraction(1, 2**245), 100, Fraction(1, 5), Fraction(1, 2), None),
+        "near-lattice": (-3 + TINY, 100, Fraction(1, 5), Fraction(1, 2), None),
+        "direct-complex": (TINY, 40, Fraction(1, 2), MP.mpc(0.3, 0.4), None),
+        "pfaff-a": (TINY, -60, Fraction(1, 3), Fraction(-9, 10), "pfaff-a"),
+        "connection-inner": (TINY, 40, Fraction(1, 2), Fraction(1, 2), "connection-1mz"),
+        # the ratios turn monotone only from index 9732, past the 482-term
+        # budget: the stop before it rests on the factor-wise bound
+        "late-monotone": (10, 10, Fraction(1139, 60), MP.mpc(0.3, 0.2), None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_est_error_bounds_true_error(self, case):
+        a, b, c, z, method = self.CASES[case]
+        r = hyp2f1_num(a, b, c, z, CTX, method=method)
+        with mpmath.workprec(1200):
+            exact = [mpmath.mpf(Fraction(x).numerator) / Fraction(x).denominator
+                     for x in (a, b, c)]
+            if isinstance(z, Fraction):
+                z = mpmath.mpf(z.numerator) / z.denominator
+            ref = mpmath.hyp2f1(*exact, mpmath.mpmathify(z))
+            err = abs(mpmath.mpmathify(r.value) - ref)
+            assert err <= mpmath.mpmathify(r.est_error), (case, r.n_terms)
+            assert err <= abs(ref) * mpmath.mpf(2) ** -190, (case, r.n_terms)
+
+
+class _Tracked(int):
+    """An int that stays tracked through shifts, sums and negation, and
+    records the bit length of the lesser factor of every product."""
+
+    products: list = []
+
+    def __mul__(self, other):
+        _Tracked.products.append(min(self.bit_length(), int(other).bit_length()))
+        return _Tracked(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e):
+        _Tracked.products.append(self.bit_length())
+        return _Tracked(int(self) ** e)
+
+
+for _op in ("__lshift__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__"):
+    setattr(_Tracked, _op, lambda self, *a, _op=_op: _Tracked(getattr(int, _op)(self, *map(int, a))))
+
+
+class TestTinyComponents:
+    """An argument component of tiny exponent: the table squares only the
+    components' mantissas, never integers aligned to that exponent, and
+    the path and value are those without the component."""
+
+    MP = CTX.mp
+
+    def test_table_squares_only_mantissas(self):
+        mp = self.MP
+        for z in (
+            mp.make_mpf((0, _Tracked(3), -10**6, 2)),
+            mp.make_mpc(((0, _Tracked(1), -1, 1), (0, _Tracked(1), -10**6, 1))),
+            mp.make_mpc(((1, _Tracked(7), 10**6, 3), (0, _Tracked(5), -10**6, 3))),
+        ):
+            _Tracked.products.clear()
+            numeric._Argument(mp, z, 256)
+            assert _Tracked.products and max(_Tracked.products) <= 3
+
+    def test_norms_are_exact(self):
+        rng = random.Random(7)
+
+        def draw():
+            return Fraction(rng.randint(-2**60, 2**60)) * Fraction(2) ** rng.randint(-3000, 40)
+
+        for _ in range(20):
+            x, y = draw(), draw() if rng.random() < 0.7 else Fraction(0)
+            z = CTX.to_mp(x) if y == 0 else self.MP.mpc(CTX.to_mp(x), CTX.to_mp(y))
+            arg = numeric._Argument(self.MP, z, 256)
+            assert Fraction(arg.n0, arg.scale) == x * x + y * y
+            assert Fraction(arg.n1, arg.scale) == (x - 1) ** 2 + y * y
+
+    def test_path_and_value_as_without_the_component(self):
+        mp = self.MP
+        tiny = mp.mpf(2) ** -10**6
+        for z, plain in ((3 * tiny, 3 * mp.mpf(2) ** -1000), (mp.mpc(0.5, tiny), mp.mpf(0.5))):
+            got, want = (
+                hyp2f1_num(Fraction(1, 3), Fraction(1, 2), Fraction(5, 4), x, CTX)
+                for x in (z, plain)
+            )
+            assert got == want
 
 
 class TestFindRoots:
