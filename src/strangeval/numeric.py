@@ -42,13 +42,18 @@ and never leaks through global state.  Conventions that matter:
   stopping rule is the term-by-term one: three small terms end a sum
   only where the kernel proves a bound on its tail;
 * gamma takes only an int or Fraction argument p/q, which is a pole
-  exactly when it is a nonpositive integer.  It sums Spouge's series in
-  fixed point too: the coefficients are integers C_k = c_k 2^W, held once
-  per precision, W = precision + 64 + 32, and a term is
-  C_k q // (p + (k-1) q), one product and one floor division; the sum is
-  within 3 units of 2^-W per term, so 32 - log2(3 terms / 2) bits below
-  the delivered precision + 64.  The exp/log of t^(z-1/2) e^-t run at W
-  plus the bits of |(z-1/2) log t| + t, worked out from p and q;
+  exactly when it is a nonpositive integer, and delivers precision + 64
+  bits, W = precision + 64 + 32.  Within ``_TAYLOR_SHIFT`` factors of
+  [1/2, 3/2] it is an exact rational Pochhammer shift divided by
+  1/Gamma(1+x), |x| <= 1/2, whose Taylor series is summed by Horner on
+  integers C_k = floor(c_k 2^W), held once per precision and built in
+  integer arithmetic from Euler's gamma and zeta(2..N): one product and
+  one floor division per term, no mpmath elementary function, and one
+  final rounding, 28 bits below the delivered width.  Farther out it sums
+  Spouge's series in fixed point, a term C_k q // (p + (k-1) q) on
+  integers C_k = c_k 2^W, and only the exp/log of t^(z-1/2) e^-t (at W
+  plus the bits of |(z-1/2) log t| + t) and the reflection's sine run in
+  mpmath;
 * inside ``EvalContext.sharing()``, a scope that ``verify_theorem`` opens
   around its root loop and nothing else opens, the engine keeps each
   result under its exact inputs, rationals as (numerator, denominator)
@@ -91,16 +96,20 @@ from itertools import islice
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
+    euler_fixed,
+    from_int,
     from_man_exp,
     from_rational,
     fzero,
     mpc_exp,
     mpc_log,
     mpc_mul_mpf,
+    mpf_div,
     mpf_exp,
     mpf_log,
     mpf_mul,
     round_ceiling,
+    round_nearest,
     to_fixed,
 )
 
@@ -301,15 +310,161 @@ def _spouge_rational(z: Fraction, mp, table):
         return mp.exp(mp.mpf(2 * p - q) / (2 * q) * mp.log(t) - t) * s
 
 
+# Arguments within this many factors of [1/2, 3/2] take the Taylor path.
+# At 192 bits a call costs 20-40 us there up to a shift of 64 factors,
+# against 90-220 us for Spouge's sum, and the exact Pochhammer product of
+# the shift makes the two cost about the same at 256 factors.
+_TAYLOR_SHIFT = 256
+
+# precision -> (wbits, (C_0, ..., C_N)), C_k = floor(c_k 2^wbits), the
+# Taylor coefficients of 1/Gamma(1+x) = sum_k c_k x^k
+_TAYLOR_CACHE: dict = {}
+
+
+def _zeta_fixed(top: int, bits: int) -> list:
+    """zeta(2), ..., zeta(top) times 2^bits as integers, each within
+    2n + 2 units, n = ceil((bits + 2) / 2.543), of the exact value.
+
+    Small k take Borwein's algorithm 2 (Borwein 2000, "An efficient
+    algorithm for the Riemann zeta function"): with the integers
+    d_k = n sum_(i<=k) (n+i-1)! 4^i / ((n-i)! (2i)!),
+    zeta(k) = -sum_(j<n) (-1)^j (d_j - d_n) / (j+1)^k / (d_n (1 - 2^(1-k)))
+    within 4 (3 + sqrt 8)^-n <= 2^-bits for real k >= 2.  The floors
+    2^bits // (j+1)^k, each within one unit, pass from k to k+1 by one more
+    floor division by j+1, which keeps them exact floors; as
+    |d_j - d_n| <= d_n, the n of them move the result by at most 2n units,
+    and its own floor by one more.  Large k take the short sum
+    sum_(j<=J) 2^bits // j^k, J the least with J^(k-1) >= 2^bits, whose
+    tail is below J^(1-k) / (k-1) <= 2^-bits: within J + 1 <= n + 1 units,
+    taken once J <= n."""
+    n = -(-(bits + 2) * 1000 // 2543)
+    d, t, acc = [], 1, 0
+    for i in range(n + 1):
+        acc += t
+        d.append(acc)
+        t = t * 2 * (n + i) * (n - i) // ((2 * i + 1) * (i + 1))
+    dn = d[n]
+    signed = [dk - dn if j % 2 == 0 else dn - dk for j, dk in enumerate(d[:n])]
+    floors = [(1 << bits) // (j * j) for j in range(1, n + 1)]
+    lg = n.bit_length() - 1
+    out = []
+    for k in range(2, top + 1):
+        if (k - 1) * lg < bits:
+            total = sum(map(int.__mul__, signed, floors))
+            out.append((-total << (k - 1)) // (dn * ((1 << (k - 1)) - 1)))
+            floors = [f // j for j, f in enumerate(floors, 1)]
+        else:
+            big_j = max(2, int(2 ** (bits / (k - 1))))
+            while big_j ** (k - 1) < 1 << bits:
+                big_j += 1
+            out.append(sum((1 << bits) // j**k for j in range(1, big_j + 1)))
+    return out
+
+
+def _taylor_table(precision: int):
+    """The Taylor coefficients of 1/Gamma(1+x) for a precision, in fixed
+    point: (wbits, (C_0, ..., C_N)) with wbits = precision + 64 + 32 and
+    C_k = floor(c_k 2^wbits), built once per precision in integer
+    arithmetic and cached as plain ints.
+
+    The c_k follow from log(1/Gamma(1+x)) = gamma x - sum_(k>=2)
+    (-1)^k zeta(k) x^k / k by the recurrence
+    k c_k = gamma c_(k-1) + sum_(j=2..k) (-1)^(j+1) zeta(j) c_(k-j), c_0 = 1,
+    run on integers at v = wbits + g bits, g = 2 bitlength(wbits) + 8, from
+    Euler's gamma (mpmath's ``euler_fixed``, within a unit) and
+    ``_zeta_fixed``: one floor per step.  With every constant within
+    D = 2n + 2 units, |gamma|, zeta(j) < 1.65 and sum |c_k| < 2.51, the
+    error of step k stays below (1 + 2.51 D) k units by induction, below
+    2^(g-6) for every k <= N; so C_k = floor(c_k 2^v) >> g is within
+    1 + 2^-6 units of c_k 2^wbits.
+
+    The sum of ``_taylor_sum`` at |x| <= 1/2 then errs, in units of
+    2^-wbits, by:
+
+    * the tail past N: by Cauchy's estimate, |c_k| <= M 16^-k with M the
+      maximum of |1/Gamma(1+x)| on |x| = 16, so the tail is below
+      M 32^-(N+1) 32/31.  M < 2^65: with x = -s + it, log |1/Gamma(1+x)|^2
+      = -2 gamma s + sum_k (log(1 - 2s/k + 256/k^2) + 2s/k) on the circle
+      (Weierstrass' product), a concave function of s, so it lies below
+      its tangent at s = 12, where it is near its maximum; the tangent
+      stays below 2^65 over [-16, 16] (``test_taylor_circle_bound``
+      evaluates it).  N = (wbits + 66) // 5 keeps the tail below 1/2;
+    * the coefficients: within 1 + 2^-6 units each, so below 2.04 units
+      in all at |x| <= 1/2;
+    * the Horner steps: one floor each, a unit at most, and halved by
+      every later step, so below 2 units in all.
+
+    That is below 5 units of a sum of at least 1/Gamma(1/2) 2^wbits >
+    0.56 2^wbits, a relative error below 2^-(wbits - 4), 28 bits below the
+    precision + 64 that ``_gamma_taylor`` delivers after its one final
+    rounding."""
+    table = _TAYLOR_CACHE.get(precision)
+    if table is None:
+        wbits = precision + 64 + 32
+        top = (wbits + 66) // 5
+        guard = 2 * wbits.bit_length() + 8
+        v = wbits + guard
+        gamma = euler_fixed(v)
+        zetas = [0, 0] + _zeta_fixed(top, v)
+        fixed = [1 << v]
+        for k in range(1, top + 1):
+            acc = gamma * fixed[k - 1]
+            for j in range(2, k + 1):
+                term = zetas[j] * fixed[k - j]
+                acc += term if j % 2 else -term
+            fixed.append(acc // (k << v))
+        table = _TAYLOR_CACHE[precision] = (wbits, tuple(c >> guard for c in fixed))
+    return table
+
+
+def _taylor_sum(xp: int, q: int, coeffs) -> int:
+    """sum_k C_k x^k at x = xp / q, |x| <= 1/2, by Horner in fixed point:
+    one product with xp and one floor division by q per term."""
+    s = coeffs[-1]
+    for ck in islice(reversed(coeffs), 1, None):
+        s = ck + s * xp // q
+    return s
+
+
+def _gamma_taylor(p: int, q: int, m: int, ctx: EvalContext):
+    """Gamma(p/q) for m = round(p/q) within ``_TAYLOR_SHIFT`` of 1, as
+    Gamma(1+x) R with x = p/q - m in [-1/2, 1/2] and n = m - 1:
+    R = (1+x)_n = (z-1) ... (z-n) for n >= 0 and 1/(z)_(-n) for n < 0,
+    the exact rational num/den of integers, so that
+    Gamma = num 2^wbits / (den S), S = 2^wbits / Gamma(1+x) from
+    ``_taylor_sum``, rounded once to precision + 64 bits."""
+    wbits, coeffs = _taylor_table(ctx.precision)
+    n = m - 1
+    num = den = 1
+    if n >= 0:
+        for i in range(1, n + 1):
+            num *= p - i * q
+        den = q**n
+    else:
+        for i in range(-n):
+            den *= p + i * q
+        num = q**-n
+    s = _taylor_sum(p - m * q, q, coeffs)
+    value = mpf_div(
+        from_man_exp(num, wbits), from_int(den * s), ctx.precision + 64, round_nearest
+    )
+    return ctx.mp.make_mpf(value)
+
+
 def gamma_c(z, ctx: EvalContext | None = None):
-    """Gamma at an exact rational argument by Spouge's series, with the
-    reflection formula for z < 1/2, delivered at precision + 64 bits.
+    """Gamma at an exact rational argument, delivered at precision + 64
+    bits.
 
     z must be an int or Fraction; anything else raises ``ParameterError``.
-    z is a pole exactly when it is a nonpositive integer.  The series is
-    summed in fixed point (``_spouge_rational``) and the sine of the
-    reflection formula is taken at the exact distance to the nearest
-    integer, so arguments however close to a pole keep their accuracy.
+    z is a pole exactly when it is a nonpositive integer, where
+    ``GammaPoleError`` is raised.  Within ``_TAYLOR_SHIFT`` factors of
+    [1/2, 3/2] the value is an exact Pochhammer shift times the Taylor
+    series of 1/Gamma(1+x), |x| <= 1/2, summed in fixed point on a table
+    of integers (``_gamma_taylor``): no mpmath elementary function runs,
+    and the shift's factors are exact, so arguments however close to a
+    pole keep their accuracy.  Farther out Spouge's series is summed in
+    fixed point (``_spouge_rational``), with the reflection formula below
+    1/2, whose sine is taken at the exact distance to the nearest integer.
     Inside ``ctx.sharing()`` a value is computed once per argument."""
     z = _rational_param(z, "gamma argument")
     if z.denominator == 1 and z <= 0:
@@ -322,16 +477,18 @@ def gamma_c(z, ctx: EvalContext | None = None):
 
 def _gamma_rational(z: Fraction, ctx: EvalContext):
     """``gamma_c`` at a rational z that is not a pole."""
+    m = round(z)
+    if abs(m - 1) <= _TAYLOR_SHIFT:
+        return _gamma_taylor(z.numerator, z.denominator, m, ctx)
     mp = ctx.mp
     table = _spouge_table(ctx)
     if z >= Fraction(1, 2):
         value = _spouge_rational(z, mp, table)
     else:
         with mp.workprec(table[1]):
-            n = round(z)
-            r = z - n
+            r = z - m
             sin = mp.sinpi(mp.mpf(r.numerator) / r.denominator)
-            if n % 2:
+            if m % 2:
                 sin = -sin
             value = mp.pi / (sin * _spouge_rational(1 - z, mp, table))
     with mp.workprec(ctx.precision + 64):
@@ -339,8 +496,11 @@ def _gamma_rational(z: Fraction, ctx: EvalContext):
 
 
 def rgamma_c(z, ctx: EvalContext | None = None):
-    """1/Gamma, defined as exact 0 at the poles ``gamma_c`` rejects, the
-    nonpositive integers.  Inside ``ctx.sharing()`` the reciprocal is
+    """1/Gamma: the reciprocal of ``gamma_c``'s value at the working
+    precision, and exact 0 at the poles ``gamma_c`` rejects, the
+    nonpositive integers, which the exact argument identifies without a
+    tolerance (within ``_TAYLOR_SHIFT`` they are where the Pochhammer
+    shift has a zero factor).  Inside ``ctx.sharing()`` the reciprocal is
     computed once per argument and working precision."""
     z = _rational_param(z, "gamma argument")
     ctx = ctx or EvalContext()
@@ -370,10 +530,11 @@ KNOWN_PATHS = _SERIES_PATHS + (_PATH_CONNECTION,)
 
 
 def _dip_bits(x: Fraction) -> int:
-    """Bits by which the factor (x+k) nearest zero, k >= 0, can shrink a
-    term below the scale of the terms after it: log2(1/d) for
+    """Bits by which the factor (x+k) nearest zero, k >= 0, can set a term
+    below the scale of the terms after it (an upper factor shrinks the
+    term, a lower one lifts the terms after it): log2(1/d) for
     d = min(1, min_k |x+k|), and 0 when x is a nonpositive integer (the
-    series then ends at that factor)."""
+    series then ends at that factor, or before it for a lower one)."""
     if x >= 1 or (x.denominator == 1 and x <= 0):
         return 0
     d = x if x > 0 else min(x - math.floor(x), math.ceil(x) - x)
@@ -407,15 +568,14 @@ def _monotone_from(an: int, bn: int, cn: int, den: int) -> int:
 def _tail_bound(zbar, wp, an, bn, cn, kn, tr, ti, monotone: bool):
     """A bound in units of 2^-wp on sum_(k>n) |t_k| past the term
     t_n = (tr + i ti) / 2^wp at z, |z| 2^wp <= zbar, (an, bn, cn, kn) =
-    D (a+n, b+n, c+n, n+1): 0 after a zero term, else |t_n| rho / (1 - rho)
-    rounded up while rho = rn / rd < 1 bounds every later term ratio, else
-    None.  Past ``_monotone_from`` (``monotone``) rho = |z| max(1, |r_n|),
+    D (a+n, b+n, c+n, n+1): |t_n| rho / (1 - rho), |t_n| taken a unit up
+    for the floor that gave it and the result rounded up, while
+    rho = rn / rd < 1 bounds every later term ratio, else None.  Past
+    ``_monotone_from`` (``monotone``) rho = |z| max(1, |r_n|),
     r_n = (a+n)(b+n) / ((c+n)(n+1)).  Before it, with c+n > 0, (a+k)/(k+1)
     and (b+k)/(c+k) each move monotonically to 1 as k grows, so rho is
     |z| max(1, |a+n|/(n+1)) max(1, |b+n|/(c+n)), or that with a and b
     swapped if less (so the bound is symmetric in a and b)."""
-    if not (tr or ti):
-        return 0
     q = cn * kn
     if monotone:
         rn = zbar * max(abs(an * bn), q)
@@ -474,15 +634,16 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
 
     Returns (total, tail, n_terms, peak_abs) as mp values: tail is
     ``_tail_bound`` where the sum stops, peak the largest |partial sum|
-    seen (at least 1, since t_0 = 1).  It stops at an exactly zero term,
-    after which every term is zero, or at the third or a later of
+    seen (at least 1, since t_0 = 1).  It stops at the term an upper factor
+    (a+k) or (b+k) makes exactly zero, after which every term is zero (a
+    term that floors to zero ends nothing), or at the third or a later of
     consecutive small terms, |t| * 2^target_bits <= peak (tested exactly
     on integers, so a cancelling sum, |total| far below peak, cannot
     stall), once ``_tail_bound`` proves the tail there: small terms
     before the terms stop growing do not end the sum, and a sum whose
     tail is proved at its third small term stops there.
     n_terms is the index of the last term summed: of the last nonzero
-    term when the sum stops at a zero one, as for the exact sum.
+    term when an upper factor ends the sum, as for the exact sum.
 
     Block mode.  A complex z sums the geometric tail _BLOCK terms at a
     time (rectangular splitting, Paterson & Stockmeyer 1973): from the
@@ -511,23 +672,26 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
     term exceeds 2 peak (each is the difference of two partial sums), and
     a term falls below the scale of those after it only at a factor (a+k)
     or (b+k) near zero -- early, when a or b sits just above (or below) a
-    nonpositive integer -- and then by at most d, that factor's modulus.
-    A block floors each c_j, each power and the two block sums once per
-    component: as c_j |z|^j <= rho^j <= 1, each term of the block is off
-    by at most about 2j |W| 2^-wp, and W by 2 _BLOCK |W| 2^-wp, so the
-    block adds below _BLOCK^2 (2 peak) 2^-wp where the term-by-term loop
-    adds 2 _BLOCK 2^-wp.
-    So the fixed-point sum is within about n^2 (2 peak / d) 2^-wp of the
-    sum over the rounded z, and wp = working precision + GUARD_BITS +
-    log2(1/d) keeps that below the (n + 8) peak 2^-prec roundoff allowance
-    that ``_hyp2f1`` adds to the tail for every n below 2^31; it also
+    nonpositive integer -- and then by at most d, that factor's modulus;
+    a factor (c+k) near zero lifts the terms after it above the roundings
+    before it, and z's own, by at most 1/d_c.  A block floors each c_j,
+    each power and the two block sums once per component: as
+    c_j |z|^j <= rho^j <= 1, each term of the block is off by at most about
+    2j |W| 2^-wp, and W by 2 _BLOCK |W| 2^-wp, so the block adds below
+    _BLOCK^2 (2 peak) 2^-wp where the term-by-term loop adds
+    2 _BLOCK 2^-wp.
+    So the fixed-point sum is within about n^2 (2 peak / (d d_c)) 2^-wp of
+    the sum over the rounded z, and wp = working precision + GUARD_BITS +
+    log2(1/d) + log2(1/d_c) keeps that below the (n + 8) peak 2^-prec
+    roundoff allowance that ``_hyp2f1`` adds to the tail for every n
+    below 2^31; it also
     keeps the margins of the peak proof and of the block's last term far
     above the difference between the two ways of summing.  The tail is
     proved; the roundoff allowance is an estimate."""
     den = math.lcm(a.denominator, b.denominator, c.denominator)
     an, bn = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
     cn, kn = c.numerator * (den // c.denominator), den  # (c+n) D, (n+1) D
-    wp = mp.prec + GUARD_BITS + max(_dip_bits(a), _dip_bits(b))
+    wp = mp.prec + GUARD_BITS + max(_dip_bits(a), _dip_bits(b)) + _dip_bits(c)
     zr = to_fixed(mp.re(z)._mpf_, wp)
     zi = to_fixed(mp.im(z)._mpf_, wp)
     tr = sr = peak = 1 << wp
@@ -536,7 +700,8 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
     mono = check = _monotone_from(an, bn, cn, den)
     zbar = math.isqrt(zr * zr + zi * zi) + 1  # |z| 2^wp, rounded up
     tail = None
-    # an exactly zero term ends a terminating series, whose last term is
+    ended = False
+    # a zero upper factor ends a terminating series, whose last term is
     # then the one before it.  A nonpositive-integer c is reached at most
     # together with the upper factor that ends the sum (hyp2f1_num checks
     # this); that term is 0 whatever it is divided by, so a zero divisor
@@ -544,19 +709,23 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
     if zi == 0:
         limit = peak >> target_bits
         while n < max_terms:
-            tr = tr * zr * (an * bn) // (cn * kn or 1) >> wp
+            p = an * bn
+            tr = tr * zr * p // (cn * kn or 1) >> wp
             an += den
             bn += den
             cn += den
             kn += den
             sr += tr
             n += 1
+            if not p:
+                tail, ended = 0, True
+                break
             if abs(sr) > peak:
                 peak = abs(sr)
                 limit = peak >> target_bits
             if abs(tr) <= limit:
                 small += 1
-                if small >= 3 or tr == 0:
+                if small >= 3:
                     tail = _tail_bound(zbar, wp, an, bn, cn, kn, tr, 0, n >= mono)
                     if tail is not None:
                         break
@@ -610,13 +779,16 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
             sr += tr
             si += ti
             n += 1
+            if not p:
+                tail, ended = 0, True
+                break
             s2 = sr * sr + si * si
             if s2 > peak2:
                 peak2 = s2
                 limit = peak2 >> 2 * target_bits
             if tr * tr + ti * ti <= limit:
                 small += 1
-                if small >= 3 or tr == ti == 0:
+                if small >= 3:
                     tail = _tail_bound(zbar, wp, an, bn, cn, kn, tr, ti, n >= mono)
                     if tail is not None:
                         break
@@ -629,7 +801,7 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
         )
     total = mp.mpc(mp.mpf((sr, -wp)), mp.mpf((si, -wp)))
     tail = mp.make_mpf(from_man_exp(tail, -wp, mp.prec, round_ceiling))
-    return total, tail, n if tr or ti else n - 1, mp.mpf((peak, -wp))
+    return total, tail, n - ended, mp.mpf((peak, -wp))
 
 
 def _max_terms_for(num: int, den: int, prec: int, terminating: int | None):
@@ -749,7 +921,7 @@ class _Argument:
         """The map of least modulus among ``paths`` whose series is in
         budget, ties in the order of ``paths``; a connection that
         ``degenerate``s is taken only when no other map is in budget.  The
-        moduli are compared exactly, by cross-multiplication."""
+        moduli are compared exactly (``_below``)."""
         best = None
         for path in paths:
             num, den = self.squared(path)
@@ -758,10 +930,36 @@ class _Argument:
                 path == _PATH_CONNECTION and degenerate,
             )
             if best is None or rank < best[0] or (
-                rank == best[0] and num * best[2] < best[1] * den
+                rank == best[0] and _below(num, den, best[1], best[2])
             ):
                 best = rank, num, den, path
         return best[3]
+
+
+def _leading(num: int, den: int) -> tuple:
+    """num/den > 0 as (q, k) with num/den in [q, q+1) 2^k and q in
+    [2^63, 2^65): one floor division, of num shifted by about the
+    difference of the two lengths."""
+    k = num.bit_length() - den.bit_length() - 64
+    return ((num >> k) // den if k >= 0 else (num << -k) // den), k
+
+
+def _below(n1: int, d1: int, n2: int, d2: int) -> bool:
+    """Whether n1/d1 < n2/d2, for integers n >= 0 and d > 0.  The leading
+    64 bits of each ratio decide it unless their intervals meet; only then
+    are the cross products, of the integers' full lengths, formed."""
+    if not (n1 and n2):
+        return n1 < n2
+    (q1, k1), (q2, k2) = _leading(n1, d1), _leading(n2, d2)
+    if abs(k1 - k2) > 1:
+        return k1 < k2
+    k = min(k1, k2)
+    lo1, lo2 = q1 << k1 - k, q2 << k2 - k
+    if lo1 + (1 << k1 - k) <= lo2:
+        return True
+    if lo2 + (1 << k2 - k) <= lo1:
+        return False
+    return n1 * d2 < n2 * d1
 
 
 def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:

@@ -1,11 +1,13 @@
 import cmath
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 import sympy
+from mpmath.libmp import from_int, round_nearest
 
 from strangeval import numeric
 from strangeval.errors import (
@@ -18,6 +20,8 @@ from strangeval.errors import (
 from strangeval.hyp import HypParams, terminating_poly
 from strangeval.numeric import (
     _SPOUGE_CACHE,
+    _TAYLOR_CACHE,
+    _TAYLOR_SHIFT,
     EvalContext,
     _series_2f1,
     _spouge_sum,
@@ -127,16 +131,17 @@ class TestGamma:
         assert rgamma_c(Fraction(-7), CTX) == 0
 
     def test_coefficient_cache_bounded(self):
-        # one table per precision, whatever the arguments' size
+        # one table per precision and path, whatever the arguments' size
+        _TAYLOR_CACHE.clear()
         _SPOUGE_CACHE.clear()
         rng = random.Random(71)
         for _ in range(100):
             gamma_c(Fraction(rng.randint(1, 400), rng.randint(1, 40)), CTX)
             gamma_c(Fraction(-2 * rng.randint(0, 2**40) - 1, 2 * rng.randint(1, 2**20)), CTX)
         gamma_c(Fraction(5, 2), CTX)
-        assert list(_SPOUGE_CACHE) == [CTX.precision]
+        assert list(_TAYLOR_CACHE) == list(_SPOUGE_CACHE) == [CTX.precision]
         gamma_c(Fraction(1, 3), EvalContext(64))
-        assert sorted(_SPOUGE_CACHE) == [64, CTX.precision]
+        assert sorted(_TAYLOR_CACHE) == [64, CTX.precision]
 
 
 def _gamma_oracle_arguments(seed):
@@ -219,6 +224,118 @@ class TestGammaKernel:
                 ref_coeffs[k] / (zz - 1 + k) for k in range(1, terms)
             )
             assert abs(mine - ref) <= 3 * terms * mp.mpf(2) ** -wbits, z
+
+
+def _mpf_taylor_coefficients(mp, top):
+    """c_0 .. c_top of 1/Gamma(1+x), by the zeta recurrence in mp
+    arithmetic."""
+    zeta = [0, 0] + [mp.zeta(k) for k in range(2, top + 1)]
+    coeffs = [mp.mpf(1)]
+    for k in range(1, top + 1):
+        acc = mp.euler * coeffs[k - 1]
+        for j in range(2, k + 1):
+            acc += (-1) ** (j + 1) * zeta[j] * coeffs[k - j]
+        coeffs.append(acc / k)
+    return coeffs
+
+
+class TestTaylorKernel:
+    """The integer table of 1/Gamma(1+x) and its fixed-point Horner sum
+    against a plain mpf loop at twice the table's width: each coefficient
+    within 1 + 2^-6 units, and the sum within 5 units of 1/Gamma(1+x)."""
+
+    XS = (
+        Fraction(1, 2), Fraction(-1, 2), Fraction(0), Fraction(1, 2**70),
+        Fraction(-1, 2**70), Fraction(5003, 10007), Fraction(-2718, 10007),
+    )
+
+    @pytest.mark.parametrize("precision", (64, 192, 512))
+    def test_matches_mpf_loop(self, precision):
+        wbits, coeffs = numeric._taylor_table(precision)
+        mp = EvalContext(2 * wbits).mp
+        unit = mp.mpf(2) ** -wbits
+        ref = _mpf_taylor_coefficients(mp, len(coeffs) - 1)
+        for k, (ck, rk) in enumerate(zip(coeffs, ref)):
+            assert abs(ck * unit - rk) <= (1 + mp.mpf(2) ** -6) * unit, k
+        for x in self.XS:
+            mine = numeric._taylor_sum(x.numerator, x.denominator, coeffs)
+            xx = mp.mpf(x.numerator) / x.denominator
+            loop = sum(rk * xx**k for k, rk in enumerate(ref))
+            assert abs(mine * unit - loop) <= 5 * unit, x
+            assert abs(mine * unit - mp.rgamma(1 + xx)) <= 5 * unit, x
+
+    def test_taylor_circle_bound(self):
+        # log |1/Gamma(1+x)|^2 on |x| = 16 is concave in s = -Re x, so it
+        # lies below its tangent at s = 12; the tangent stays below
+        # log (2^65)^2 on [-16, 16], which bounds the table's tail
+        with mpmath.workprec(128):
+            def f(s):
+                x = mpmath.mpc(-s, mpmath.sqrt(256 - s * s))
+                return -2 * mpmath.re(mpmath.loggamma(1 + x))
+
+            s0 = mpmath.mpf(12)
+            slope = mpmath.diff(f, s0)
+            top = f(s0) + max(slope * (16 - s0), slope * (-16 - s0))
+            assert top < 2 * 65 * mpmath.log(2)
+            for j in range(1, 64):
+                s = -16 + mpmath.mpf(j) / 2
+                assert f(s) <= f(s0) + slope * (s - s0)
+
+
+class TestGammaTaylorPath:
+    """gamma_c within _TAYLOR_SHIFT factors of [1/2, 3/2]: exact
+    factorials, the oracle on both sides of the reach, and no mpmath
+    elementary function."""
+
+    # round(z) - 1 = K and -K take the Taylor path, K + 1 and -K - 1 Spouge's
+    K = _TAYLOR_SHIFT
+    REACH = (
+        K + Fraction(7, 5), K + Fraction(8, 5), K + 1 + Fraction(1, 10007),
+        K + Fraction(3, 2), -K + Fraction(3, 5), -K + Fraction(2, 5),
+        -K - Fraction(1, 3), 1 - K + Fraction(1, 2**70),
+    )
+
+    @pytest.mark.parametrize("precision", (64, 192, 512))
+    def test_oracle_on_both_sides_of_the_reach(self, precision):
+        ctx = EvalContext(precision)
+        for z in self.REACH:
+            mine = gamma_c(z, ctx)
+            with mpmath.workprec(precision + 128):
+                ref = mpmath.gamma(mpmath.mpf(z.numerator) / z.denominator)
+                err = abs(mpmath.mpf(mine) - ref) / abs(ref)
+                assert err <= mpmath.mpf(2) ** -(precision + 56), z
+
+    @pytest.mark.parametrize("precision", (64, 192))
+    def test_exact_factorials(self, precision):
+        ctx = EvalContext(precision)
+        for n in range(_TAYLOR_SHIFT + 1):
+            want = from_int(math.factorial(n), precision + 64, round_nearest)
+            assert gamma_c(n + 1, ctx)._mpf_ == want, n
+
+    def test_no_elementary_function_inside_the_reach(self, monkeypatch):
+        ctx = EvalContext(192)
+        calls = []
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda *a, **k: calls.append(name) or fn(*a, **k)
+            )
+
+        for name in ("exp", "log", "sinpi"):
+            counted(ctx.mp, name)
+        for name in ("mpf_exp", "mpf_log"):
+            counted(numeric, name)
+        rng = random.Random(13)
+        k = _TAYLOR_SHIFT
+        for _ in range(40):
+            z = Fraction(rng.randint(-k * 30, k * 30), rng.randint(1, 30))
+            if not (z.denominator == 1 and z <= 0) and abs(round(z) - 1) <= k:
+                gamma_c(z, ctx)
+                rgamma_c(z, ctx)
+        assert calls == []
+        gamma_c(Fraction(-(2**30 + 1), 7), ctx)
+        assert {"exp", "log", "sinpi"} <= set(calls)
 
 
 class TestHyp2F1:
@@ -479,7 +596,7 @@ def test_selector_pin():
         else:
             outcomes.append(f"{r.path} {r.n_terms} {r.value!r} {r.est_error!r}")
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
-    assert digest == "dcfa1ccad52febc1"
+    assert digest == "8f728b86d41e59c0"
 
 
 def _near_lattice_or_small(rng):
@@ -827,6 +944,12 @@ class TestEarlyStop:
         # the ratios turn monotone only from index 9732, past the 482-term
         # budget: the stop before it rests on the factor-wise bound
         "late-monotone": (10, 10, Fraction(1139, 60), MP.mpc(0.3, 0.2), None),
+        # 1/c scales every term after the first by 2^200, so z = 2^-300
+        # must be held to more than 300 bits; a floored term of 0 is not a
+        # sum that ends
+        "small-c": (1, 1, Fraction(1, 2**200), Fraction(1, 2**300), None),
+        # 1/(c+3) scales the terms from the fifth on by 2^150
+        "near-pole-c": (1, 1, -3 + Fraction(1, 2**150), Fraction(1, 2**40), None),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -882,6 +1005,49 @@ class TestTinyComponents:
             _Tracked.products.clear()
             numeric._Argument(mp, z, 256)
             assert _Tracked.products and max(_Tracked.products) <= 3
+
+    def test_least_multiplies_only_leading_bits(self):
+        # at 0.9 + 2^-1000000 i the squared norms run to two million bits;
+        # the map choice reads 64 leading bits of each ratio and takes the
+        # same path as exact cross-multiplication
+        mp = self.MP
+        _, man, exp, bc = mp.mpf(0.9)._mpf_
+        z = mp.make_mpc(((0, _Tracked(man), exp, bc), (0, _Tracked(1), -10**6, 1)))
+        arg = numeric._Argument(mp, z, 256)
+        paths = ("direct-series", "pfaff-a", "connection-1mz")
+        _Tracked.products.clear()
+        assert arg.least(paths, 192, False) == "connection-1mz"
+        assert max(_Tracked.products, default=0) <= 64
+
+    def test_least_agrees_with_exact_comparison(self):
+        # random points, some with a component 2^-60 .. 2^-3000 off a
+        # short one, and at 1/2 + i/2 the direct and connection moduli tie
+        rng = random.Random(11)
+        paths = ("direct-series", "pfaff-a", "connection-1mz")
+        half, tiny = Fraction(1, 2), Fraction(1, 2**3000)
+        points = [(half, half), (half, -half), (half + tiny, half), (half - tiny, half)]
+        for _ in range(200):
+            points.append(tuple(
+                Fraction(rng.randint(-2**20, 2**20), 2**20)
+                + rng.choice((0, Fraction(1, 2 ** rng.randint(60, 3000))))
+                for _ in range(2)
+            ))
+        for x, y in points:
+            z = self.MP.mpc(CTX.to_mp(x), CTX.to_mp(y))
+            if z == 0:
+                continue
+            arg = numeric._Argument(self.MP, z, 256)
+            moduli = [
+                Fraction(*arg.squared(p)) if arg.squared(p)[1] else None for p in paths
+            ]
+            for degenerate in (False, True):
+                ranked = [
+                    ((numeric._max_terms_for(*arg.squared(p), 192, None) is None,
+                      p == "connection-1mz" and degenerate), m, i)
+                    for i, (p, m) in enumerate(zip(paths, moduli)) if m is not None
+                ]
+                want = paths[min(ranked)[2]]
+                assert arg.least([paths[r[2]] for r in ranked], 192, degenerate) == want
 
     def test_norms_are_exact(self):
         rng = random.Random(7)

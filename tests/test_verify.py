@@ -242,8 +242,8 @@ class TestSharedWork:
                 assert len(runs) == after_first
         assert seen
 
-    def test_spouge_kernel_runs_at_most_seven_times_per_trial(self, monkeypatch):
-        runs = _counted(monkeypatch, "_spouge_rational")
+    def test_gamma_kernel_runs_at_most_seven_times_per_trial(self, monkeypatch):
+        runs = _counted(monkeypatch, "_gamma_rational")
         report = verify_theorem(*CONNECTION_ROOTS_DRAW)
         paths = [ch.path for r in report.records for ch in r.checks]
         assert paths == ["connection-1mz"] * 4
@@ -305,22 +305,22 @@ class TestSharedWork:
 
     def test_consecutive_calls_run_the_kernels_alike(self, monkeypatch):
         series = _counted(monkeypatch, "_series_2f1")
-        spouge = _counted(monkeypatch, "_spouge_rational")
+        gammas = _counted(monkeypatch, "_gamma_rational")
         counts = []
         for _ in range(2):
-            before = len(series), len(spouge)
+            before = len(series), len(gammas)
             verify_theorem(*CONNECTION_DRAW)
-            counts.append((len(series) - before[0], len(spouge) - before[1]))
+            counts.append((len(series) - before[0], len(gammas) - before[1]))
         assert counts[0] == counts[1] and min(counts[0]) > 0
 
     def test_nothing_is_reused_outside_the_scope(self, monkeypatch):
         series = _counted(monkeypatch, "_series_2f1")
-        spouge = _counted(monkeypatch, "_spouge_rational")
+        gammas = _counted(monkeypatch, "_gamma_rational")
         a, b, c, z = Fraction(1, 3), Fraction(1, 2), Fraction(5, 4), complex(0.75, 0.5)
         ctx = EvalContext()
         results = [hyp2f1_num(a, b, c, z, ctx) for _ in range(2)]
         assert results[0].path == "connection-1mz"
-        assert len(series) == 4 and len(spouge) == 14
+        assert len(series) == 4 and len(gammas) == 14
         assert gamma_c(Fraction(1, 3), ctx) is not gamma_c(Fraction(1, 3), ctx)
 
     def test_scope_ends_with_verify_theorem(self, monkeypatch):
