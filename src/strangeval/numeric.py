@@ -56,11 +56,13 @@ and never leaks through global state.  Conventions that matter:
   mpmath;
 * inside ``EvalContext.sharing()``, a scope that ``verify_theorem`` opens
   around its root loop and nothing else opens, the engine keeps each
-  result under its exact inputs, rationals as (numerator, denominator)
-  pairs and mp values as their exact mpf/mpc tuples: each series sum
-  with its error (under the unordered pair {a, b}, since the
-  kernel is symmetric in a and b bit for bit; c; the argument; the
-  working precision, the target bits and the term budget), each
+  result under its exact inputs, rationals as integers in lowest terms
+  (a gamma argument as its numerator and denominator, a 2F1 triple as its
+  numerators over their least common denominator) and mp values as their
+  exact mpf/mpc tuples: each series sum with its error (under the
+  unordered pair {a, b}, since the kernel is symmetric in a and b bit
+  for bit; c; the argument; the working precision, the target bits and
+  the term budget), each
   argument's description (under the argument and the working
   precision), each inner result of the connection formula (under the
   ordered pair (a, b), c, the argument 1-z, the exact rational 1-z or
@@ -72,10 +74,17 @@ and never leaks through global state.  Conventions that matter:
   same with or without the scope; outside it nothing is kept;
 * a series' error is the kernel's proved bound on its tail, from the
   last term and a bound on every later term ratio, plus a roundoff
-  allowance that is an estimate; the paths add their amplification.
-  The errors hold against an independent 320-bit reference on every
-  path, and a 400-bit one on the series maps at modulus 0.95-0.99, but
-  are not certified enclosures;
+  allowance; the paths multiply it by the Pfaff prefactor's modulus, and
+  the connection sums its parts' errors times the coefficients' moduli
+  plus 16 2^-precision of each part.  This bookkeeping runs in integers:
+  the tail, the allowance and every modulus are taken up (the moduli by
+  a ceiling root of the squared mantissas), and the sum is rounded up
+  once into ``est_error``.  What is still an estimate is the roundoff
+  allowance itself, peak (n+8) 2^-prec for the kernel's own fixed-point
+  rounding, and the 16 2^-precision for the rounding of the connection's
+  mp products.  The errors hold against an independent 320-bit reference
+  on every path, and a 400-bit one on the series maps at modulus
+  0.95-0.99, but are not certified enclosures;
 * roots are found on the integer numerators of each squarefree factor:
   Aberth in Python ``complex`` from Newton-polygon circles, Newton in
   fixed-point Gaussian integers at doubling precision, and certification
@@ -206,15 +215,25 @@ def _rational_param(x, name: str) -> Fraction:
     return Fraction(x)
 
 
-def _vanishes_at(x: Fraction):
-    """The index k >= 0 at which the factor (x+k) is zero, when x is a
-    nonpositive integer, else None."""
-    return -int(x) if x.denominator == 1 and x <= 0 else None
+def _vanishes_at(x: int, den: int):
+    """The index k >= 0 at which the factor (x/den + k) is zero, when x/den
+    is a nonpositive integer, else None."""
+    return -x // den if x <= 0 and not x % den else None
+
+
+def _lowest(*xs) -> tuple:
+    """Integers xs over one denominator, the last of them, divided by
+    their greatest common divisor: the numerators over the least common
+    denominator, which is the same tuple for the same rationals however
+    they came (a memo key) and the kernel's own representation."""
+    g = math.gcd(*xs)
+    return tuple(x // g for x in xs)
 
 
 @dataclass
 class EvalResult:
-    """A numeric value with a heuristic absolute error bound, the tag of
+    """A numeric value with an absolute error bound (rounded up; its
+    roundoff allowance an estimate, see ``_hyp2f1``), the tag of
     the evaluation path that produced it and the number of series terms
     summed (both inner sums on the connection path; 0 when none ran)."""
 
@@ -291,9 +310,9 @@ def _spouge_sum(p: int, q: int, coeffs) -> int:
     return s
 
 
-def _spouge_rational(z: Fraction, mp, table):
-    """Spouge's series for gamma at a rational z >= 1/2: the sum in fixed
-    point, and only t^(z-1/2) e^(-t) = exp(y), y = (z-1/2) log t - t,
+def _spouge_rational(p: int, q: int, mp, table):
+    """Spouge's series for gamma at a rational z = p/q >= 1/2: the sum in
+    fixed point, and only t^(z-1/2) e^(-t) = exp(y), y = (z-1/2) log t - t,
     t = z + a - 1, in mp arithmetic.  Rounding y's parts (z-1/2) log t and
     t to W bits leaves an absolute error in y of their size times 2^-W,
     which exp turns into a relative error of that size, so the exp/log run
@@ -301,7 +320,6 @@ def _spouge_rational(z: Fraction, mp, table):
     T = ceil(t) >= |z - 1/2| and log t < bit_length(T), that is
     T (bit_length(T) + 1)."""
     terms, wbits, coeffs = table
-    p, q = z.numerator, z.denominator
     big_t = -(-(p + (terms - 1) * q) // q)
     headroom = (big_t * (big_t.bit_length() + 1)).bit_length()
     with mp.workprec(wbits + headroom):
@@ -323,20 +341,25 @@ _TAYLOR_CACHE: dict = {}
 
 def _zeta_fixed(top: int, bits: int) -> list:
     """zeta(2), ..., zeta(top) times 2^bits as integers, each within
-    2n + 2 units, n = ceil((bits + 2) / 2.543), of the exact value.
+    2n + 4 units, n = ceil((bits + 2) / 2.543), of the exact value.
 
     Small k take Borwein's algorithm 2 (Borwein 2000, "An efficient
     algorithm for the Riemann zeta function"): with the integers
-    d_k = n sum_(i<=k) (n+i-1)! 4^i / ((n-i)! (2i)!),
-    zeta(k) = -sum_(j<n) (-1)^j (d_j - d_n) / (j+1)^k / (d_n (1 - 2^(1-k)))
-    within 4 (3 + sqrt 8)^-n <= 2^-bits for real k >= 2.  The floors
-    2^bits // (j+1)^k, each within one unit, pass from k to k+1 by one more
-    floor division by j+1, which keeps them exact floors; as
-    |d_j - d_n| <= d_n, the n of them move the result by at most 2n units,
-    and its own floor by one more.  Large k take the short sum
-    sum_(j<=J) 2^bits // j^k, J the least with J^(k-1) >= 2^bits, whose
-    tail is below J^(1-k) / (k-1) <= 2^-bits: within J + 1 <= n + 1 units,
-    taken once J <= n."""
+    d_i = n sum_(l<=i) (n+l-1)! 4^l / ((n-l)! (2l)!) and the weights
+    w_j = (-1)^(j-1) (d_n - d_(j-1)) / d_n, |w_j| <= 1,
+    zeta(k) = sum_(j<=n) w_j j^-k / (1 - 2^(1-k))
+    within 4 (3 + sqrt 8)^-n <= 2^-bits for real k >= 2.  Each |w_j| is
+    floored once to W_j = floor(|w_j| 2^bits), and W_j // j^k passes from
+    k to k+1 by one more floor division by j, which keeps it the exact
+    floor; so each term is within 1 + j^-k units, the sum within
+    n + 0.65, and the factor 1 / (1 - 2^(1-k)) <= 2, the truncation and
+    the final floor bring that to 2n + 4.  Large k take the short sum
+    sum_j 2^bits // j^k over its nonzero terms, the same chain from
+    2^bits: with J the least with J^(k-1) >= 2^bits, its tail past J is
+    below J^(1-k) / (k-1) <= 2^-bits, and the floors up to J lose below
+    a unit each, so it is within J + 1 <= n + 1 units, taken once
+    J <= n.  Every step is a floor division of a bits-wide integer by a
+    small one: no product of two wide integers runs."""
     n = -(-(bits + 2) * 1000 // 2543)
     d, t, acc = [], 1, 0
     for i in range(n + 1):
@@ -344,21 +367,26 @@ def _zeta_fixed(top: int, bits: int) -> list:
         d.append(acc)
         t = t * 2 * (n + i) * (n - i) // ((2 * i + 1) * (i + 1))
     dn = d[n]
-    signed = [dk - dn if j % 2 == 0 else dn - dk for j, dk in enumerate(d[:n])]
-    floors = [(1 << bits) // (j * j) for j in range(1, n + 1)]
-    lg = n.bit_length() - 1
-    out = []
-    for k in range(2, top + 1):
-        if (k - 1) * lg < bits:
-            total = sum(map(int.__mul__, signed, floors))
-            out.append((-total << (k - 1)) // (dn * ((1 << (k - 1)) - 1)))
-            floors = [f // j for j, f in enumerate(floors, 1)]
-        else:
-            big_j = max(2, int(2 ** (bits / (k - 1))))
-            while big_j ** (k - 1) < 1 << bits:
-                big_j += 1
-            out.append(sum((1 << bits) // j**k for j in range(1, big_j + 1)))
-    return out
+    # Borwein's sum below k = short, J <= n from there on
+    short = min(-(-bits // (n.bit_length() - 1)) + 1, top + 1)
+    sums = [0] * (top + 1)
+    for j in range(1, n + 1):
+        t = ((dn - d[j - 1]) << bits) // dn // j
+        sign = 1 if j % 2 else -1
+        for k in range(2, short):
+            t //= j
+            if not t:
+                break
+            sums[k] += sign * t
+        t = (1 << bits) // j ** (short - 1)
+        for k in range(short, top + 1):
+            t //= j
+            if not t:
+                break
+            sums[k] += t
+    return [
+        (sums[k] << k - 1) // ((1 << k - 1) - 1) for k in range(2, short)
+    ] + sums[short:]
 
 
 def _taylor_table(precision: int):
@@ -373,7 +401,7 @@ def _taylor_table(precision: int):
     run on integers at v = wbits + g bits, g = 2 bitlength(wbits) + 8, from
     Euler's gamma (mpmath's ``euler_fixed``, within a unit) and
     ``_zeta_fixed``: one floor per step.  With every constant within
-    D = 2n + 2 units, |gamma|, zeta(j) < 1.65 and sum |c_k| < 2.51, the
+    D = 2n + 4 units, |gamma|, zeta(j) < 1.65 and sum |c_k| < 2.51, the
     error of step k stays below (1 + 2.51 D) k units by induction, below
     2^(g-6) for every k <= N; so C_k = floor(c_k 2^v) >> g is within
     1 + 2^-6 units of c_k 2^wbits.
@@ -467,30 +495,35 @@ def gamma_c(z, ctx: EvalContext | None = None):
     1/2, whose sine is taken at the exact distance to the nearest integer.
     Inside ``ctx.sharing()`` a value is computed once per argument."""
     z = _rational_param(z, "gamma argument")
-    if z.denominator == 1 and z <= 0:
+    p, q = z.numerator, z.denominator
+    if q == 1 and p <= 0:
         raise GammaPoleError(f"gamma pole at {z}")
     ctx = ctx or EvalContext()
-    return ctx._recall(
-        ("gamma", z.numerator, z.denominator), lambda: _gamma_rational(z, ctx)
-    )
+    return ctx._recall(("gamma", p, q), lambda: _gamma_rational(p, q, ctx))
 
 
-def _gamma_rational(z: Fraction, ctx: EvalContext):
-    """``gamma_c`` at a rational z that is not a pole."""
-    m = round(z)
+def _round_half_even(p: int, q: int) -> int:
+    """round(p/q) for q > 0, ties to even, as ``round`` of a Fraction."""
+    m, r = divmod(2 * p + q, 2 * q)
+    return m - 1 if r == 0 and m % 2 else m
+
+
+def _gamma_rational(p: int, q: int, ctx: EvalContext):
+    """``gamma_c`` at p/q in lowest terms, q > 0, not a pole."""
+    m = _round_half_even(p, q)
     if abs(m - 1) <= _TAYLOR_SHIFT:
-        return _gamma_taylor(z.numerator, z.denominator, m, ctx)
+        return _gamma_taylor(p, q, m, ctx)
     mp = ctx.mp
     table = _spouge_table(ctx)
-    if z >= Fraction(1, 2):
-        value = _spouge_rational(z, mp, table)
+    if 2 * p >= q:
+        value = _spouge_rational(p, q, mp, table)
     else:
         with mp.workprec(table[1]):
-            r = z - m
-            sin = mp.sinpi(mp.mpf(r.numerator) / r.denominator)
+            # p/q - m, in lowest terms as p/q is
+            sin = mp.sinpi(mp.mpf(p - m * q) / q)
             if m % 2:
                 sin = -sin
-            value = mp.pi / (sin * _spouge_rational(1 - z, mp, table))
+            value = mp.pi / (sin * _spouge_rational(q - p, q, mp, table))
     with mp.workprec(ctx.precision + 64):
         return +value
 
@@ -529,16 +562,17 @@ _SERIES_PATHS = (_PATH_DIRECT, _PATH_PFAFF_A, _PATH_PFAFF_B)
 KNOWN_PATHS = _SERIES_PATHS + (_PATH_CONNECTION,)
 
 
-def _dip_bits(x: Fraction) -> int:
-    """Bits by which the factor (x+k) nearest zero, k >= 0, can set a term
-    below the scale of the terms after it (an upper factor shrinks the
-    term, a lower one lifts the terms after it): log2(1/d) for
-    d = min(1, min_k |x+k|), and 0 when x is a nonpositive integer (the
-    series then ends at that factor, or before it for a lower one)."""
-    if x >= 1 or (x.denominator == 1 and x <= 0):
+def _dip_bits(x: int, den: int) -> int:
+    """Bits by which the factor (x/den + k) nearest zero, k >= 0, can set a
+    term below the scale of the terms after it (an upper factor shrinks
+    the term, a lower one lifts the terms after it): log2(1/d) for
+    d = min(1, min_k |x/den + k|), and 0 when x/den is a nonpositive
+    integer (the series then ends at that factor, or before it for a
+    lower one).  With d = e/den, that is the bit length of den // e."""
+    r = x % den
+    if x >= den or not r:
         return 0
-    d = x if x > 0 else min(x - math.floor(x), math.ceil(x) - x)
-    return (d.denominator // d.numerator).bit_length()
+    return (den // (x if x > 0 else min(r, den - r))).bit_length()
 
 
 def _monotone_from(an: int, bn: int, cn: int, den: int) -> int:
@@ -623,25 +657,28 @@ def _block(wp, an, bn, cn, kn, den, powers, shift):
     return qr >> shift, qi >> shift, cj * xr >> shift, cj * xi >> shift
 
 
-def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_terms):
+def _series_2f1(mp, an: int, bn: int, cn: int, den: int, z, target_bits, max_terms):
     """Sum the defining series of F(a, b, c; z) in fixed point on Python ints.
 
-    With D the common denominator of a, b, c, so a = A/D, b = B/D, c = C/D,
-    the term ratio is the ratio of integers (A+nD)(B+nD) / ((C+nD)(n+1)D).
+    The parameters come as integers over their least common denominator
+    D = den, a = A/D, b = B/D, c = C/D (``_lowest``), so the term ratio is
+    the ratio of integers (A+nD)(B+nD) / ((C+nD)(n+1)D).
     A term is held as the integers (tr, ti) = t * 2^wp and each step costs
     one exact complex product with the fixed-point z and one floor division
     per component; a real z carries the real part only.
 
-    Returns (total, tail, n_terms, peak_abs) as mp values: tail is
-    ``_tail_bound`` where the sum stops, peak the largest |partial sum|
-    seen (at least 1, since t_0 = 1).  It stops at the term an upper factor
-    (a+k) or (b+k) makes exactly zero, after which every term is zero (a
-    term that floors to zero ends nothing), or at the third or a later of
-    consecutive small terms, |t| * 2^target_bits <= peak (tested exactly
-    on integers, so a cancelling sum, |total| far below peak, cannot
-    stall), once ``_tail_bound`` proves the tail there: small terms
-    before the terms stop growing do not end the sum, and a sum whose
-    tail is proved at its third small term stops there.
+    Returns (total, tail, n_terms, peak, wp): total the sum as an mp value,
+    and tail and peak integers in units of 2^-wp, the fixed point's unit:
+    tail is ``_tail_bound`` where the sum stops, peak the largest
+    |partial sum| seen, rounded up (at least 2^wp, since t_0 = 1).  It
+    stops at the term an upper factor (a+k) or (b+k) makes exactly zero,
+    after which every term is zero (a term that floors to zero ends
+    nothing), or at the third or a later of consecutive small terms,
+    |t| * 2^target_bits <= peak (tested exactly on integers, so a
+    cancelling sum, |total| far below peak, cannot stall), once
+    ``_tail_bound`` proves the tail there: small terms before the terms
+    stop growing do not end the sum, and a sum whose tail is proved at its
+    third small term stops there.
     n_terms is the index of the last term summed: of the last nonzero
     term when an upper factor ends the sum, as for the exact sum.
 
@@ -688,10 +725,9 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
     keeps the margins of the peak proof and of the block's last term far
     above the difference between the two ways of summing.  The tail is
     proved; the roundoff allowance is an estimate."""
-    den = math.lcm(a.denominator, b.denominator, c.denominator)
-    an, bn = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
-    cn, kn = c.numerator * (den // c.denominator), den  # (c+n) D, (n+1) D
-    wp = mp.prec + GUARD_BITS + max(_dip_bits(a), _dip_bits(b)) + _dip_bits(c)
+    kn = den  # (n+1) D; an, bn, cn run as (a+n) D, (b+n) D, (c+n) D
+    wp = mp.prec + GUARD_BITS + max(_dip_bits(an, den), _dip_bits(bn, den))
+    wp += _dip_bits(cn, den)
     zr = to_fixed(mp.re(z)._mpf_, wp)
     zi = to_fixed(mp.im(z)._mpf_, wp)
     tr = sr = peak = 1 << wp
@@ -794,32 +830,49 @@ def _series_2f1(mp, a: Fraction, b: Fraction, c: Fraction, z, target_bits, max_t
                         break
             else:
                 small = 0
-        peak = math.isqrt(peak2)
+        peak = _ceil_sqrt(peak2)
     if tail is None:  # no break: the budget ran out
         raise NonConvergenceError(
             f"2F1 series did not converge within {max_terms} terms"
         )
     total = mp.mpc(mp.mpf((sr, -wp)), mp.mpf((si, -wp)))
-    tail = mp.make_mpf(from_man_exp(tail, -wp, mp.prec, round_ceiling))
-    return total, tail, n - ended, mp.mpf((peak, -wp))
+    return total, tail, n - ended, peak, wp
 
 
 def _max_terms_for(num: int, den: int, prec: int, terminating: int | None):
     """Term budget for a series whose argument has the squared modulus
     num / den > 0, or None when convergence to full precision is out of
-    budget.  The modulus is read as the double sqrt(num / den), and one
-    below the least double as the least double.
+    budget.  The modulus is read as the double sqrt(num / den), num / den
+    correctly rounded (``_ratio``), and one below the least double as the
+    least double.
 
     The 1.3 factor plus additive headroom covers the initial hump and the
     polynomial growth of the coefficient ratio that a pure geometric
     estimate ignores."""
     if terminating is not None:
         return terminating + 8
-    m = 1.0 if num >= den else max(math.sqrt(num / den), math.ulp(0))
+    m = 1.0 if num >= den else max(math.sqrt(_ratio(num, den)), math.ulp(0))
     if m >= 1 - 2**-14:
         return None
     need = int(1.3 * (prec + 64) * math.log(2) / -math.log(m)) + 256
     return need if need <= _MAX_TERMS_CAP else None
+
+
+def _ratio(num: int, den: int) -> float:
+    """num / den as the correctly rounded double, for 0 < num < den, read
+    from the interval of ``_leading``: where both its ends round to the
+    same normal double, so does every point between them, and below half
+    the least subnormal everything rounds to 0.  Only where a rounding
+    boundary falls inside it, or near the subnormal range, is the exact
+    quotient of the full integers taken."""
+    lo, hi, k = _leading(num, den)
+    if k >= -1085:  # lo 2^k >= 2^-1022: a normal double
+        x = float(lo)
+        if x == float(hi):
+            return math.ldexp(x, k)
+    elif k <= -1141:  # num / den <= hi 2^k < 2^(66+k) <= 2^-1075
+        return 0.0
+    return num / den
 
 
 def hyp2f1_num(
@@ -844,6 +897,8 @@ def hyp2f1_num(
     prefactor's modulus times the kernel's proved tail bound plus the
     roundoff allowance peak (n+8) 2^-prec at the working precision; the
     connection adds 16 2^-precision of each part to the parts' errors.
+    Both are formed in integers from upper bounds on every modulus and
+    rounded up once (``_hyp2f1``); the roundoff allowance is an estimate.
     A sum that terminates directly is finite whatever |z|, and exact at a
     rational z; otherwise its error estimate is the direct map's, as for a
     forced direct-series.  ``method``, one of ``KNOWN_PATHS``, forces a
@@ -859,11 +914,13 @@ def hyp2f1_num(
     if method is not None and method not in KNOWN_PATHS:
         raise ParameterError(f"unknown evaluation method {method!r}")
     ez = Fraction(z) if isinstance(z, (int, Fraction)) else None
+    den = math.lcm(a.denominator, b.denominator, c.denominator)
+    an, bn, cn = (x.numerator * (den // x.denominator) for x in (a, b, c))
     with ctx.workprec(GUARD_BITS + 32):
         zz = ctx.to_mp(z)
         if not ctx.mp.isfinite(zz):
             raise ParameterError(f"z must be finite, got {z!r}")
-        return _hyp2f1(ctx, a, b, c, zz, ez, method, KNOWN_PATHS)
+        return _hyp2f1(ctx, an, bn, cn, zz, ez, method, KNOWN_PATHS, den)
 
 
 def _exact(x):
@@ -880,25 +937,58 @@ def _gaussian(x) -> tuple:
     return (-mr if sr else mr) << er - e, (-mi if si else mi) << ei - e, -e
 
 
+def _on_cut(re: tuple, im: tuple, prec: int) -> bool:
+    """Whether z = x + iy, given as the mpf tuples of x and y, lies on the
+    branch cut [1, oo) as the engine reads it: x >= 1 - 2^-40 and
+    |y| <= 2^(8-prec) (1 + x), decided exactly on the mantissas and
+    exponents.  The positions of the leading bits decide it unless they
+    lie within a bit or two of each other, and only then are the mantissas
+    aligned, so no shift runs past their lengths by more than a few bits:
+    a component 2^-1000000 costs no million-bit integer."""
+    sx, mx, ex, bx = re
+    _, my, ey, by = im
+    top = ex + bx  # 2^(top-1) <= x < 2^top
+    if sx or not mx or top < 0:
+        return False  # x < 1/2
+    if top == 0:  # x in [1/2, 1): is mx 2^(ex+40) >= 2^40 - 1?
+        k = ex + 40
+        if mx << max(k, 0) < (1 << 40) - 1 << max(-k, 0):
+            return False
+    if not my:
+        return True
+    # with Y = |y| 2^(prec-8) in [2^(ty-1), 2^ty), and 1 + x in
+    # (2^(top-1), 2^(top+1)) since x >= 1/2
+    ty = ey + by + prec - 8
+    if ty <= top - 1:
+        return True
+    if ty >= top + 2:
+        return False
+    # Y <= 1 + x on integers at the unit 2^e; a 1 below that unit adds a
+    # fraction that cannot lift an integer comparison
+    e = min(ey + prec - 8, ex)
+    rhs = mx << ex - e
+    if e <= 0:
+        rhs += 1 << -e
+    return my << ey + prec - 8 - e <= rhs
+
+
 class _Argument:
     """The argument z of ``_hyp2f1`` as its path choice reads it: whether
-    z lies on the branch cut, and the squared norms N0 = |z|^2 = n0 / 4^s
-    and N1 = |z-1|^2 = n1 / 4^s, integers from z's dyadic components.  Each
-    map's squared modulus is then an exact ratio of integers: n0 / 4^s on
-    the direct series, N0 / N1 = n0 / n1 on the Pfaff maps, and
-    min(N1, N1 / N0) = n1 / max(4^s, n0) on the connection, as
-    |1-z|^2 = N1 and |1-1/z|^2 = N1 / N0.  Only the components' mantissas
-    are squared: N1 = N0 - 2 Re z + 1, and the rest are shifts, so a
-    component of tiny exponent costs shifts of s bits, not products.  The
-    Pfaff argument w = z/(z-1) is computed only for a Pfaff map taken."""
+    z lies on the branch cut (``_on_cut``), and the squared norms
+    N0 = |z|^2 = n0 / 4^s and N1 = |z-1|^2 = n1 / 4^s, integers from z's
+    dyadic components.  Each map's squared modulus is then an exact ratio
+    of integers: n0 / 4^s on the direct series, N0 / N1 = n0 / n1 on the
+    Pfaff maps, and min(N1, N1 / N0) = n1 / max(4^s, n0) on the
+    connection, as |1-z|^2 = N1 and |1-1/z|^2 = N1 / N0.  Only the
+    components' mantissas are squared: N1 = N0 - 2 Re z + 1, and the rest
+    are shifts, so a component of tiny exponent costs shifts of s bits, not
+    products.  The Pfaff argument w = z/(z-1) is computed only for a Pfaff
+    map taken."""
 
-    def __init__(self, mp, zz, prec: int):
+    def __init__(self, zz, prec: int):
         self.z = zz
-        self.cut = (
-            abs(mp.im(zz)) <= mp.mpf(2) ** (-prec + 8) * (1 + abs(mp.re(zz)))
-            and mp.re(zz) >= 1 - mp.mpf(2) ** -40
-        )
         parts = zz._mpc_ if hasattr(zz, "_mpc_") else (zz._mpf_, fzero)
+        self.cut = _on_cut(*parts, prec)
         (sr, mr, er, _), (_, mi, ei, _) = parts
         s = -min(er, ei, 0)
         self.scale = 1 << 2 * s
@@ -937,66 +1027,114 @@ class _Argument:
 
 
 def _leading(num: int, den: int) -> tuple:
-    """num/den > 0 as (q, k) with num/den in [q, q+1) 2^k and q in
-    [2^63, 2^65): one floor division, of num shifted by about the
-    difference of the two lengths."""
-    k = num.bit_length() - den.bit_length() - 64
-    return ((num >> k) // den if k >= 0 else (num << -k) // den), k
+    """num/den > 0 from leading bits, as (lo, hi, k) with
+    lo 2^k <= num/den <= hi 2^k, 2^63 <= lo <= hi <= 2^65 and hi - lo <= 6.
+    den is cut to its 64 leading bits, d, and num to 64 bits more than d
+    has, n; then lo = n // (d + 1) and hi = ceil((n + 1) / d), each without
+    its 1 where no bit was cut.  Operands of any length cost two shifts
+    and one division of about 128 by 64 bits."""
+    sd = max(den.bit_length() - 64, 0)
+    d = den >> sd
+    sn = num.bit_length() - d.bit_length() - 64
+    n = num >> sn if sn >= 0 else num << -sn
+    return n // (d + (sd > 0)), -(-(n + (sn > 0)) // d), sn - sd
 
 
 def _below(n1: int, d1: int, n2: int, d2: int) -> bool:
     """Whether n1/d1 < n2/d2, for integers n >= 0 and d > 0.  The leading
-    64 bits of each ratio decide it unless their intervals meet; only then
-    are the cross products, of the integers' full lengths, formed."""
+    bits of each ratio (``_leading``) decide it unless their intervals
+    meet; only then are the cross products, of the integers' full
+    lengths, formed."""
     if not (n1 and n2):
         return n1 < n2
-    (q1, k1), (q2, k2) = _leading(n1, d1), _leading(n2, d2)
-    if abs(k1 - k2) > 1:
+    (lo1, hi1, k1), (lo2, hi2, k2) = _leading(n1, d1), _leading(n2, d2)
+    if abs(k1 - k2) > 3:  # the bounds lie in [2^63, 2^65]
         return k1 < k2
     k = min(k1, k2)
-    lo1, lo2 = q1 << k1 - k, q2 << k2 - k
-    if lo1 + (1 << k1 - k) <= lo2:
+    if hi1 << k1 - k < lo2 << k2 - k:
         return True
-    if lo2 + (1 << k2 - k) <= lo1:
+    if hi2 << k2 - k <= lo1 << k1 - k:
         return False
     return n1 * d2 < n2 * d1
 
 
-def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
-    """``hyp2f1_num`` at the working precision it sets: zz is z in the
-    context, ez the exact rational z or None, and the path is the forced
-    ``method`` or the best of ``paths``."""
+def _ceil_abs(x, bits: int) -> tuple:
+    """(m, f) with |x| <= m 2^f for a finite mpf or mpc x, m of about
+    ``bits`` bits: f lies ``bits`` below the leading bit of x's larger
+    component, each component is taken up to a multiple of 2^f (it is
+    one already unless its bits reach lower), and m is the ceiling of the
+    root of the sum of their squares.  (0, 0) at x = 0."""
+    parts = [t for t in getattr(x, "_mpc_", None) or (x._mpf_,) if t[1]]
+    if not parts:
+        return 0, 0
+    f = max(e + bc for _, _, e, bc in parts) - bits
+    ms = [man << e - f if e >= f else -(-man >> f - e) for _, man, e, _ in parts]
+    return (ms[0] if len(ms) == 1 else _ceil_sqrt(ms[0] ** 2 + ms[1] ** 2)), f
+
+
+def _round_up(mp, terms):
+    """The sum of the dyadics m 2^f, m >= 0, in ``terms`` as an mpf of the
+    context's precision, rounded up once; 0 when every m is 0.  The sum is
+    exact in integers at the least exponent, except that a term whose bits
+    reach more than 4 precisions below the largest leading bit is first
+    taken up to that unit."""
+    terms = [(m, f) for m, f in terms if m]
+    if not terms:
+        return mp.zero
+    top = max(m.bit_length() + f for m, f in terms)
+    unit = max(min(f for _, f in terms), top - 4 * mp.prec)
+    total = sum(m << f - unit if f >= unit else -(-m >> unit - f) for m, f in terms)
+    return mp.make_mpf(from_man_exp(total, unit, mp.prec, round_ceiling))
+
+
+def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths, den) -> EvalResult:
+    """``hyp2f1_num`` at the working precision it sets, for the parameters
+    a/den, b/den, c/den: integers over one denominator den > 0, so every
+    parameter worked out here (c-a-b, c-a, c-b, the Pfaff pairs, the
+    connection's inner triples) is an integer over den too and no
+    Fraction arithmetic runs.  zz is z in the context, ez the exact
+    rational z or None, and the path is the forced ``method`` or the best
+    of ``paths``.
+
+    The error is kept in integers and rounded up once (``_round_up``).  On
+    a series map it is |pref| (tail + ceil(peak (n+8) 2^-wprec)), wprec the
+    working precision, from the kernel's integers in its unit 2^-wp, with
+    |pref| taken up by ``_ceil_abs`` (1 on the direct series).  On the
+    connection it is sum_i |coef_i| err_i + 16 2^-precision |part_i|, with
+    err_i the inner result's est_error and each modulus by ``_ceil_abs``."""
     mp = ctx.mp
     prec = ctx.precision
     target_bits = prec + GUARD_BITS
 
     m_term = min(
-        (k for k in (_vanishes_at(a), _vanishes_at(b)) if k is not None), default=None
+        (k for k in (_vanishes_at(a, den), _vanishes_at(b, den)) if k is not None),
+        default=None,
     )
-    c_pole = _vanishes_at(c)
+    c_pole = _vanishes_at(c, den)
     if c_pole is not None and (m_term is None or m_term > c_pole):
         raise ParameterError(
-            f"lower parameter c = {c} is a nonpositive integer "
+            f"lower parameter c = {Fraction(c, den)} is a nonpositive integer "
             "and the series does not terminate before the pole"
         )
 
     if m_term is not None and method is None and ez is not None:
         # the parameter that ends the sum first goes in the b slot, so the
         # c-pole check sees only the terms that are summed
-        other = b if _vanishes_at(a) == m_term else a
-        exact = terminating_poly(HypParams(other, -m_term, c))(ez)
-        val = ctx.to_mp(exact)
+        other = b if _vanishes_at(a, den) == m_term else a
+        params = HypParams(Fraction(other, den), -m_term, Fraction(c, den))
+        val = ctx.to_mp(terminating_poly(params)(ez))
         return EvalResult(+val, abs(val) * ctx.eps * 4, _PATH_DIRECT, m_term)
 
     if zz == 0:
         return EvalResult(mp.mpf(1), ctx.eps, _PATH_DIRECT, 0)
 
     z_key = _exact(zz)
-    arg = ctx._recall(("argument", z_key, mp.prec), lambda: _Argument(mp, zz, prec))
+    arg = ctx._recall(("argument", z_key, mp.prec), lambda: _Argument(zz, prec))
     if arg.cut and m_term is None:
         raise BranchCutError(f"z = {mp.nstr(zz, 15)} lies on the branch cut [1, oo)")
 
     cab = c - a - b
+    degenerate = not cab % den
     # path -> term count when the map's series terminates, else None, for
     # the maps defined at the input: the Pfaff maps (DLMF 15.8.1) move c-b
     # or c-a with c, so they and the connection formula (15.8.4) need
@@ -1006,8 +1144,8 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
     # (1-z)/(-z) = 1 - 1/z
     maps = {_PATH_DIRECT: m_term}
     if arg.n1 and c_pole is None:
-        maps[_PATH_PFAFF_A] = _vanishes_at(c - b)
-        maps[_PATH_PFAFF_B] = _vanishes_at(c - a)
+        maps[_PATH_PFAFF_A] = _vanishes_at(c - b, den)
+        maps[_PATH_PFAFF_B] = _vanishes_at(c - a, den)
         if _PATH_CONNECTION in paths:
             maps[_PATH_CONNECTION] = None
 
@@ -1024,18 +1162,19 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
             method = arg.least(
                 [p for p in (_PATH_DIRECT, pfaff, _PATH_CONNECTION) if p in maps],
                 prec,
-                cab.denominator == 1,
+                degenerate,
             )
     elif method not in maps:
         raise ParameterError(
-            f"the {method} map of 2F1 is not defined at c = {c}, "
+            f"the {method} map of 2F1 is not defined at c = {Fraction(c, den)}, "
             f"z = {mp.nstr(zz, 15)}; it needs z != 1 and c not a nonpositive integer"
         )
 
     max_terms = _max_terms_for(*arg.squared(method), prec, maps[method])
-    if method == _PATH_CONNECTION and cab.denominator == 1:
+    if method == _PATH_CONNECTION and degenerate:
         raise DegenerateConnectionError(
-            f"c-a-b = {cab} is an integer; the two-term connection formula degenerates"
+            f"c-a-b = {Fraction(cab, den)} is an integer; "
+            "the two-term connection formula degenerates"
         )
     if max_terms is None:
         raise NonConvergenceError(
@@ -1045,83 +1184,93 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths) -> EvalResult:
 
     if method == _PATH_CONNECTION:
         u = 1 - zz
-        gc = gamma_c(c, ctx)
-        coef1 = gc * gamma_c(cab, ctx) * rgamma_c(c - a, ctx) * rgamma_c(c - b, ctx)
+        # the gamma arguments become Fractions here, at gamma_c's interface
+        gc = gamma_c(Fraction(c, den), ctx)
+        coef1 = (
+            gc * gamma_c(Fraction(cab, den), ctx)
+            * rgamma_c(Fraction(c - a, den), ctx) * rgamma_c(Fraction(c - b, den), ctx)
+        )
         coef2 = (
-            _principal_power(ctx, u, cab) * gc * gamma_c(-cab, ctx)
-            * rgamma_c(a, ctx) * rgamma_c(b, ctx)
+            _principal_power(ctx, u, cab, den) * gc * gamma_c(Fraction(-cab, den), ctx)
+            * rgamma_c(Fraction(a, den), ctx) * rgamma_c(Fraction(b, den), ctx)
         )
         # the inner series run at 1 - z, exactly when z is rational
         eu = None if ez is None else 1 - ez
         uu = u if eu is None else ctx.to_mp(eu)
         u_key = (_exact(uu), None if eu is None else (eu.numerator, eu.denominator))
-        parts, errs, n = [], [], 0
-        for coef, pa, pb, pc in ((coef1, a, b, 1 - cab), (coef2, c - a, c - b, 1 + cab)):
+        parts, terms, n = [], [], 0
+        for coef, pa, pb, pc in ((coef1, a, b, den - cab), (coef2, c - a, c - b, den + cab)):
             if coef != 0:
                 # ordered (pa, pb): with c-a and c-b both nonpositive
                 # integers the terminating Pfaff map taken depends on it
-                key = ("inner", _pair(pa), _pair(pb), _pair(pc), u_key, mp.prec)
+                inner_params = _lowest(pa, pb, pc, den)
                 inner = ctx._recall(
-                    key, lambda: _hyp2f1(ctx, pa, pb, pc, uu, eu, None, _SERIES_PATHS)
+                    ("inner", *inner_params, u_key, mp.prec),
+                    lambda: _hyp2f1(
+                        ctx, *inner_params[:3], uu, eu, None, _SERIES_PATHS, inner_params[3]
+                    ),
                 )
-                parts.append(coef * inner.value)
-                errs.append(abs(coef) * inner.est_error)
+                part = coef * inner.value
+                parts.append(part)
+                m, f = _ceil_abs(coef, mp.prec)
+                _, man, exp, _ = inner.est_error._mpf_
+                terms.append((m * man, f + exp))
+                m, f = _ceil_abs(part, mp.prec)
+                terms.append((m, f + 4 - prec))  # 16 2^-precision |part|
                 n += inner.n_terms
-        zero = mp.mpf(0)
-        value = sum(parts, zero)
-        est = sum(errs, zero) + sum(map(abs, parts), zero) * ctx.eps * 16
+        value = sum(parts, mp.mpf(0))
     else:
         if method == _PATH_DIRECT:
-            pref, pa, pb, x, x_key = 1, a, b, zz, z_key
+            pref, bound, pa, pb, x, x_key = 1, (1, 0), a, b, zz, z_key
         else:
             pa, pb = (a, c - b) if method == _PATH_PFAFF_A else (b, c - a)
-            pref, x = _principal_power(ctx, 1 - zz, -pa), arg.w
-            x_key = _exact(x)
+            pref, x = _principal_power(ctx, 1 - zz, -pa, den), arg.w
+            bound, x_key = _ceil_abs(pref, mp.prec), _exact(x)
+        pa, pb, pc, d = _lowest(pa, pb, c, den)
         # the kernel is symmetric in pa and pb, bit for bit
-        key = ("series", *sorted((_pair(pa), _pair(pb))), _pair(c), x_key,
-               mp.prec, target_bits, max_terms)
+        key = ("series", *sorted((pa, pb)), pc, d, x_key, mp.prec, target_bits, max_terms)
 
         def summed():
-            total, tail, n, peak = _series_2f1(mp, pa, pb, c, x, target_bits, max_terms)
-            return total, n, tail + peak * mp.mpf(n + 8) * mp.mpf(2) ** (-mp.prec)
+            total, tail, n, peak, wp = _series_2f1(
+                mp, pa, pb, pc, d, x, target_bits, max_terms
+            )
+            # the tail and the roundoff allowance peak (n+8) 2^-mp.prec,
+            # rounded up, in the kernel's unit 2^-wp
+            return total, n, tail - (-peak * (n + 8) >> mp.prec), wp
 
-        total, n, tail = ctx._recall(key, summed)
-        est = abs(pref) * tail
+        total, n, err, wp = ctx._recall(key, summed)
+        terms = [(bound[0] * err, bound[1] - wp)]
         value = pref * total
 
     if mp.im(value) == 0:
         value = mp.re(value)
-    return EvalResult(+value, +est, method, n)
+    return EvalResult(+value, _round_up(mp, terms), method, n)
 
 
-def _pair(x: Fraction) -> tuple:
-    """An exact rational as a memo key: (numerator, denominator), since
-    hashing a Fraction costs a modular inverse."""
-    return x.numerator, x.denominator
-
-
-def _principal_power(ctx: EvalContext, base, expo: Fraction):
-    """base**expo on the principal branch, bit for bit ``mp.power``: exact
-    for integer exponents, through the square root for half-integers, and
-    otherwise exp(expo L) with L = log(base) at the working precision + 10,
-    formed as mpmath's ``mpc_pow_mpf`` and ``mpf_pow`` form it.  Inside
-    ``ctx.sharing()`` L is kept under the exact base, so the powers of one
-    base take one logarithm."""
+def _principal_power(ctx: EvalContext, base, p: int, q: int):
+    """base**(p/q), q > 0, on the principal branch, bit for bit ``mp.power``:
+    exact for integer exponents, through the square root for
+    half-integers, and otherwise exp(expo L) with L = log(base) at the
+    working precision + 10, formed as mpmath's ``mpc_pow_mpf`` and
+    ``mpf_pow`` form it.  Inside ``ctx.sharing()`` L is kept under the
+    exact base, so the powers of one base take one logarithm."""
     mp = ctx.mp
-    if expo.denominator == 1:
-        return mp.power(base, int(expo))
-    p = ctx.to_mp(expo)
-    z = getattr(base, "_mpc_", None)
-    if expo.denominator == 2 or z is None and base <= 0:
-        # the square root, or a real base mpf_pow hands to the complex plane
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    if q == 1:
         return mp.power(base, p)
+    expo = mp.mpf(p) / mp.mpf(q)
+    z = getattr(base, "_mpc_", None)
+    if q == 2 or z is None and base <= 0:
+        # the square root, or a real base mpf_pow hands to the complex plane
+        return mp.power(base, expo)
     prec, rnd = mp._prec_rounding
     if z is not None:
         log = ctx._recall(("log", z, prec), lambda: mpc_log(z, prec + 10))
-        return mp.make_mpc(mpc_exp(mpc_mul_mpf(log, p._mpf_, prec + 10), prec, rnd))
+        return mp.make_mpc(mpc_exp(mpc_mul_mpf(log, expo._mpf_, prec + 10), prec, rnd))
     x = base._mpf_
     log = ctx._recall(("log", x, prec), lambda: mpf_log(x, prec + 10, rnd))
-    return mp.make_mpf(mpf_exp(mpf_mul(p._mpf_, log), prec, rnd))
+    return mp.make_mpf(mpf_exp(mpf_mul(expo._mpf_, log), prec, rnd))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from mpmath.libmp import from_int, round_nearest
+from mpmath.libmp import from_int, from_rational, round_ceiling, round_nearest
 
 from strangeval import numeric
 from strangeval.errors import (
@@ -175,6 +175,26 @@ class TestGammaOracle:
                 err = abs(mpmath.mpf(mine) - ref) / abs(ref)
                 assert err <= mpmath.mpf(2) ** -precision, z
 
+    HIGH = (
+        Fraction(1, 2), Fraction(5003, 10007), Fraction(7, 3), Fraction(301, 7),
+        Fraction(-97, 13), Fraction(-1000, 3), -3 + Fraction(1, 2**70),
+        Fraction(2**40 + 1, 3),
+    )
+
+    @pytest.mark.parametrize("precision", (1024, 2048))
+    def test_relative_error_at_high_precision(self, precision):
+        # the arguments within the reach take the Taylor table at every
+        # precision, the others Spouge's
+        ctx = EvalContext(precision)
+        _TAYLOR_CACHE.pop(precision, None)
+        for z in self.HIGH:
+            mine = gamma_c(z, ctx)
+            with mpmath.workprec(precision + 128):
+                ref = mpmath.gamma(mpmath.mpf(z.numerator) / z.denominator)
+                err = abs(mpmath.mpf(mine) - ref) / abs(ref)
+                assert err <= mpmath.mpf(2) ** -precision, z
+        assert precision in _TAYLOR_CACHE
+
     @pytest.mark.parametrize("precision", (64, 192))
     def test_large_arguments_to_delivered_width(self, precision):
         # the exp/log of t^(z-1/2) e^-t lose log2(|(z-1/2) log t| + t) bits
@@ -263,6 +283,19 @@ class TestTaylorKernel:
             loop = sum(rk * xx**k for k, rk in enumerate(ref))
             assert abs(mine * unit - loop) <= 5 * unit, x
             assert abs(mine * unit - mp.rgamma(1 + xx)) <= 5 * unit, x
+
+    @pytest.mark.parametrize("bits", (120, 400, 1100))
+    def test_zeta_within_its_units(self, bits):
+        # both regimes: Borwein's sum for small k, the short sum past
+        # k = ceil(bits / floor(log2 n)) + 1
+        n = -(-(bits + 2) * 1000 // 2543)
+        top = 2 * bits // (n.bit_length() - 1)
+        zetas = numeric._zeta_fixed(top, bits)
+        assert len(zetas) == top - 1
+        with mpmath.workprec(bits + 64):
+            for k, zk in enumerate(zetas, 2):
+                err = abs(zk - mpmath.zeta(k) * mpmath.mpf(2) ** bits)
+                assert err <= 2 * n + 4, k
 
     def test_taylor_circle_bound(self):
         # log |1/Gamma(1+x)|^2 on |x| = 16 is concave in s = -Re x, so it
@@ -596,7 +629,7 @@ def test_selector_pin():
         else:
             outcomes.append(f"{r.path} {r.n_terms} {r.value!r} {r.est_error!r}")
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
-    assert digest == "8f728b86d41e59c0"
+    assert digest == "482b9c6495d518a2"
 
 
 def _near_lattice_or_small(rng):
@@ -760,6 +793,10 @@ def _mpc_series(mp, a, b, c, z, target_bits, max_terms):
     raise AssertionError("reference recurrence did not converge")
 
 
+def _power(ctx, base, e):
+    return numeric._principal_power(ctx, base, e.numerator, e.denominator)
+
+
 class TestPrincipalPower:
     """``_principal_power`` is ``mp.power`` bit for bit, whether or not a
     sharing scope keeps the logarithm of its base."""
@@ -781,14 +818,22 @@ class TestPrincipalPower:
                 mp.power(base, int(e) if e.denominator == 1 else ctx.to_mp(e))
                 for e in expos
             ]
-            outside = [numeric._principal_power(ctx, base, e) for e in expos]
+            outside = [_power(ctx, base, e) for e in expos]
             with ctx.sharing():
-                inside = [numeric._principal_power(ctx, base, e) for e in expos * 2]
+                inside = [_power(ctx, base, e) for e in expos * 2]
             for got in (outside, inside[:len(expos)], inside[len(expos):]):
                 assert [type(x) for x in got] == [type(x) for x in expected]
                 assert [numeric._exact(x) for x in got] == [
                     numeric._exact(x) for x in expected
                 ]
+
+
+def _kernel(mp, a, b, c, z, target_bits, max_terms):
+    """``_series_2f1`` at Fraction parameters, put over their least common
+    denominator as ``_hyp2f1`` puts them."""
+    den = math.lcm(a.denominator, b.denominator, c.denominator)
+    nums = (x.numerator * (den // x.denominator) for x in (a, b, c))
+    return _series_2f1(mp, *nums, den, z, target_bits, max_terms)
 
 
 class TestSeriesKernel:
@@ -836,9 +881,10 @@ class TestSeriesKernel:
         a, b, c, z = self.CASES[case]
         mp = CTX.mp
         with CTX.workprec(64):
-            total, last, n, peak = _series_2f1(mp, a, b, c, z, 224, 100_000)
+            total, last, n, peak, wp = _kernel(mp, a, b, c, z, 224, 100_000)
         with mp.workprec(448):
             ref, ref_n, ref_peak = _mpc_series(mp, a, b, c, z, 224, 100_000)
+            peak = mp.mpf((peak, -wp))
             assert n == ref_n
             assert abs(total - ref) <= abs(ref) * mp.mpf(2) ** -200
             assert abs(peak - ref_peak) <= ref_peak * mp.mpf(2) ** -200
@@ -851,11 +897,165 @@ class TestSeriesKernel:
         a, b, c, z = self.CASES[case]
         mp = CTX.mp
         with CTX.workprec(64):
-            total, tail, n, peak = _series_2f1(mp, a, b, c, z, 224, 100_000)
-            est = tail + peak * mp.mpf(n + 8) * mp.mpf(2) ** -mp.prec
+            total, tail, n, peak, wp = _kernel(mp, a, b, c, z, 224, 100_000)
+            err = tail - (-peak * (n + 8) >> mp.prec)
         with mp.workprec(448):
+            est = mp.mpf((err, -wp))
             ref = mp.hyp2f1(*(mp.mpf(x.numerator) / x.denominator for x in (a, b, c)), z)
             assert abs(total - ref) <= est
+
+
+def _mpq(x):
+    """A Fraction, or an mpf/mpc, at the current mpmath precision."""
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpmathify(x)
+
+
+def _exact_fraction(t) -> Fraction:
+    """An mpf tuple as the exact Fraction."""
+    sign, man, exp, _ = t
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _ceil_abs_exact(x, bits):
+    """(m, f) with f ``bits`` below the leading bit of x's larger
+    component, for an mpf or mpc x: each component's modulus taken up to a
+    multiple of 2^f, and m the least integer whose square is at least the
+    sum of their squares, in Fractions."""
+    parts = [t for t in getattr(x, "_mpc_", None) or (x._mpf_,) if t[1]]
+    f = max(t[1].bit_length() + t[2] for t in parts) - bits
+    square = sum(math.ceil(abs(_exact_fraction(t)) / Fraction(2) ** f) ** 2 for t in parts)
+    m = math.isqrt(square)
+    return m + (m * m < square), f
+
+
+def _ceil_mpf(x: Fraction, bits):
+    """x rounded up to a ``bits``-bit mpf tuple."""
+    return from_rational(x.numerator, x.denominator, bits, round_ceiling)
+
+
+def _spy(monkeypatch, name) -> list:
+    """Record (args, result) of every call of numeric's ``name``."""
+    calls = []
+    real = getattr(numeric, name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(numeric, name, spy)
+    return calls
+
+
+class TestErrorBookkeeping:
+    """est_error is kept in integers from upper bounds on every modulus and
+    rounded up once.  It bounds the error against mpmath.hyp2f1 at
+    precision + 256 bits where those bounds carry weight, and it is the
+    integer formula, recomputed here in Fractions and rounded up."""
+
+    WPREC = CTX.precision + numeric.GUARD_BITS + 32  # the working precision
+    # a zero of F(-7/2, 16/3; 5/7; x): the connection's parts, near 12 in
+    # modulus, cancel to about 2^-190 of it at the 192-bit point
+    ZERO = CTX.mp.mpf("0.9311917672396811910918605168328520900759492644297806560319042484")
+
+    @staticmethod
+    def _bounded(a, b, c, z, method=None):
+        r = hyp2f1_num(a, b, c, z, CTX, method=method)
+        with mpmath.workprec(CTX.precision + 256):
+            ref = mpmath.hyp2f1(_mpq(a), _mpq(b), _mpq(c), _mpq(z))
+            err = abs(mpmath.mpmathify(r.value) - ref)
+            assert err <= mpmath.mpmathify(r.est_error), (a, b, c, z, method)
+        return r, ref
+
+    @pytest.mark.parametrize("a", [Fraction(9, 2), Fraction(-9, 2)])
+    def test_pfaff_prefactor_far_from_one(self, a):
+        # |1-z|^(-a) = (9/2)^(-a) is about 870 or 1.1e-3
+        r, _ = self._bounded(a, Fraction(1, 3), Fraction(5, 7), Fraction(-7, 2), "pfaff-a")
+        assert r.path == "pfaff-a"
+
+    def test_connection_with_both_inner_series_on_pfaff(self, monkeypatch):
+        inner = _spy(monkeypatch, "_hyp2f1")
+        z = CTX.mp.mpc(2.9, 3.7)
+        r, _ = self._bounded(Fraction(1, 2), Fraction(1, 3), Fraction(5, 7), z)
+        paths = [out.path for args, out in inner if args[7] == numeric._SERIES_PATHS]
+        assert r.path == "connection-1mz"
+        assert len(paths) == 2 and all(p.startswith("pfaff") for p in paths)
+
+    @pytest.mark.parametrize("a", [Fraction(7, 3), Fraction(-3)])
+    def test_connection_with_a_part_dropped(self, monkeypatch, a):
+        # c - a = -2 drops the first part (1/Gamma(c-a) = 0), a = -3 the
+        # second (1/Gamma(a) = 0)
+        inner = _spy(monkeypatch, "_hyp2f1")
+        z = CTX.mp.mpc(0.8, 0.3)
+        r, _ = self._bounded(a, Fraction(1, 5), Fraction(1, 3), z, "connection-1mz")
+        assert len([1 for args, _ in inner if args[7] == numeric._SERIES_PATHS]) == 1
+
+    def test_connection_whose_terms_are_all_zero(self):
+        # 1/Gamma(a) = 0 drops the second part, and the first part's inner
+        # series, the terminating F(-1, 1/3; 2/15; 2/5), is exactly 0
+        r = hyp2f1_num(-1, Fraction(1, 3), Fraction(1, 5), Fraction(3, 5), CTX,
+                       method="connection-1mz")
+        assert r.value == 0 and r.est_error == 0
+        assert r.path == "connection-1mz"
+
+    def test_cancelling_connection(self):
+        a, b, c = Fraction(-7, 2), Fraction(16, 3), Fraction(5, 7)
+        r, ref = self._bounded(a, b, c, self.ZERO)
+        assert r.path == "connection-1mz"
+        with mpmath.workprec(400):
+            cab = _mpq(c - a - b)
+            part = (
+                mpmath.gamma(_mpq(c)) * mpmath.gamma(cab)
+                * mpmath.rgamma(_mpq(c - a)) * mpmath.rgamma(_mpq(c - b))
+                * mpmath.hyp2f1(_mpq(a), _mpq(b), 1 - cab, 1 - _mpq(self.ZERO))
+            )
+            assert abs(ref) < abs(part) * mpmath.mpf(2) ** -150
+
+    @pytest.mark.parametrize("a, b, c, z, method", [
+        (Fraction(1, 3), Fraction(2, 5), Fraction(7, 5), CTX.mp.mpc(0.3, 0.5), None),
+        (Fraction(1, 3), Fraction(2, 5), Fraction(7, 5), CTX.mp.mpf(-0.6), None),
+        (Fraction(9, 2), Fraction(1, 3), Fraction(5, 7), Fraction(-7, 2), "pfaff-a"),
+        (Fraction(-9, 2), Fraction(1, 3), Fraction(5, 7), CTX.mp.mpc(-3.5, 1), "pfaff-a"),
+        (Fraction(1, 3), Fraction(5, 2), Fraction(5, 7), CTX.mp.mpc(-2, 0.5), "pfaff-b"),
+    ])
+    def test_series_map_error_is_the_integer_formula(self, monkeypatch, a, b, c, z, method):
+        # |pref| (tail + ceil(peak (n+8) 2^-wprec)) 2^-wp, rounded up, with
+        # |pref| taken up to a multiple of 2^f (exact on the direct series)
+        kernel = _spy(monkeypatch, "_series_2f1")
+        powers = _spy(monkeypatch, "_principal_power")
+        r = hyp2f1_num(a, b, c, z, CTX, method=method)
+        (_, (_, tail, n, peak, wp)), = kernel
+        err = tail + math.ceil(Fraction(peak * (n + 8), 2**self.WPREC))
+        m, f = _ceil_abs_exact(powers[0][1], self.WPREC) if powers else (1, 0)
+        assert (r.path == "direct-series") == (not powers)
+        want = _ceil_mpf(Fraction(m * err) * Fraction(2) ** (f - wp), self.WPREC)
+        assert r.est_error._mpf_ == want
+
+    def test_connection_error_is_the_integer_formula(self, monkeypatch):
+        # sum_i |coef_i| err_i + 16 2^-precision |part_i|, rounded up, with
+        # the coefficients and parts formed as the connection forms them
+        inner = _spy(monkeypatch, "_hyp2f1")
+        powers = _spy(monkeypatch, "_principal_power")
+        a, b, c, z = Fraction(1, 2), Fraction(1, 3), Fraction(5, 7), CTX.mp.mpc(0.75, 0.5)
+        r = hyp2f1_num(a, b, c, z, CTX)
+        assert r.path == "connection-1mz"
+        inners = [out for args, out in inner if args[7] == numeric._SERIES_PATHS]
+        cab = c - a - b
+        total = Fraction(0)
+        with CTX.workprec(numeric.GUARD_BITS + 32):
+            gc = gamma_c(c, CTX)
+            coefs = (
+                gc * gamma_c(cab, CTX) * rgamma_c(c - a, CTX) * rgamma_c(c - b, CTX),
+                powers[0][1] * gc * gamma_c(-cab, CTX) * rgamma_c(a, CTX) * rgamma_c(b, CTX),
+            )
+            for coef, res in zip(coefs, inners):
+                m, f = _ceil_abs_exact(coef, self.WPREC)
+                total += m * Fraction(2) ** f * _exact_fraction(res.est_error._mpf_)
+                m, f = _ceil_abs_exact(coef * res.value, self.WPREC)
+                total += 16 * m * Fraction(2) ** (f - CTX.precision)
+        assert r.est_error._mpf_ == _ceil_mpf(total, self.WPREC)
 
 
 def _block_starts(monkeypatch) -> list:
@@ -881,13 +1081,13 @@ class TestBlockMode:
     def _sum(case, max_terms=100_000):
         a, b, c, z = TestSeriesKernel.CASES[case]
         with CTX.workprec(64):
-            return _series_2f1(CTX.mp, a, b, c, z, 224, max_terms)
+            return _kernel(CTX.mp, a, b, c, z, 224, max_terms)
 
     def test_runs_on_a_modulus_0_9_tail(self, monkeypatch):
         starts = _block_starts(monkeypatch)
         z = self.MP.mpf(0.9) * self.MP.expj(1.3)
         with CTX.workprec(64):
-            n = _series_2f1(self.MP, Fraction(2, 3), Fraction(1, 5), Fraction(9, 7), z, 224, 10**5)[2]
+            n = _kernel(self.MP, Fraction(2, 3), Fraction(1, 5), Fraction(9, 7), z, 224, 10**5)[2]
         assert len(starts) * numeric._BLOCK >= 0.9 * n
 
     def test_not_on_a_real_argument(self, monkeypatch):
@@ -969,9 +1169,17 @@ class TestEarlyStop:
 
 class _Tracked(int):
     """An int that stays tracked through shifts, sums and negation, and
-    records the bit length of the lesser factor of every product."""
+    records the bit length of the lesser factor of every product, of the
+    lesser operand of every division and of every left shift's result."""
 
     products: list = []
+    divisions: list = []
+    shifts: list = []
+
+    def __lshift__(self, k):
+        out = _Tracked(int(self) << int(k))
+        _Tracked.shifts.append(out.bit_length())
+        return out
 
     def __mul__(self, other):
         _Tracked.products.append(min(self.bit_length(), int(other).bit_length()))
@@ -984,14 +1192,28 @@ class _Tracked(int):
         return _Tracked(int(self) ** e)
 
 
-for _op in ("__lshift__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__"):
+for _op in ("__rshift__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__"):
     setattr(_Tracked, _op, lambda self, *a, _op=_op: _Tracked(getattr(int, _op)(self, *map(int, a))))
+
+
+def _tracked_division(op):
+    def divide(self, other):
+        _Tracked.divisions.append(min(self.bit_length(), int(other).bit_length()))
+        out = getattr(int, op)(self, int(other))
+        return _Tracked(out) if isinstance(out, int) else out
+
+    return divide
+
+
+for _op in ("__floordiv__", "__rfloordiv__", "__truediv__", "__rtruediv__"):
+    setattr(_Tracked, _op, _tracked_division(_op))
 
 
 class TestTinyComponents:
     """An argument component of tiny exponent: the table squares only the
-    components' mantissas, never integers aligned to that exponent, and
-    the path and value are those without the component."""
+    components' mantissas, never integers aligned to that exponent, the
+    cut test, the map choice and the budgets read leading bits, and the
+    path and value are those without the component."""
 
     MP = CTX.mp
 
@@ -1003,7 +1225,7 @@ class TestTinyComponents:
             mp.make_mpc(((1, _Tracked(7), 10**6, 3), (0, _Tracked(5), -10**6, 3))),
         ):
             _Tracked.products.clear()
-            numeric._Argument(mp, z, 256)
+            numeric._Argument(z, 256)
             assert _Tracked.products and max(_Tracked.products) <= 3
 
     def test_least_multiplies_only_leading_bits(self):
@@ -1013,11 +1235,102 @@ class TestTinyComponents:
         mp = self.MP
         _, man, exp, bc = mp.mpf(0.9)._mpf_
         z = mp.make_mpc(((0, _Tracked(man), exp, bc), (0, _Tracked(1), -10**6, 1)))
-        arg = numeric._Argument(mp, z, 256)
+        arg = numeric._Argument(z, 256)
         paths = ("direct-series", "pfaff-a", "connection-1mz")
         _Tracked.products.clear()
         assert arg.least(paths, 192, False) == "connection-1mz"
         assert max(_Tracked.products, default=0) <= 64
+
+    def test_cut_test_and_budgets_read_only_leading_bits(self):
+        # at 3 2^-1000000, 0.5 + 2^-1000000 i and 0.9 + 2^-1000000 i the
+        # squared norms run to two million bits; the cut test compares bit
+        # positions before it aligns anything, and a budget's double comes
+        # from the leading bits of its ratio
+        mp = self.MP
+        _, man, exp, bc = mp.mpf(0.9)._mpf_
+        paths = ("direct-series", "pfaff-a", "connection-1mz")
+        for z in (
+            mp.make_mpf((0, _Tracked(3), -10**6, 2)),
+            mp.make_mpc(((0, _Tracked(1), -1, 1), (0, _Tracked(1), -10**6, 1))),
+            mp.make_mpc(((0, _Tracked(man), exp, bc), (0, _Tracked(1), -10**6, 1))),
+        ):
+            _Tracked.products.clear()
+            _Tracked.divisions.clear()
+            arg = numeric._Argument(z, 256)
+            budgets = [numeric._max_terms_for(*arg.squared(p), 192, None) for p in paths]
+            assert not arg.cut and any(budgets)
+            assert _Tracked.divisions
+            assert max(_Tracked.products + _Tracked.divisions) <= 256
+
+    def test_cut_test_aligns_only_nearby_bits(self):
+        # exponents of a million on and off the cut: the exact answer, and
+        # no shift to more than a few hundred bits
+        big, one = 10**6, _Tracked(1)
+        cases = (
+            ((0, one, 1, 1), (0, one, -big, 1), True),  # 2 + 2^-M i
+            ((0, one, big, 1), (0, one, big - 249, 1), True),  # |y| = 2^-249 x
+            ((0, one, big, 1), (0, one, big - 247, 1), False),  # |y| = 2^-247 x
+            # |y| 2^248 = x, and x + 2^-50 x, against 1 + x = 1 + 2^M
+            ((0, one, big, 1), (0, one, big - 248, 1), True),
+            ((0, one, big, 1), (0, _Tracked(2**50 + 1), big - 298, 51), False),
+            # |y| 2^248 = 4, and 4 + 2^-58, against 1 + x = 4
+            ((0, _Tracked(3), 0, 2), (0, one, -246, 1), True),
+            ((0, _Tracked(3), 0, 2), (0, _Tracked(2**60 + 1), -306, 61), False),
+            ((0, one, -big, 1), (0, one, 0, 1), False),  # 2^-M + i
+            # 1 - 2^-40 + 2^-300 i, and 1 - 3 2^-41 on the real line
+            ((0, _Tracked(2**40 - 1), -40, 40), (0, one, -300, 1), True),
+            ((0, _Tracked(2**41 - 3), -41, 41), (0, 0, 0, 0), False),
+        )
+        for re, im, on_cut in cases:
+            _Tracked.shifts.clear()
+            assert numeric._on_cut(re, im, 256) is on_cut, (re, im)
+            assert max(_Tracked.shifts, default=0) <= 320
+
+    def test_budgets_equal_the_exact_quotients(self):
+        # each budget reads its double from _leading and divides the full
+        # integers only where a rounding boundary falls inside the interval:
+        # the same budgets as the correctly rounded num / den on the
+        # selector-pin draws, the points above and at ties, and the same
+        # double on ratios from 2^-1200 to 1, ties and subnormals included
+        def exact_budget(num, den):
+            m = 1.0 if num >= den else max(math.sqrt(num / den), math.ulp(0))
+            if m >= 1 - 2**-14:
+                return None
+            need = int(1.3 * (192 + 64) * math.log(2) / -math.log(m)) + 256
+            return need if need <= numeric._MAX_TERMS_CAP else None
+
+        mp = self.MP
+        tiny = mp.mpf(2) ** -10**6
+        zs = [z for _, _, _, z, _ in _selector_draws(EvalContext(96).mp, 2024, 300)]
+        zs += [3 * tiny, mp.mpc(0.5, tiny), mp.mpc(0.9, tiny), mp.mpc(0.5, 0.5)]
+        checked = 0
+        for z in zs:
+            z = CTX.to_mp(z)
+            if z == 0:
+                continue
+            arg = numeric._Argument(z, 256)
+            for path in ("direct-series", "pfaff-a", "connection-1mz"):
+                num, den = arg.squared(path)
+                if den:
+                    budget = numeric._max_terms_for(num, den, 192, None)
+                    assert budget == exact_budget(num, den), (z, path)
+                    checked += 1
+        assert checked > 800
+        rng = random.Random(5)
+        for _ in range(2000):
+            den = rng.getrandbits(rng.randint(1, 300)) | 1 << rng.randint(60, 1300)
+            num = rng.randint(1, den - 1) >> rng.randint(0, 1300)
+            if num:
+                assert numeric._ratio(num, den) == num / den, (num, den)
+        for k in range(1100):  # ties between doubles, and the subnormal range
+            for num, den in ((2**53 + 1 << k, 2**(54 + 2 * k)), (3, 2**(k + 2))):
+                assert numeric._ratio(num, den) == num / den, (num, den)
+        # within 2^-300 of a tie, on integers longer than the leading bits
+        for den in (2**300 + 12345, 3**200, 5**150 + 7):
+            for mid in (2**53 + 1, 2**53 + 3, 2**54 - 1):
+                for step in range(-2, 3):
+                    num = (den * mid >> 54) + step
+                    assert numeric._ratio(num, den) == num / den, (num, den)
 
     def test_least_agrees_with_exact_comparison(self):
         # random points, some with a component 2^-60 .. 2^-3000 off a
@@ -1036,7 +1349,7 @@ class TestTinyComponents:
             z = self.MP.mpc(CTX.to_mp(x), CTX.to_mp(y))
             if z == 0:
                 continue
-            arg = numeric._Argument(self.MP, z, 256)
+            arg = numeric._Argument(z, 256)
             moduli = [
                 Fraction(*arg.squared(p)) if arg.squared(p)[1] else None for p in paths
             ]
@@ -1058,7 +1371,7 @@ class TestTinyComponents:
         for _ in range(20):
             x, y = draw(), draw() if rng.random() < 0.7 else Fraction(0)
             z = CTX.to_mp(x) if y == 0 else self.MP.mpc(CTX.to_mp(x), CTX.to_mp(y))
-            arg = numeric._Argument(self.MP, z, 256)
+            arg = numeric._Argument(z, 256)
             assert Fraction(arg.n0, arg.scale) == x * x + y * y
             assert Fraction(arg.n1, arg.scale) == (x - 1) ** 2 + y * y
 

@@ -301,7 +301,7 @@ class TestSharedWork:
         assert paths == ["connection-1mz"] * 4
         assert len([c for c in inner if c[7] == numeric._SERIES_PATHS]) == 2 * len(report.records)
         assert logs and len({(z, prec) for z, prec in logs}) == len(logs)
-        assert len({numeric._exact(t[1]) for t in tables}) == len(tables)
+        assert len({numeric._exact(t[0]) for t in tables}) == len(tables)
 
     def test_consecutive_calls_run_the_kernels_alike(self, monkeypatch):
         series = _counted(monkeypatch, "_series_2f1")
