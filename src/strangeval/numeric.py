@@ -31,7 +31,8 @@ and never leaks through global state.  Conventions that matter:
   over a common denominator every term ratio is a ratio of integers, so
   a step is one exact product with the fixed-point argument and one floor
   division, at the working precision plus at least GUARD_BITS bits (more
-  when a or b sits near a nonpositive integer); the rounding this adds
+  when a, b or c sits near a nonpositive integer, or |a| |b| exceeds
+  2^GUARD_BITS); the rounding this adds
   stays below the roundoff allowance in every error estimate.  A complex
   series sums its geometric tail in blocks of _BLOCK terms: real
   coefficients advanced by the exact integer ratios, summed against the
@@ -718,16 +719,22 @@ def _series_2f1(mp, an: int, bn: int, cn: int, den: int, z, target_bits, max_ter
     _BLOCK^2 (2 peak) 2^-wp where the term-by-term loop adds
     2 _BLOCK 2^-wp.
     So the fixed-point sum is within about n^2 (2 peak / (d d_c)) 2^-wp of
-    the sum over the rounded z, and wp = working precision + GUARD_BITS +
-    log2(1/d) + log2(1/d_c) keeps that below the (n + 8) peak 2^-prec
-    roundoff allowance that ``_hyp2f1`` adds to the tail for every n
-    below 2^31; it also
-    keeps the margins of the peak proof and of the block's last term far
-    above the difference between the two ways of summing.  The tail is
+    the sum over the rounded z.  That sum moves from the sum at z by about
+    |F'(z)| 2^-wp, F' = (ab/c) F(a+1, b+1; c+1; z): the 1/c is d_c's, and
+    |ab| is covered by the guard bits only up to 2^GUARD_BITS.  So
+    wp = working precision + GUARD_BITS + log2(1/d) + log2(1/d_c) +
+    max(0, log2(|a| |b|) - GUARD_BITS) keeps the error below the
+    (n + 8) peak 2^-prec roundoff allowance that ``_hyp2f1`` adds to the
+    tail for every n below 2^31; it also keeps the margins of the peak
+    proof and of the block's last term far above the difference between
+    the two ways of summing.  The tail is
     proved; the roundoff allowance is an estimate."""
     kn = den  # (n+1) D; an, bn, cn run as (a+n) D, (b+n) D, (c+n) D
     wp = mp.prec + GUARD_BITS + max(_dip_bits(an, den), _dip_bits(bn, den))
-    wp += _dip_bits(cn, den)
+    # and the bits by which |a| |b| = |an bn| / den^2 exceeds 2^GUARD_BITS
+    wp += _dip_bits(cn, den) + max(
+        ((abs(an * bn) - 1) // (den * den)).bit_length() - GUARD_BITS, 0
+    )
     zr = to_fixed(mp.re(z)._mpf_, wp)
     zi = to_fixed(mp.im(z)._mpf_, wp)
     tr = sr = peak = 1 << wp
@@ -842,37 +849,20 @@ def _series_2f1(mp, an: int, bn: int, cn: int, den: int, z, target_bits, max_ter
 def _max_terms_for(num: int, den: int, prec: int, terminating: int | None):
     """Term budget for a series whose argument has the squared modulus
     num / den > 0, or None when convergence to full precision is out of
-    budget.  The modulus is read as the double sqrt(num / den), num / den
-    correctly rounded (``_ratio``), and one below the least double as the
-    least double.
+    budget.  The modulus is read as the double sqrt(num / den), where
+    num / den, Python's int true division, is the correctly rounded
+    quotient, and one below the least double as the least double.
 
     The 1.3 factor plus additive headroom covers the initial hump and the
     polynomial growth of the coefficient ratio that a pure geometric
     estimate ignores."""
     if terminating is not None:
         return terminating + 8
-    m = 1.0 if num >= den else max(math.sqrt(_ratio(num, den)), math.ulp(0))
+    m = 1.0 if num >= den else max(math.sqrt(num / den), math.ulp(0))
     if m >= 1 - 2**-14:
         return None
     need = int(1.3 * (prec + 64) * math.log(2) / -math.log(m)) + 256
     return need if need <= _MAX_TERMS_CAP else None
-
-
-def _ratio(num: int, den: int) -> float:
-    """num / den as the correctly rounded double, for 0 < num < den, read
-    from the interval of ``_leading``: where both its ends round to the
-    same normal double, so does every point between them, and below half
-    the least subnormal everything rounds to 0.  Only where a rounding
-    boundary falls inside it, or near the subnormal range, is the exact
-    quotient of the full integers taken."""
-    lo, hi, k = _leading(num, den)
-    if k >= -1085:  # lo 2^k >= 2^-1022: a normal double
-        x = float(lo)
-        if x == float(hi):
-            return math.ldexp(x, k)
-    elif k <= -1141:  # num / den <= hi 2^k < 2^(66+k) <= 2^-1075
-        return 0.0
-    return num / den
 
 
 def hyp2f1_num(
@@ -889,7 +879,12 @@ def hyp2f1_num(
     series take the best of the other maps; that covers Re z > 1/2, where
     neither |z| nor |z/(z-1)| falls below 1.  The choice compares the
     squared moduli exactly, as ratios of the integer squared norms |z|^2
-    and |z-1|^2.  A map whose series terminates is taken first (the
+    and |z-1|^2, by cross-multiplication, and each map's term budget comes
+    from the double num / den of its ratio, correctly rounded.  A z with
+    Re z >= 1 - 2^-40 and |Im z| <= 2^(8-precision) (1 + Re z), two
+    integer comparisons on its aligned components, lies on the branch cut
+    [1, oo), where a series that does not terminate raises
+    ``BranchCutError``.  A map whose series terminates is taken first (the
     direct series before the Pfaff maps), then the direct series while
     |z| <= 0.7, else the map of least modulus; the Pfaff map there is the
     one whose series grows slower, the one that keeps the smaller of a and
@@ -937,60 +932,26 @@ def _gaussian(x) -> tuple:
     return (-mr if sr else mr) << er - e, (-mi if si else mi) << ei - e, -e
 
 
-def _on_cut(re: tuple, im: tuple, prec: int) -> bool:
-    """Whether z = x + iy, given as the mpf tuples of x and y, lies on the
-    branch cut [1, oo) as the engine reads it: x >= 1 - 2^-40 and
-    |y| <= 2^(8-prec) (1 + x), decided exactly on the mantissas and
-    exponents.  The positions of the leading bits decide it unless they
-    lie within a bit or two of each other, and only then are the mantissas
-    aligned, so no shift runs past their lengths by more than a few bits:
-    a component 2^-1000000 costs no million-bit integer."""
-    sx, mx, ex, bx = re
-    _, my, ey, by = im
-    top = ex + bx  # 2^(top-1) <= x < 2^top
-    if sx or not mx or top < 0:
-        return False  # x < 1/2
-    if top == 0:  # x in [1/2, 1): is mx 2^(ex+40) >= 2^40 - 1?
-        k = ex + 40
-        if mx << max(k, 0) < (1 << 40) - 1 << max(-k, 0):
-            return False
-    if not my:
-        return True
-    # with Y = |y| 2^(prec-8) in [2^(ty-1), 2^ty), and 1 + x in
-    # (2^(top-1), 2^(top+1)) since x >= 1/2
-    ty = ey + by + prec - 8
-    if ty <= top - 1:
-        return True
-    if ty >= top + 2:
-        return False
-    # Y <= 1 + x on integers at the unit 2^e; a 1 below that unit adds a
-    # fraction that cannot lift an integer comparison
-    e = min(ey + prec - 8, ex)
-    rhs = mx << ex - e
-    if e <= 0:
-        rhs += 1 << -e
-    return my << ey + prec - 8 - e <= rhs
-
-
 class _Argument:
     """The argument z of ``_hyp2f1`` as its path choice reads it: whether
-    z lies on the branch cut (``_on_cut``), and the squared norms
-    N0 = |z|^2 = n0 / 4^s and N1 = |z-1|^2 = n1 / 4^s, integers from z's
-    dyadic components.  Each map's squared modulus is then an exact ratio
-    of integers: n0 / 4^s on the direct series, N0 / N1 = n0 / n1 on the
-    Pfaff maps, and min(N1, N1 / N0) = n1 / max(4^s, n0) on the
+    z lies on the branch cut [1, oo) as the engine reads it,
+    Re z >= 1 - 2^-40 and |Im z| <= 2^(8-prec) (1 + Re z), decided by two
+    integer comparisons on z's components aligned to one unit 2^-s
+    (``_gaussian``); and the squared norms N0 = |z|^2 = n0 / 4^s and
+    N1 = |z-1|^2 = n1 / 4^s.  Each map's squared modulus is then an exact
+    ratio of integers: n0 / 4^s on the direct series, N0 / N1 = n0 / n1 on
+    the Pfaff maps, and min(N1, N1 / N0) = n1 / max(4^s, n0) on the
     connection, as |1-z|^2 = N1 and |1-1/z|^2 = N1 / N0.  Only the
     components' mantissas are squared: N1 = N0 - 2 Re z + 1, and the rest
-    are shifts, so a component of tiny exponent costs shifts of s bits, not
-    products.  The Pfaff argument w = z/(z-1) is computed only for a Pfaff
-    map taken."""
+    are shifts.  The Pfaff argument w = z/(z-1) is computed only for a
+    Pfaff map taken."""
 
     def __init__(self, zz, prec: int):
         self.z = zz
+        xr, xi, s = _gaussian(zz)
+        self.cut = xr << 40 >= (1 << 40) - 1 << s and abs(xi) << prec - 8 <= xr + (1 << s)
         parts = zz._mpc_ if hasattr(zz, "_mpc_") else (zz._mpf_, fzero)
-        self.cut = _on_cut(*parts, prec)
         (sr, mr, er, _), (_, mi, ei, _) = parts
-        s = -min(er, ei, 0)
         self.scale = 1 << 2 * s
         self.n0 = (mr * mr << 2 * (er + s)) + (mi * mi << 2 * (ei + s))
         self.n1 = self.n0 - ((-mr if sr else mr) << er + 2 * s + 1) + self.scale
@@ -1007,55 +968,22 @@ class _Argument:
             return self.n1, max(self.scale, self.n0)
         return self.n0, self.n1
 
-    def least(self, paths, prec: int, degenerate: bool) -> str:
+    def least(self, paths, prec: int, degenerate: bool) -> tuple:
         """The map of least modulus among ``paths`` whose series is in
-        budget, ties in the order of ``paths``; a connection that
-        ``degenerate``s is taken only when no other map is in budget.  The
-        moduli are compared exactly (``_below``)."""
+        budget, ties in the order of ``paths``, with its term budget
+        (``_max_terms_for``): (path, budget).  A connection that
+        ``degenerate``s is taken only when no other map is in budget.  Two
+        moduli n1/d1 and n2/d2 are compared exactly, as n1 d2 < n2 d1."""
         best = None
         for path in paths:
             num, den = self.squared(path)
-            rank = (
-                _max_terms_for(num, den, prec, None) is None,
-                path == _PATH_CONNECTION and degenerate,
-            )
+            budget = _max_terms_for(num, den, prec, None)
+            rank = budget is None, path == _PATH_CONNECTION and degenerate
             if best is None or rank < best[0] or (
-                rank == best[0] and _below(num, den, best[1], best[2])
+                rank == best[0] and num * best[2] < best[1] * den
             ):
-                best = rank, num, den, path
-        return best[3]
-
-
-def _leading(num: int, den: int) -> tuple:
-    """num/den > 0 from leading bits, as (lo, hi, k) with
-    lo 2^k <= num/den <= hi 2^k, 2^63 <= lo <= hi <= 2^65 and hi - lo <= 6.
-    den is cut to its 64 leading bits, d, and num to 64 bits more than d
-    has, n; then lo = n // (d + 1) and hi = ceil((n + 1) / d), each without
-    its 1 where no bit was cut.  Operands of any length cost two shifts
-    and one division of about 128 by 64 bits."""
-    sd = max(den.bit_length() - 64, 0)
-    d = den >> sd
-    sn = num.bit_length() - d.bit_length() - 64
-    n = num >> sn if sn >= 0 else num << -sn
-    return n // (d + (sd > 0)), -(-(n + (sn > 0)) // d), sn - sd
-
-
-def _below(n1: int, d1: int, n2: int, d2: int) -> bool:
-    """Whether n1/d1 < n2/d2, for integers n >= 0 and d > 0.  The leading
-    bits of each ratio (``_leading``) decide it unless their intervals
-    meet; only then are the cross products, of the integers' full
-    lengths, formed."""
-    if not (n1 and n2):
-        return n1 < n2
-    (lo1, hi1, k1), (lo2, hi2, k2) = _leading(n1, d1), _leading(n2, d2)
-    if abs(k1 - k2) > 3:  # the bounds lie in [2^63, 2^65]
-        return k1 < k2
-    k = min(k1, k2)
-    if hi1 << k1 - k < lo2 << k2 - k:
-        return True
-    if hi2 << k2 - k <= lo1 << k1 - k:
-        return False
-    return n1 * d2 < n2 * d1
+                best = rank, num, den, path, budget
+        return best[3:]
 
 
 def _ceil_abs(x, bits: int) -> tuple:
@@ -1149,28 +1077,25 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths, den) -> EvalResult
         if _PATH_CONNECTION in paths:
             maps[_PATH_CONNECTION] = None
 
-    if method is None:
-        ending = [p for p, terms in maps.items() if terms is not None]
-        if ending:
-            method = ending[0]
-        elif 100 * arg.n0 <= 49 * arg.scale:  # |z| <= 0.7
-            method = _PATH_DIRECT
-        else:
-            # Of the two Pfaff series, F(a, c-b; c; w) grows like
-            # n^(a-b-1) and F(b, c-a; c; w) like n^(b-a-1): take the slower
-            pfaff = _PATH_PFAFF_A if a <= b else _PATH_PFAFF_B
-            method = arg.least(
-                [p for p in (_PATH_DIRECT, pfaff, _PATH_CONNECTION) if p in maps],
-                prec,
-                degenerate,
-            )
-    elif method not in maps:
-        raise ParameterError(
-            f"the {method} map of 2F1 is not defined at c = {Fraction(c, den)}, "
-            f"z = {mp.nstr(zz, 15)}; it needs z != 1 and c not a nonpositive integer"
+    ending = [p for p, terms in maps.items() if terms is not None]
+    if method is None and not ending and 100 * arg.n0 > 49 * arg.scale:  # |z| > 0.7
+        # Of the two Pfaff series, F(a, c-b; c; w) grows like
+        # n^(a-b-1) and F(b, c-a; c; w) like n^(b-a-1): take the slower
+        pfaff = _PATH_PFAFF_A if a <= b else _PATH_PFAFF_B
+        method, max_terms = arg.least(
+            [p for p in (_PATH_DIRECT, pfaff, _PATH_CONNECTION) if p in maps],
+            prec,
+            degenerate,
         )
-
-    max_terms = _max_terms_for(*arg.squared(method), prec, maps[method])
+    else:
+        if method is None:  # a map that terminates, else direct for |z| <= 0.7
+            method = ending[0] if ending else _PATH_DIRECT
+        elif method not in maps:
+            raise ParameterError(
+                f"the {method} map of 2F1 is not defined at c = {Fraction(c, den)}, "
+                f"z = {mp.nstr(zz, 15)}; it needs z != 1 and c not a nonpositive integer"
+            )
+        max_terms = _max_terms_for(*arg.squared(method), prec, maps[method])
     if method == _PATH_CONNECTION and degenerate:
         raise DegenerateConnectionError(
             f"c-a-b = {Fraction(cab, den)} is an integer; "

@@ -49,6 +49,16 @@ class TestVerifyTheorem:
         assert shifted.residual <= mp.mpf(1e-40)
         assert reflected.residual <= mp.mpf(1e-40)
 
+    def test_large_a_passes(self):
+        # a = (2^200+1)/3, c = 1/2, l = 1: |a b| ~ 2^200, and the series
+        # kernel held the root, near -2.8e-60, to the fixed point of 32 guard
+        # bits only, so both residuals (4e-29, 1e-29) failed the tolerance
+        report = verify_theorem(Fraction(2**200 + 1, 3), Fraction(1, 2), 1)
+        assert report.verdict == "pass"
+        (rec,) = report.records
+        assert len(rec.checks) == 2
+        assert all(ch.residual <= CTX.mp.mpf(2) ** -180 for ch in rec.checks)
+
     def test_right_sides_carry_an_exact_q0(self):
         # at ell 40, Horner in mp arithmetic loses ~60 of q0's bits to
         # cancellation at the roots (3e-49 relative); the exact value at
