@@ -173,10 +173,17 @@ def _cmd_verify(args) -> int:
         lines.append("no roots: the terminating polynomial is constant")
     for i, rec in enumerate(report.records, 1):
         lam = mpmath.nstr(rec.lam, digits)
+        partner = (
+            f"  (conjugate of root {rec.conjugate_of + 1})" if rec.by_conjugation else ""
+        )
         if rec.skipped:
-            lines.append(f"root {i}: lambda = {lam}  SKIPPED ({rec.skip_reason})")
+            lines.append(
+                f"root {i}: lambda = {lam}  SKIPPED ({rec.skip_reason}){partner}"
+            )
             continue
-        lines.append(f"root {i}: lambda = {lam}  (multiplicity {rec.multiplicity})")
+        lines.append(
+            f"root {i}: lambda = {lam}  (multiplicity {rec.multiplicity}){partner}"
+        )
         for ch in rec.checks:
             lines.append(
                 f"  {ch.name:<16} residual={mpmath.nstr(ch.residual, 4)}"

@@ -35,8 +35,19 @@ inner connection results of the first, and the powers (1-lam)^(+-(c-a-1-ell))
 of the two identities, and the Pfaff prefactors (1-lam)^(-p), share one
 logarithm of 1-lam; each root's argument is described once.  A shared
 result is looked up by its exact inputs, so it is the value the second
-computation would give; both identities are still evaluated and compared
-with their own right-hand sides, and nothing is kept past the call.
+computation would give, and nothing is kept past the call.
+
+Only the roots with Im lam >= 0 are evaluated.  a and c are rational, so
+the terminating polynomial and q0 have rational coefficients, and
+``find_roots`` reports each non-real root's conjugate as its exact
+conjugate.  All parameters are real, so off the cut the principal branch
+satisfies F(a, b; c; conj z) = conj F(a, b; c; z) (Schwarz reflection,
+DLMF 15.2), and q0(conj lam) = conj q0(lam) and
+(1 - conj lam)^s = conj (1-lam)^s for real s.  The record of a root with
+Im lam < 0 is therefore its partner's with lhs and rhs conjugated, which
+is exact: the residual |conj v - conj w| / (1 + |conj w|) and the error
+bound |conj v - F(conj lam)| = |v - F(lam)| are the partner's, and so are
+the path and any skip reason.
 
 ``gosper_check`` verifies F(1-a, b, b+2; b/(a+b)) = (b+1) (a/(a+b))^a,
 exactly when the left side terminates.  ``incomplete_beta_check`` verifies
@@ -46,6 +57,7 @@ the integral representation of F(a, 1, c; x) by termwise integration, and
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import sys
@@ -53,6 +65,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import mpf_neg
 
 from .errors import (
     BranchCutError,
@@ -154,14 +167,50 @@ class IdentityCheck:
         }
 
 
+def _conjugate(x):
+    """conj x, exactly: ``mpc.conjugate`` rounds to its context's current
+    precision, and a value carries the guard bits of the precision it was
+    computed at.  A real x, an mpf, is its own conjugate: the engine
+    returns one for F(0, b; c; z) = 1."""
+    if not hasattr(x, "_mpc_"):
+        return x
+    re, im = x._mpc_
+    return x.context.make_mpc((re, mpf_neg(im)))
+
+
 @dataclass
 class RootRecord:
+    """The checks at one root.  ``conjugate_of`` is the index, in the
+    report's records, of the conjugate root this record was reflected
+    from (module docstring), or None when the root was evaluated."""
+
     lam: object
     multiplicity: int
     skipped: bool = False
     skip_reason: str | None = None
     branch: str = "principal"
     checks: list = field(default_factory=list)
+    conjugate_of: int | None = None
+
+    @property
+    def by_conjugation(self) -> bool:
+        return self.conjugate_of is not None
+
+    def conjugated(self, lam, index: int) -> RootRecord:
+        """This record reflected to the conjugate root ``lam``, whose
+        partner (this record) sits at ``index`` in the records."""
+        return RootRecord(
+            lam=lam,
+            multiplicity=self.multiplicity,
+            skipped=self.skipped,
+            skip_reason=self.skip_reason,
+            branch=self.branch,
+            checks=[
+                dataclasses.replace(c, lhs=_conjugate(c.lhs), rhs=_conjugate(c.rhs))
+                for c in self.checks
+            ],
+            conjugate_of=index,
+        )
 
     def max_residual(self):
         return max((c.residual for c in self.checks), default=None)
@@ -179,6 +228,7 @@ class RootRecord:
             "skipped": self.skipped,
             "skip_reason": self.skip_reason,
             "branch": self.branch,
+            "by_conjugation": self.by_conjugation,
             "checks": [c.as_dict(digits) for c in self.checks],
             "verdict": "skipped" if ok is None else ("pass" if ok else "fail"),
         }
@@ -322,21 +372,37 @@ def verify_theorem(
 
     roots = find_roots(tpoly, precision)
     ctx = EvalContext(precision)
-    records = []
-    # the identities share their connection series and gamma values
-    # (module docstring), so the roots are checked in one sharing scope
+    constants = _right_side_constants(a, c, ell, ctx)
+    records = [
+        RootRecord(lam=lam, multiplicity=mult)
+        for lam, mult in zip(roots.roots, roots.multiplicities)
+    ]
+    # the identities share their connection series and gamma values, so
+    # the roots on or above the real axis are checked in one sharing scope;
+    # a root below it is its conjugate partner's reflection (module docstring)
     with ctx.sharing():
-        for lam, mult in zip(roots.roots, roots.multiplicities):
-            rec = RootRecord(lam=lam, multiplicity=mult)
-            records.append(rec)
+        for rec in records:
+            if rec.lam.imag < 0:
+                continue
             try:
-                rec.checks = _check_both_identities(a, c, ell, q0, lam, ctx)
+                rec.checks = _check_both_identities(
+                    a, c, ell, q0, rec.lam, ctx, constants
+                )
             except BranchCutError:
                 rec.skipped, rec.skip_reason = True, SKIP_BRANCH_CUT
             except DegenerateConnectionError:
                 rec.skipped, rec.skip_reason = True, SKIP_DEGENERATE_CONNECTION
             except NonConvergenceError:
                 rec.skipped, rec.skip_reason = True, SKIP_EVAL_FAILED
+    index = {lam: i for i, lam in enumerate(roots.roots)}
+    for i, rec in enumerate(records):
+        if rec.lam.imag < 0:
+            j = index.get(_conjugate(rec.lam))
+            if j is None:
+                raise InternalInconsistencyError(
+                    f"root {rec.lam} has no exact conjugate among the roots"
+                )
+            records[i] = records[j].conjugated(rec.lam, j)
 
     failed = any(r.passed(tolerance) is False for r in records)
     return VerifyReport(
@@ -345,18 +411,28 @@ def verify_theorem(
     )
 
 
-def _check_both_identities(a, c, ell, q0: Poly, lam, ctx: EvalContext):
+def _right_side_constants(a, c, ell, ctx: EvalContext) -> tuple:
+    """-(1-c), (1, ell) = ell! and the exponent a+1-c of the right-hand
+    sides, rounded once at the working precision for all roots."""
+    with ctx.workprec():
+        return (
+            ctx.to_mp(-(1 - c)),
+            ctx.to_mp(poch(1, ell)),
+            ctx.to_mp(a + 1 - c),
+        )
+
+
+def _check_both_identities(a, c, ell, q0: Poly, lam, ctx: EvalContext, constants):
     mp = ctx.mp
+    neg_1mc, fact, exponent = constants
     res1 = hyp2f1_num(a, 1 + ell, c, lam, ctx)
     res2 = hyp2f1_num(c - a, c - 1 - ell, c, lam, ctx)
     with ctx.workprec():
         lam = ctx.to_mp(lam)
         q0val = exact_poly_value(q0, lam, mp)
-        neg_1mc = ctx.to_mp(-(1 - c))
-        fact = ctx.to_mp(poch(1, ell))
         one_minus = 1 - lam
         rhs1 = neg_1mc * q0val / (fact * mp.power(one_minus, ell))
-        power = mp.power(one_minus, ctx.to_mp(a + 1 - c))
+        power = mp.power(one_minus, exponent)
         rhs2 = neg_1mc / fact * power * q0val
         identities = ((CHECK_SHIFTED, res1, rhs1), (CHECK_REFLECTED, res2, rhs2))
         return [

@@ -35,6 +35,14 @@ class TestVerifyCommand:
         assert set(payload) >= {"params", "flags", "records", "verdict"}
         assert len(payload["records"]) == 4
         assert payload["verdict"] == "pass"
+        # two conjugate pairs, each listed lower root first
+        conjugated = [r["by_conjugation"] for r in payload["records"]]
+        assert conjugated == [True, False, True, False]
+        _, out, _ = run(capsys, "verify", "--a", "2/3", "--c", "7/5", "--ell", "4")
+        marked = [line for line in out.splitlines() if "(conjugate of root" in line]
+        assert [line.split(":")[0] for line in marked] == ["root 1", "root 3"]
+        assert marked[0].endswith("(conjugate of root 2)")
+        assert marked[1].endswith("(conjugate of root 4)")
 
     def test_integer_c_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--a", "3", "--c", "2", "--ell", "1")
@@ -52,6 +60,7 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert "skip rate: 2 of 2 roots" in out
+        assert "SKIPPED (eval-failed)  (conjugate of root 2)" in out
         assert out.endswith("verdict: PASS (vacuous: no root checked)\n")
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0 and json.loads(out)["verdict"] == "pass"
@@ -383,7 +392,7 @@ class TestUsageErrors:
 
 GOLDEN = [
     ("verify --a 3 --c 3/2 --ell 1 --json",
-     "330e26fffa2f26809e7155ff0b9125eba7593424c991b901d1e797566d749cc1"),
+     "d682702ac0724cbe665bc2aad1e3162d51bc7ab831d09338d966831c4fdc7942"),
     ("q0 --a 7/3 --c 5/11 --ell 12 --b 1/2 --json",
      "ce83390005afe2904b7b97f71632d3e3b6a5cf48d4688abeca0502f5a201515a"),
     ("q0 --a 5 --c 1/2 --ell 2 --json",

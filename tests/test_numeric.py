@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import itertools
 import math
 import random
 import time
@@ -672,6 +673,28 @@ def _path_modulus(path, z):
     return min(abs(1 - z), abs(1 - 1 / z))
 
 
+def _oracle_draws(path, rng):
+    """12 draws (a, b, c, z) at which the forced ``path`` converges: a, b,
+    c, c-a and c-b are not nonpositive integers (nor c-a-b an integer for
+    the connection), z is an mpc with |z| <= 3, real 30% of the time, and
+    the path's series modulus is at most 0.95."""
+    count = 0
+    while count < 12:
+        a, b, c = (_near_lattice_or_small(rng) for _ in range(3))
+        if any(p.denominator == 1 and p <= 0 for p in (a, b, c, c - a, c - b)):
+            continue
+        if path == "connection-1mz" and (c - a - b).denominator == 1:
+            continue
+        if rng.random() < 0.7:
+            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        else:
+            z = complex(rng.uniform(-3, 1), 0)
+        if z == 0 or _path_modulus(path, z) > 0.95:
+            continue
+        yield a, b, c, CTX.mp.mpc(z.real, z.imag)
+        count += 1
+
+
 def test_connection_near_gamma_pole():
     # 1/Gamma(a) ~ 2^-100 scales the second connection term; a pole test
     # with a tolerance set it to 0, and the result missed by ~2e77 est_error
@@ -709,28 +732,40 @@ class TestOracle:
                     err = abs(mpmath.mpmathify(r.value) - ref)
                     assert err <= mpmath.mpmathify(r.est_error), (a, b, c, z)
             return
-        count = 0
-        while count < 12:
-            a, b, c = (_near_lattice_or_small(rng) for _ in range(3))
-            if any(p.denominator == 1 and p <= 0 for p in (a, b, c, c - a, c - b)):
-                continue
-            if path == "connection-1mz" and (c - a - b).denominator == 1:
-                continue
-            if rng.random() < 0.7:
-                z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            else:
-                z = complex(rng.uniform(-3, 1), 0)
-            if z == 0 or _path_modulus(path, z) > 0.95:
-                continue
-            r = hyp2f1_num(a, b, c, CTX.mp.mpc(z.real, z.imag), CTX, method=path)
+        for a, b, c, z in _oracle_draws(path, rng):
+            r = hyp2f1_num(a, b, c, z, CTX, method=path)
             with mpmath.workprec(320):
                 ref = mpmath.hyp2f1(
-                    *(mpmath.mpf(p.numerator) / p.denominator for p in (a, b, c)),
-                    mpmath.mpc(z.real, z.imag),
+                    *(mpmath.mpf(p.numerator) / p.denominator for p in (a, b, c)), z
                 )
                 err = abs(mpmath.mpmathify(r.value) - ref)
                 assert err <= mpmath.mpmathify(r.est_error), (a, b, c, z)
-            count += 1
+
+    @pytest.mark.parametrize(
+        "path", ["direct-series", "pfaff-a", "pfaff-b", "connection-1mz", "terminating"]
+    )
+    def test_conjugate_argument_gives_conjugate_value(self, path):
+        """F(a, b; c; conj z) = conj F(a, b; c; z) for real parameters, off
+        the cut: at conj z the engine takes the same path and number of
+        terms, forced or not, and its value is the conjugate to within both
+        error bounds (verify_theorem relies on this at conjugate roots)."""
+        rng = random.Random(f"oracle-{path}")
+        if path == "terminating":
+            draws = [_terminating_draw(rng)[:4] for _ in range(12)]
+            methods = (None,)
+        else:
+            draws = list(_oracle_draws(path, rng))
+            methods = (path, None)
+        draws = [d for d in draws if d[3].imag != 0]
+        assert draws
+        for (a, b, c, z), method in itertools.product(draws, methods):
+            up = hyp2f1_num(a, b, c, z, CTX, method=method)
+            down = hyp2f1_num(a, b, c, mpmath.mpc(z.real, -z.imag), CTX, method=method)
+            assert (down.path, down.n_terms) == (up.path, up.n_terms), (a, b, c, z)
+            with mpmath.workprec(320):
+                gap = abs(mpmath.mpmathify(down.value) - mpmath.conj(up.value))
+                bound = mpmath.mpmathify(up.est_error) + mpmath.mpmathify(down.est_error)
+                assert gap <= bound, (a, b, c, z, method)
 
 
 @pytest.mark.parametrize("path", ["direct-series", "pfaff-a", "pfaff-b"])

@@ -7,7 +7,12 @@ import mpmath
 import pytest
 
 from strangeval import numeric, verify
-from strangeval.errors import BranchCutError, NonConvergenceError, ParameterError
+from strangeval.errors import (
+    BranchCutError,
+    DegenerateConnectionError,
+    NonConvergenceError,
+    ParameterError,
+)
 from strangeval.hyp import HypParams, hyp_series, q0_r0_by_series, terminating_poly
 from strangeval.numeric import EvalContext, find_roots, gamma_c, hyp2f1_num
 from strangeval.operators import factor_remainder, genericity_flags, h_remainder
@@ -301,15 +306,18 @@ class TestSharedWork:
 
     def test_connection_roots_share_inner_results_logs_and_tables(self, monkeypatch):
         """At a connection root the second identity's inner series are the
-        first's: each root evaluates two inner results, takes one logarithm
-        per base and precision, and describes each argument once."""
+        first's: each evaluated root (Im >= 0; the others are reflected)
+        evaluates two inner results, takes one logarithm per base and
+        precision, and describes each argument once."""
         inner = _counted(monkeypatch, "_hyp2f1")
         logs = _counted(monkeypatch, "mpc_log")
         tables = _counted(monkeypatch, "_Argument")
         report = verify_theorem(*CONNECTION_ROOTS_DRAW)
         paths = [ch.path for r in report.records for ch in r.checks]
         assert paths == ["connection-1mz"] * 4
-        assert len([c for c in inner if c[7] == numeric._SERIES_PATHS]) == 2 * len(report.records)
+        evaluated = [r for r in report.records if r.lam.imag >= 0]
+        assert evaluated and len(evaluated) < len(report.records)
+        assert len([c for c in inner if c[7] == numeric._SERIES_PATHS]) == 2 * len(evaluated)
         assert logs and len({(z, prec) for z, prec in logs}) == len(logs)
         assert len({numeric._exact(t[0]) for t in tables}) == len(tables)
 
@@ -362,6 +370,64 @@ class TestSharedWork:
             assert gamma_c(Fraction(1, 3), ctx) is not gamma_c(Fraction(1, 3), ctx)
             with ctx.sharing():
                 assert gamma_c(Fraction(1, 3), ctx) is gamma_c(Fraction(1, 3), ctx)
+
+
+# every path at a root below the real axis, terminating sums (a = -1), a
+# real left side (a = 0, F = 1), a pair no map reaches, and ell 40
+REFLECTED_DRAWS = (
+    CONNECTION_DRAW,
+    (Fraction(-1), Fraction(-5, 6), 3),
+    (Fraction(0), Fraction(-17, 10), 2),
+    (Fraction(7, 4), Fraction(-2, 3), 4),
+    (Fraction(4, 3), Fraction(8, 3), 2),
+    (Fraction(7, 3), Fraction(5, 11), 40),
+)
+
+SKIP_REASONS = {
+    BranchCutError: verify.SKIP_BRANCH_CUT,
+    DegenerateConnectionError: verify.SKIP_DEGENERATE_CONNECTION,
+    NonConvergenceError: verify.SKIP_EVAL_FAILED,
+}
+
+
+def test_reflected_records_match_direct_evaluation():
+    """Each record verify_theorem reflects from its conjugate partner
+    agrees with evaluating both identities at its own root."""
+    paths, reasons, reflected = set(), set(), 0
+    for a, c, ell in REFLECTED_DRAWS:
+        report = verify_theorem(a, c, ell)
+        ctx = EvalContext(report.precision)
+        constants = verify._right_side_constants(a, c, ell, ctx)
+        for i, rec in enumerate(report.records):
+            assert rec.by_conjugation == (rec.lam.imag < 0)
+            if not rec.by_conjugation:
+                continue
+            reflected += 1
+            partner = report.records[rec.conjugate_of]
+            assert not partner.by_conjugation and partner.lam.real == rec.lam.real
+            assert partner.lam.imag + rec.lam.imag == 0  # a nonzero sum never rounds to 0
+            try:
+                direct = verify._check_both_identities(
+                    a, c, ell, report.q0, rec.lam, ctx, constants
+                )
+            except tuple(SKIP_REASONS) as exc:
+                assert rec.skip_reason == SKIP_REASONS[type(exc)], (a, c, ell, i)
+                reasons.add(rec.skip_reason)
+                continue
+            assert not rec.skipped, (a, c, ell, i)
+            assert [ch.path for ch in rec.checks] == [ch.path for ch in direct]
+            assert rec.passed(report.tolerance) == all(
+                ch.residual <= report.tolerance for ch in direct
+            )
+            for mine, upper, theirs in zip(rec.checks, partner.checks, direct):
+                # the partner's, conjugated exactly
+                assert (mine.residual, mine.est_error) == (upper.residual, upper.est_error)
+                assert mine.lhs.real == upper.lhs.real and mine.lhs.imag + upper.lhs.imag == 0
+                assert mine.rhs.real == upper.rhs.real and mine.rhs.imag + upper.rhs.imag == 0
+                assert abs(mine.lhs - theirs.lhs) <= mine.est_error + theirs.est_error
+                paths.add(mine.path)
+    assert paths == set(numeric.KNOWN_PATHS) and reasons == {verify.SKIP_EVAL_FAILED}
+    assert reflected > 20
 
 
 class TestGosper:
