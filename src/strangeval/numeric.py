@@ -56,23 +56,29 @@ and never leaks through global state.  Conventions that matter:
   plus the bits of |(z-1/2) log t| + t) and the reflection's sine run in
   mpmath;
 * inside ``EvalContext.sharing()``, a scope that ``verify_theorem`` opens
-  around its root loop and nothing else opens, the engine keeps each
-  result under its exact inputs, rationals as integers in lowest terms
-  (a gamma argument as its numerator and denominator, a 2F1 triple as its
-  numerators over their least common denominator) and mp values as their
-  exact mpf/mpc tuples: each series sum with its error (under the
-  unordered pair {a, b}, since the kernel is symmetric in a and b bit
-  for bit; c; the argument; the working precision, the target bits and
-  the term budget), each
-  argument's description (under the argument and the working
-  precision), each inner result of the connection formula (under the
-  ordered pair (a, b), c, the argument 1-z, the exact rational 1-z or
-  None, and the working precision), each logarithm a fractional power
-  takes (under the exact base and the working precision), each
-  ``gamma_c`` value (under its argument) and each ``rgamma_c`` value
-  (under its argument and the working precision).  A repeat returns the
-  value already computed from the same inputs, so every result is the
-  same with or without the scope; outside it nothing is kept;
+  around its root loop and nothing else opens, the engine keeps four
+  kinds of result under their exact inputs, rationals as integers in
+  lowest terms (a gamma argument as its numerator and denominator, a 2F1
+  triple as its numerators over their least common denominator) and mp
+  values as their exact mpf/mpc tuples, each kind because the two
+  identities repeat it:
+  - each series sum with its error (under the unordered pair {a, b},
+    since the kernel is symmetric in a and b bit for bit; c; the
+    argument; the working precision, the target bits and the term
+    budget): both identities' Pfaff maps sum one series;
+  - each inner result of the connection formula (under the ordered pair
+    (a, b), c, the argument 1-z, the exact rational 1-z or None, and the
+    working precision): the second identity's connection reads both of
+    the first's, each a pair of series and its bookkeeping;
+  - each logarithm a fractional power takes (under the exact base and
+    the working precision): the powers of 1-z of both identities and the
+    Pfaff prefactors take one logarithm;
+  - each ``gamma_c`` value (under its argument): both identities'
+    connections take the same seven.
+  An argument's description and a reciprocal gamma are recomputed: each
+  costs a few microseconds.  A repeat returns the value already computed
+  from the same inputs, so every result is the same with or without the
+  scope; outside it nothing is kept;
 * a series' error is the kernel's proved bound on its tail, from the
   last term and a bound on every later term ratio, plus a roundoff
   allowance; the paths multiply it by the Pfaff prefactor's modulus, and
@@ -173,10 +179,12 @@ class EvalContext:
 
     @contextmanager
     def sharing(self):
-        """Share the 2F1 engine's series sums, argument descriptions, inner
-        connection results and logarithms, and the gamma values, among the
-        calls made inside the block; every result is a function of the
-        exact inputs it is keyed by, so a repeat returns the same value."""
+        """Share the 2F1 engine's series sums, inner connection results
+        and logarithms, and the gamma values, among the calls made inside
+        the block: the kinds of work the two identities of
+        ``verify_theorem`` repeat (module docstring).  Every result is a
+        function of the exact inputs it is keyed by, so a repeat returns
+        the same value."""
         self._shared = {}
         try:
             yield
@@ -344,7 +352,7 @@ def _zeta_fixed(top: int, bits: int) -> list:
     """zeta(2), ..., zeta(top) times 2^bits as integers, each within
     2n + 4 units, n = ceil((bits + 2) / 2.543), of the exact value.
 
-    Small k take Borwein's algorithm 2 (Borwein 2000, "An efficient
+    They follow from Borwein's algorithm 2 (Borwein 2000, "An efficient
     algorithm for the Riemann zeta function"): with the integers
     d_i = n sum_(l<=i) (n+l-1)! 4^l / ((n-l)! (2l)!) and the weights
     w_j = (-1)^(j-1) (d_n - d_(j-1)) / d_n, |w_j| <= 1,
@@ -354,13 +362,9 @@ def _zeta_fixed(top: int, bits: int) -> list:
     k to k+1 by one more floor division by j, which keeps it the exact
     floor; so each term is within 1 + j^-k units, the sum within
     n + 0.65, and the factor 1 / (1 - 2^(1-k)) <= 2, the truncation and
-    the final floor bring that to 2n + 4.  Large k take the short sum
-    sum_j 2^bits // j^k over its nonzero terms, the same chain from
-    2^bits: with J the least with J^(k-1) >= 2^bits, its tail past J is
-    below J^(1-k) / (k-1) <= 2^-bits, and the floors up to J lose below
-    a unit each, so it is within J + 1 <= n + 1 units, taken once
-    J <= n.  Every step is a floor division of a bits-wide integer by a
-    small one: no product of two wide integers runs."""
+    the final floor bring that to 2n + 4.  Every step is a floor division
+    of a bits-wide integer by a small one: no product of two wide
+    integers runs."""
     n = -(-(bits + 2) * 1000 // 2543)
     d, t, acc = [], 1, 0
     for i in range(n + 1):
@@ -368,26 +372,16 @@ def _zeta_fixed(top: int, bits: int) -> list:
         d.append(acc)
         t = t * 2 * (n + i) * (n - i) // ((2 * i + 1) * (i + 1))
     dn = d[n]
-    # Borwein's sum below k = short, J <= n from there on
-    short = min(-(-bits // (n.bit_length() - 1)) + 1, top + 1)
     sums = [0] * (top + 1)
     for j in range(1, n + 1):
         t = ((dn - d[j - 1]) << bits) // dn // j
         sign = 1 if j % 2 else -1
-        for k in range(2, short):
+        for k in range(2, top + 1):
             t //= j
             if not t:
                 break
             sums[k] += sign * t
-        t = (1 << bits) // j ** (short - 1)
-        for k in range(short, top + 1):
-            t //= j
-            if not t:
-                break
-            sums[k] += t
-    return [
-        (sums[k] << k - 1) // ((1 << k - 1) - 1) for k in range(2, short)
-    ] + sums[short:]
+    return [(sums[k] << k - 1) // ((1 << k - 1) - 1) for k in range(2, top + 1)]
 
 
 def _taylor_table(precision: int):
@@ -534,16 +528,8 @@ def rgamma_c(z, ctx: EvalContext | None = None):
     precision, and exact 0 at the poles ``gamma_c`` rejects, the
     nonpositive integers, which the exact argument identifies without a
     tolerance (within ``_TAYLOR_SHIFT`` they are where the Pochhammer
-    shift has a zero factor).  Inside ``ctx.sharing()`` the reciprocal is
-    computed once per argument and working precision."""
-    z = _rational_param(z, "gamma argument")
+    shift has a zero factor)."""
     ctx = ctx or EvalContext()
-    return ctx._recall(
-        ("rgamma", z.numerator, z.denominator, ctx.mp.prec), lambda: _rgamma(z, ctx)
-    )
-
-
-def _rgamma(z: Fraction, ctx: EvalContext):
     try:
         return 1 / gamma_c(z, ctx)
     except GammaPoleError:
@@ -943,11 +929,9 @@ class _Argument:
     the Pfaff maps, and min(N1, N1 / N0) = n1 / max(4^s, n0) on the
     connection, as |1-z|^2 = N1 and |1-1/z|^2 = N1 / N0.  Only the
     components' mantissas are squared: N1 = N0 - 2 Re z + 1, and the rest
-    are shifts.  The Pfaff argument w = z/(z-1) is computed only for a
-    Pfaff map taken."""
+    are shifts."""
 
     def __init__(self, zz, prec: int):
-        self.z = zz
         xr, xi, s = _gaussian(zz)
         self.cut = xr << 40 >= (1 << 40) - 1 << s and abs(xi) << prec - 8 <= xr + (1 << s)
         parts = zz._mpc_ if hasattr(zz, "_mpc_") else (zz._mpf_, fzero)
@@ -955,10 +939,6 @@ class _Argument:
         self.scale = 1 << 2 * s
         self.n0 = (mr * mr << 2 * (er + s)) + (mi * mi << 2 * (ei + s))
         self.n1 = self.n0 - ((-mr if sr else mr) << er + 2 * s + 1) + self.scale
-
-    @functools.cached_property
-    def w(self):
-        return self.z / (self.z - 1)
 
     def squared(self, path: str) -> tuple:
         """The map's squared modulus as (numerator, denominator)."""
@@ -1056,8 +1036,7 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths, den) -> EvalResult
     if zz == 0:
         return EvalResult(mp.mpf(1), ctx.eps, _PATH_DIRECT, 0)
 
-    z_key = _exact(zz)
-    arg = ctx._recall(("argument", z_key, mp.prec), lambda: _Argument(zz, prec))
+    arg = _Argument(zz, prec)
     if arg.cut and m_term is None:
         raise BranchCutError(f"z = {mp.nstr(zz, 15)} lies on the branch cut [1, oo)")
 
@@ -1146,14 +1125,14 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths, den) -> EvalResult
         value = sum(parts, mp.mpf(0))
     else:
         if method == _PATH_DIRECT:
-            pref, bound, pa, pb, x, x_key = 1, (1, 0), a, b, zz, z_key
+            pref, bound, pa, pb, x = 1, (1, 0), a, b, zz
         else:
             pa, pb = (a, c - b) if method == _PATH_PFAFF_A else (b, c - a)
-            pref, x = _principal_power(ctx, 1 - zz, -pa, den), arg.w
-            bound, x_key = _ceil_abs(pref, mp.prec), _exact(x)
+            pref, x = _principal_power(ctx, 1 - zz, -pa, den), zz / (zz - 1)
+            bound = _ceil_abs(pref, mp.prec)
         pa, pb, pc, d = _lowest(pa, pb, c, den)
         # the kernel is symmetric in pa and pb, bit for bit
-        key = ("series", *sorted((pa, pb)), pc, d, x_key, mp.prec, target_bits, max_terms)
+        key = ("series", *sorted((pa, pb)), pc, d, _exact(x), mp.prec, target_bits, max_terms)
 
         def summed():
             total, tail, n, peak, wp = _series_2f1(

@@ -33,8 +33,7 @@ F(1+ell, c-a; c; lam/(lam-1)).
 value once per call.  At a connection root the second identity reads both
 inner connection results of the first, and the powers (1-lam)^(+-(c-a-1-ell))
 of the two identities, and the Pfaff prefactors (1-lam)^(-p), share one
-logarithm of 1-lam; each root's argument is described once.  A shared
-result is looked up by its exact inputs, so it is the value the second
+logarithm of 1-lam.  A shared result is looked up by its exact inputs, so it is the value the second
 computation would give, and nothing is kept past the call.
 
 Only the roots with Im lam >= 0 are evaluated.  a and c are rational, so
@@ -78,6 +77,7 @@ from .hyp import HypParams, q0_by_reversal, q0_r0_by_series, terminating_poly
 from .numeric import (
     EvalContext,
     RootSet,
+    _rational_param,
     check_precision,
     exact_poly_value,
     find_roots,
@@ -348,9 +348,10 @@ def verify_theorem(
     tolerance: float = 1e-30,
 ) -> VerifyReport:
     """Verify both strange-evaluation identities at every root of
-    F(1-a, -ell, 2-c; x).  q0 and r0 come from series truncated at order
-    ell + 32, the order the report records."""
-    a, c = Fraction(a), Fraction(c)
+    F(1-a, -ell, 2-c; x).  a and c are exact rationals (int or Fraction;
+    anything else raises ``ParameterError``).  q0 and r0 come from series
+    truncated at order ell + 32, the order the report records."""
+    a, c = _rational_param(a, "a"), _rational_param(c, "c")
     if is_integer(c):
         raise ParameterError(f"c = {c} must not be an integer")
     if not isinstance(ell, int) or ell < 1:
@@ -489,12 +490,14 @@ class GosperReport:
 
 
 def gosper_check(a, b, precision: int = 192, tolerance: float = 1e-30) -> GosperReport:
-    """Check F(1-a, b, b+2; b/(a+b)) = (b+1) (a/(a+b))^a.
+    """Check F(1-a, b, b+2; b/(a+b)) = (b+1) (a/(a+b))^a, for exact
+    rationals a and b (int or Fraction; anything else raises
+    ``ParameterError``).
 
     When 1-a is a nonpositive integer the left side is a finite sum and
     both sides are evaluated exactly (the reported residual is then a
     genuine 0, not a small float)."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = _rational_param(a, "a"), _rational_param(b, "b")
     _check_tolerance(precision, tolerance)
     if a + b == 0:
         raise ParameterError("a + b must be nonzero")
@@ -540,12 +543,13 @@ def incomplete_beta_check(a, c, x, order: int = 128, precision: int = 192):
 
         I(x) = sum_n  b_n x^(c-1+n) / (c-1+n),
 
-    with b_n the binomial coefficients of (1-t)^(a-c).  Requires c > 1 and
-    0 < x < 1; the truncation tail of the termwise sum dominates the
+    with b_n the binomial coefficients of (1-t)^(a-c).  a, c and x are
+    exact rationals (int or Fraction; anything else raises
+    ``ParameterError``).  Requires c > 1 and 0 < x < 1; the truncation tail of the termwise sum dominates the
     residual as x approaches 1."""
     from .series import binomial_series
 
-    a, c, x = Fraction(a), Fraction(c), Fraction(x)
+    a, c, x = _rational_param(a, "a"), _rational_param(c, "c"), _rational_param(x, "x")
     if not c > 1:
         raise ParameterError(f"need c > 1, got c = {c}")
     if not 0 < x < 1:

@@ -286,12 +286,17 @@ class TestTaylorKernel:
             assert abs(mine * unit - loop) <= 5 * unit, x
             assert abs(mine * unit - mp.rgamma(1 + xx)) <= 5 * unit, x
 
-    @pytest.mark.parametrize("bits", (120, 400, 1100))
-    def test_zeta_within_its_units(self, bits):
-        # both regimes: Borwein's sum for small k, the short sum past
-        # k = ceil(bits / floor(log2 n)) + 1
+    @pytest.mark.parametrize(
+        "bits, top",
+        [pytest.param(bits, None, id=str(bits)) for bits in (120, 400, 1100)]
+        # the 192-bit Taylor table's own size
+        + [pytest.param(314, 70, id="314")],
+    )
+    def test_zeta_within_its_units(self, bits, top):
+        # by default k runs to 2 bits / floor(log2 n), far enough that
+        # most of Borwein's terms floor to 0 before the last zeta
         n = -(-(bits + 2) * 1000 // 2543)
-        top = 2 * bits // (n.bit_length() - 1)
+        top = top or 2 * bits // (n.bit_length() - 1)
         zetas = numeric._zeta_fixed(top, bits)
         assert len(zetas) == top - 1
         with mpmath.workprec(bits + 64):

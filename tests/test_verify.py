@@ -163,6 +163,21 @@ class TestVerifyTheorem:
         with pytest.raises(ParameterError):
             verify_theorem(Fraction(1, 2), Fraction(1, 2), 0)
 
+    def test_entry_points_reject_floats(self):
+        # Fraction(0.1) is 3602879701896397/2^55, not 1/10: a float is
+        # refused, as hyp2f1_num and gamma_c refuse it
+        for call in (
+            lambda: verify_theorem(0.1, Fraction(3, 10), 2),
+            lambda: verify_theorem(Fraction(1, 10), 0.3, 2),
+            lambda: gosper_check(0.5, 2),
+            lambda: gosper_check(3, 2.0),
+            lambda: incomplete_beta_check(2.0, 3, Fraction(1, 2)),
+            lambda: incomplete_beta_check(2, 3.0, Fraction(1, 2)),
+            lambda: incomplete_beta_check(2, 3, 0.5),
+        ):
+            with pytest.raises(ParameterError, match="must be an int or Fraction"):
+                call()
+
     def test_rejects_tolerance_below_precision(self):
         # 2^-40 ~ 9.1e-13: 1e-12 is reachable at 40 bits, 1e-13 is not
         verify_theorem(3, Fraction(3, 2), 1, precision=40, tolerance=1e-12)
@@ -221,6 +236,7 @@ def _roots(a, c, ell):
 # seed-42 draws 3 and 14: every root takes connection-1mz in both identities
 CONNECTION_DRAW = (Fraction(3, 5), Fraction(-19, 18), 2)
 CONNECTION_ROOTS_DRAW = (Fraction(-7, 9), Fraction(-4, 5), 2)
+PFAFF_DRAW = (Fraction(5, 9), Fraction(-10, 9), 34)
 
 
 class TestSharedWork:
@@ -243,7 +259,7 @@ class TestSharedWork:
     def test_second_identity_sums_no_series_at_a_pfaff_root(self, monkeypatch):
         # the slower-growing Pfaff map of one identity sums the series of
         # the other's, so the second identity reuses it
-        a, c, ell = Fraction(5, 9), Fraction(-10, 9), 34
+        a, c, ell = PFAFF_DRAW
         first, second = _identities(a, c, ell)
         ctx = EvalContext()
         runs = _counted(monkeypatch, "_series_2f1")
@@ -309,11 +325,19 @@ class TestSharedWork:
     def test_connection_roots_share_inner_results_logs_and_tables(self, monkeypatch):
         """At a connection root the second identity's inner series are the
         first's: each evaluated root (Im >= 0; the others are reflected)
-        evaluates two inner results, takes one logarithm per base and
-        precision, and describes each argument once."""
+        evaluates two inner results and takes one logarithm per base and
+        precision.  With a Pfaff draw, the scope keeps series sums, inner
+        results, logarithms and gamma values, and nothing else."""
         inner = _counted(monkeypatch, "_hyp2f1")
         logs = _counted(monkeypatch, "mpc_log")
-        tables = _counted(monkeypatch, "_Argument")
+        kinds = []
+        recall = EvalContext._recall
+
+        def spied(self, key, compute):
+            kinds.append(key[0])
+            return recall(self, key, compute)
+
+        monkeypatch.setattr(EvalContext, "_recall", spied)
         report = verify_theorem(*CONNECTION_ROOTS_DRAW)
         paths = [ch.path for r in report.records for ch in r.checks]
         assert paths == ["connection-1mz"] * 4
@@ -321,7 +345,8 @@ class TestSharedWork:
         assert evaluated and len(evaluated) < len(report.records)
         assert len([c for c in inner if c[7] == numeric._SERIES_PATHS]) == 2 * len(evaluated)
         assert logs and len({(z, prec) for z, prec in logs}) == len(logs)
-        assert len({numeric._exact(t[0]) for t in tables}) == len(tables)
+        verify_theorem(*PFAFF_DRAW)
+        assert set(kinds) == {"series", "inner", "log", "gamma"}
 
     def test_consecutive_calls_run_the_kernels_alike(self, monkeypatch):
         series = _counted(monkeypatch, "_series_2f1")
