@@ -69,8 +69,9 @@ def hyp_series(p: HypParams, order: int) -> TruncatedSeries:
 
     Coefficients follow c_{n+1} = c_n (a+n)(b+n) / ((c+n)(n+1)).  If a or b
     is a nonpositive integer the series terminates and the trailing
-    coefficients are exactly zero; a pole of the lower parameter hit before
-    termination is a parameter error.
+    coefficients are exactly zero.  The sum stops at the first vanishing
+    upper factor before it tests c + n, so only a pole of c met before
+    termination is a parameter error (DLMF 15.2(ii)).
     """
     if order < 0:
         raise ParameterError("series order must be >= 0")
@@ -80,31 +81,28 @@ def hyp_series(p: HypParams, order: int) -> TruncatedSeries:
     A, B, C = (int(v * d) for v in (p.a, p.b, p.c))
     ups, downs = [], []
     for n in range(order):
+        up = (A + n * d) * (B + n * d)
+        if not up:
+            break
         if C + n * d == 0:
             raise ParameterError(
                 f"lower parameter pole: c = {p.c} reaches zero at term {n + 1}"
             )
-        ups.append((A + n * d) * (B + n * d))
+        ups.append(up)
         downs.append((C + n * d) * (n + 1) * d)
-        if not ups[-1]:
-            break
     return TruncatedSeries.from_ratios(ups, downs, order)
 
 
 def terminating_poly(p: HypParams) -> Poly:
     """Exact polynomial F(a, -m, c; x) for nonpositive-integer b = -m.
 
-    The degree is at most m, and exactly m iff (a, m) != 0.
+    The degree is at most m, and exactly m iff (a, m) != 0.  The sum stops
+    where a or b ends it, and a pole of c is ``hyp_series``'s rule, so
+    F(-1, -3, -1; x) = F(-3, -1, -1; x) = 1 - 3x.
     """
     if not is_nonpos_integer(p.b):
         raise ParameterError(f"second parameter {p.b} is not a nonpositive integer")
-    m = -int(p.b)
-    for n in range(m):
-        if p.c + n == 0:
-            raise ParameterError(
-                f"lower parameter pole: c = {p.c} inside summation range 0..{m}"
-            )
-    return hyp_series(p, m).poly
+    return hyp_series(p, -int(p.b)).poly
 
 
 def euler_transform_series(p: HypParams, order: int) -> TruncatedSeries:

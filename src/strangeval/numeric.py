@@ -95,9 +95,10 @@ and never leaks through global state.  Conventions that matter:
 * roots are found on the integer numerators of each squarefree factor:
   Aberth in Python ``complex`` from Newton-polygon circles, Newton in
   fixed-point Gaussian integers at doubling precision, and certification
-  from the exact values of P and P' at the dyadic result (disjoint
-  inclusion discs); where that fails, Aberth reruns in fixed point at
-  doubling precision.
+  from the exact values of P and P' at the dyadic result: the points are
+  made conjugate-closed (real ones snapped onto the axis), and their
+  inclusion discs are proved pairwise disjoint once, on that final set;
+  where that fails, Aberth reruns in fixed point at doubling precision.
 """
 
 from __future__ import annotations
@@ -208,9 +209,11 @@ class EvalContext:
         return self.mp.workprec(self.precision + extra)
 
     def to_mp(self, x):
-        """Convert ints, Fractions, floats, complex, mpf/mpc to this context."""
+        """Convert ints, Fractions, floats, complex, mpf/mpc to this context.
+        A Fraction is rounded once, to nearest."""
         if isinstance(x, Fraction):
-            return self.mp.mpf(x.numerator) / self.mp.mpf(x.denominator)
+            prec, rnd = self.mp._prec_rounding
+            return self.mp.make_mpf(from_rational(x.numerator, x.denominator, prec, rnd))
         if isinstance(x, complex):
             return self.mp.mpc(x.real, x.imag)
         return self.mp.convert(x)
@@ -881,8 +884,10 @@ def hyp2f1_num(
     Both are formed in integers from upper bounds on every modulus and
     rounded up once (``_hyp2f1``); the roundoff allowance is an estimate.
     A sum that terminates directly is finite whatever |z|, and exact at a
-    rational z; otherwise its error estimate is the direct map's, as for a
-    forced direct-series.  ``method``, one of ``KNOWN_PATHS``, forces a
+    rational z, rounded once with one unit in the last place (0 for a
+    zero value) as ``est_error``; otherwise its error estimate is the
+    direct map's, as for a forced direct-series.  Any other z = 0 returns
+    exactly 1 with ``est_error`` 0.  ``method``, one of ``KNOWN_PATHS``, forces a
     path, mainly for cross-path agreement tests; it must be a map defined
     at the input (the Pfaff maps and the connection need z != 1 and c not
     a nonpositive integer), else ``ParameterError`` is raised.
@@ -1026,15 +1031,18 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths, den) -> EvalResult
         )
 
     if m_term is not None and method is None and ez is not None:
-        # the parameter that ends the sum first goes in the b slot, so the
-        # c-pole check sees only the terms that are summed
+        # any terminating parameter may fill the b slot; -m_term, the first
+        # to end the sum, sizes the series.  The exact sum is rounded once,
+        # so one unit in its last place bounds the error
         other = b if _vanishes_at(a, den) == m_term else a
         params = HypParams(Fraction(other, den), -m_term, Fraction(c, den))
         val = ctx.to_mp(terminating_poly(params)(ez))
-        return EvalResult(+val, abs(val) * ctx.eps * 4, _PATH_DIRECT, m_term)
+        _, man, exp, bc = val._mpf_
+        ulp = mp.make_mpf(from_man_exp(1, exp + bc - mp.prec)) if man else mp.zero
+        return EvalResult(val, ulp, _PATH_DIRECT, m_term)
 
     if zz == 0:
-        return EvalResult(mp.mpf(1), ctx.eps, _PATH_DIRECT, 0)
+        return EvalResult(mp.mpf(1), mp.zero, _PATH_DIRECT, 0)
 
     arg = _Argument(zz, prec)
     if arg.cut and m_term is None:
@@ -1566,12 +1574,9 @@ def _discs(n: int, points):
     return t, out
 
 
-def _meet(d, e, mirror: bool = False) -> bool:
-    """Whether the closed discs d and e (or the mirror image of d in the
-    real axis, and e) share a point."""
+def _meet(d, e) -> bool:
+    """Whether the closed discs d and e share a point."""
     (ar, ai, ra), (br, bi, rb) = d, e
-    if mirror:
-        ai = -ai
     return (ar - br) ** 2 + (ai - bi) ** 2 <= (ra + rb) ** 2
 
 
@@ -1585,29 +1590,24 @@ def _certify(nums, points, target: int):
     """Certified discs (xr, xi, w, rho, t) for the polished ``points`` of
     the squarefree ``nums``, or None when the proof fails.
 
-    n pairwise disjoint discs, each holding a root of a degree-n
-    polynomial, hold one root each.  Real coefficients make the roots
-    symmetric, so a disc that meets the real axis, and whose mirror image
-    meets no other disc, holds a real root: it is snapped onto the axis
-    and settled again.  Each disc in the upper half-plane gives a pair,
-    itself and its exact conjugate; discs in the lower half-plane are
-    dropped for their partners.  The real count plus twice the pair count
-    must be n, and the final discs, real ones symmetric about the axis,
-    are checked disjoint again."""
+    A point where P' = 0 fails.  A point whose disc lies above the real
+    axis gives a pair, itself and its exact conjugate; one below is
+    dropped for its partner; one whose disc meets the axis is snapped onto
+    it and settled again.  The proof is made once, on this final set: each
+    disc of radius n |P/P'| holds a root, so n pairwise disjoint discs of
+    the degree-n ``nums`` hold one root each; as the roots are symmetric
+    about the axis, a disc with a real centre holds a real root, and a
+    disc and its mirror image hold a conjugate pair."""
     n = len(nums) - 1
     _, discs = _discs(n, points)
-    if not _disjoint(discs):
+    if None in (d[2] for d in discs):
         return None
     out = []
-    for i, ((xr, xi, w, exact), d) in enumerate(zip(points, discs)):
-        if d[1] > d[2]:
+    for (xr, xi, w, exact), (_, ci, rho) in zip(points, discs):
+        if ci > rho:
             pr, pi, dr, di = exact
             out += [(xr, xi, w, exact), (xr, -xi, w, (pr, -pi, dr, -di))]
-        elif d[1] < -d[2]:
-            continue
-        elif any(_meet(d, e, mirror=True) for j, e in enumerate(discs) if j != i):
-            return None
-        else:
+        elif ci >= -rho:
             real = _settle(nums, xr, 0, w, target)
             if real is None:
                 return None

@@ -496,16 +496,15 @@ def gosper_check(a, b, precision: int = 192, tolerance: float = 1e-30) -> Gosper
 
     When 1-a is a nonpositive integer the left side is a finite sum and
     both sides are evaluated exactly (the reported residual is then a
-    genuine 0, not a small float)."""
+    genuine 0, not a small float), on the branch cut too.  As in
+    ``hyp2f1_num``, a pole of b+2 met before the sum ends raises
+    ``ParameterError``, and z = b/(a+b) >= 1 with a series that does not
+    terminate raises ``BranchCutError``."""
     a, b = _rational_param(a, "a"), _rational_param(b, "b")
     _check_tolerance(precision, tolerance)
     if a + b == 0:
         raise ParameterError("a + b must be nonzero")
-    if is_integer(b + 2) and b + 2 <= 0:
-        raise ParameterError(f"lower parameter b+2 = {b + 2} is a nonpositive integer")
     z = b / (a + b)
-    if z >= 1:
-        raise BranchCutError(f"argument b/(a+b) = {z} lies on [1, oo)")
     ctx = EvalContext(precision)
     mp = ctx.mp
 

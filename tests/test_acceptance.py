@@ -256,6 +256,21 @@ def test_criterion_5_theorem_sweep(capsys, monkeypatch):
                f"({', '.join(sorted(reasons)) or 'none'}), {elapsed:.1f}s")
 
 
+def test_sweep_to_ell_40_is_pinned(capsys):
+    # the seeded sweep up to degree 40, the escalated root finding of
+    # (a, c, ell) = (-19/4, 3/10, 16) included, pinned by the sha256 of
+    # its deterministic JSON
+    start = time.perf_counter()
+    code = cli_main(
+        ["sweep", "--trials", "40", "--ell-max", "40", "--seed", "42", "--json"]
+    )
+    out = capsys.readouterr().out
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "8792fd163dcf049e"
+    assert elapsed < 20.0
+
+
 def test_criterion_6_exponent_pattern(triple_runs, capsys):
     generic = 0
     for a, c, ell, params, _, fac, _ in triple_runs:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -142,6 +143,17 @@ class TestGosperCommand:
         code, _, err = run(capsys, "gosper", "--a=-1/2", "--b", "1")
         assert code == 2 and "error" in err
 
+    def test_pole_before_termination_rejected(self, capsys):
+        code, _, err = run(capsys, "gosper", "--a", "1/2", "--b=-3")
+        assert code == 2 and "does not terminate before the pole" in err
+
+    def test_exact_instance_past_a_pole_of_b_plus_2(self, capsys):
+        code, out, _ = run(capsys, "gosper", "--a", "2", "--b=-3")
+        assert code == 0
+        assert "lhs = F(1-a, b, b+2; z) = -8.0" in out
+        assert "rhs = (b+1) (a/(a+b))^a = -8.0" in out
+        assert "verdict: PASS" in out
+
 
 class TestSweepCommand:
     def test_small_seeded_sweep(self, capsys):
@@ -281,6 +293,25 @@ class TestRootsCommand:
         assert code == 0
         assert "1 + 4*x" in out and "-0.25" in out
 
+    def test_pole_of_2_minus_c_where_the_sum_ends(self, capsys):
+        # F(1-a, -ell; 2-c; x) = F(-1, -3; -1; x) = 1 - 3x: 1-a ends the sum
+        # where 2-c reaches its pole
+        code, out, _ = run(capsys, "roots", "--a", "2", "--c", "3", "--ell", "3", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        coeffs = [Fraction(c) for c in payload["params"]["poly"]]
+        assert coeffs == [1, -3]
+        (root,) = payload["records"]
+        assert root["im"] == "0.0"
+        assert abs(Fraction(root["re"]) - Fraction(1, 3)) <= Fraction(1, 2**190)
+        # the 2F1 engine sums the same polynomial
+        code, out, _ = run(
+            capsys, "eval", "--a=-1", "--b=-3", "--c=-1", "--z", "1/2", "--json"
+        )
+        assert code == 0
+        value = Fraction(json.loads(out)["records"][0]["value"])
+        assert value == sum(c * Fraction(1, 2) ** k for k, c in enumerate(coeffs))
+
     def test_from_coefficients(self, capsys):
         code, out, _ = run(capsys, "roots", "--coeffs", "1,0,1")
         assert code == 0
@@ -402,7 +433,7 @@ GOLDEN = [
     ("gosper --a 3 --b 2 --json",
      "1377305ad825a4429a22494b35636974cbfa5413dc9addff982faf7fc257b7eb"),
     ("eval --a=-3 --b 2/7 --c 5/3 --z 37/64 --json",
-     "65b2fabdaee11ae3cda2be97ab6a7363904d401d7e9bf4064549d064ada4a6cd"),
+     "97e00502adae7fb26b1e3e454e6bdfc474ea6362ce6ad26ea4ec13cce62695e6"),
 ]
 
 

@@ -37,6 +37,9 @@ class TestHypSeries:
     def test_termination_before_pole_allowed(self):
         s = hyp_series(HypParams(-1, 1, -2), 5)
         assert s.coeffs == (1, Fraction(1, 2), 0, 0, 0, 0)
+        # the factor (a+1) ends the sum at the term where c+1 = 0
+        s = hyp_series(HypParams(-1, -3, -1), 3)
+        assert s.coeffs == (1, -3, 0, 0)
 
 
 class TestTerminatingPoly:
@@ -59,6 +62,11 @@ class TestTerminatingPoly:
     def test_requires_nonpositive_integer_b(self):
         with pytest.raises(ParameterError):
             terminating_poly(HypParams(1, Fraction(1, 2), 2))
+
+    def test_either_terminating_parameter_in_the_b_slot(self):
+        # a = -1 ends the sum where c = -1 reaches its pole, in either slot
+        for a, b in ((-1, -3), (-3, -1)):
+            assert terminating_poly(HypParams(a, b, -1)) == Poly((1, -3))
 
     def test_pole_in_range_rejected(self):
         with pytest.raises(ParameterError):

@@ -56,6 +56,17 @@ class TestEvalContext:
         x = CTX.to_mp(Fraction(-22, 7))
         assert abs(x + CTX.mp.mpf(22) / 7) <= tol(190)
 
+    def test_fraction_is_rounded_once_to_nearest(self):
+        # numerators and denominators wider than the precision: dividing
+        # their roundings would round twice
+        rng = random.Random(2000)
+        ctx = EvalContext(24)
+        for _ in range(2000):
+            num = rng.choice((1, -1)) * (rng.getrandbits(79) | 1 << 79)
+            x = Fraction(num, rng.getrandbits(59) | 1 << 59)
+            want = from_rational(x.numerator, x.denominator, 24, round_nearest)
+            assert ctx.to_mp(x)._mpf_ == want, x
+
     def test_rejects_tiny_precision(self):
         with pytest.raises(ParameterError):
             EvalContext(8)
@@ -636,7 +647,7 @@ def test_selector_pin():
         else:
             outcomes.append(f"{r.path} {r.n_terms} {r.value!r} {r.est_error!r}")
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
-    assert digest == "482b9c6495d518a2"
+    assert digest == "11035dd55774d9ad"
 
 
 def _near_lattice_or_small(rng):
@@ -771,6 +782,34 @@ class TestOracle:
                 gap = abs(mpmath.mpmathify(down.value) - mpmath.conj(up.value))
                 bound = mpmath.mpmathify(up.est_error) + mpmath.mpmathify(down.est_error)
                 assert gap <= bound, (a, b, c, z, method)
+
+
+def test_exact_exits_est_error_is_one_unit():
+    """A terminating sum at a rational z is exact, rounded once, and its
+    est_error is one unit in the last place: true_err <= est_error <=
+    2^16 true_err against mpmath.hyp2f1 at 600 bits.  At a z = 0 that
+    does not take that exit the value is exactly 1 and est_error is 0."""
+    rng = random.Random(600)
+    for _ in range(20):
+        a = Fraction(-rng.randint(1, 12))
+        b, c = (Fraction(rng.randint(-30, 30), rng.choice((3, 5, 7, 9))) for _ in "bc")
+        z = Fraction(rng.choice((1, -1)) * rng.randint(1, 40), rng.choice((11, 13, 27)))
+        if z.denominator == 1:
+            continue
+        if rng.random() < 0.5:
+            a, b = b, a
+        r = hyp2f1_num(a, b, c, z, CTX)
+        assert r.path == "direct-series"
+        with mpmath.workprec(600):
+            ref = mpmath.hyp2f1(
+                *(mpmath.mpf(p.numerator) / p.denominator for p in (a, b, c, z))
+            )
+            err = abs(mpmath.mpmathify(r.value) - ref)
+            assert 0 < err <= r.est_error <= 2**16 * err, (a, b, c, z)
+    for a, b, c, z in ((Fraction(1, 3), Fraction(2, 5), Fraction(7, 5), 0),
+                       (-3, 2, 5, 0.0)):
+        r = hyp2f1_num(a, b, c, z, CTX)
+        assert r.value == 1 and r.est_error == 0
 
 
 @pytest.mark.parametrize("path", ["direct-series", "pfaff-a", "pfaff-b"])

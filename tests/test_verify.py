@@ -497,6 +497,14 @@ class TestGosper:
         report = gosper_check(Fraction(3, 2), Fraction(-1, 2), tolerance=1e-40)
         assert report.residual <= CTX.mp.mpf(1e-40)
 
+    def test_exact_instance_past_a_pole_of_b_plus_2_on_the_cut(self):
+        # F(-1, -3; -1; 3): 1-a = -1 ends the sum where b+2 = -1 reaches its
+        # pole, and the finite sum is exact at z = 3, on [1, oo)
+        report = gosper_check(2, -3)
+        assert report.exact and report.z == 3
+        assert report.residual == 0 and report.verdict == "pass"
+        assert report.lhs == report.rhs == -8
+
     def test_rejects_a_plus_b_zero(self):
         with pytest.raises(ParameterError):
             gosper_check(Fraction(1, 2), Fraction(-1, 2))
