@@ -20,6 +20,7 @@ from .errors import (
 from .hyp import (
     HypParams,
     QRPair,
+    binomial_series,
     euler_transform_series,
     hyp_series,
     q0_by_reversal,
@@ -51,7 +52,7 @@ from .operators import (
 )
 from .poly import Poly, RatFunc
 from .scalars import format_rational, is_integer, parse_rational, poch
-from .series import GenSeries, TruncatedSeries, binomial_series
+from .series import GenSeries, TruncatedSeries
 from .verify import (
     GosperReport,
     SweepReport,

@@ -19,24 +19,27 @@ from fractions import Fraction
 
 from .errors import InternalInconsistencyError, ParameterError
 from .poly import Poly
-from .scalars import is_integer, is_nonpos_integer, poch
-from .series import TruncatedSeries, binomial_series
+from .scalars import is_integer, is_nonpos_integer, poch, positive_int, rational
+from .series import TruncatedSeries
 
 
 @dataclass(frozen=True)
 class HypParams:
-    """Parameter triple (a, b, c) of F(a, b, c; x), exact rationals."""
+    """Parameter triple (a, b, c) of F(a, b, c; x), exact rationals: each
+    is an int or Fraction (``scalars.rational``), and a float raises
+    ``ParameterError``."""
 
     a: Fraction
     b: Fraction
     c: Fraction
 
     def __init__(self, a, b, c):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
+        object.__setattr__(self, "a", rational(a, "a"))
+        object.__setattr__(self, "b", rational(b, "b"))
+        object.__setattr__(self, "c", rational(c, "c"))
 
     def require_c_non_integer(self) -> "HypParams":
+        """This triple, when c is not an integer, else ``ParameterError``."""
         if is_integer(self.c):
             raise ParameterError(f"c = {self.c} must not be an integer")
         return self
@@ -59,9 +62,7 @@ class QRPair:
 
 
 def _check_ell(ell: int) -> int:
-    if not isinstance(ell, int) or ell < 1:
-        raise ParameterError(f"contiguity order must be a positive integer, got {ell}")
-    return ell
+    return positive_int(ell, "contiguity order")
 
 
 def hyp_series(p: HypParams, order: int) -> TruncatedSeries:
@@ -91,6 +92,14 @@ def hyp_series(p: HypParams, order: int) -> TruncatedSeries:
         ups.append(up)
         downs.append((C + n * d) * (n + 1) * d)
     return TruncatedSeries.from_ratios(ups, downs, order)
+
+
+def binomial_series(alpha, order: int) -> TruncatedSeries:
+    """Expansion of (1-x)^alpha through x^order: F(-alpha, 1; 1; x)
+    (DLMF 15.4.6), so c_(n+1) = c_n (n - alpha)/(n + 1), and the sum stops
+    where ``hyp_series`` stops it, when alpha is a nonnegative integer below
+    order."""
+    return hyp_series(HypParams(-rational(alpha, "alpha"), 1, 1), order)
 
 
 def terminating_poly(p: HypParams) -> Poly:

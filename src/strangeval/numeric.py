@@ -128,6 +128,7 @@ from mpmath.libmp import (
     round_ceiling,
     round_nearest,
     to_fixed,
+    to_rational,
 )
 
 from .errors import (
@@ -139,6 +140,7 @@ from .errors import (
 )
 from .hyp import HypParams, terminating_poly
 from .poly import Poly
+from .scalars import rational
 
 GUARD_BITS = 32
 # A path is usable when its series needs at most this many terms; the
@@ -217,14 +219,6 @@ class EvalContext:
         if isinstance(x, complex):
             return self.mp.mpc(x.real, x.imag)
         return self.mp.convert(x)
-
-
-def _rational_param(x, name: str) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if not isinstance(x, int):
-        raise ParameterError(f"{name} must be an int or Fraction, got {x!r}")
-    return Fraction(x)
 
 
 def _vanishes_at(x: int, den: int):
@@ -492,7 +486,7 @@ def gamma_c(z, ctx: EvalContext | None = None):
     fixed point (``_spouge_rational``), with the reflection formula below
     1/2, whose sine is taken at the exact distance to the nearest integer.
     Inside ``ctx.sharing()`` a value is computed once per argument."""
-    z = _rational_param(z, "gamma argument")
+    z = rational(z, "gamma argument")
     p, q = z.numerator, z.denominator
     if q == 1 and p <= 0:
         raise GammaPoleError(f"gamma pole at {z}")
@@ -883,11 +877,12 @@ def hyp2f1_num(
     connection adds 16 2^-precision of each part to the parts' errors.
     Both are formed in integers from upper bounds on every modulus and
     rounded up once (``_hyp2f1``); the roundoff allowance is an estimate.
-    A sum that terminates directly is finite whatever |z|, and exact at a
-    rational z, rounded once with one unit in the last place (0 for a
-    zero value) as ``est_error``; otherwise its error estimate is the
-    direct map's, as for a forced direct-series.  Any other z = 0 returns
-    exactly 1 with ``est_error`` 0.  ``method``, one of ``KNOWN_PATHS``, forces a
+    z = 0 returns exactly 1 on the direct series, with no term summed and
+    ``est_error`` 0, whatever ``method``.  A sum that terminates directly
+    is finite whatever |z|, and exact at a rational z, rounded once with
+    one unit in the last place as ``est_error``, or 0 when the rounding is
+    exact; otherwise its error estimate is the direct map's, as for a
+    forced direct-series.  ``method``, one of ``KNOWN_PATHS``, forces a
     path, mainly for cross-path agreement tests; it must be a map defined
     at the input (the Pfaff maps and the connection need z != 1 and c not
     a nonpositive integer), else ``ParameterError`` is raised.
@@ -896,7 +891,7 @@ def hyp2f1_num(
     exactly 0 is returned as an mpf.
     """
     ctx = ctx or EvalContext()
-    a, b, c = (_rational_param(x, f"2F1 parameter {n}") for x, n in zip((a, b, c), "abc"))
+    a, b, c = (rational(x, f"2F1 parameter {n}") for x, n in zip((a, b, c), "abc"))
     if method is not None and method not in KNOWN_PATHS:
         raise ParameterError(f"unknown evaluation method {method!r}")
     ez = Fraction(z) if isinstance(z, (int, Fraction)) else None
@@ -1030,19 +1025,23 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths, den) -> EvalResult
             "and the series does not terminate before the pole"
         )
 
+    if zz == 0:
+        return EvalResult(mp.mpf(1), mp.zero, _PATH_DIRECT, 0)
+
     if m_term is not None and method is None and ez is not None:
         # any terminating parameter may fill the b slot; -m_term, the first
         # to end the sum, sizes the series.  The exact sum is rounded once,
-        # so one unit in its last place bounds the error
+        # so one unit in its last place bounds the error, and 0 does when
+        # the rounding is exact
         other = b if _vanishes_at(a, den) == m_term else a
         params = HypParams(Fraction(other, den), -m_term, Fraction(c, den))
-        val = ctx.to_mp(terminating_poly(params)(ez))
-        _, man, exp, bc = val._mpf_
-        ulp = mp.make_mpf(from_man_exp(1, exp + bc - mp.prec)) if man else mp.zero
+        exact = terminating_poly(params)(ez)
+        val = ctx.to_mp(exact)
+        _, _, exp, bc = val._mpf_
+        ulp = mp.zero
+        if Fraction(*to_rational(val._mpf_)) != exact:
+            ulp = mp.make_mpf(from_man_exp(1, exp + bc - mp.prec))
         return EvalResult(val, ulp, _PATH_DIRECT, m_term)
-
-    if zz == 0:
-        return EvalResult(mp.mpf(1), mp.zero, _PATH_DIRECT, 0)
 
     arg = _Argument(zz, prec)
     if arg.cut and m_term is None:

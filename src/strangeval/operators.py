@@ -23,7 +23,7 @@ from typing import Iterable
 from .errors import InternalInconsistencyError, ParameterError
 from .hyp import HypParams, QRPair, _check_ell
 from .poly import Poly, RatFunc, exponent_split
-from .scalars import is_integer, poch
+from .scalars import is_integer, poch, rational
 from .series import GenSeries
 
 
@@ -154,9 +154,10 @@ def build_L(p: HypParams) -> DiffOp:
 
 
 def build_H(b, ell: int) -> DiffOp:
-    """The contiguity composition (xD + b + ell - 1) ... (xD + b + 1) (xD + b)."""
+    """The contiguity composition (xD + b + ell - 1) ... (xD + b + 1) (xD + b),
+    for an exact rational b (``scalars.rational``)."""
     _check_ell(ell)
-    b = Fraction(b)
+    b = rational(b, "b")
     out = DiffOp.one()
     for k in range(ell):
         factor = DiffOp((RatFunc(Poly((b + k,))), RatFunc(Poly.x())))

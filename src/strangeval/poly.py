@@ -20,15 +20,18 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InternalInconsistencyError, UnsupportedOperatorError
+from .scalars import rational
 
 
 class Poly:
-    """Polynomial in x, integer numerators ``nums`` over ``den``."""
+    """Polynomial in x, integer numerators ``nums`` over ``den``.  The
+    coefficients given to the constructor are ints or Fractions
+    (``scalars.rational``); a float is a ``ParameterError``."""
 
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [rational(c, "polynomial coefficient") for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
         self.nums, self.den = _canonical(
             [c.numerator * (den // c.denominator) for c in cs], den

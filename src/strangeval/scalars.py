@@ -2,13 +2,36 @@
 
 Everything exact in this package is computed over ``fractions.Fraction``,
 which already guarantees lowest terms and a positive denominator.  This
-module adds the recurring idioms on top: rising factorials, integer
-membership tests, and the "p/q" string form used at the CLI boundary.
+module states the exact-input rule (``rational``), which every entry
+taking a rational parameter applies, and the count rule
+(``positive_int``), and adds the recurring idioms: rising factorials,
+integer membership tests, and the "p/q" string form of the CLI.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .errors import ParameterError
+
+
+def rational(x, name: str) -> Fraction:
+    """x as a Fraction when it is an int or Fraction, else ``ParameterError``
+    naming it ``name``: ``Fraction(0.1)`` is 3602879701896397/2^55, not
+    1/10, so a float is refused rather than expanded."""
+    if isinstance(x, Fraction):
+        return x
+    if not isinstance(x, int):
+        raise ParameterError(f"{name} must be an int or Fraction, got {x!r}")
+    return Fraction(x)
+
+
+def positive_int(n, name: str) -> int:
+    """n when it is an int >= 1, else ``ParameterError`` naming it ``name``."""
+    if not isinstance(n, int) or n < 1:
+        raise ParameterError(f"{name} must be a positive integer, got {n}")
+    return n
+
 
 def poch(a, n: int) -> Fraction:
     """Rising factorial a(a+1)...(a+n-1); the empty product 1 for n = 0."""

@@ -22,6 +22,7 @@ from typing import Iterable
 
 from .errors import InternalInconsistencyError
 from .poly import Poly
+from .scalars import rational
 
 
 class TruncatedSeries:
@@ -159,25 +160,9 @@ class TruncatedSeries:
         return f"TruncatedSeries({self})"
 
 
-def binomial_series(alpha, order: int) -> TruncatedSeries:
-    """Expansion of (1-x)^alpha: c_0 = 1, c_{n+1} = c_n (n - alpha)/(n + 1).
-
-    With alpha = p/q the ratio is (n q - p) / ((n + 1) q); it stops at the
-    first vanishing factor, when alpha is a nonnegative integer below order.
-    """
-    alpha = Fraction(alpha)
-    p, q = alpha.numerator, alpha.denominator
-    ups, downs = [], []
-    for n in range(order):
-        ups.append(n * q - p)
-        downs.append((n + 1) * q)
-        if not ups[-1]:
-            break
-    return TruncatedSeries.from_ratios(ups, downs, order)
-
-
 class GenSeries:
-    """x^mu (1-x)^nu times a truncated series, exponents exact rationals.
+    """x^mu (1-x)^nu times a truncated series, exponents exact rationals
+    (ints or Fractions, ``scalars.rational``; a float is a ``ParameterError``).
 
     The canonical form pulls every factor of x out of the body, so a
     normalized nonzero body has nonzero constant coefficient and equal
@@ -188,8 +173,8 @@ class GenSeries:
     __slots__ = ("mu", "nu", "body")
 
     def __init__(self, mu, nu, body: TruncatedSeries):
-        self.mu = Fraction(mu)
-        self.nu = Fraction(nu)
+        self.mu = rational(mu, "exponent mu")
+        self.nu = rational(nu, "exponent nu")
         self.body = body
 
     def is_zero(self) -> bool:

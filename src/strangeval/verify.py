@@ -73,11 +73,17 @@ from .errors import (
     NonConvergenceError,
     ParameterError,
 )
-from .hyp import HypParams, q0_by_reversal, q0_r0_by_series, terminating_poly
+from .hyp import (
+    HypParams,
+    _check_ell,
+    binomial_series,
+    q0_by_reversal,
+    q0_r0_by_series,
+    terminating_poly,
+)
 from .numeric import (
     EvalContext,
     RootSet,
-    _rational_param,
     check_precision,
     exact_poly_value,
     find_roots,
@@ -93,7 +99,7 @@ from .operators import (  # noqa: F401
     right_reduce,
 )
 from .poly import Poly
-from .scalars import format_rational, is_integer, poch
+from .scalars import format_rational, is_integer, poch, positive_int, rational
 
 CHECK_SHIFTED = "F(a,1+l,c)"
 CHECK_REFLECTED = "F(c-a,c-1-l,c)"
@@ -349,17 +355,17 @@ def verify_theorem(
 ) -> VerifyReport:
     """Verify both strange-evaluation identities at every root of
     F(1-a, -ell, 2-c; x).  a and c are exact rationals (int or Fraction;
-    anything else raises ``ParameterError``).  q0 and r0 come from series
-    truncated at order ell + 32, the order the report records."""
-    a, c = _rational_param(a, "a"), _rational_param(c, "c")
-    if is_integer(c):
-        raise ParameterError(f"c = {c} must not be an integer")
-    if not isinstance(ell, int) or ell < 1:
-        raise ParameterError(f"ell must be a positive integer, got {ell}")
+    anything else raises ``ParameterError``), c is not an integer and ell
+    is a positive integer, by the rules of ``HypParams`` and ``hyp``.  q0
+    and r0 come from series truncated at order ell + 32, the order the
+    report records."""
+    params = HypParams(a, 1, c).require_c_non_integer()
+    _check_ell(ell)
     _check_tolerance(precision, tolerance)
+    a, c = params.a, params.c
     order = ell + 32
 
-    flags = genericity_flags(HypParams(a, 1, c), ell)
+    flags = genericity_flags(params, ell)
     q0, r0, provenance, agree = compute_q0_all_methods(a, c, ell, order)
     tpoly = terminating_poly(HypParams(1 - a, -ell, 2 - c))
 
@@ -500,7 +506,7 @@ def gosper_check(a, b, precision: int = 192, tolerance: float = 1e-30) -> Gosper
     ``hyp2f1_num``, a pole of b+2 met before the sum ends raises
     ``ParameterError``, and z = b/(a+b) >= 1 with a series that does not
     terminate raises ``BranchCutError``."""
-    a, b = _rational_param(a, "a"), _rational_param(b, "b")
+    a, b = rational(a, "a"), rational(b, "b")
     _check_tolerance(precision, tolerance)
     if a + b == 0:
         raise ParameterError("a + b must be nonzero")
@@ -546,9 +552,7 @@ def incomplete_beta_check(a, c, x, order: int = 128, precision: int = 192):
     exact rationals (int or Fraction; anything else raises
     ``ParameterError``).  Requires c > 1 and 0 < x < 1; the truncation tail of the termwise sum dominates the
     residual as x approaches 1."""
-    from .series import binomial_series
-
-    a, c, x = _rational_param(a, "a"), _rational_param(c, "c"), _rational_param(x, "x")
+    a, c, x = rational(a, "a"), rational(c, "c"), rational(x, "x")
     if not c > 1:
         raise ParameterError(f"need c > 1, got c = {c}")
     if not 0 < x < 1:
@@ -614,16 +618,31 @@ class SweepTrial:
 
 @dataclass
 class SweepReport:
+    """The trials of a sweep, in draw order; the counts and the verdict
+    are read off them."""
+
     trials: int
     ell_max: int
     seed: int
     precision: int
     tolerance: float
     records: list
-    failures: int
-    total_roots: int
-    skipped_roots: int
-    verdict: str
+
+    @property
+    def failures(self) -> int:
+        return sum(t.verdict == "fail" for t in self.records)
+
+    @property
+    def total_roots(self) -> int:
+        return sum(t.roots_total for t in self.records)
+
+    @property
+    def skipped_roots(self) -> int:
+        return sum(t.roots_skipped for t in self.records)
+
+    @property
+    def verdict(self) -> str:
+        return "fail" if self.failures else "pass"
 
     @property
     def skip_rate(self) -> float:
@@ -675,32 +694,22 @@ def sweep(
 ) -> SweepReport:
     """Run seeded random verify_theorem instances; deterministic in seed.
 
-    Trials are reported in draw order; a trial fails when any non-skipped
-    root misses the tolerance on either identity."""
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    if ell_max < 1:
-        raise ParameterError("ell-max must be >= 1")
+    ``trials`` is a positive integer and ``ell_max`` a contiguity order
+    (``hyp._check_ell``), else ``ParameterError``.  Trials are reported
+    in draw order; a trial fails when any non-skipped root misses the
+    tolerance on either identity."""
+    positive_int(trials, "trials")
+    _check_ell(ell_max)
     _check_tolerance(precision, tolerance)
     rng = random.Random(seed)
     records = []
-    failures = 0
-    total_roots = 0
-    skipped_roots = 0
     for i in range(trials):
         a, c, ell = draw_theorem_params(rng, ell_max)
         report = verify_theorem(a, c, ell, precision=precision, tolerance=tolerance)
-        roots_total = len(report.records)
-        roots_skipped = sum(1 for r in report.records if r.skipped)
-        total_roots += roots_total
-        skipped_roots += roots_skipped
         residuals = [
             r.max_residual() for r in report.records
             if not r.skipped and r.max_residual() is not None
         ]
-        trial_failed = report.verdict == "fail"
-        if trial_failed:
-            failures += 1
         records.append(
             SweepTrial(
                 index=i,
@@ -708,8 +717,8 @@ def sweep(
                 c=c,
                 ell=ell,
                 verdict=report.verdict,
-                roots_total=roots_total,
-                roots_skipped=roots_skipped,
+                roots_total=len(report.records),
+                roots_skipped=sum(1 for r in report.records if r.skipped),
                 skip_reasons=sorted(
                     {r.skip_reason for r in report.records if r.skip_reason}
                 ),
@@ -723,8 +732,4 @@ def sweep(
         precision=precision,
         tolerance=tolerance,
         records=records,
-        failures=failures,
-        total_roots=total_roots,
-        skipped_roots=skipped_roots,
-        verdict="pass" if failures == 0 else "fail",
     )

@@ -647,7 +647,7 @@ def test_selector_pin():
         else:
             outcomes.append(f"{r.path} {r.n_terms} {r.value!r} {r.est_error!r}")
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
-    assert digest == "11035dd55774d9ad"
+    assert digest == "af4690532095ff6d"
 
 
 def _near_lattice_or_small(rng):
@@ -757,6 +757,26 @@ class TestOracle:
                 err = abs(mpmath.mpmathify(r.value) - ref)
                 assert err <= mpmath.mpmathify(r.est_error), (a, b, c, z)
 
+    # connection-1mz is left out: on its draws est_error reads 2^32.4 to
+    # 2^54.4 times the true error, and which term of its bound causes that
+    # is not yet measured (ROADMAP items 1 and 10)
+    @pytest.mark.parametrize("path", ["direct-series", "pfaff-a", "pfaff-b"])
+    def test_est_error_is_tight_on_the_series_maps(self, path):
+        """est_error <= 2^16 true_err against a 700-bit mpmath.hyp2f1 on
+        the forced series maps, wherever the true error is nonzero: the
+        bound is honest (above) and not vacuous (here); log2(est/true)
+        peaks at 3.4, 0.7 and 1.5 on these draws."""
+        rng = random.Random(f"oracle-{path}")
+        for a, b, c, z in _oracle_draws(path, rng):
+            r = hyp2f1_num(a, b, c, z, CTX, method=path)
+            with mpmath.workprec(700):
+                ref = mpmath.hyp2f1(
+                    *(mpmath.mpf(p.numerator) / p.denominator for p in (a, b, c)), z
+                )
+                err = abs(mpmath.mpmathify(r.value) - ref)
+                if err:
+                    assert mpmath.mpmathify(r.est_error) <= 2**16 * err, (a, b, c, z)
+
     @pytest.mark.parametrize(
         "path", ["direct-series", "pfaff-a", "pfaff-b", "connection-1mz", "terminating"]
     )
@@ -787,8 +807,10 @@ class TestOracle:
 def test_exact_exits_est_error_is_one_unit():
     """A terminating sum at a rational z is exact, rounded once, and its
     est_error is one unit in the last place: true_err <= est_error <=
-    2^16 true_err against mpmath.hyp2f1 at 600 bits.  At a z = 0 that
-    does not take that exit the value is exactly 1 and est_error is 0."""
+    2^16 true_err against mpmath.hyp2f1 at 600 bits.  A dyadic value the
+    rounding keeps exactly has est_error 0.  At z = 0, rational or not,
+    terminating or not, the value is exactly 1, no term is summed and
+    est_error is 0."""
     rng = random.Random(600)
     for _ in range(20):
         a = Fraction(-rng.randint(1, 12))
@@ -806,10 +828,13 @@ def test_exact_exits_est_error_is_one_unit():
             )
             err = abs(mpmath.mpmathify(r.value) - ref)
             assert 0 < err <= r.est_error <= 2**16 * err, (a, b, c, z)
+    r = hyp2f1_num(-1, -3, -1, Fraction(1, 2), CTX)
+    assert (r.path, r.n_terms) == ("direct-series", 1)
+    assert r.value == Fraction(-1, 2) and r.est_error == 0
     for a, b, c, z in ((Fraction(1, 3), Fraction(2, 5), Fraction(7, 5), 0),
-                       (-3, 2, 5, 0.0)):
+                       (-3, 2, 5, 0.0), (-3, 2, 5, 0), (-3, 2, 5, Fraction(0))):
         r = hyp2f1_num(a, b, c, z, CTX)
-        assert r.value == 1 and r.est_error == 0
+        assert r.value == 1 and r.est_error == 0 and r.n_terms == 0
 
 
 @pytest.mark.parametrize("path", ["direct-series", "pfaff-a", "pfaff-b"])

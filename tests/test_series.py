@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strangeval.errors import InternalInconsistencyError
+from strangeval.hyp import HypParams, binomial_series, hyp_series
 from strangeval.poly import Poly
-from strangeval.series import GenSeries, TruncatedSeries, binomial_series
+from strangeval.series import GenSeries, TruncatedSeries
 
 series_strategy = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=9),
@@ -142,6 +143,19 @@ class TestBinomialSeries:
             Fraction(-1, 2),
             Fraction(-1, 8),
         )
+
+    @pytest.mark.parametrize("alpha", [0, 1, Fraction(1, 2), 3, Fraction(-7, 3)])
+    def test_is_the_hypergeometric_series(self, alpha):
+        # (1-x)^alpha = F(-alpha, 1; 1; x) (DLMF 15.4.6), with the
+        # coefficients of c_(n+1) = c_n (n - alpha)/(n + 1); at alpha = 3,
+        # below the order, the sum stops after x^3
+        order = 8
+        coeffs = [Fraction(1)]
+        for n in range(order):
+            coeffs.append(coeffs[-1] * (n - alpha) / (n + 1))
+        series = binomial_series(alpha, order)
+        assert series == hyp_series(HypParams(-alpha, 1, 1), order)
+        assert series.coeffs == tuple(coeffs)
 
     @given(
         st.fractions(min_value=-6, max_value=6, max_denominator=12),

@@ -563,6 +563,21 @@ class TestSweep:
             sweep(0)
         with pytest.raises(ParameterError):
             sweep(1, ell_max=0)
+        # a ParameterError, not a TypeError from range() or a ValueError
+        # from the draw
+        with pytest.raises(ParameterError, match="trials must be a positive integer"):
+            sweep(2.5)
+        with pytest.raises(ParameterError, match="contiguity order must be a positive"):
+            sweep(2, ell_max=1.5)
+
+    def test_counts_are_read_off_the_trials(self):
+        report = sweep(3, ell_max=2, seed=9)
+        trials = report.records
+        assert report.total_roots == sum(t.roots_total for t in trials)
+        assert report.skipped_roots == sum(t.roots_skipped for t in trials) == 1
+        assert report.failures == 0 and report.verdict == "pass"
+        trials[0] = dataclasses.replace(trials[0], verdict="fail")
+        assert report.failures == 1 and report.verdict == "fail"
 
 
 class TestReportPrecision:
