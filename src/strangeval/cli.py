@@ -36,7 +36,7 @@ from .errors import (
     NonConvergenceError,
     ParameterError,
 )
-from .hyp import HypParams, terminating_poly
+from .hyp import HypParams, series_order, terminating_poly
 from .numeric import KNOWN_PATHS, EvalContext, find_roots, hyp2f1_num
 from .operators import (
     build_H,
@@ -202,7 +202,7 @@ def _cmd_q0(args) -> int:
     a, b, c, ell = args.a, args.b, args.c, args.ell
     flags = genericity_flags(HypParams(a, b, c), ell)
     # routes that disagree raise InternalInconsistencyError (exit 3)
-    q0, r0, provenance, _ = compute_q0_all_methods(a, c, ell, ell + 32, b)
+    q0, r0, provenance, _ = compute_q0_all_methods(a, c, ell, series_order(ell), b)
     records = []
     for method in provenance:
         rec = {"method": method, "q0": str(q0)}

@@ -135,6 +135,12 @@ def _extract_poly(series: TruncatedSeries, ell: int, what: str) -> Poly:
     return p
 
 
+def series_order(ell: int) -> int:
+    """The series truncation order of the q0/r0 routes by default, and of
+    every report: ell + 32, sixteen terms past the ell + 16 they need."""
+    return ell + 32
+
+
 def q0_r0_by_series(p: HypParams, ell: int, order: int | None = None) -> QRPair:
     """q0, r0 of the order-ell reduction of F(a, b, c; x), from the explicit
     series combinations
@@ -153,7 +159,7 @@ def q0_r0_by_series(p: HypParams, ell: int, order: int | None = None) -> QRPair:
     _check_ell(ell)
     p.require_c_non_integer()
     if order is None:
-        order = ell + 32
+        order = series_order(ell)
     if order < ell + 16:
         raise ParameterError(f"series order {order} too small; need >= ell + 16")
     a, b, c = p.a, p.b, p.c

@@ -43,18 +43,18 @@ and never leaks through global state.  Conventions that matter:
   stopping rule is the term-by-term one: three small terms end a sum
   only where the kernel proves a bound on its tail;
 * gamma takes only an int or Fraction argument p/q, which is a pole
-  exactly when it is a nonpositive integer, and delivers precision + 64
-  bits, W = precision + 64 + 32.  Within ``_TAYLOR_SHIFT`` factors of
-  [1/2, 3/2] it is an exact rational Pochhammer shift divided by
-  1/Gamma(1+x), |x| <= 1/2, whose Taylor series is summed by Horner on
-  integers C_k = floor(c_k 2^W), held once per precision and built in
-  integer arithmetic from Euler's gamma and zeta(2..N): one product and
-  one floor division per term, no mpmath elementary function, and one
-  final rounding, 28 bits below the delivered width.  Farther out it sums
-  Spouge's series in fixed point, a term C_k q // (p + (k-1) q) on
-  integers C_k = c_k 2^W, and only the exp/log of t^(z-1/2) e^-t (at W
-  plus the bits of |(z-1/2) log t| + t) and the reflection's sine run in
-  mpmath;
+  exactly when it is a nonpositive integer, and delivers the working
+  precision, precision + WORK_BITS bits, with W = precision + WORK_BITS +
+  32.  Within ``_TAYLOR_SHIFT`` factors of [1/2, 3/2] it is an exact
+  rational Pochhammer shift divided by 1/Gamma(1+x), |x| <= 1/2, whose
+  Taylor series is summed by Horner on integers C_k = floor(c_k 2^W),
+  held once per precision and built in integer arithmetic from Euler's
+  gamma and zeta(2..N): one product and one floor division per term, no
+  mpmath elementary function, and one final rounding, 28 bits below the
+  delivered width.  Farther out it sums Spouge's series in fixed point,
+  a term C_k q // (p + (k-1) q) on integers C_k = c_k 2^W, and only the
+  exp/log of t^(z-1/2) e^-t (at W plus the bits of |(z-1/2) log t| + t)
+  and the reflection's sine run in mpmath;
 * inside ``EvalContext.sharing()``, a scope that ``verify_theorem`` opens
   around its root loop and nothing else opens, the engine keeps four
   kinds of result under their exact inputs, rationals as integers in
@@ -95,10 +95,15 @@ and never leaks through global state.  Conventions that matter:
 * roots are found on the integer numerators of each squarefree factor:
   Aberth in Python ``complex`` from Newton-polygon circles, Newton in
   fixed-point Gaussian integers at doubling precision, and certification
-  from the exact values of P and P' at the dyadic result: the points are
-  made conjugate-closed (real ones snapped onto the axis), and their
-  inclusion discs are proved pairwise disjoint once, on that final set;
-  where that fails, Aberth reruns in fixed point at doubling precision.
+  from the exact values of P and P' at the dyadic result.  The rational
+  coefficients pair the non-real roots into exact conjugates, so only the
+  closed upper half-plane is worked on: the points on or above the axis
+  (or near it) are polished, the ones near it snapped onto it, and the
+  inclusion discs of the kept set, the real ones and those strictly above
+  the axis, are proved pairwise disjoint once, on that final set; where
+  that fails, Aberth reruns in fixed point at doubling precision.
+  ``find_roots`` alone adds the lower roots, each the exact conjugate of
+  an upper one, and reports the pairing (``RootSet.conjugate_of``).
 """
 
 from __future__ import annotations
@@ -125,6 +130,7 @@ from mpmath.libmp import (
     mpf_exp,
     mpf_log,
     mpf_mul,
+    mpf_neg,
     round_ceiling,
     round_nearest,
     to_fixed,
@@ -143,6 +149,10 @@ from .poly import Poly
 from .scalars import rational
 
 GUARD_BITS = 32
+# The working precision is the context precision plus WORK_BITS: gamma
+# values are delivered there, a 2F1 argument is rounded there and its
+# evaluation runs there, and term budgets are sized for it.
+WORK_BITS = 64
 # A path is usable when its series needs at most this many terms; the
 # effective argument modulus can approach 1 (large roots push every
 # transformation that way), so usability is budgeted rather than cut off
@@ -259,12 +269,13 @@ _SPOUGE_CACHE: dict = {}
 def _spouge_table(ctx: EvalContext):
     """Spouge's coefficients for the context's precision, in fixed point.
 
-    The result is delivered at precision + 64 bits.  Its error budget,
-    relative to the value, with a terms and wbits = precision + 64 + 32:
+    The result is delivered at precision + WORK_BITS bits.  Its error
+    budget, relative to the value, with a terms and
+    wbits = precision + WORK_BITS + 32:
 
     * truncation: below a^(-1/2) (2 pi)^-(a + 1/2) (Spouge 1994), which the
-      term count a = 0.3775 (precision + 64) + 8 keeps below
-      2^-(precision + 64 + 20);
+      term count a = 0.3775 (precision + WORK_BITS) + 8 keeps below
+      2^-(precision + WORK_BITS + 20);
     * coefficients: c_0 = sqrt(2 pi) and
       c_k = (-1)^(k-1) (a-k)^(k-1/2) e^(a-k) / (k-1)!
       are held as the integers C_k = floor(c_k 2^wbits), each computed
@@ -273,7 +284,7 @@ def _spouge_table(ctx: EvalContext):
     * the fixed-point sum (``_spouge_sum``): within 3a units of
       2^-wbits, and the sum exceeds sqrt(2 pi) > 2, so below
       3a 2^-(wbits + 1), that is 32 - log2(3a / 2) bits (more than 23 up
-      to 512-bit precision) below the delivered precision + 64;
+      to 512-bit precision) below the delivered precision + WORK_BITS;
     * the mp stage (``_spouge_rational`` and the reflection formula): a
       few units of 2^-wbits, once the exp/log carry the bits that
       ``_spouge_rational`` works out from the argument.
@@ -283,7 +294,7 @@ def _spouge_table(ctx: EvalContext):
     table = _SPOUGE_CACHE.get(ctx.precision)
     if table is None:
         mp = ctx.mp
-        deliver = ctx.precision + 64
+        deliver = ctx.precision + WORK_BITS
         terms = int(deliver * 0.3775) + 8
         wbits = deliver + 32
         with mp.workprec(wbits + 2 * terms + 16):
@@ -383,9 +394,10 @@ def _zeta_fixed(top: int, bits: int) -> list:
 
 def _taylor_table(precision: int):
     """The Taylor coefficients of 1/Gamma(1+x) for a precision, in fixed
-    point: (wbits, (C_0, ..., C_N)) with wbits = precision + 64 + 32 and
-    C_k = floor(c_k 2^wbits), built once per precision in integer
-    arithmetic and cached as plain ints.
+    point: (wbits, (C_0, ..., C_N)) with
+    wbits = precision + WORK_BITS + 32 and C_k = floor(c_k 2^wbits),
+    built once per precision in integer arithmetic and cached as plain
+    ints.
 
     The c_k follow from log(1/Gamma(1+x)) = gamma x - sum_(k>=2)
     (-1)^k zeta(k) x^k / k by the recurrence
@@ -416,11 +428,11 @@ def _taylor_table(precision: int):
 
     That is below 5 units of a sum of at least 1/Gamma(1/2) 2^wbits >
     0.56 2^wbits, a relative error below 2^-(wbits - 4), 28 bits below the
-    precision + 64 that ``_gamma_taylor`` delivers after its one final
-    rounding."""
+    precision + WORK_BITS that ``_gamma_taylor`` delivers after its one
+    final rounding."""
     table = _TAYLOR_CACHE.get(precision)
     if table is None:
-        wbits = precision + 64 + 32
+        wbits = precision + WORK_BITS + 32
         top = (wbits + 66) // 5
         guard = 2 * wbits.bit_length() + 8
         v = wbits + guard
@@ -452,7 +464,7 @@ def _gamma_taylor(p: int, q: int, m: int, ctx: EvalContext):
     R = (1+x)_n = (z-1) ... (z-n) for n >= 0 and 1/(z)_(-n) for n < 0,
     the exact rational num/den of integers, so that
     Gamma = num 2^wbits / (den S), S = 2^wbits / Gamma(1+x) from
-    ``_taylor_sum``, rounded once to precision + 64 bits."""
+    ``_taylor_sum``, rounded once to precision + WORK_BITS bits."""
     wbits, coeffs = _taylor_table(ctx.precision)
     n = m - 1
     num = den = 1
@@ -465,15 +477,14 @@ def _gamma_taylor(p: int, q: int, m: int, ctx: EvalContext):
             den *= p + i * q
         num = q**-n
     s = _taylor_sum(p - m * q, q, coeffs)
-    value = mpf_div(
-        from_man_exp(num, wbits), from_int(den * s), ctx.precision + 64, round_nearest
-    )
+    prec = ctx.precision + WORK_BITS
+    value = mpf_div(from_man_exp(num, wbits), from_int(den * s), prec, round_nearest)
     return ctx.mp.make_mpf(value)
 
 
 def gamma_c(z, ctx: EvalContext | None = None):
-    """Gamma at an exact rational argument, delivered at precision + 64
-    bits.
+    """Gamma at an exact rational argument, delivered at
+    precision + WORK_BITS bits.
 
     z must be an int or Fraction; anything else raises ``ParameterError``.
     z is a pole exactly when it is a nonpositive integer, where
@@ -516,7 +527,7 @@ def _gamma_rational(p: int, q: int, ctx: EvalContext):
             if m % 2:
                 sin = -sin
             value = mp.pi / (sin * _spouge_rational(q - p, q, mp, table))
-    with mp.workprec(ctx.precision + 64):
+    with ctx.workprec(WORK_BITS):
         return +value
 
 
@@ -844,7 +855,7 @@ def _max_terms_for(num: int, den: int, prec: int, terminating: int | None):
     m = 1.0 if num >= den else max(math.sqrt(num / den), math.ulp(0))
     if m >= 1 - 2**-14:
         return None
-    need = int(1.3 * (prec + 64) * math.log(2) / -math.log(m)) + 256
+    need = int(1.3 * (prec + WORK_BITS) * math.log(2) / -math.log(m)) + 256
     return need if need <= _MAX_TERMS_CAP else None
 
 
@@ -897,7 +908,7 @@ def hyp2f1_num(
     ez = Fraction(z) if isinstance(z, (int, Fraction)) else None
     den = math.lcm(a.denominator, b.denominator, c.denominator)
     an, bn, cn = (x.numerator * (den // x.denominator) for x in (a, b, c))
-    with ctx.workprec(GUARD_BITS + 32):
+    with ctx.workprec(WORK_BITS):
         zz = ctx.to_mp(z)
         if not ctx.mp.isfinite(zz):
             raise ParameterError(f"z must be finite, got {z!r}")
@@ -1207,8 +1218,9 @@ class RootSet:
     degree.  Every root is an exact dyadic centre of a certified inclusion
     disc of radius at most ``inclusion_radius``: the discs of one
     squarefree factor are pairwise disjoint and each holds exactly one of
-    its roots.  A root with zero imaginary part is proved real, and a
-    non-real root's conjugate is reported as its exact conjugate.
+    its roots.  A root with zero imaginary part is proved real; a root
+    below the real axis is the exact conjugate of a root above it, whose
+    index is its entry in ``conjugate_of`` (None for every other root).
     ``residual_bound`` majorizes |P(root)| over all reported roots.
     """
 
@@ -1216,6 +1228,7 @@ class RootSet:
     multiplicities: tuple
     residual_bound: object
     inclusion_radius: object
+    conjugate_of: tuple
 
 
 def _squarefree_factors(poly: Poly) -> list:
@@ -1240,40 +1253,54 @@ def _squarefree_factors(poly: Poly) -> list:
 def find_roots(poly: Poly, precision: int = 192) -> RootSet:
     """All complex roots, with multiplicities taken from the exact
     squarefree decomposition of ``poly``, each certified to within
-    2^-precision of its size.
+    2^-precision of its size, in order of (Re, Im).
 
     Each squarefree factor, held as its integer numerators, goes through
     ``_factor_roots``: Aberth in Python ``complex``, Newton polishing in
     fixed-point Gaussian integers with doubling precision, and a proof
-    from exact arithmetic that the inclusion discs are disjoint.
-    ``NonConvergenceError`` is raised only when a factor cannot be
-    certified after every fixed-point escalation."""
+    from exact arithmetic that the inclusion discs are disjoint.  It gives
+    the real roots and the roots above the axis; each of these is emitted
+    with its exact conjugate, and, as |P(conj x)| = |P(x)|, its residual
+    is taken once.  ``NonConvergenceError`` is raised only when a factor
+    cannot be certified after every fixed-point escalation."""
     check_precision(precision)
     if poly.degree is None or poly.degree < 1:
         raise ParameterError("root finding needs a polynomial of degree >= 1")
     target = precision + GUARD_BITS
     mp = EvalContext(target).mp
-    found = []
-    radius = Fraction(0)
+    found = []  # (root, multiplicity, index in found of its upper partner)
+    radius = residual = Fraction(0)
     for factor, mult in _squarefree_factors(poly):
         for xr, xi, w, rho, t in _factor_roots(factor.nums, target):
             x = mp.make_mpc((from_man_exp(xr, -w), from_man_exp(xi, -w)))
-            found.append((x, mult, xr, xi, w))
+            found.append((x, mult, None))
+            if xi:
+                found.append((exact_conjugate(x), mult, len(found) - 1))
             radius = max(radius, Fraction(rho, 1 << t))
-    found.sort(key=lambda f: (mp.re(f[0]), mp.im(f[0])))
-
-    residual = Fraction(0)
-    n = poly.degree
-    for _, _, xr, xi, w in found:
-        pr, pi = _horner_exact(poly.nums, xr, xi, w)[:2]
-        bound = Fraction(_ceil_sqrt(pr * pr + pi * pi), poly.den << w * n)
-        residual = max(residual, bound)
+            pr, pi = _horner_exact(poly.nums, xr, xi, w)[:2]
+            bound = Fraction(_ceil_sqrt(pr * pr + pi * pi), poly.den << w * poly.degree)
+            residual = max(residual, bound)
+    order = sorted(range(len(found)), key=lambda k: (found[k][0].real, found[k][0].imag))
+    rank = {k: i for i, k in enumerate(order)}
+    roots, mults, partners = zip(*(found[k] for k in order))
     return RootSet(
-        roots=tuple(f[0] for f in found),
-        multiplicities=tuple(f[1] for f in found),
+        roots=roots,
+        multiplicities=mults,
         residual_bound=_upper_mpf(mp, residual, target),
         inclusion_radius=_upper_mpf(mp, radius, target),
+        conjugate_of=tuple(None if j is None else rank[j] for j in partners),
     )
+
+
+def exact_conjugate(x):
+    """conj x, exactly: ``mpc.conjugate`` rounds to its context's current
+    precision, and a value carries the guard bits of the precision it was
+    computed at.  A real x, an mpf, is its own conjugate: the engine
+    returns one for F(0, b; c; z) = 1."""
+    if not hasattr(x, "_mpc_"):
+        return x
+    re, im = x._mpc_
+    return x.context.make_mpc((re, mpf_neg(im)))
 
 
 def exact_poly_value(poly: Poly, x, mp):
@@ -1305,17 +1332,21 @@ def _factor_roots(nums, target: int) -> list:
     rho / 2^t, the centre within four units of 2^-w of its root and
     w = target - floor(log2 max(|Re|, |Im|)) - 1.
 
-    The double-precision Aberth stage runs first; where its roots cannot
-    be polished and certified, Aberth runs again from them in fixed point
-    at 106 bits, then 212, ... up to ``_ESCALATIONS`` times."""
+    The double-precision Aberth stage runs first.  Only its approximations
+    on or above the real axis, or within 2^-10 of their real part's size
+    of it, are polished: they are the only points ``_certify`` can keep.
+    Where they cannot be polished and certified, Aberth runs again from
+    all n approximations in fixed point at 106 bits, then 212, ... up to
+    ``_ESCALATIONS`` times."""
     approx = [_from_complex(x) for x in _aberth_float(nums)]
     bits = 53
     for escalation in range(_ESCALATIONS + 1):
         if escalation:
             bits *= 2
             approx = _aberth_fixed(nums, approx, bits)
+        candidates = [x for x in approx if x[1] >= 0 or abs(x[1]) << 10 <= abs(x[0])]
         polished = []
-        for x in approx:
+        for x in candidates:
             polished.append(_polish(nums, x, bits, target))
             if polished[-1] is None:
                 break
@@ -1556,7 +1587,7 @@ def _discs(n: int, points):
     2^-t, t = 16 + max w: (cr, ci, rho) with centre (cr + i ci) / 2^t and
     rho / 2^t >= n |P(x) / P'(x)|, the radius of a disc about x that holds
     a root of P.  rho is None where P'(x) = 0."""
-    t = 16 + max(p[2] for p in points)
+    t = 16 + max((p[2] for p in points), default=0)
     out = []
     for xr, xi, w, (pr, pi, dr, di) in points:
         # on k bits fewer, |p| rounded up and |P'| down keep rho an upper bound
@@ -1586,17 +1617,22 @@ def _disjoint(discs) -> bool:
 
 
 def _certify(nums, points, target: int):
-    """Certified discs (xr, xi, w, rho, t) for the polished ``points`` of
-    the squarefree ``nums``, or None when the proof fails.
+    """Certified discs (xr, xi, w, rho, t) of the real roots and of the
+    roots above the axis of the squarefree ``nums``, from its polished
+    ``points``, or None when the proof fails.
 
     A point where P' = 0 fails.  A point whose disc lies above the real
-    axis gives a pair, itself and its exact conjugate; one below is
-    dropped for its partner; one whose disc meets the axis is snapped onto
-    it and settled again.  The proof is made once, on this final set: each
-    disc of radius n |P/P'| holds a root, so n pairwise disjoint discs of
-    the degree-n ``nums`` hold one root each; as the roots are symmetric
-    about the axis, a disc with a real centre holds a real root, and a
-    disc and its mirror image hold a conjugate pair."""
+    axis is kept; one below is dropped; one whose disc meets the axis is
+    snapped onto it and settled again.  The proof is made once, on the
+    kept set: each disc of radius n |P/P'| holds a root, and the roots are
+    symmetric about the axis, so a disc with a real centre holds a real
+    root, and a disc strictly above the axis and its mirror image hold a
+    conjugate pair.  So when every kept non-real disc lies strictly above
+    the axis, 2 upper + real = n for the degree-n ``nums``, and the kept
+    discs are pairwise disjoint, the kept discs and the mirrors of the
+    upper ones are n pairwise disjoint discs, holding one root each: a
+    mirror lies strictly below the axis, where no kept upper disc or other
+    mirror reaches, and meets a real disc only where its partner does."""
     n = len(nums) - 1
     _, discs = _discs(n, points)
     if None in (d[2] for d in discs):
@@ -1604,16 +1640,15 @@ def _certify(nums, points, target: int):
     out = []
     for (xr, xi, w, exact), (_, ci, rho) in zip(points, discs):
         if ci > rho:
-            pr, pi, dr, di = exact
-            out += [(xr, xi, w, exact), (xr, -xi, w, (pr, -pi, dr, -di))]
+            out.append((xr, xi, w, exact))
         elif ci >= -rho:
             real = _settle(nums, xr, 0, w, target)
             if real is None:
                 return None
             out.append(real)
-    if len(out) != n:
+    if sum(2 if p[1] else 1 for p in out) != n:
         return None
     t, discs = _discs(n, out)
-    if not _disjoint(discs):
+    if not _disjoint(discs) or any(0 < ci <= rho for _, ci, rho in discs):
         return None
     return [(xr, xi, w, d[2], t) for (xr, xi, w, _), d in zip(out, discs)]

@@ -37,7 +37,7 @@ def poch(a, n: int) -> Fraction:
     """Rising factorial a(a+1)...(a+n-1); the empty product 1 for n = 0."""
     if n < 0:
         raise ValueError("pochhammer index must be a natural number")
-    a = Fraction(a)
+    a = rational(a, "Pochhammer base")
     out = Fraction(1)
     for k in range(n):
         out *= a + k
@@ -45,11 +45,11 @@ def poch(a, n: int) -> Fraction:
 
 
 def is_integer(x) -> bool:
-    return Fraction(x).denominator == 1
+    return rational(x, "integer test argument").denominator == 1
 
 
 def is_nonpos_integer(x) -> bool:
-    x = Fraction(x)
+    x = rational(x, "integer test argument")
     return x.denominator == 1 and x <= 0
 
 
@@ -62,7 +62,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x) -> str:
-    x = Fraction(x)
+    x = rational(x, "formatted value")
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

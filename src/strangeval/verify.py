@@ -36,17 +36,19 @@ of the two identities, and the Pfaff prefactors (1-lam)^(-p), share one
 logarithm of 1-lam.  A shared result is looked up by its exact inputs, so it is the value the second
 computation would give, and nothing is kept past the call.
 
-Only the roots with Im lam >= 0 are evaluated.  a and c are rational, so
-the terminating polynomial and q0 have rational coefficients, and
-``find_roots`` reports each non-real root's conjugate as its exact
-conjugate.  All parameters are real, so off the cut the principal branch
-satisfies F(a, b; c; conj z) = conj F(a, b; c; z) (Schwarz reflection,
-DLMF 15.2), and q0(conj lam) = conj q0(lam) and
+Only the real roots and the roots above the axis are evaluated.  a and c
+are rational, so the terminating polynomial and q0 have rational
+coefficients, and ``find_roots`` reports each root below the axis as the
+exact conjugate of a root above it, whose index is the root's entry in
+``RootSet.conjugate_of``.  All parameters are real, so off the cut the
+principal branch satisfies F(a, b; c; conj z) = conj F(a, b; c; z)
+(Schwarz reflection, DLMF 15.2), and q0(conj lam) = conj q0(lam) and
 (1 - conj lam)^s = conj (1-lam)^s for real s.  The record of a root with
-Im lam < 0 is therefore its partner's with lhs and rhs conjugated, which
-is exact: the residual |conj v - conj w| / (1 + |conj w|) and the error
-bound |conj v - F(conj lam)| = |v - F(lam)| are the partner's, and so are
-the path and any skip reason.
+Im lam < 0 is therefore its partner's with lhs and rhs conjugated
+exactly (``numeric.exact_conjugate``): the residual
+|conj v - conj w| / (1 + |conj w|) and the error bound
+|conj v - F(conj lam)| = |v - F(lam)| are the partner's, and so are the
+path and any skip reason.
 
 ``gosper_check`` verifies F(1-a, b, b+2; b/(a+b)) = (b+1) (a/(a+b))^a,
 exactly when the left side terminates.  ``incomplete_beta_check`` verifies
@@ -64,7 +66,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import mpf_neg
 
 from .errors import (
     BranchCutError,
@@ -79,12 +80,15 @@ from .hyp import (
     binomial_series,
     q0_by_reversal,
     q0_r0_by_series,
+    series_order,
     terminating_poly,
 )
 from .numeric import (
+    WORK_BITS,
     EvalContext,
     RootSet,
     check_precision,
+    exact_conjugate,
     exact_poly_value,
     find_roots,
     hyp2f1_num,
@@ -117,13 +121,14 @@ def report_digits(precision: int) -> int:
 def max_report_precision() -> int | None:
     """The largest precision whose report prints, or None for no bound.
 
-    A reported value carries up to precision + 64 bits, and mpmath formats
-    a small one through an integer of about that many bits times log10(2)
-    decimal digits, which must stay within Python's limit on int-to-str
-    conversion (``sys.get_int_max_str_digits()``, 0 for none); 64 more
-    bits keep a margin."""
+    A reported value carries up to the working precision,
+    precision + WORK_BITS bits, and mpmath formats a small one through an
+    integer of about that many bits times log10(2) decimal digits, which
+    must stay within Python's limit on int-to-str conversion
+    (``sys.get_int_max_str_digits()``, 0 for none); WORK_BITS more bits
+    keep a margin."""
     digits = sys.get_int_max_str_digits()
-    return int(digits / 0.30103) - 128 if digits else None
+    return int(digits / 0.30103) - 2 * WORK_BITS if digits else None
 
 
 def check_report_precision(precision) -> None:
@@ -173,17 +178,6 @@ class IdentityCheck:
         }
 
 
-def _conjugate(x):
-    """conj x, exactly: ``mpc.conjugate`` rounds to its context's current
-    precision, and a value carries the guard bits of the precision it was
-    computed at.  A real x, an mpf, is its own conjugate: the engine
-    returns one for F(0, b; c; z) = 1."""
-    if not hasattr(x, "_mpc_"):
-        return x
-    re, im = x._mpc_
-    return x.context.make_mpc((re, mpf_neg(im)))
-
-
 @dataclass
 class RootRecord:
     """The checks at one root.  ``conjugate_of`` is the index, in the
@@ -205,14 +199,11 @@ class RootRecord:
     def conjugated(self, lam, index: int) -> RootRecord:
         """This record reflected to the conjugate root ``lam``, whose
         partner (this record) sits at ``index`` in the records."""
-        return RootRecord(
+        return dataclasses.replace(
+            self,
             lam=lam,
-            multiplicity=self.multiplicity,
-            skipped=self.skipped,
-            skip_reason=self.skip_reason,
-            branch=self.branch,
             checks=[
-                dataclasses.replace(c, lhs=_conjugate(c.lhs), rhs=_conjugate(c.rhs))
+                dataclasses.replace(c, lhs=exact_conjugate(c.lhs), rhs=exact_conjugate(c.rhs))
                 for c in self.checks
             ],
             conjugate_of=index,
@@ -330,7 +321,8 @@ def compute_q0_all_methods(a: Fraction, c: Fraction, ell: int, order: int, b=1):
     """q0/r0 of F(a, b, c) via series, the operator remainder, and (for b = 1
     and non-integer a) the reversal form.  Returns (q0, r0, provenance,
     agree); exact disagreement raises, since all routes are proved equal.
-    ``order`` is the series truncation order (None for ell + 32)."""
+    ``order`` is the series truncation order (None for
+    ``series_order(ell)``)."""
     params = HypParams(a, b, c)
     qr = q0_r0_by_series(params, ell, order)
     canon = factor_remainder(*h_remainder(params, ell), ell).canonical_qr()
@@ -357,13 +349,13 @@ def verify_theorem(
     F(1-a, -ell, 2-c; x).  a and c are exact rationals (int or Fraction;
     anything else raises ``ParameterError``), c is not an integer and ell
     is a positive integer, by the rules of ``HypParams`` and ``hyp``.  q0
-    and r0 come from series truncated at order ell + 32, the order the
-    report records."""
+    and r0 come from series truncated at order ``series_order(ell)``, the
+    order the report records."""
     params = HypParams(a, 1, c).require_c_non_integer()
     _check_ell(ell)
     _check_tolerance(precision, tolerance)
     a, c = params.a, params.c
-    order = ell + 32
+    order = series_order(ell)
 
     flags = genericity_flags(params, ell)
     q0, r0, provenance, agree = compute_q0_all_methods(a, c, ell, order)
@@ -388,8 +380,8 @@ def verify_theorem(
     # the roots on or above the real axis are checked in one sharing scope;
     # a root below it is its conjugate partner's reflection (module docstring)
     with ctx.sharing():
-        for rec in records:
-            if rec.lam.imag < 0:
+        for rec, partner in zip(records, roots.conjugate_of):
+            if partner is not None:
                 continue
             try:
                 rec.checks = _check_both_identities(
@@ -401,15 +393,10 @@ def verify_theorem(
                 rec.skipped, rec.skip_reason = True, SKIP_DEGENERATE_CONNECTION
             except NonConvergenceError:
                 rec.skipped, rec.skip_reason = True, SKIP_EVAL_FAILED
-    index = {lam: i for i, lam in enumerate(roots.roots)}
-    for i, rec in enumerate(records):
-        if rec.lam.imag < 0:
-            j = index.get(_conjugate(rec.lam))
-            if j is None:
-                raise InternalInconsistencyError(
-                    f"root {rec.lam} has no exact conjugate among the roots"
-                )
-            records[i] = records[j].conjugated(rec.lam, j)
+    records = [
+        rec if j is None else records[j].conjugated(rec.lam, j)
+        for rec, j in zip(records, roots.conjugate_of)
+    ]
 
     failed = any(r.passed(tolerance) is False for r in records)
     return VerifyReport(

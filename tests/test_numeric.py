@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from mpmath.libmp import from_int, from_rational, round_ceiling, round_nearest
+from mpmath.libmp import from_int, from_rational, mpf_neg, round_ceiling, round_nearest
 
 from strangeval import numeric
 from strangeval.errors import (
@@ -1572,6 +1572,18 @@ def _independent_certificate(p: Poly, rs):
                 assert abs(mpmath.mpc(x) - y) > 2 * rs.inclusion_radius
 
 
+_THIRD = Fraction(1, 3)
+# roots -2, 1/3 and 1/3 + 2^-60
+CLUSTER = Poly((-_THIRD, 1)) * Poly((-_THIRD - Fraction(1, 2**60), 1)) * Poly((2, 1))
+# roots 1 +- 2^-50 i, which double precision sees as a real double root
+PAIR_OFF_AXIS = Poly((1 + Fraction(1, 2**100), -2, 1))
+# x^2 + x + 3^-700: the small root, about -3^-700 ~ 1e-334, is 0 in double
+BELOW_DOUBLE_RANGE = Poly((Fraction(1, 3**700), 1, 1))
+WILKINSON_20 = Poly((1,))
+for _k in range(1, 21):
+    WILKINSON_20 = WILKINSON_20 * Poly((-_k, 1))
+
+
 class TestFindRootsHardCases:
     """Inputs that the double-precision stage cannot finish: each must come
     back certified, some through the fixed-point Aberth escalation."""
@@ -1589,30 +1601,25 @@ class TestFindRootsHardCases:
         return calls
 
     def test_cluster_at_two_to_minus_sixty(self, escalations):
-        third = Fraction(1, 3)
-        p = Poly((-third, 1)) * Poly((-third - Fraction(1, 2**60), 1)) * Poly((2, 1))
-        rs = find_roots(p, 192)
+        rs = find_roots(CLUSTER, 192)
         assert rs.multiplicities == (1, 1, 1)
         assert all(x.imag == 0 for x in rs.roots)
-        for x, want in zip(rs.roots, (-2, third, third + Fraction(1, 2**60))):
+        for x, want in zip(rs.roots, (-2, _THIRD, _THIRD + Fraction(1, 2**60))):
             assert abs(x - CTX.to_mp(want)) <= tol(192)
-        _independent_certificate(p, rs)
+        _independent_certificate(CLUSTER, rs)
         assert escalations and max(escalations) >= 212  # 106 bits cannot split it
 
     def test_pair_just_off_the_real_axis(self):
-        # roots 1 +- 2^-50 i, which double precision sees as a real double root
-        p = Poly((1 + Fraction(1, 2**100), -2, 1))
-        rs = find_roots(p, 192)
+        rs = find_roots(PAIR_OFF_AXIS, 192)
         lower, upper = rs.roots
         assert upper == lower.conjugate()
         assert abs(upper - CTX.mp.mpc(1, CTX.mp.mpf(2) ** -50)) <= tol(192)
-        _independent_certificate(p, rs)
+        _independent_certificate(PAIR_OFF_AXIS, rs)
 
     def test_root_below_double_range(self):
-        # x^2 + x + 3^-700: the small root, about -3^-700 ~ 1e-334, is 0 in
-        # double precision, yet must come back to 2^-192 of its own size
+        # the small root must come back to 2^-192 of its own size
         eps = Fraction(1, 3**700)
-        rs = find_roots(Poly((eps, 1, 1)), 192)
+        rs = find_roots(BELOW_DOUBLE_RANGE, 192)
         small = max(rs.roots, key=lambda x: x.real)
         with mpmath.workprec(400):
             e = mpmath.mpf(eps.numerator) / eps.denominator
@@ -1621,20 +1628,23 @@ class TestFindRootsHardCases:
             assert abs(small - want) <= abs(want) * mpmath.mpf(2) ** -192
 
     def test_wilkinson_degree_20(self, escalations):
-        p = Poly((1,))
-        for k in range(1, 21):
-            p = p * Poly((-k, 1))
-        rs = find_roots(p, 192)
+        rs = find_roots(WILKINSON_20, 192)
         assert rs.multiplicities == (1,) * 20
         for k, x in enumerate(rs.roots, 1):
             assert x.imag == 0 and abs(x - k) <= k * tol(192)
-        _independent_certificate(p, rs)
+        _independent_certificate(WILKINSON_20, rs)
         assert escalations
 
-    @pytest.mark.parametrize("ell", [30, 40, 60])
-    def test_high_ell_certified(self, ell):
-        p = _gosper_poly(Fraction(7, 3), Fraction(5, 11), ell)
-        rs = find_roots(p, 192)  # raised NonConvergenceError at ell 40
+    @pytest.mark.parametrize(
+        "a, c, ell",
+        [pytest.param(Fraction(7, 3), Fraction(5, 11), ell, id=str(ell))
+         for ell in (30, 40, 60)]
+        # the family of the eval-failed skips at ell 100; escalates to 212 bits
+        + [pytest.param(Fraction(-2, 5), Fraction(3, 7), 60, id="-2/5,3/7,60")],
+    )
+    def test_high_ell_certified(self, a, c, ell):
+        p = _gosper_poly(a, c, ell)
+        rs = find_roots(p, 192)  # raised NonConvergenceError at (7/3, 5/11, 40)
         assert rs.multiplicities == (1,) * ell
         assert rs.inclusion_radius <= tol(192) * max(abs(x) for x in rs.roots)
         for x in rs.roots:
@@ -1646,6 +1656,45 @@ class TestFindRootsHardCases:
         monkeypatch.setattr(numeric, "_certify", lambda nums, points, target: None)
         with pytest.raises(NonConvergenceError):
             find_roots(Poly((-2, 0, 1)), 64)
+
+
+def _conjugate_pairing_inputs():
+    yield from (CLUSTER, PAIR_OFF_AXIS, BELOW_DOUBLE_RANGE, WILKINSON_20)
+    rng = random.Random(2026)
+    for _ in range(40):
+        p = Poly([rng.randint(-30, 30) for _ in range(rng.randint(1, 12))] + [1])
+        if rng.random() < 0.3:  # a repeated factor
+            q = Poly([rng.randint(-4, 4), 1])
+            p = p * q * q
+        if p.degree:
+            yield p
+    # both families of the high-ell tests, and draws of the two sweeps'
+    # ranges, ell <= 5 and ell <= 40
+    for a, c in ((Fraction(7, 3), Fraction(5, 11)), (Fraction(-2, 5), Fraction(3, 7))):
+        for ell in (5, 20, 40):
+            yield _gosper_poly(a, c, ell)
+    rng = random.Random(42)
+    for ell_max in (5, 5, 5, 5, 40, 40):
+        p = _gosper_poly(*draw_theorem_params(rng, ell_max))
+        if p.degree:
+            yield p
+
+
+def test_conjugate_of_pairs_each_lower_root_with_its_exact_conjugate():
+    # the rational coefficients pair the non-real roots; find_roots states
+    # the pairing, and each lower root is its partner's exact conjugate
+    for p in _conjugate_pairing_inputs():
+        rs = find_roots(p, 192)
+        partners = []
+        for x, j in zip(rs.roots, rs.conjugate_of):
+            if x.imag < 0:
+                re, im = rs.roots[j]._mpc_
+                assert x._mpc_ == (re, mpf_neg(im)) and im[0] == 0, p
+                partners.append(j)
+            else:
+                assert j is None, p
+        # every root above the axis is the partner of exactly one below it
+        assert sorted(partners) == [i for i, x in enumerate(rs.roots) if x.imag > 0], p
 
 
 class TestCertification:
@@ -1663,6 +1712,9 @@ class TestCertification:
         assert numeric._certify(nums, [i, i2, low, low2], self.TARGET) is None
         two = self._polished(nums, 2j)
         assert numeric._certify(nums, [i, two, low, low2], self.TARGET)
+        # the points below the axis are dropped, so they prove nothing alone
+        assert numeric._certify(nums, [low, low2], self.TARGET) is None
+        assert numeric._certify(nums, [], self.TARGET) is None
 
     def test_settle_leaves_at_most_four_units(self):
         nums = Poly((-2, 0, 1)).nums

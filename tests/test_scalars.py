@@ -85,6 +85,10 @@ def test_exact_layer_refuses_floats():
         lambda: GenSeries(0.5, 0, body),
         lambda: GenSeries(0, 0.5, body),
         lambda: binomial_series(0.5, 3),
+        lambda: poch(0.1, 1),
+        lambda: is_integer(2.0),
+        lambda: is_nonpos_integer(-1.0),
+        lambda: format_rational(0.1),
     ):
         with pytest.raises(ParameterError, match="must be an int or Fraction"):
             call()

@@ -11,7 +11,6 @@ from strangeval import numeric, verify
 from strangeval.errors import (
     BranchCutError,
     DegenerateConnectionError,
-    InternalInconsistencyError,
     NonConvergenceError,
     ParameterError,
 )
@@ -455,22 +454,6 @@ def test_reflected_records_match_direct_evaluation():
                 paths.add(mine.path)
     assert paths == set(numeric.KNOWN_PATHS) and reasons == {verify.SKIP_EVAL_FAILED}
     assert reflected > 20
-
-
-def test_root_without_its_conjugate_is_an_internal_error(monkeypatch):
-    # a RootSet that breaks its contract: the lower roots without partners
-    def lower_only(poly, precision):
-        found = find_roots(poly, precision)
-        keep = [i for i, lam in enumerate(found.roots) if lam.imag < 0]
-        return dataclasses.replace(
-            found,
-            roots=tuple(found.roots[i] for i in keep),
-            multiplicities=tuple(found.multiplicities[i] for i in keep),
-        )
-
-    monkeypatch.setattr(verify, "find_roots", lower_only)
-    with pytest.raises(InternalInconsistencyError, match="no exact conjugate"):
-        verify_theorem(*CONNECTION_ROOTS_DRAW)
 
 
 class TestGosper:
