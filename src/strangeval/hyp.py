@@ -9,6 +9,12 @@ coefficient, which doubles as the strongest internal correctness check the
 series engine has.  Two independent routes must agree exactly: the
 operator remainder recurrence in ``operators`` and, for b = 1 and a not an
 integer, the reversed expansion ``q0_by_reversal``.
+
+Every series is held as ``_hyp_poly`` gives it: canonical integer
+numerators over one denominator.  The series route convolves these integer
+vectors (``poly._convolve``), forms each combination over one common
+denominator with the Pochhammer factors as integer multipliers, asserts the
+tail on those integers, and canonicalises only the polynomial it returns.
 """
 
 from __future__ import annotations
@@ -16,9 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .errors import InternalInconsistencyError, ParameterError
-from .poly import Poly
+from .poly import Poly, _convolve
 from .scalars import is_integer, is_nonpos_integer, poch, positive_int, rational
 from .series import TruncatedSeries
 
@@ -65,8 +73,9 @@ def _check_ell(ell: int) -> int:
     return positive_int(ell, "contiguity order")
 
 
-def hyp_series(p: HypParams, order: int) -> TruncatedSeries:
-    """Series of F(a, b, c; x) through x^order.
+def _hyp_poly(p: HypParams, order: int) -> Poly:
+    """F(a, b, c; x) through x^order, as its canonical integer numerators
+    over one denominator.
 
     Coefficients follow c_{n+1} = c_n (a+n)(b+n) / ((c+n)(n+1)).  If a or b
     is a nonpositive integer the series terminates and the trailing
@@ -77,7 +86,9 @@ def hyp_series(p: HypParams, order: int) -> TruncatedSeries:
     if order < 0:
         raise ParameterError("series order must be >= 0")
     # Over the common denominator d of a, b, c (a = A/d, ...) the ratio is
-    # (A + n d)(B + n d) / ((C + n d)(n + 1) d), all integers.
+    # ups[n] / downs[n] = (A + n d)(B + n d) / ((C + n d)(n + 1) d), all
+    # integers; over prod(downs), c_k has numerator prod(ups[:k]) *
+    # prod(downs[k:]), a prefix times a suffix product.
     d = math.lcm(p.a.denominator, p.b.denominator, p.c.denominator)
     A, B, C = (int(v * d) for v in (p.a, p.b, p.c))
     ups, downs = [], []
@@ -91,13 +102,20 @@ def hyp_series(p: HypParams, order: int) -> TruncatedSeries:
             )
         ups.append(up)
         downs.append((C + n * d) * (n + 1) * d)
-    return TruncatedSeries.from_ratios(ups, downs, order)
+    prefix = accumulate(ups, mul, initial=1)
+    suffix = list(accumulate(reversed(downs), mul, initial=1))[::-1]
+    return Poly.from_numerators([u * v for u, v in zip(prefix, suffix)], suffix[0])
+
+
+def hyp_series(p: HypParams, order: int) -> TruncatedSeries:
+    """Series of F(a, b, c; x) through x^order, by ``_hyp_poly``'s rules."""
+    return TruncatedSeries.from_poly(_hyp_poly(p, order), order)
 
 
 def binomial_series(alpha, order: int) -> TruncatedSeries:
     """Expansion of (1-x)^alpha through x^order: F(-alpha, 1; 1; x)
     (DLMF 15.4.6), so c_(n+1) = c_n (n - alpha)/(n + 1), and the sum stops
-    where ``hyp_series`` stops it, when alpha is a nonnegative integer below
+    where ``_hyp_poly`` stops it, when alpha is a nonnegative integer below
     order."""
     return hyp_series(HypParams(-rational(alpha, "alpha"), 1, 1), order)
 
@@ -106,12 +124,12 @@ def terminating_poly(p: HypParams) -> Poly:
     """Exact polynomial F(a, -m, c; x) for nonpositive-integer b = -m.
 
     The degree is at most m, and exactly m iff (a, m) != 0.  The sum stops
-    where a or b ends it, and a pole of c is ``hyp_series``'s rule, so
+    where a or b ends it, and a pole of c is ``_hyp_poly``'s rule, so
     F(-1, -3, -1; x) = F(-3, -1, -1; x) = 1 - 3x.
     """
     if not is_nonpos_integer(p.b):
         raise ParameterError(f"second parameter {p.b} is not a nonpositive integer")
-    return hyp_series(p, -int(p.b)).poly
+    return _hyp_poly(p, -int(p.b))
 
 
 def euler_transform_series(p: HypParams, order: int) -> TruncatedSeries:
@@ -165,28 +183,44 @@ def q0_r0_by_series(p: HypParams, ell: int, order: int | None = None) -> QRPair:
     a, b, c = p.a, p.b, p.c
     one_minus_c = 1 - c
 
-    f1 = hyp_series(HypParams(c - a, c - b - ell, c), order)
-    f4 = hyp_series(HypParams(1 - a, 1 - b - ell, 2 - c), order)
+    f1 = _hyp_poly(HypParams(c - a, c - b - ell, c), order)
+    f4 = _hyp_poly(HypParams(1 - a, 1 - b - ell, 2 - c), order)
+    g2 = _hyp_poly(HypParams(a + 1 - c, b + 1 - c, 2 - c), order)
+    f3 = _hyp_poly(HypParams(a, b, c), order)
+    g5 = _hyp_poly(HypParams(a + 1 - c, b + 1 - c, 1 - c), order)
+    f6 = _hyp_poly(HypParams(a + 1, b + 1, c + 1), order)
 
-    q0_series = (f1 * hyp_series(HypParams(a + 1 - c, b + 1 - c, 2 - c), order)).scale(
-        -poch(b, ell) / one_minus_c
+    q0 = _combination(
+        -poch(b, ell) / one_minus_c, _product(f1, g2, order),
+        poch(b + 1 - c, ell) / one_minus_c, _product(f3, f4, order),
+        order, ell, "q0 series combination",
     )
-    q0_series = q0_series + (hyp_series(HypParams(a, b, c), order) * f4).scale(
-        poch(b + 1 - c, ell) / one_minus_c
+    r0 = _combination(
+        poch(b, ell), _product(f1, g5, order),
+        -a * b * poch(b + 1 - c, ell) / (c * one_minus_c), _product(f6, f4, order, 1),
+        order, ell, "r0 series combination",
     )
+    return QRPair(q0, r0, ell)
 
-    r0_series = (f1 * hyp_series(HypParams(a + 1 - c, b + 1 - c, 1 - c), order)).scale(
-        poch(b, ell)
-    )
-    r0_series = r0_series + (
-        hyp_series(HypParams(a + 1, b + 1, c + 1), order) * f4
-    ).shift_up(1).scale(-a * b * poch(b + 1 - c, ell) / (c * one_minus_c))
 
-    return QRPair(
-        _extract_poly(q0_series, ell, "q0 series combination"),
-        _extract_poly(r0_series, ell, "r0 series combination"),
-        ell,
-    )
+def _product(f: Poly, g: Poly, order: int, shift: int = 0) -> tuple:
+    """x^shift f g through x^order: its integer numerators, uncancelled,
+    over f.den g.den."""
+    return [0] * shift + _convolve(f.nums, g.nums, order - shift), f.den * g.den
+
+
+def _combination(s: Fraction, fg: tuple, t: Fraction, uv: tuple, order: int,
+                 ell: int, what: str) -> Poly:
+    """s fg + t uv for two ``_product``s, formed on integers over one
+    denominator and canonicalised once, after ``_extract_poly`` has found
+    every coefficient from x^ell through x^order exactly 0 (the trailing
+    zeros are trimmed before any gcd is taken)."""
+    (p, dp), (q, dq) = fg, uv
+    dp, dq = s.denominator * dp, t.denominator * dq
+    den = math.lcm(dp, dq)
+    m, n = s.numerator * (den // dp), t.numerator * (den // dq)
+    combo = Poly.from_numerators([m * x + n * y for x, y in zip(p, q)], den)
+    return _extract_poly(TruncatedSeries.from_poly(combo, order), ell, what)
 
 
 def q0_by_reversal(p: HypParams, ell: int) -> Poly:

@@ -1332,9 +1332,9 @@ def _factor_roots(nums, target: int) -> list:
     rho / 2^t, the centre within four units of 2^-w of its root and
     w = target - floor(log2 max(|Re|, |Im|)) - 1.
 
-    The double-precision Aberth stage runs first.  Only its approximations
-    on or above the real axis, or within 2^-10 of their real part's size
-    of it, are polished: they are the only points ``_certify`` can keep.
+    The double-precision Aberth stage runs first.  Only the approximations
+    ``_candidates`` picks, near or above the real axis, are polished: they
+    are the only points ``_certify`` can keep.
     Where they cannot be polished and certified, Aberth runs again from
     all n approximations in fixed point at 106 bits, then 212, ... up to
     ``_ESCALATIONS`` times."""
@@ -1344,9 +1344,8 @@ def _factor_roots(nums, target: int) -> list:
         if escalation:
             bits *= 2
             approx = _aberth_fixed(nums, approx, bits)
-        candidates = [x for x in approx if x[1] >= 0 or abs(x[1]) << 10 <= abs(x[0])]
         polished = []
-        for x in candidates:
+        for x in _candidates(approx):
             polished.append(_polish(nums, x, bits, target))
             if polished[-1] is None:
                 break
@@ -1357,6 +1356,27 @@ def _factor_roots(nums, target: int) -> list:
     raise NonConvergenceError(
         f"roots of {Poly.from_numerators(nums, 1)} not certified at {bits} bits"
     )
+
+
+def _candidates(approx) -> list:
+    """The approximations to polish, in their given order: those on or
+    above the real axis or within 2^-10 of their real part's size below
+    it, and, when more lie below that band than on or above it, that
+    excess of those below it, nearest the axis (least |Im|/|Re|) first.
+    No more roots lie below the axis than on or above it, so such an
+    excess means that points of roots on or above it, typically real roots
+    the double-precision stage left short of the axis, lie below the band."""
+    def tilt(i):
+        xr, xi, _ = approx[i]
+        return Fraction(abs(xi), abs(xr)) if xr else math.inf
+
+    keep = [x[1] >= 0 or abs(x[1]) << 10 <= abs(x[0]) for x in approx]
+    excess = len(keep) - 2 * sum(keep)
+    if excess > 0:
+        below = sorted((i for i, k in enumerate(keep) if not k), key=tilt)
+        for i in below[:excess]:
+            keep[i] = True
+    return [x for x, k in zip(approx, keep) if k]
 
 
 def _start_points(nums) -> list:

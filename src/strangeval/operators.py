@@ -10,12 +10,16 @@ The remainder comes from ``h_remainder``, a recurrence on two polynomials
 that follows H(k+1) = (xD + b + k) H(k) and never forms H(ell).  Full right
 division (``right_reduce``) also returns the quotient, for the ``reduce``
 command, and is the oracle the recurrence is tested against.  The
-remainder route shares nothing with the series formulas in ``hyp`` beyond
-``Poly``, and the two must agree exactly.
+recurrence runs on integer coefficient vectors over the running
+denominator d^(2k), d the common denominator of a, b, c, and builds one
+canonical ``RatFunc`` per output.  The remainder route shares nothing with
+the series formulas in ``hyp`` beyond ``Poly``, and the two must agree
+exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -180,18 +184,44 @@ def h_remainder(p: HypParams, ell: int) -> tuple[RatFunc, RatFunc]:
         Q <- x(1-x)(Q' + R) + ((b+k-c) + (a+1) x) Q
         R <- x(1-x) R' + ((b+k) - b x) R + ab Q,
 
-    started from Q = 0, R = 1 (H(0) = 1).  Returns (q, r) after ell steps.
+    started from Q = 0, R = 1 (H(0) = 1).  Over the common denominator d
+    of a = A/d, b = B/d, c = C/d, a step's factors b+k-c, a+1, b+k and b
+    are integers over d and ab is one over d^2, so after k steps Q and R
+    are integer vectors over d^(2k); only the two results are
+    canonicalised.  Returns (q, r) after ell steps.
     """
     _check_ell(ell)
-    a, b, c = p.a, p.b, p.c
-    x_one_minus_x = Poly((0, 1, -1))
-    Q, R = Poly.zero(), Poly.one()
+    d = math.lcm(p.a.denominator, p.b.denominator, p.c.denominator)
+    A, B, C = (int(v * d) for v in (p.a, p.b, p.c))
+    dd, ab = d * d, A * B
+    Q, R = [], [1]
     for k in range(ell):
-        Q, R = (
-            x_one_minus_x * (Q.derivative() + R) + Poly((b + k - c, a + 1)) * Q,
-            x_one_minus_x * R.derivative() + Poly((b + k, -b)) * R + Q * (a * b),
-        )
-    return RatFunc._of(Q, 0, ell), RatFunc._of(R, 0, ell)
+        qc, qx = d * (B + k * d - C), d * (A + d)  # d^2 ((b+k-c) + (a+1) x)
+        rc, rx = d * (B + k * d), -d * B  # d^2 ((b+k) - b x)
+        n = max(len(Q), len(R) + 1) + 1
+        q, r = [0] * n, [0] * n
+        for i, y in enumerate(Q):  # the Q terms of both steps, times d^2
+            q[i] += (dd * i + qc) * y
+            q[i + 1] += (qx - dd * i) * y
+            r[i] += ab * y
+        for i, y in enumerate(R):  # the R terms of both steps, times d^2
+            q[i + 1] += dd * y
+            q[i + 2] -= dd * y
+            r[i] += (dd * i + rc) * y
+            r[i + 1] += (rx - dd * i) * y
+        Q, R = _trim(q), _trim(r)
+    den = d ** (2 * ell)
+    return (
+        RatFunc._of(Poly.from_numerators(Q, den), 0, ell),
+        RatFunc._of(Poly.from_numerators(R, den), 0, ell),
+    )
+
+
+def _trim(v: list) -> list:
+    """v without its trailing zeros."""
+    while v and not v[-1]:
+        v.pop()
+    return v
 
 
 @dataclass(frozen=True)

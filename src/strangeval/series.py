@@ -16,8 +16,6 @@ operator computations without leaving exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
 from typing import Iterable
 
 from .errors import InternalInconsistencyError
@@ -56,21 +54,6 @@ class TruncatedSeries:
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls((1,), order)
-
-    @classmethod
-    def from_ratios(cls, ups: list, downs: list, order: int) -> "TruncatedSeries":
-        """The series with c_0 = 1 and c_(n+1) = c_n ups[n] / downs[n].
-
-        Every downs[n] is a nonzero int and coefficients past len(ups) are
-        zero, so a terminating caller stops both lists at the vanishing
-        upper factor.  Over the common denominator prod(downs), c_k has
-        numerator prod(ups[:k]) * prod(downs[k:]): prefix products of the
-        upper factors times suffix products of the lower ones.
-        """
-        prefix = accumulate(ups, mul, initial=1)
-        suffix = list(accumulate(reversed(downs), mul, initial=1))[::-1]
-        nums = [u * d for u, d in zip(prefix, suffix)]
-        return cls.from_poly(Poly.from_numerators(nums, suffix[0]), order)
 
     @property
     def coeffs(self) -> tuple:

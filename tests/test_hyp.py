@@ -1,20 +1,26 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from strangeval import hyp, operators, poly
 from strangeval.errors import InternalInconsistencyError, ParameterError
 from strangeval.hyp import (
     HypParams,
+    QRPair,
     _extract_poly,
     euler_transform_series,
     hyp_series,
     q0_by_reversal,
     q0_r0_by_series,
+    series_order,
     terminating_poly,
 )
 from strangeval.poly import Poly
 from strangeval.scalars import poch
 from strangeval.series import TruncatedSeries
+from strangeval.verify import random_non_integer, random_rational
 
 
 class TestHypSeries:
@@ -142,6 +148,119 @@ class TestQ0R0GeneralB:
             qr = q0_r0_by_series(HypParams(a, b, c), 2)
             assert qr.r0.coefficient(0) == poch(b, 2)
             assert qr.q0.coefficient(0) == (poch(b + 1 - c, 2) - poch(b, 2)) / (1 - c)
+
+
+def _series_reference(p: HypParams, ell: int) -> QRPair:
+    """The series route's combinations formed in ``TruncatedSeries``
+    arithmetic, a canonical series after every product, scale and sum."""
+    a, b, c = p.a, p.b, p.c
+    order, one_minus_c = series_order(ell), 1 - c
+    f1 = hyp_series(HypParams(c - a, c - b - ell, c), order)
+    f4 = hyp_series(HypParams(1 - a, 1 - b - ell, 2 - c), order)
+    q0 = (f1 * hyp_series(HypParams(a + 1 - c, b + 1 - c, 2 - c), order)).scale(
+        -poch(b, ell) / one_minus_c
+    ) + (hyp_series(HypParams(a, b, c), order) * f4).scale(
+        poch(b + 1 - c, ell) / one_minus_c
+    )
+    r0 = (f1 * hyp_series(HypParams(a + 1 - c, b + 1 - c, 1 - c), order)).scale(
+        poch(b, ell)
+    ) + (hyp_series(HypParams(a + 1, b + 1, c + 1), order) * f4).shift_up(1).scale(
+        -a * b * poch(b + 1 - c, ell) / (c * one_minus_c)
+    )
+    return QRPair(
+        _extract_poly(q0, ell, "q0 series combination"),
+        _extract_poly(r0, ell, "r0 series combination"),
+        ell,
+    )
+
+
+def _seeded_triples(seed: int, count: int) -> list:
+    """(a, b, c, ell) with general b (a quarter of them integers, some
+    nonpositive), c never an integer and ell from 1 to 40."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        b = Fraction(rng.randint(-6, 3)) if k % 4 == 0 else random_rational(rng)
+        ell = rng.randint(1, 40) if k % 3 else rng.randint(1, 8)
+        out.append((random_rational(rng), b, random_non_integer(rng), ell))
+    return out
+
+
+class TestSeriesRouteOnIntegers:
+    def test_matches_truncated_series_reference(self):
+        for a, b, c, ell in _seeded_triples(20261020, 64):
+            p = HypParams(a, b, c)
+            assert q0_r0_by_series(p, ell) == _series_reference(p, ell), (a, b, c, ell)
+
+    @pytest.mark.parametrize(
+        "which, combo",
+        [("f1", "q0"), ("f4", "q0"), ("g2", "q0"), ("f3", "q0"), ("g5", "r0"),
+         ("f6", "r0")],
+    )
+    def test_perturbed_series_coefficient_raises(self, monkeypatch, which, combo):
+        a, b, c, ell = Fraction(7, 3), Fraction(3, 4), Fraction(5, 11), 6
+        target = {
+            "f1": HypParams(c - a, c - b - ell, c),
+            "f4": HypParams(1 - a, 1 - b - ell, 2 - c),
+            "g2": HypParams(a + 1 - c, b + 1 - c, 2 - c),
+            "f3": HypParams(a, b, c),
+            "g5": HypParams(a + 1 - c, b + 1 - c, 1 - c),
+            "f6": HypParams(a + 1, b + 1, c + 1),
+        }[which]
+        exact = hyp._hyp_poly
+
+        def perturbed(p, order):
+            f = exact(p, order)
+            return f + Poly.x() ** ell * Fraction(1, 7) if p == target else f
+
+        monkeypatch.setattr(hyp, "_hyp_poly", perturbed)
+        with pytest.raises(InternalInconsistencyError) as err:
+            q0_r0_by_series(HypParams(a, b, c), ell)
+        assert re.fullmatch(
+            rf"{combo} series combination: coefficient of x\^\d+ is -?\d+(/\d+)?, "
+            rf"expected exact 0 \(tail must vanish through x\^{series_order(ell)}\)",
+            str(err.value),
+        ), str(err.value)
+
+
+@pytest.fixture
+def canonical_calls(monkeypatch):
+    """The number of ``poly._canonical`` calls so far, as a list's length."""
+    calls = []
+    canonical = poly._canonical
+
+    def counting(nums, den):
+        calls.append(den)
+        return canonical(nums, den)
+
+    monkeypatch.setattr(poly, "_canonical", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "route",
+    [hyp.q0_r0_by_series, operators.h_remainder],
+    ids=["q0_r0_by_series", "h_remainder"],
+)
+@pytest.mark.parametrize(
+    "params",
+    [HypParams(Fraction(7, 3), 1, Fraction(5, 11)),
+     HypParams(Fraction(-2, 5), Fraction(3, 4), Fraction(3, 7))],
+    ids=["b=1", "b=3/4"],
+)
+def test_canonical_forms_do_not_grow_with_ell(canonical_calls, route, params):
+    # the exact q0 routes work on integer vectors over one running
+    # denominator and canonicalise only what they return, so the number
+    # of canonical forms they build is the same at every ell; the series
+    # route's are its six series and its two results
+    counts = []
+    for ell in (5, 40):
+        canonical_calls.clear()
+        route(params, ell)
+        counts.append(len(canonical_calls))
+    assert counts[1] <= counts[0], counts
+    if route is hyp.q0_r0_by_series:
+        assert counts == [8, 8]
 
 
 class TestQ0ByReversal:

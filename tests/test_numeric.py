@@ -1652,6 +1652,16 @@ class TestFindRootsHardCases:
                 assert x.conjugate() in rs.roots
         _independent_certificate(p, rs)
 
+    def test_real_root_left_below_the_band_is_polished(self, escalations):
+        # at (-2/5, 3/7, 25) double-precision Aberth leaves 13 points below
+        # the 2^-10 |Re| band and 12 on or above it: the real root near
+        # 1.772 sits 2.6e-3 |Re| below the axis, and is polished all the same
+        p = _gosper_poly(Fraction(-2, 5), Fraction(3, 7), 25)
+        rs = find_roots(p, 192)
+        assert rs.multiplicities == (1,) * 25
+        _independent_certificate(p, rs)
+        assert escalations == []
+
     def test_gives_up_past_the_cap(self, monkeypatch):
         monkeypatch.setattr(numeric, "_certify", lambda nums, points, target: None)
         with pytest.raises(NonConvergenceError):

@@ -153,6 +153,32 @@ class TestHRemainder:
                 assert h_remainder(params, ell) == (red.q, red.r), (a, b, c, ell)
 
 
+def _h_remainder_reference(p: HypParams, ell: int):
+    """``h_remainder``'s recurrence in ``Poly`` arithmetic, a canonical
+    polynomial after every product and sum."""
+    a, b, c = p.a, p.b, p.c
+    Q, R = Poly.zero(), Poly.one()
+    for k in range(ell):
+        Q, R = (
+            X_ONE_MINUS_X * (Q.derivative() + R) + Poly((b + k - c, a + 1)) * Q,
+            X_ONE_MINUS_X * R.derivative() + Poly((b + k, -b)) * R + Q * (a * b),
+        )
+    return RatFunc._of(Q, 0, ell), RatFunc._of(R, 0, ell)
+
+
+class TestHRemainderOnIntegers:
+    def test_matches_poly_reference(self, param_pool):
+        rng = random.Random(20261021)
+        for k, (a, c) in enumerate(param_pool[100:160]):
+            b = Fraction(rng.randint(-6, 3)) if k % 4 == 0 else random_rational(rng)
+            ell = 1 + k % 40
+            params = HypParams(a, b, c)
+            got, want = h_remainder(params, ell), _h_remainder_reference(params, ell)
+            assert [(f.poly, f.i, f.j) for f in got] == [
+                (f.poly, f.i, f.j) for f in want
+            ], (a, b, c, ell)
+
+
 class TestFactorRemainder:
     def test_unit_case(self):
         red = right_reduce(build_H(1, 1), build_L(HypParams(Fraction(2, 7), 1, Fraction(1, 3))))
