@@ -12,7 +12,8 @@ output:
     roots    roots of the terminating polynomial (or explicit coefficients)
 
 Rationals cross the boundary as exact "p/q" strings.  Exit codes: 0 on
-success, 1 when a residual check of verify, gosper or sweep fails, 2 on
+success, 1 when the verdict of verify, gosper or sweep is a failed
+residual check (``_exit_code``), 2 on
 usage and domain errors (invalid parameters, branch cut, degenerate
 connection, gamma pole, no evaluation map converging within the term
 budget, no convergence, a precision whose report Python cannot print),
@@ -143,6 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_code(verdict: str) -> int:
+    """The exit code of a report's verdict: 0 for a pass, or for a
+    terminating polynomial with no root to check, 1 for a failure."""
+    return {"pass": 0, "no-roots": 0, "fail": 1}[verdict]
+
+
 def _emit(args, payload: dict, text_lines) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -189,13 +196,12 @@ def _cmd_verify(args) -> int:
                 f"  {ch.name:<16} residual={mpmath.nstr(ch.residual, 4)}"
                 f"  path={ch.path}"
             )
-    skipped = sum(1 for r in report.records if r.skipped)
     if report.records:
-        lines.append(f"skip rate: {skipped} of {len(report.records)} roots")
+        lines.append(f"skip rate: {report.skipped_roots} of {len(report.records)} roots")
     vacuous = " (vacuous: no root checked)" if report.vacuous else ""
     lines.append(f"verdict: {report.verdict.upper()}{vacuous}")
     _emit(args, report.as_dict(), lines)
-    return 0 if report.verdict in ("pass", "no-roots") else 1
+    return _exit_code(report.verdict)
 
 
 def _cmd_q0(args) -> int:
@@ -311,7 +317,7 @@ def _cmd_gosper(args) -> int:
         f"verdict: {report.verdict.upper()}",
     ]
     _emit(args, report.as_dict(), lines)
-    return 0 if report.verdict == "pass" else 1
+    return _exit_code(report.verdict)
 
 
 def _cmd_sweep(args) -> int:
@@ -328,7 +334,7 @@ def _cmd_sweep(args) -> int:
         f"verdict: {report.verdict.upper()}",
     ]
     _emit(args, report.as_dict(), lines)
-    return 0 if report.failures == 0 else 1
+    return _exit_code(report.verdict)
 
 
 def _cmd_eval(args) -> int:

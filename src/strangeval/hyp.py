@@ -14,7 +14,9 @@ Every series is held as ``_hyp_poly`` gives it: canonical integer
 numerators over one denominator.  The series route convolves these integer
 vectors (``poly._convolve``), forms each combination over one common
 denominator with the Pochhammer factors as integer multipliers, asserts the
-tail on those integers, and canonicalises only the polynomial it returns.
+tail on those integers, and canonicalises only the polynomial it returns;
+the reversal route convolves its two series the same way and reverses the
+head.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ from operator import mul
 
 from .errors import InternalInconsistencyError, ParameterError
 from .poly import Poly, _convolve
-from .scalars import is_integer, is_nonpos_integer, poch, positive_int, rational
+from .scalars import (
+    is_integer,
+    is_nonpos_integer,
+    over_common_denominator,
+    poch,
+    positive_int,
+    rational,
+)
 from .series import TruncatedSeries
 
 
@@ -89,8 +98,7 @@ def _hyp_poly(p: HypParams, order: int) -> Poly:
     # ups[n] / downs[n] = (A + n d)(B + n d) / ((C + n d)(n + 1) d), all
     # integers; over prod(downs), c_k has numerator prod(ups[:k]) *
     # prod(downs[k:]), a prefix times a suffix product.
-    d = math.lcm(p.a.denominator, p.b.denominator, p.c.denominator)
-    A, B, C = (int(v * d) for v in (p.a, p.b, p.c))
+    (A, B, C), d = over_common_denominator(p.a, p.b, p.c)
     ups, downs = [], []
     for n in range(order):
         up = (A + n * d) * (B + n * d)
@@ -240,13 +248,13 @@ def q0_by_reversal(p: HypParams, ell: int) -> Poly:
     if is_integer(p.a):
         raise ParameterError(f"reversal form needs a not an integer, got a = {p.a}")
     a, c = p.a, p.c
-    # Series in u = 1/x; TruncatedSeries is reused with its variable
-    # reinterpreted, and only the head through u^(l-1) is needed.
-    u_order = ell - 1
-    prod = hyp_series(HypParams(2 - c, 1, 2 - a), u_order) * hyp_series(
-        HypParams(c - 1 - ell, -ell, a - ell), u_order
-    )
+    # The two series in u = 1/x as integer numerators, convolved through
+    # u^(l-1); x^j takes the coefficient of u^(l-1-j), and the scale joins
+    # the one denominator.
+    f = _hyp_poly(HypParams(2 - c, 1, 2 - a), ell - 1)
+    g = _hyp_poly(HypParams(c - 1 - ell, -ell, a - ell), ell - 1)
     scale = poch(2 - a, ell - 1) * (-1) ** (ell - 1)
-    head = prod.poly  # degree <= l-1; x^j takes the coefficient of u^(l-1-j)
-    rev = Poly.from_numerators(head.nums[::-1], head.den)
-    return rev.shift_up(ell - len(head.nums)) * scale
+    head = _convolve(f.nums, g.nums, ell - 1)
+    return Poly.from_numerators(
+        [scale.numerator * x for x in reversed(head)], scale.denominator * f.den * g.den
+    )

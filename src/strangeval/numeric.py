@@ -146,7 +146,7 @@ from .errors import (
 )
 from .hyp import HypParams, terminating_poly
 from .poly import Poly
-from .scalars import rational
+from .scalars import over_common_denominator, rational
 
 GUARD_BITS = 32
 # The working precision is the context precision plus WORK_BITS: gamma
@@ -906,8 +906,7 @@ def hyp2f1_num(
     if method is not None and method not in KNOWN_PATHS:
         raise ParameterError(f"unknown evaluation method {method!r}")
     ez = Fraction(z) if isinstance(z, (int, Fraction)) else None
-    den = math.lcm(a.denominator, b.denominator, c.denominator)
-    an, bn, cn = (x.numerator * (den // x.denominator) for x in (a, b, c))
+    (an, bn, cn), den = over_common_denominator(a, b, c)
     with ctx.workprec(WORK_BITS):
         zz = ctx.to_mp(z)
         if not ctx.mp.isfinite(zz):

@@ -19,7 +19,6 @@ exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -27,7 +26,7 @@ from typing import Iterable
 from .errors import InternalInconsistencyError, ParameterError
 from .hyp import HypParams, QRPair, _check_ell
 from .poly import Poly, RatFunc, exponent_split
-from .scalars import is_integer, poch, rational
+from .scalars import is_integer, over_common_denominator, poch, rational
 from .series import GenSeries
 
 
@@ -191,8 +190,7 @@ def h_remainder(p: HypParams, ell: int) -> tuple[RatFunc, RatFunc]:
     canonicalised.  Returns (q, r) after ell steps.
     """
     _check_ell(ell)
-    d = math.lcm(p.a.denominator, p.b.denominator, p.c.denominator)
-    A, B, C = (int(v * d) for v in (p.a, p.b, p.c))
+    (A, B, C), d = over_common_denominator(p.a, p.b, p.c)
     dd, ab = d * d, A * B
     Q, R = [], [1]
     for k in range(ell):

@@ -5,11 +5,13 @@ which already guarantees lowest terms and a positive denominator.  This
 module states the exact-input rule (``rational``), which every entry
 taking a rational parameter applies, and the count rule
 (``positive_int``), and adds the recurring idioms: rising factorials,
-integer membership tests, and the "p/q" string form of the CLI.
+integer membership tests, the integer form of rationals over their common
+denominator, and the "p/q" string form of the CLI.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -51,6 +53,13 @@ def is_integer(x) -> bool:
 def is_nonpos_integer(x) -> bool:
     x = rational(x, "integer test argument")
     return x.denominator == 1 and x <= 0
+
+
+def over_common_denominator(*xs: Fraction) -> tuple[list[int], int]:
+    """Fractions x_i as integer numerators n_i over their least common
+    denominator d, x_i = n_i / d: ([n_1, ...], d)."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
 def parse_rational(text: str) -> Fraction:

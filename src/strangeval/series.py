@@ -171,12 +171,6 @@ class GenSeries:
             return self
         return GenSeries(self.mu + v, self.nu, self.body.shift_down(v))
 
-    def scale(self, s) -> "GenSeries":
-        return GenSeries(self.mu, self.nu, self.body.scale(s))
-
-    def mul_poly(self, p: Poly) -> "GenSeries":
-        return GenSeries(self.mu, self.nu, self.body.mul_poly(p))
-
     def deriv(self) -> "GenSeries":
         """d/dx of x^mu (1-x)^nu f = x^(mu-1) (1-x)^(nu-1) *
         [mu (1-x) f - nu x f + x (1-x) f']."""
@@ -206,9 +200,6 @@ class GenSeries:
         if other.nu != nu:
             b = b.mul_poly(Poly((1, -1)) ** int(other.nu - nu))
         return GenSeries(mu, nu, a + b)
-
-    def __sub__(self, other: "GenSeries") -> "GenSeries":
-        return self + other.scale(-1)
 
     def matches(self, other: "GenSeries", through: int | None = None) -> bool:
         """Equality of values through the common truncation order.

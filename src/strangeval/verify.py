@@ -54,6 +54,23 @@ path and any skip reason.
 exactly when the left side terminates.  ``incomplete_beta_check`` verifies
 the integral representation of F(a, 1, c; x) by termwise integration, and
 ``sweep`` runs seeded random theorem instances.
+
+Each rule of a verdict has one owner here:
+
+- the residual of every check, lhs against rhs, is
+  |lhs - rhs| / (1 + |rhs|) (``_residual``);
+- a check passes when its residual is at most the tolerance
+  (``_passes``); a root passes when all its checks do, and a skipped root
+  neither passes nor fails (``RootRecord.passed``);
+- a report fails when a root (or Gosper's one check) fails, and otherwise
+  passes, or for a constant terminating polynomial reads "no-roots";
+  ``VerifyReport`` and ``GosperReport`` derive it themselves;
+- ``VerifyReport.skipped_roots`` counts the skipped roots, and
+  ``VerifyReport.vacuous`` marks a pass at which every root was skipped;
+- a sweep keeps one ``SweepTrial.from_report`` summary per trial and
+  reads its counts off them.
+
+The CLI maps a verdict to its exit code (``cli._exit_code``).
 """
 
 from __future__ import annotations
@@ -209,13 +226,11 @@ class RootRecord:
             conjugate_of=index,
         )
 
-    def max_residual(self):
-        return max((c.residual for c in self.checks), default=None)
-
     def passed(self, tolerance) -> bool | None:
+        """Whether every check passes; None for a skipped root."""
         if self.skipped:
             return None
-        return all(c.residual <= tolerance for c in self.checks)
+        return all(_passes(c.residual, tolerance) for c in self.checks)
 
     def as_dict(self, digits: int, tolerance) -> dict:
         ok = self.passed(tolerance)
@@ -233,6 +248,10 @@ class RootRecord:
 
 @dataclass
 class VerifyReport:
+    """What ``verify_theorem`` found.  ``verdict`` is derived from the
+    records unless one is given (``dataclasses.replace`` keeps the one it
+    copies, so a perturbed copy can carry another)."""
+
     a: Fraction
     c: Fraction
     ell: int
@@ -247,18 +266,32 @@ class VerifyReport:
     q0_agree: bool
     roots: RootSet | None
     records: list
-    verdict: str
+    verdict: str | None = None
+
+    def __post_init__(self):
+        if self.verdict is None:
+            failed = any(r.passed(self.tolerance) is False for r in self.records)
+            self.verdict = (
+                "no-roots" if self.roots is None else "fail" if failed else "pass"
+            )
+
+    @property
+    def skipped_roots(self) -> int:
+        return sum(r.skipped for r in self.records)
 
     @property
     def skip_rate(self) -> float:
-        if not self.records:
-            return 0.0
-        return sum(1 for r in self.records if r.skipped) / len(self.records)
+        return self.skipped_roots / len(self.records) if self.records else 0.0
 
     @property
     def vacuous(self) -> bool:
         """A pass at which every root was skipped, so no identity was checked."""
-        return self.verdict == "pass" and all(r.skipped for r in self.records)
+        return self.verdict == "pass" and self.skipped_roots == len(self.records)
+
+    @property
+    def max_residual(self):
+        """The largest residual of any check, or None when none ran."""
+        return max((c.residual for r in self.records for c in r.checks), default=None)
 
     def as_dict(self) -> dict:
         digits = report_digits(self.precision)
@@ -283,6 +316,18 @@ class VerifyReport:
             "skip_rate": repr(self.skip_rate),
             "verdict": self.verdict,
         }
+
+
+def _residual(lhs, rhs):
+    """|lhs - rhs| / (1 + |rhs|): relative where |rhs| is large, absolute
+    where it is small.  Exact on rationals; an mp value is rounded once
+    at the precision of the context in force."""
+    return +(abs(lhs - rhs) / (1 + abs(rhs)))
+
+
+def _passes(residual, tolerance) -> bool:
+    """The pass rule of one check: its residual within the tolerance."""
+    return residual <= tolerance
 
 
 def _check_tolerance(precision: int, tolerance) -> None:
@@ -367,7 +412,7 @@ def verify_theorem(
         q0_provenance=provenance, q0_agree=agree,
     )
     if tpoly.degree == 0:
-        return VerifyReport(**base, roots=None, records=[], verdict="no-roots")
+        return VerifyReport(**base, roots=None, records=[])
 
     roots = find_roots(tpoly, precision)
     ctx = EvalContext(precision)
@@ -397,12 +442,7 @@ def verify_theorem(
         rec if j is None else records[j].conjugated(rec.lam, j)
         for rec, j in zip(records, roots.conjugate_of)
     ]
-
-    failed = any(r.passed(tolerance) is False for r in records)
-    return VerifyReport(
-        **base, roots=roots, records=records,
-        verdict="fail" if failed else "pass",
-    )
+    return VerifyReport(**base, roots=roots, records=records)
 
 
 def _right_side_constants(a, c, ell, ctx: EvalContext) -> tuple:
@@ -434,7 +474,7 @@ def _check_both_identities(a, c, ell, q0: Poly, lam, ctx: EvalContext, constants
                 name=name,
                 lhs=res.value,
                 rhs=rhs,
-                residual=+(abs(res.value - rhs) / (1 + abs(rhs))),
+                residual=_residual(res.value, rhs),
                 path=res.path,
                 est_error=res.est_error,
             )
@@ -447,6 +487,9 @@ def _check_both_identities(a, c, ell, q0: Poly, lam, ctx: EvalContext, constants
 
 @dataclass
 class GosperReport:
+    """What ``gosper_check`` found; ``verdict`` is derived as in
+    ``VerifyReport``."""
+
     a: Fraction
     b: Fraction
     z: Fraction
@@ -457,7 +500,11 @@ class GosperReport:
     residual: object
     exact: bool
     path: str
-    verdict: str
+    verdict: str | None = None
+
+    def __post_init__(self):
+        if self.verdict is None:
+            self.verdict = "pass" if _passes(self.residual, self.tolerance) else "fail"
 
     def as_dict(self) -> dict:
         digits = report_digits(self.precision)
@@ -499,29 +546,19 @@ def gosper_check(a, b, precision: int = 192, tolerance: float = 1e-30) -> Gosper
         raise ParameterError("a + b must be nonzero")
     z = b / (a + b)
     ctx = EvalContext(precision)
-    mp = ctx.mp
-
-    if is_integer(1 - a) and 1 - a <= 0:
+    exact = is_integer(1 - a) and 1 - a <= 0
+    if exact:
         lhs = terminating_poly(HypParams(b, 1 - a, b + 2))(z)
         rhs = (b + 1) * (a / (a + b)) ** int(a)
-        residual_exact = abs(lhs - rhs) / (1 + abs(rhs))
-        return GosperReport(
-            a=a, b=b, z=z, precision=precision, tolerance=tolerance,
-            lhs=ctx.to_mp(lhs), rhs=ctx.to_mp(rhs),
-            residual=ctx.to_mp(residual_exact),
-            exact=True, path="direct-series",
-            verdict="pass" if residual_exact <= tolerance else "fail",
-        )
-
-    res = hyp2f1_num(1 - a, b, b + 2, z, ctx)
-    base = ctx.to_mp(a / (a + b))
-    rhs = ctx.to_mp(b + 1) * mp.power(base, ctx.to_mp(a))
-    residual = abs(res.value - rhs) / (1 + abs(rhs))
+        residual = ctx.to_mp(_residual(lhs, rhs))
+        lhs, rhs, path = ctx.to_mp(lhs), ctx.to_mp(rhs), "direct-series"
+    else:
+        res = hyp2f1_num(1 - a, b, b + 2, z, ctx)
+        rhs = ctx.to_mp(b + 1) * ctx.mp.power(ctx.to_mp(a / (a + b)), ctx.to_mp(a))
+        lhs, residual, path = res.value, _residual(res.value, rhs), res.path
     return GosperReport(
         a=a, b=b, z=z, precision=precision, tolerance=tolerance,
-        lhs=res.value, rhs=rhs, residual=residual,
-        exact=False, path=res.path,
-        verdict="pass" if residual <= tolerance else "fail",
+        lhs=lhs, rhs=rhs, residual=residual, exact=exact, path=path,
     )
 
 
@@ -529,9 +566,9 @@ def gosper_check(a, b, precision: int = 192, tolerance: float = 1e-30) -> Gosper
 # integral representation of F(a, 1, c; x)
 
 def incomplete_beta_check(a, c, x, order: int = 128, precision: int = 192):
-    """Residual of F(a, 1, c; x) against -(1-c) y2(x) * I(x), where
-    y2 = x^(1-c) (1-x)^(c-a-1) and I is the incomplete-beta-type integral
-    of t^(c-2) (1-t)^(a-c), integrated termwise:
+    """Residual (``_residual``) of F(a, 1, c; x) against -(1-c) y2(x) * I(x),
+    where y2 = x^(1-c) (1-x)^(c-a-1) and I is the incomplete-beta-type
+    integral of t^(c-2) (1-t)^(a-c), integrated termwise:
 
         I(x) = sum_n  b_n x^(c-1+n) / (c-1+n),
 
@@ -557,7 +594,7 @@ def incomplete_beta_check(a, c, x, order: int = 128, precision: int = 192):
         y2 = mp.power(xm, ctx.to_mp(1 - c)) * mp.power(1 - xm, ctx.to_mp(c - a - 1))
         rhs = ctx.to_mp(c - 1) * y2 * integral
         lhs = hyp2f1_num(a, 1, c, x, ctx).value
-        return +(abs(lhs - rhs) / (1 + abs(lhs)))
+        return _residual(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +612,12 @@ def random_non_integer(rng: random.Random, bound: int = 20, den_bound: int = 20)
             return x
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepTrial:
+    """The summary of one sweep trial, built from its report by
+    ``from_report``.  The sweep keeps this rather than the report, which
+    holds every root and check (about 10 KB a trial against 1 KB)."""
+
     index: int
     a: Fraction
     c: Fraction
@@ -586,6 +627,17 @@ class SweepTrial:
     roots_skipped: int
     skip_reasons: list
     max_residual: object
+    vacuous: bool
+
+    @classmethod
+    def from_report(cls, index: int, report: VerifyReport) -> SweepTrial:
+        return cls(
+            index=index, a=report.a, c=report.c, ell=report.ell,
+            verdict=report.verdict, vacuous=report.vacuous,
+            roots_total=len(report.records), roots_skipped=report.skipped_roots,
+            skip_reasons=sorted({r.skip_reason for r in report.records if r.skipped}),
+            max_residual=report.max_residual,
+        )
 
     def as_dict(self, digits: int) -> dict:
         return {
@@ -608,12 +660,15 @@ class SweepReport:
     """The trials of a sweep, in draw order; the counts and the verdict
     are read off them."""
 
-    trials: int
     ell_max: int
     seed: int
     precision: int
     tolerance: float
     records: list
+
+    @property
+    def trials(self) -> int:
+        return len(self.records)
 
     @property
     def failures(self) -> int:
@@ -638,10 +693,7 @@ class SweepReport:
     @property
     def vacuous_passes(self) -> int:
         """Trials that passed with every root skipped (VerifyReport.vacuous)."""
-        return sum(
-            t.verdict == "pass" and t.roots_skipped == t.roots_total
-            for t in self.records
-        )
+        return sum(t.vacuous for t in self.records)
 
     def as_dict(self) -> dict:
         digits = report_digits(self.precision)
@@ -693,27 +745,8 @@ def sweep(
     for i in range(trials):
         a, c, ell = draw_theorem_params(rng, ell_max)
         report = verify_theorem(a, c, ell, precision=precision, tolerance=tolerance)
-        residuals = [
-            r.max_residual() for r in report.records
-            if not r.skipped and r.max_residual() is not None
-        ]
-        records.append(
-            SweepTrial(
-                index=i,
-                a=a,
-                c=c,
-                ell=ell,
-                verdict=report.verdict,
-                roots_total=len(report.records),
-                roots_skipped=sum(1 for r in report.records if r.skipped),
-                skip_reasons=sorted(
-                    {r.skip_reason for r in report.records if r.skip_reason}
-                ),
-                max_residual=max(residuals) if residuals else None,
-            )
-        )
+        records.append(SweepTrial.from_report(i, report))
     return SweepReport(
-        trials=trials,
         ell_max=ell_max,
         seed=seed,
         precision=precision,

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -407,6 +411,30 @@ class TestReportPrecision:
         code, out, err = run(capsys, *self.COMMANDS[command], f"--precision={precision}")
         assert code == 0 and err == ""
         assert "e-42" in out  # the residual or error estimate, near 2^-precision
+
+
+class TestModuleEntryPoint:
+    """``python -m strangeval.cli`` exits with the code ``main`` returns."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        (("gosper", "--a", "3", "--b", "2"), 0, "stdout", "verdict: PASS"),
+        (("verify", "--a", "3", "--c", "2", "--ell", "1"), 2, "stderr", "error:"),
+        # 64 bits are too few for a tolerance of 1e-19 at ell 40, so checks
+        # fail; an inconclusive verdict (ROADMAP item 1 step 2) will say so
+        (("verify", "--a", "7/3", "--c", "5/11", "--ell", "40",
+          "--precision", "64", "--tolerance", "1e-19"), 1, "stdout", "verdict: FAIL"),
+    ])
+    def test_exit_code(self, argv, code, stream, text):
+        path = [str(self.SRC), os.environ.get("PYTHONPATH")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "strangeval.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code
+        assert text in getattr(proc, stream)
 
 
 class TestUsageErrors:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from strangeval import numeric, verify
+from strangeval import cli, numeric, verify
 from strangeval.errors import (
     BranchCutError,
     DegenerateConnectionError,
@@ -561,6 +561,71 @@ class TestSweep:
         assert report.failures == 0 and report.verdict == "pass"
         trials[0] = dataclasses.replace(trials[0], verdict="fail")
         assert report.failures == 1 and report.verdict == "fail"
+
+
+class TestVerdictRules:
+    """One failing check reaches every consumer of a verdict, and one
+    vacuous report every consumer of vacuity."""
+
+    @pytest.fixture
+    def broken_second_parameter_two(self, monkeypatch):
+        # doubles every 2F1 value with b = 2 that verify reads: the shifted
+        # identity F(a, 1+ell, c) at ell 1, and Gosper's left side at b = 2
+        real = verify.hyp2f1_num
+
+        def broken(a, b, c, z, ctx, **kwargs):
+            res = real(a, b, c, z, ctx, **kwargs)
+            return dataclasses.replace(res, value=2 * res.value) if b == 2 else res
+
+        monkeypatch.setattr(verify, "hyp2f1_num", broken)
+
+    def test_one_failing_check_fails_every_consumer(
+        self, capsys, broken_second_parameter_two
+    ):
+        report = verify_theorem(3, Fraction(3, 2), 1)
+        (rec,) = report.records
+        failing = [ch.name for ch in rec.checks if ch.residual > report.tolerance]
+        assert failing == [CHECK_SHIFTED]
+        assert rec.as_dict(10, report.tolerance)["verdict"] == "fail"
+        assert report.verdict == "fail" and report.as_dict()["verdict"] == "fail"
+        assert not report.vacuous
+        trial = verify.SweepTrial.from_report(0, report)
+        assert trial.verdict == "fail" and not trial.vacuous
+        assert trial.as_dict(10)["verdict"] == "fail"
+        assert cli._exit_code(report.verdict) == 1
+        assert cli.main(["verify", "--a", "3", "--c", "3/2", "--ell", "1"]) == 1
+        assert capsys.readouterr().out.endswith("verdict: FAIL\n")
+        # seed 7 draws a = 0, c = 5/2, ell = 1: one root, direct series
+        swept = sweep(1, ell_max=1, seed=7)
+        assert swept.records[0].verdict == "fail"
+        assert swept.failures == 1 and swept.verdict == "fail"
+        assert swept.vacuous_passes == 0
+        assert cli._exit_code(swept.verdict) == 1
+        gosper = gosper_check(Fraction(7, 3), 2)
+        assert not gosper.exact and gosper.verdict == "fail"
+        assert cli._exit_code(gosper.verdict) == 1
+
+    def test_a_vacuous_report_is_one_vacuous_pass(self):
+        # both roots of F(-1/3, -2, -2/3; x) are skipped (no map converges)
+        report = verify_theorem(Fraction(4, 3), Fraction(8, 3), 2)
+        assert report.verdict == "pass" and report.vacuous
+        assert report.skipped_roots == len(report.records) == 2
+        trial = verify.SweepTrial.from_report(0, report)
+        assert trial.vacuous and trial.roots_skipped == trial.roots_total == 2
+        assert trial.skip_reasons == [verify.SKIP_EVAL_FAILED]
+        assert trial.max_residual is None
+        swept = verify.SweepReport(
+            ell_max=2, seed=0, precision=192, tolerance=1e-30, records=[trial]
+        )
+        assert swept.trials == 1 and swept.vacuous_passes == 1
+        assert swept.failures == 0 and swept.verdict == "pass"
+        assert cli._exit_code(report.verdict) == cli._exit_code(swept.verdict) == 0
+
+    def test_no_roots_is_not_a_failure(self):
+        report = verify_theorem(1, Fraction(1, 2), 3)
+        assert report.verdict == "no-roots" and not report.vacuous
+        assert report.skipped_roots == 0 and report.skip_rate == 0.0
+        assert cli._exit_code(report.verdict) == 0
 
 
 class TestReportPrecision:
