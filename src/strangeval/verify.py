@@ -66,7 +66,8 @@ Each rule of a verdict has one owner here:
   passes, or for a constant terminating polynomial reads "no-roots";
   ``VerifyReport`` and ``GosperReport`` derive it themselves;
 - ``VerifyReport.skipped_roots`` counts the skipped roots, and
-  ``VerifyReport.vacuous`` marks a pass at which every root was skipped;
+  ``_vacuous`` marks a pass at which every root was skipped, for a report
+  and for its trial summary alike;
 - a sweep keeps one ``SweepTrial.from_report`` summary per trial and
   reads its counts off them.
 
@@ -285,8 +286,7 @@ class VerifyReport:
 
     @property
     def vacuous(self) -> bool:
-        """A pass at which every root was skipped, so no identity was checked."""
-        return self.verdict == "pass" and self.skipped_roots == len(self.records)
+        return _vacuous(self.verdict, self.skipped_roots, len(self.records))
 
     @property
     def max_residual(self):
@@ -328,6 +328,11 @@ def _residual(lhs, rhs):
 def _passes(residual, tolerance) -> bool:
     """The pass rule of one check: its residual within the tolerance."""
     return residual <= tolerance
+
+
+def _vacuous(verdict: str, skipped: int, total: int) -> bool:
+    """A pass at which every root was skipped, so no identity was checked."""
+    return verdict == "pass" and skipped == total
 
 
 def _check_tolerance(precision: int, tolerance) -> None:
@@ -487,8 +492,7 @@ def _check_both_identities(a, c, ell, q0: Poly, lam, ctx: EvalContext, constants
 
 @dataclass
 class GosperReport:
-    """What ``gosper_check`` found; ``verdict`` is derived as in
-    ``VerifyReport``."""
+    """What ``gosper_check`` found; ``verdict`` is read off its one check."""
 
     a: Fraction
     b: Fraction
@@ -500,11 +504,10 @@ class GosperReport:
     residual: object
     exact: bool
     path: str
-    verdict: str | None = None
 
-    def __post_init__(self):
-        if self.verdict is None:
-            self.verdict = "pass" if _passes(self.residual, self.tolerance) else "fail"
+    @property
+    def verdict(self) -> str:
+        return "pass" if _passes(self.residual, self.tolerance) else "fail"
 
     def as_dict(self) -> dict:
         digits = report_digits(self.precision)
@@ -627,13 +630,15 @@ class SweepTrial:
     roots_skipped: int
     skip_reasons: list
     max_residual: object
-    vacuous: bool
+
+    @property
+    def vacuous(self) -> bool:
+        return _vacuous(self.verdict, self.roots_skipped, self.roots_total)
 
     @classmethod
     def from_report(cls, index: int, report: VerifyReport) -> SweepTrial:
         return cls(
-            index=index, a=report.a, c=report.c, ell=report.ell,
-            verdict=report.verdict, vacuous=report.vacuous,
+            index=index, a=report.a, c=report.c, ell=report.ell, verdict=report.verdict,
             roots_total=len(report.records), roots_skipped=report.skipped_roots,
             skip_reasons=sorted({r.skip_reason for r in report.records if r.skipped}),
             max_residual=report.max_residual,
@@ -692,7 +697,7 @@ class SweepReport:
 
     @property
     def vacuous_passes(self) -> int:
-        """Trials that passed with every root skipped (VerifyReport.vacuous)."""
+        """Trials that passed with every root skipped (``_vacuous``)."""
         return sum(t.vacuous for t in self.records)
 
     def as_dict(self) -> dict:

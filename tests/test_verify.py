@@ -559,8 +559,11 @@ class TestSweep:
         assert report.total_roots == sum(t.roots_total for t in trials)
         assert report.skipped_roots == sum(t.roots_skipped for t in trials) == 1
         assert report.failures == 0 and report.verdict == "pass"
+        assert trials[0].vacuous and report.vacuous_passes == 1
         trials[0] = dataclasses.replace(trials[0], verdict="fail")
         assert report.failures == 1 and report.verdict == "fail"
+        # a failed trial is not a vacuous pass, however many roots it skipped
+        assert not trials[0].vacuous and report.vacuous_passes == 0
 
 
 class TestVerdictRules:
