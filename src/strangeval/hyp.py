@@ -32,6 +32,7 @@ from .poly import Poly, _convolve
 from .scalars import (
     is_integer,
     is_nonpos_integer,
+    nonnegative_int,
     over_common_denominator,
     poch,
     positive_int,
@@ -92,8 +93,7 @@ def _hyp_poly(p: HypParams, order: int) -> Poly:
     upper factor before it tests c + n, so only a pole of c met before
     termination is a parameter error (DLMF 15.2(ii)).
     """
-    if order < 0:
-        raise ParameterError("series order must be >= 0")
+    nonnegative_int(order, "series order")
     # Over the common denominator d of a, b, c (a = A/d, ...) the ratio is
     # ups[n] / downs[n] = (A + n d)(B + n d) / ((C + n d)(n + 1) d), all
     # integers; over prod(downs), c_k has numerator prod(ups[:k]) *
@@ -149,14 +149,17 @@ def euler_transform_series(p: HypParams, order: int) -> TruncatedSeries:
     )
 
 
-def _extract_poly(series: TruncatedSeries, ell: int, what: str) -> Poly:
-    """Assert every coefficient from x^ell through the order vanishes, that
-    is the degree is below ell, and return the polynomial."""
-    p, d = series.poly, series.poly.degree
+def _extract_poly(p, ell: int, what: str, order: int | None = None) -> Poly:
+    """Assert every coefficient of the polynomial ``p`` from x^ell through
+    x^order vanishes, that is its degree is below ell, and return it; a
+    ``TruncatedSeries`` ``p`` gives its polynomial and order."""
+    if order is None:
+        p, order = p.poly, p.order
+    d = p.degree
     if d is not None and d >= ell:
         raise InternalInconsistencyError(
             f"{what}: coefficient of x^{d} is {p.leading_coefficient()}, "
-            f"expected exact 0 (tail must vanish through x^{series.order})"
+            f"expected exact 0 (tail must vanish through x^{order})"
         )
     return p
 
@@ -190,6 +193,7 @@ def q0_r0_by_series(p: HypParams, ell: int, order: int | None = None) -> QRPair:
         raise ParameterError(f"series order {order} too small; need >= ell + 16")
     a, b, c = p.a, p.b, p.c
     one_minus_c = 1 - c
+    pb, pbc = poch(b, ell), poch(b + 1 - c, ell)
 
     f1 = _hyp_poly(HypParams(c - a, c - b - ell, c), order)
     f4 = _hyp_poly(HypParams(1 - a, 1 - b - ell, 2 - c), order)
@@ -199,13 +203,13 @@ def q0_r0_by_series(p: HypParams, ell: int, order: int | None = None) -> QRPair:
     f6 = _hyp_poly(HypParams(a + 1, b + 1, c + 1), order)
 
     q0 = _combination(
-        -poch(b, ell) / one_minus_c, _product(f1, g2, order),
-        poch(b + 1 - c, ell) / one_minus_c, _product(f3, f4, order),
+        -pb / one_minus_c, _product(f1, g2, order),
+        pbc / one_minus_c, _product(f3, f4, order),
         order, ell, "q0 series combination",
     )
     r0 = _combination(
-        poch(b, ell), _product(f1, g5, order),
-        -a * b * poch(b + 1 - c, ell) / (c * one_minus_c), _product(f6, f4, order, 1),
+        pb, _product(f1, g5, order),
+        -a * b * pbc / (c * one_minus_c), _product(f6, f4, order, 1),
         order, ell, "r0 series combination",
     )
     return QRPair(q0, r0, ell)
@@ -228,7 +232,7 @@ def _combination(s: Fraction, fg: tuple, t: Fraction, uv: tuple, order: int,
     den = math.lcm(dp, dq)
     m, n = s.numerator * (den // dp), t.numerator * (den // dq)
     combo = Poly.from_numerators([m * x + n * y for x, y in zip(p, q)], den)
-    return _extract_poly(TruncatedSeries.from_poly(combo, order), ell, what)
+    return _extract_poly(combo, ell, what, order)
 
 
 def q0_by_reversal(p: HypParams, ell: int) -> Poly:

@@ -146,7 +146,7 @@ from .errors import (
 )
 from .hyp import HypParams, terminating_poly
 from .poly import Poly
-from .scalars import over_common_denominator, rational
+from .scalars import over_common_denominator, rational, rising_product
 
 GUARD_BITS = 32
 # The working precision is the context precision plus WORK_BITS: gamma
@@ -461,21 +461,17 @@ def _taylor_sum(xp: int, q: int, coeffs) -> int:
 def _gamma_taylor(p: int, q: int, m: int, ctx: EvalContext):
     """Gamma(p/q) for m = round(p/q) within ``_TAYLOR_SHIFT`` of 1, as
     Gamma(1+x) R with x = p/q - m in [-1/2, 1/2] and n = m - 1:
-    R = (1+x)_n = (z-1) ... (z-n) for n >= 0 and 1/(z)_(-n) for n < 0,
-    the exact rational num/den of integers, so that
+    R = (1+x)_n = (z-n)_n for n >= 0 and 1/(z)_(-n) for n < 0, the exact
+    rational num/den with the integer ``rising_product`` on one side and a
+    power of q on the other, so that
     Gamma = num 2^wbits / (den S), S = 2^wbits / Gamma(1+x) from
     ``_taylor_sum``, rounded once to precision + WORK_BITS bits."""
     wbits, coeffs = _taylor_table(ctx.precision)
     n = m - 1
-    num = den = 1
     if n >= 0:
-        for i in range(1, n + 1):
-            num *= p - i * q
-        den = q**n
+        num, den = rising_product(p - n * q, q, n), q**n
     else:
-        for i in range(-n):
-            den *= p + i * q
-        num = q**-n
+        num, den = q**-n, rising_product(p, q, -n)
     s = _taylor_sum(p - m * q, q, coeffs)
     prec = ctx.precision + WORK_BITS
     value = mpf_div(from_man_exp(num, wbits), from_int(den * s), prec, round_nearest)

@@ -299,7 +299,7 @@ def _repack(p0: Poly, dx: Fraction, d1mx: Fraction) -> Poly:
         raise InternalInconsistencyError(
             f"remainder exponents off pattern by x^{dx} (1-x)^{d1mx}"
         )
-    return p0.shift_up(int(dx)) * Poly((1, -1)) ** int(d1mx)
+    return p0.mul_factors(int(dx), int(d1mx))
 
 
 def factor_remainder(q: RatFunc, r: RatFunc, ell: int) -> FactoredRemainder:
@@ -406,7 +406,7 @@ def genericity_flags(p: HypParams, ell: int) -> GenericityFlags:
         e2p = False
         note = "E2' denominator vanishes (a = 0 or c-b-1 = 0)"
     else:
-        e2p = poch(b + 1, 0) / a - poch(c - a, 0) / (c - b - 1) != 0
+        e2p = 1 / a - 1 / (c - b - 1) != 0
     return GenericityFlags(
         a1=details["a"] and details["b"] and details["c-a"] and details["c-b"],
         a2=details["c"] and details["c-a-b"] and details["a-b"],

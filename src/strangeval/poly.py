@@ -8,19 +8,25 @@ division and gcd are pseudo-division on the numerators.  Zero is
 ``nums == ()``, ``den == 1``, with ``degree is None`` (a sentinel rather
 than -1, so degree arithmetic cannot treat zero as an ordinary
 polynomial); ``coeffs`` hands out Fractions.  ``RatFunc`` stores
-P / (x^i (1-x)^j) as the tuple (P, i, j), cancelling common x and 1-x
-factors by exact division, so its arithmetic never takes a gcd; any other
-denominator is refused at construction.  Both are immutable.
+P / (x^i (1-x)^j) as the tuple (P, i, j), and any other denominator is
+refused at construction.  Its x and 1-x factors never go through general
+division: ``exponent_split`` reads the power of x from the leading zero
+numerators, finds a factor 1-x exactly when the numerators sum to 0 and
+divides it out by prefix sums, and ``Poly.mul_factors`` restores
+x^s (1-x)^k by s leading zeros and k rounds of differences; so a
+``RatFunc`` never divides polynomials or takes their gcd.  Both are
+immutable.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, chain
 from typing import Iterable
 
 from .errors import InternalInconsistencyError, UnsupportedOperatorError
-from .scalars import rational
+from .scalars import format_rational, rational
 
 
 class Poly:
@@ -202,11 +208,15 @@ class Poly:
             out = out * x + n
         return out * Fraction(1, self.den)
 
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if k < 0:
-            raise ValueError("negative shift; use shift_down")
-        return Poly.from_numerators((0,) * k + self.nums, self.den)
+    def mul_factors(self, s: int, k: int) -> "Poly":
+        """x^s (1-x)^k times self: k rounds of differences of the
+        numerators, n_i - n_(i-1), then s leading zeros."""
+        if s < 0 or k < 0:
+            raise ValueError("negative power of x or 1-x; use exponent_split")
+        nums = self.nums
+        for _ in range(k):
+            nums = [a - b for a, b in zip(chain(nums, (0,)), chain((0,), nums))]
+        return Poly.from_numerators([0] * s + list(nums), self.den)
 
     def shift_down(self, k: int) -> "Poly":
         """Divide by x^k; requires the low k coefficients to vanish."""
@@ -222,7 +232,7 @@ class Poly:
             if c == 0:
                 continue
             if i == 0:
-                term = _frac_str(c)
+                term = format_rational(c)
             else:
                 xpow = "x" if i == 1 else f"x^{i}"
                 if c == 1:
@@ -230,7 +240,7 @@ class Poly:
                 elif c == -1:
                     term = f"-{xpow}"
                 else:
-                    term = f"{_frac_str(c)}*{xpow}"
+                    term = f"{format_rational(c)}*{xpow}"
             parts.append(term)
         out = parts[0]
         for term in parts[1:]:
@@ -293,29 +303,30 @@ def _pseudo_divmod(a, b):
 ONE_MINUS_X = Poly((1, -1))
 
 
-def exponent_split(p: Poly):
-    """Write a nonzero ``p`` as x^i (1-x)^j rest with rest(0) rest(1) != 0.
+def exponent_split(p: Poly, i=math.inf, j=math.inf):
+    """Write a nonzero ``p`` as x^s (1-x)^t rest with s <= i, t <= j and,
+    short of a bound, rest(0) rest(1) != 0.
 
-    Returns (i, j, rest); ``rest`` has degree 0 exactly when p has no
+    Returns (s, t, rest), on the numerators: s counts the leading zeros, a
+    factor 1-x is there when the numerators sum to 0 (rest(1) = 0), and
+    rest / (1-x) has the prefix sums as numerators, over the same
+    denominator.  Unbounded, ``rest`` has degree 0 exactly when p has no
     irreducible factor besides x and 1-x."""
-    i = p.valuation_at_zero()
-    rest = p.shift_down(i)
-    j = 0
-    while rest(1) == 0:
-        rest = rest.exact_div(ONE_MINUS_X)
-        j += 1
-    return i, j, rest
-
-
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    s = min(p.valuation_at_zero(), i)
+    rest, t = p.nums[s:], 0
+    while t < j and not sum(rest):
+        rest, t = list(accumulate(rest))[:-1], t + 1
+    return s, t, Poly.from_numerators(rest, p.den) if s or t else p
 
 
 class RatFunc:
     """poly / (x^i (1-x)^j), the only coefficient shape operators need.
 
     Normal form: poly(0) != 0 when i > 0, poly(1) != 0 when j > 0, and
-    zero is (0, 0, 0), so equal functions have equal tuples.
+    zero is (0, 0, 0), so equal functions have equal tuples.  Every
+    operation keeps it with ``exponent_split`` bounded by (i, j), which
+    strips common factors off the numerators, and ``Poly.mul_factors``,
+    which lifts a numerator to larger exponents; neither divides.
     """
 
     __slots__ = ("poly", "i", "j")
@@ -362,7 +373,7 @@ class RatFunc:
     @property
     def den(self) -> Poly:
         """The monic denominator x^i (x-1)^j."""
-        return (Poly((-1, 1)) ** self.j).shift_up(self.i)
+        return Poly(((-1) ** self.j,)).mul_factors(self.i, self.j)
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
@@ -380,7 +391,7 @@ class RatFunc:
 
     def _lift(self, i: int, j: int) -> Poly:
         """The numerator over x^i (1-x)^j, for i >= self.i and j >= self.j."""
-        return self.poly.shift_up(i - self.i) * ONE_MINUS_X ** (j - self.j)
+        return self.poly.mul_factors(i - self.i, j - self.j)
 
     def __add__(self, other):
         if not isinstance(other, RatFunc):
@@ -407,7 +418,7 @@ class RatFunc:
         """(x(1-x) P' - (i - (i+j) x) P) / (x^(i+1) (1-x)^(j+1))."""
         i, j, p = self.i, self.j, self.poly
         return RatFunc._of(
-            _X_ONE_MINUS_X * p.derivative() - Poly((i, -(i + j))) * p, i + 1, j + 1
+            p.derivative().mul_factors(1, 1) - Poly((i, -(i + j))) * p, i + 1, j + 1
         )
 
     def __str__(self) -> str:
@@ -419,16 +430,9 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-_X_ONE_MINUS_X = Poly((0, 1, -1))
-
-
 def _normal_form(poly: Poly, i: int, j: int):
     """Cancel the x and 1-x factors poly shares with x^i (1-x)^j."""
     if poly.is_zero():
         return poly, 0, 0
-    v = min(i, poly.valuation_at_zero())
-    if v:
-        poly, i = poly.shift_down(v), i - v
-    while j and poly(1) == 0:
-        poly, j = poly.exact_div(ONE_MINUS_X), j - 1
-    return poly, i, j
+    s, t, rest = exponent_split(poly, i, j)
+    return rest, i - s, j - t

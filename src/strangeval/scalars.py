@@ -3,10 +3,13 @@
 Everything exact in this package is computed over ``fractions.Fraction``,
 which already guarantees lowest terms and a positive denominator.  This
 module states the exact-input rule (``rational``), which every entry
-taking a rational parameter applies, and the count rule
-(``positive_int``), and adds the recurring idioms: rising factorials,
-integer membership tests, the integer form of rationals over their common
-denominator, and the "p/q" string form of the CLI.
+taking a rational parameter applies, and the two count rules
+(``positive_int``, ``nonnegative_int``), and adds the recurring idioms:
+the rising factorial, once on integers (``rising_product``, the
+p (p+q) ... (p+(n-1)q) that ``poch`` divides by q^n once and the gamma
+shift reads directly), integer membership tests, the integer form of
+rationals over their common denominator, and the "p/q" string form of the
+CLI.
 """
 
 from __future__ import annotations
@@ -35,15 +38,27 @@ def positive_int(n, name: str) -> int:
     return n
 
 
+def nonnegative_int(n, name: str) -> int:
+    """n when it is an int >= 0, else ``ParameterError`` naming it ``name``."""
+    if not isinstance(n, int) or n < 0:
+        raise ParameterError(f"{name} must be a nonnegative integer, got {n}")
+    return n
+
+
+def rising_product(p: int, q: int, n: int) -> int:
+    """p (p+q) ... (p+(n-1)q), the integer q^n (p/q)_n; 1 for n = 0."""
+    out = 1
+    for k in range(n):
+        out *= p + k * q
+    return out
+
+
 def poch(a, n: int) -> Fraction:
     """Rising factorial a(a+1)...(a+n-1); the empty product 1 for n = 0."""
-    if n < 0:
-        raise ValueError("pochhammer index must be a natural number")
+    n = nonnegative_int(n, "Pochhammer index")
     a = rational(a, "Pochhammer base")
-    out = Fraction(1)
-    for k in range(n):
-        out *= a + k
-    return out
+    q = a.denominator
+    return Fraction(rising_product(a.numerator, q, n), q**n)
 
 
 def is_integer(x) -> bool:

@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .errors import InternalInconsistencyError
 from .poly import Poly
-from .scalars import rational
+from .scalars import nonnegative_int, rational
 
 
 class TruncatedSeries:
@@ -33,15 +33,13 @@ class TruncatedSeries:
         cs = list(coeffs)
         if order is None:
             order = len(cs) - 1
-        if order < 0:
-            raise ValueError("series order must be >= 0")
+        order = nonnegative_int(order, "series order")
         self.poly, self.order = Poly(cs[: order + 1]), order
 
     @classmethod
     def from_poly(cls, p: Poly, order: int) -> "TruncatedSeries":
         """p cut after x^order."""
-        if order < 0:
-            raise ValueError("series order must be >= 0")
+        order = nonnegative_int(order, "series order")
         s = object.__new__(cls)
         s.poly = p if len(p.nums) <= order + 1 else p.truncate(order)
         s.order = order
@@ -106,9 +104,14 @@ class TruncatedSeries:
         n = self.order + (p.valuation_at_zero() if p else 0)
         return TruncatedSeries.from_poly(self.poly.mul_trunc(p, n), n)
 
+    def mul_factors(self, s: int, k: int) -> "TruncatedSeries":
+        """Multiply by x^s (1-x)^k (``Poly.mul_factors``); knowledge
+        extends to order + s."""
+        return TruncatedSeries.from_poly(self.poly.mul_factors(s, k), self.order + s)
+
     def shift_up(self, k: int) -> "TruncatedSeries":
         """Multiply by x^k; knowledge extends to order + k."""
-        return TruncatedSeries.from_poly(self.poly.shift_up(k), self.order + k)
+        return self.mul_factors(k, 0)
 
     def shift_down(self, k: int) -> "TruncatedSeries":
         """Divide by x^k; requires the low k coefficients to vanish."""
@@ -175,10 +178,10 @@ class GenSeries:
         """d/dx of x^mu (1-x)^nu f = x^(mu-1) (1-x)^(nu-1) *
         [mu (1-x) f - nu x f + x (1-x) f']."""
         f = self.body
-        bracket = f.mul_poly(Poly((1, -1))).scale(self.mu)
+        bracket = f.mul_factors(0, 1).scale(self.mu)
         bracket = bracket + f.shift_up(1).scale(-self.nu)
         if f.order >= 1:
-            bracket = bracket + f.derivative().mul_poly(Poly((0, 1, -1)))
+            bracket = bracket + f.derivative().mul_factors(1, 1)
         return GenSeries(self.mu - 1, self.nu - 1, bracket)
 
     def __add__(self, other: "GenSeries") -> "GenSeries":
@@ -193,12 +196,8 @@ class GenSeries:
                 "cannot add generalized series with non-integer exponent gap"
             )
         mu, nu = min(self.mu, other.mu), min(self.nu, other.nu)
-        a = self.body.shift_up(int(self.mu - mu))
-        b = other.body.shift_up(int(other.mu - mu))
-        if self.nu != nu:
-            a = a.mul_poly(Poly((1, -1)) ** int(self.nu - nu))
-        if other.nu != nu:
-            b = b.mul_poly(Poly((1, -1)) ** int(other.nu - nu))
+        a = self.body.mul_factors(int(self.mu - mu), int(self.nu - nu))
+        b = other.body.mul_factors(int(other.mu - mu), int(other.nu - nu))
         return GenSeries(mu, nu, a + b)
 
     def matches(self, other: "GenSeries", through: int | None = None) -> bool:
@@ -216,9 +215,9 @@ class GenSeries:
         if dnu.denominator != 1:
             return False
         if dnu > 0:
-            a = GenSeries(a.mu, b.nu, a.body.mul_poly(Poly((1, -1)) ** int(dnu)))
+            a = GenSeries(a.mu, b.nu, a.body.mul_factors(0, int(dnu)))
         elif dnu < 0:
-            b = GenSeries(b.mu, a.nu, b.body.mul_poly(Poly((1, -1)) ** int(-dnu)))
+            b = GenSeries(b.mu, a.nu, b.body.mul_factors(0, int(-dnu)))
         return a.body.matches(b.body, through)
 
     def __str__(self) -> str:

@@ -121,7 +121,8 @@ from .operators import (  # noqa: F401
     right_reduce,
 )
 from .poly import Poly
-from .scalars import format_rational, is_integer, poch, positive_int, rational
+from .scalars import (format_rational, is_integer, is_nonpos_integer, poch,
+                      positive_int, rational)
 
 CHECK_SHIFTED = "F(a,1+l,c)"
 CHECK_REFLECTED = "F(c-a,c-1-l,c)"
@@ -549,7 +550,7 @@ def gosper_check(a, b, precision: int = 192, tolerance: float = 1e-30) -> Gosper
         raise ParameterError("a + b must be nonzero")
     z = b / (a + b)
     ctx = EvalContext(precision)
-    exact = is_integer(1 - a) and 1 - a <= 0
+    exact = is_nonpos_integer(1 - a)
     if exact:
         lhs = terminating_poly(HypParams(b, 1 - a, b + 2))(z)
         rhs = (b + 1) * (a / (a + b)) ** int(a)

@@ -388,6 +388,32 @@ class TestGammaTaylorPath:
         gamma_c(Fraction(-(2**30 + 1), 7), ctx)
         assert {"exp", "log", "sinpi"} <= set(calls)
 
+    def test_bits_pinned(self):
+        """240 seeded arguments with round(z) - 1 from -K - 2 to K + 2, both
+        signs of the shift, K itself and Spouge's side past it, give the
+        pinned bits at 64 and 192 bits."""
+        k = _TAYLOR_SHIFT
+        rng = random.Random(2029)
+        args = []
+        while len(args) < 240:
+            q = rng.randint(1, 40)
+            n = rng.choice((rng.randint(-k - 2, k + 2), rng.randint(-6, 6),
+                            rng.choice((-k - 1, -k, k, k + 1))))
+            z = Fraction((n + 1) * q + rng.randint(-(q // 2), q // 2), q)
+            if not (z.denominator == 1 and z <= 0):
+                args.append(z)
+        shifts = [round(z) - 1 for z in args]
+        assert sum(n > 0 for n in shifts) == 125 and sum(n < 0 for n in shifts) == 107
+        assert sum(abs(n) == k for n in shifts) == 42
+        assert sum(abs(n) > k for n in shifts) == 46
+        digest = hashlib.sha256()
+        for precision in (64, 192):
+            ctx = EvalContext(precision)
+            for z in args:
+                sign, man, exp, bc = gamma_c(z, ctx)._mpf_
+                digest.update(f"{z} {precision} {sign} {int(man)} {exp} {bc}\n".encode())
+        assert digest.hexdigest()[:16] == "bc004688cf11c6c8"
+
 
 class TestHyp2F1:
     def test_value_at_zero(self):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -190,3 +191,68 @@ class TestRatFunc:
             (f.derivative(), sympy.diff(F, X_SYM)),
         ):
             assert (ours.num, ours.den) == sympy_num_den(expr)
+
+
+def _split_by_division(p: Poly, i=None, j=None):
+    """exponent_split by the general route: shift_down for x, exact_div by
+    1-x while the value at 1 is 0, each stopped at its bound."""
+    s = p.valuation_at_zero() if i is None else min(i, p.valuation_at_zero())
+    rest, t = p.shift_down(s), 0
+    while (j is None or t < j) and rest(1) == 0:
+        rest, t = rest.exact_div(ONE_MINUS_X), t + 1
+    return s, t, rest
+
+
+def _seeded_factored_polys(seed: int, count: int):
+    """(x^s (1-x)^t core, s, t) with s, t in 0..4 and core(0) core(1) != 0,
+    cores with integer and with rational coefficients."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        den = 1 if len(out) % 2 else rng.randint(2, 12)
+        core = Poly([Fraction(rng.randint(-30, 30), den) for _ in range(rng.randint(1, 7))])
+        if core.is_zero() or core(0) == 0 or core(1) == 0:
+            continue
+        s, t = rng.randint(0, 4), rng.randint(0, 4)
+        out.append((core * Poly.x() ** s * ONE_MINUS_X**t, s, t))
+    return out
+
+
+class TestFactorsOnNumerators:
+    """exponent_split (leading zeros, numerator sum, prefix sums) and
+    mul_factors (rounds of differences) against the general route."""
+
+    def test_split_matches_division(self):
+        rng = random.Random(7)
+        for p, s, t in _seeded_factored_polys(7, 400):
+            assert exponent_split(p) == _split_by_division(p)
+            assert exponent_split(p)[:2] == (s, t)
+            i, j = rng.randint(0, 5), rng.randint(0, 5)
+            assert exponent_split(p, i, j) == _split_by_division(p, i, j), (p, i, j)
+            assert exponent_split(p, i, j)[:2] == (min(s, i), min(t, j))
+
+    def test_split_leaves_canonical_fields(self):
+        for p, _, _ in _seeded_factored_polys(11, 200):
+            rest = exponent_split(p)[2]
+            assert (rest.nums, rest.den) == (Poly(rest.coeffs).nums, Poly(rest.coeffs).den)
+
+    def test_mul_factors_matches_powers(self):
+        rng = random.Random(13)
+        for p, _, _ in _seeded_factored_polys(13, 300):
+            s, k = rng.randint(0, 4), rng.randint(0, 4)
+            assert p.mul_factors(s, k) == p * Poly.x() ** s * ONE_MINUS_X**k, (p, s, k)
+        assert Poly.zero().mul_factors(2, 3) == Poly.zero()
+
+    def test_ratfunc_normal_form_matches_division(self):
+        rng = random.Random(17)
+        for p, _, _ in _seeded_factored_polys(17, 300):
+            i, j = rng.randint(0, 5), rng.randint(0, 5)
+            f = RatFunc._of(p, i, j)
+            s, t, rest = _split_by_division(p, i, j)
+            assert (f.poly, f.i, f.j) == (rest, i - s, j - t)
+            assert f.den == Poly.x() ** (i - s) * Poly((-1, 1)) ** (j - t)
+
+    def test_mul_factors_refuses_negative_powers(self):
+        for s, k in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="negative power"):
+                Poly((1, 2)).mul_factors(s, k)

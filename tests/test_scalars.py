@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,19 +6,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strangeval.errors import ParameterError
-from strangeval.hyp import HypParams, binomial_series
+from strangeval.hyp import (
+    HypParams,
+    binomial_series,
+    euler_transform_series,
+    hyp_series,
+    q0_r0_by_series,
+)
 from strangeval.operators import build_H
 from strangeval.poly import Poly
 from strangeval.scalars import (
     format_rational,
     is_integer,
     is_nonpos_integer,
+    nonnegative_int,
     parse_rational,
     poch,
     positive_int,
     rational,
+    rising_product,
 )
 from strangeval.series import GenSeries, TruncatedSeries
+from strangeval.verify import compute_q0_all_methods, incomplete_beta_check
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=20)
 
@@ -99,3 +109,52 @@ def test_positive_int():
     for n in (0, -2, 1.5, 2.0, Fraction(3)):
         with pytest.raises(ParameterError, match="n must be a positive integer"):
             positive_int(n, "n")
+
+
+def test_nonnegative_int():
+    assert nonnegative_int(0, "n") == 0 and nonnegative_int(4, "n") == 4
+    for n in (-1, 1.5, 2.0, Fraction(3)):
+        with pytest.raises(ParameterError, match="n must be a nonnegative integer"):
+            nonnegative_int(n, "n")
+
+
+def test_non_int_counts_are_parameter_errors():
+    # a series order or Pochhammer index that is not an int is refused by
+    # the count rule, never met as a TypeError inside range()
+    p = HypParams(Fraction(1, 3), 1, Fraction(5, 7))
+    for call in (
+        lambda: hyp_series(p, 2.5),
+        lambda: binomial_series(Fraction(1, 2), 2.5),
+        lambda: euler_transform_series(p, 2.5),
+        lambda: q0_r0_by_series(p, 3, 40.5),
+        lambda: compute_q0_all_methods(Fraction(1, 3), Fraction(5, 7), 3, 40.0),
+        lambda: incomplete_beta_check(2, 3, Fraction(1, 2), order=2.5),
+        lambda: TruncatedSeries((1, 2, 3), 2.5),
+        lambda: TruncatedSeries.from_poly(Poly((1, 2)), -1),
+        lambda: hyp_series(p, -1),
+        lambda: poch(Fraction(1, 2), 2.5),
+        lambda: poch(1, -1),
+    ):
+        with pytest.raises(ParameterError, match="must be a nonnegative integer"):
+            call()
+
+
+def _rising_by_fractions(a: Fraction, n: int) -> Fraction:
+    out = Fraction(1)
+    for k in range(n):
+        out *= a + k
+    return out
+
+
+def test_rising_product_and_poch_match_a_fraction_loop():
+    rng = random.Random(29)
+    bases = [Fraction(0), Fraction(-3), Fraction(5), Fraction(-7, 2), Fraction(1, 3)]
+    bases += [Fraction(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(300)]
+    for a in bases:
+        for n in (0, 1, 2, rng.randint(3, 60)):
+            want = _rising_by_fractions(a, n)
+            q = a.denominator
+            assert rising_product(a.numerator, q, n) == want * q**n, (a, n)
+            assert poch(a, n) == want, (a, n)
+    assert rising_product(-3, 1, 5) == 0 and rising_product(-3, 1, 3) == -6
+    assert rising_product(1, 2, 3) == 15  # (1/2)_3 2^3 = 1 3 5

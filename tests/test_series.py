@@ -53,6 +53,11 @@ class TestTruncatedSeries:
         g = f.mul_poly(Poly((0, 1)))  # times x
         assert g.order == 3 and g.coeffs == (0, 1, 1, 1)
 
+    @given(series_strategy, st.integers(0, 4), st.integers(0, 4))
+    def test_mul_factors_matches_mul_poly(self, f, s, k):
+        x_s = Poly((0,) * s + (1,))
+        assert f.mul_factors(s, k) == f.mul_poly(x_s * Poly((1, -1)) ** k)
+
     def test_truncate(self):
         f = TruncatedSeries((1, 2, 3), 2)
         assert f.truncate(1).coeffs == (1, 2)
