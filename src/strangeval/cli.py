@@ -37,8 +37,8 @@ from .errors import (
     NonConvergenceError,
     ParameterError,
 )
-from .hyp import HypParams, series_order, terminating_poly
-from .numeric import KNOWN_PATHS, EvalContext, find_roots, hyp2f1_num
+from .hyp import HypParams, _check_ell, series_order, terminating_poly
+from .numeric import KNOWN_PATHS, WORK_BITS, EvalContext, find_roots, hyp2f1_num
 from .operators import (
     build_H,
     build_L,
@@ -341,7 +341,10 @@ def _cmd_eval(args) -> int:
     ctx = EvalContext(args.precision)
     z = args.z
     if isinstance(z, tuple):
-        zval = ctx.mp.mpc(ctx.to_mp(z[0]), ctx.to_mp(z[1]))
+        # rounded where ``hyp2f1_num`` rounds a rational z, at its working
+        # precision, so the estimate covers the rounding of z
+        with ctx.workprec(WORK_BITS):
+            zval = ctx.mp.mpc(ctx.to_mp(z[0]), ctx.to_mp(z[1]))
         zstr = f"{format_rational(z[0])},{format_rational(z[1])}"
     else:
         zval = z
@@ -378,7 +381,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_roots(args) -> int:
+    given = [f"--{n}" for n in ("a", "c", "ell") if getattr(args, n) is not None]
     if args.coeffs is not None:
+        if given:
+            raise ParameterError(f"--coeffs excludes {'/'.join(given)}")
         try:
             coeffs = [parse_rational(t) for t in args.coeffs.split(",")]
         except ValueError as exc:
@@ -388,9 +394,9 @@ def _cmd_roots(args) -> int:
             raise ParameterError("every x is a root of the zero polynomial")
         source = f"coefficients {args.coeffs}"
     else:
-        if args.a is None or args.c is None or args.ell is None:
+        if len(given) < 3:
             raise ParameterError("roots needs either --coeffs or --a/--c/--ell")
-        poly = terminating_poly(HypParams(1 - args.a, -args.ell, 2 - args.c))
+        poly = terminating_poly(HypParams(1 - args.a, -_check_ell(args.ell), 2 - args.c))
         source = (
             f"F(1-a, -ell, 2-c; x) at a={format_rational(args.a)} "
             f"c={format_rational(args.c)} ell={args.ell}"

@@ -17,6 +17,12 @@ denominator with the Pochhammer factors as integer multipliers, asserts the
 tail on those integers, and canonicalises only the polynomial it returns;
 the reversal route convolves its two series the same way and reverses the
 head.
+
+Where a 2F1 sum ends is stated once, by ``series_end`` on the integer
+numerators of its parameters over one denominator: at the first vanishing
+upper factor, with a pole of c met before that end a ``ParameterError``.
+The exact series here and every map of the numeric engine
+(``numeric.hyp2f1_num``) read it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .errors import InternalInconsistencyError, ParameterError
 from .poly import Poly, _convolve
 from .scalars import (
     is_integer,
-    is_nonpos_integer,
     nonnegative_int,
     over_common_denominator,
     poch,
@@ -83,33 +88,51 @@ def _check_ell(ell: int) -> int:
     return positive_int(ell, "contiguity order")
 
 
+def vanishes_at(x: int, d: int):
+    """The index k >= 0 at which the factor (x/d + k), d > 0, is zero, when
+    x/d is a nonpositive integer, else None."""
+    return -x // d if x <= 0 and not x % d else None
+
+
+def series_end(A: int, B: int, C: int, d: int, order: int | None = None):
+    """Where the sum F(A/d, B/d, C/d; x), d > 0, ends: the first index k
+    with (a+k)(b+k) = 0, after which every coefficient is zero, or None.
+
+    This is the one statement of the termination and pole rules
+    (DLMF 15.2(ii)): the coefficient of x^(k+1) divides by c + k, so a
+    pole c + k = 0 met before the sum ends, and before ``order`` when one
+    is given, raises ``ParameterError``; one at or past the end is never
+    reached."""
+    ka, kb, kc = vanishes_at(A, d), vanishes_at(B, d), vanishes_at(C, d)
+    end = kb if ka is None or kb is not None and kb < ka else ka
+    if kc is not None and (end is None or kc < end) and (order is None or kc < order):
+        raise ParameterError(
+            f"lower parameter c = {Fraction(C, d)} is a nonpositive integer "
+            "and the series does not terminate before the pole"
+        )
+    return end
+
+
 def _hyp_poly(p: HypParams, order: int) -> Poly:
     """F(a, b, c; x) through x^order, as its canonical integer numerators
     over one denominator.
 
-    Coefficients follow c_{n+1} = c_n (a+n)(b+n) / ((c+n)(n+1)).  If a or b
-    is a nonpositive integer the series terminates and the trailing
-    coefficients are exactly zero.  The sum stops at the first vanishing
-    upper factor before it tests c + n, so only a pole of c met before
-    termination is a parameter error (DLMF 15.2(ii)).
+    Coefficients follow c_(k+1) = c_k (a+k)(b+k) / ((c+k)(k+1)).  The sum
+    ends where ``series_end`` ends it, so the coefficients past a
+    vanishing upper factor are exactly zero, and only a pole of c met
+    before that end is a parameter error.
     """
     nonnegative_int(order, "series order")
     # Over the common denominator d of a, b, c (a = A/d, ...) the ratio is
-    # ups[n] / downs[n] = (A + n d)(B + n d) / ((C + n d)(n + 1) d), all
-    # integers; over prod(downs), c_k has numerator prod(ups[:k]) *
-    # prod(downs[k:]), a prefix times a suffix product.
+    # ups[k] / downs[k] = (A + k d)(B + k d) / ((C + k d)(k + 1) d), all
+    # integers, none of the n downs zero; over prod(downs), c_k has
+    # numerator prod(ups[:k]) * prod(downs[k:]), a prefix times a suffix
+    # product.
     (A, B, C), d = over_common_denominator(p.a, p.b, p.c)
-    ups, downs = [], []
-    for n in range(order):
-        up = (A + n * d) * (B + n * d)
-        if not up:
-            break
-        if C + n * d == 0:
-            raise ParameterError(
-                f"lower parameter pole: c = {p.c} reaches zero at term {n + 1}"
-            )
-        ups.append(up)
-        downs.append((C + n * d) * (n + 1) * d)
+    end = series_end(A, B, C, d, order)
+    n = order if end is None else min(end, order)
+    ups = [(A + k * d) * (B + k * d) for k in range(n)]
+    downs = [(C + k * d) * (k + 1) * d for k in range(n)]
     prefix = accumulate(ups, mul, initial=1)
     suffix = list(accumulate(reversed(downs), mul, initial=1))[::-1]
     return Poly.from_numerators([u * v for u, v in zip(prefix, suffix)], suffix[0])
@@ -129,15 +152,18 @@ def binomial_series(alpha, order: int) -> TruncatedSeries:
 
 
 def terminating_poly(p: HypParams) -> Poly:
-    """Exact polynomial F(a, -m, c; x) for nonpositive-integer b = -m.
+    """Exact polynomial F(a, b, c; x) when a or b is a nonpositive integer,
+    in either slot.
 
-    The degree is at most m, and exactly m iff (a, m) != 0.  The sum stops
-    where a or b ends it, and a pole of c is ``_hyp_poly``'s rule, so
-    F(-1, -3, -1; x) = F(-3, -1, -1; x) = 1 - 3x.
+    The sum ends at the first k with (a+k)(b+k) = 0 (``series_end``), so
+    the degree is at most k, and a pole of c met before that end raises
+    ``ParameterError``: F(-1, -3, -1; x) = F(-3, -1, -1; x) = 1 - 3x.
     """
-    if not is_nonpos_integer(p.b):
-        raise ParameterError(f"second parameter {p.b} is not a nonpositive integer")
-    return _hyp_poly(p, -int(p.b))
+    (A, B, C), d = over_common_denominator(p.a, p.b, p.c)
+    end = series_end(A, B, C, d)
+    if end is None:
+        raise ParameterError(f"neither upper parameter {p.a}, {p.b} is a nonpositive integer")
+    return _hyp_poly(p, end)
 
 
 def euler_transform_series(p: HypParams, order: int) -> TruncatedSeries:

@@ -13,14 +13,18 @@ and never leaks through global state.  Conventions that matter:
   integers from z's dyadic components (only their mantissas squared):
   the maps' squared moduli are N0, N0/N1 and min(N1, N1/N0), compared
   exactly by cross-multiplication, and give the term budgets as doubles.
-  A table entry holds the term count when the map's series terminates;
-  the Pfaff argument z/(z-1) is computed only for a Pfaff map taken.  The
-  table holds only the maps defined at the input: the Pfaff maps and the
-  connection need z != 1 and c not a nonpositive integer, and a forced
-  method outside the table raises ``ParameterError``.  A terminating sum
-  is the table's direct map, with that map's error.  Of the two Pfaff
-  maps the path choice takes the one whose series grows slower, the one
-  that keeps the smaller of a and b;
+  A table entry holds where the map's series ends, by the one rule of
+  ``hyp.series_end`` (pfaff-a sums F(a, c-b; c; w), so a or c-b ends it,
+  and pfaff-b F(b, c-a; c; w)); the Pfaff argument z/(z-1) is computed
+  only for a Pfaff map taken.  The table holds only the maps defined at
+  the input: the Pfaff maps and the connection need z != 1 and c not a
+  nonpositive integer, and a forced method outside the table raises
+  ``ParameterError``.  One call, ``_Argument.least``, takes the forced
+  map, else the first map whose series ends, else the direct series at
+  |z| <= 0.7, else the map of least modulus, and sizes that map's term
+  budget.  A terminating sum is the table's direct map, with that map's
+  error.  Of the two Pfaff maps the choice by modulus takes the one whose
+  series grows slower, the one that keeps the smaller of a and b;
 * every fractional power takes the principal branch (log with imaginary
   part in (-pi, pi]); arguments on [1, oo) are rejected, not guessed;
 * a sum that terminates at a rational argument is evaluated exactly, by
@@ -144,7 +148,7 @@ from .errors import (
     NonConvergenceError,
     ParameterError,
 )
-from .hyp import HypParams, terminating_poly
+from .hyp import HypParams, series_end, terminating_poly, vanishes_at
 from .poly import Poly
 from .scalars import over_common_denominator, rational, rising_product
 
@@ -229,12 +233,6 @@ class EvalContext:
         if isinstance(x, complex):
             return self.mp.mpc(x.real, x.imag)
         return self.mp.convert(x)
-
-
-def _vanishes_at(x: int, den: int):
-    """The index k >= 0 at which the factor (x/den + k) is zero, when x/den
-    is a nonpositive integer, else None."""
-    return -x // den if x <= 0 and not x % den else None
 
 
 def _lowest(*xs) -> tuple:
@@ -954,16 +952,26 @@ class _Argument:
             return self.n1, max(self.scale, self.n0)
         return self.n0, self.n1
 
-    def least(self, paths, prec: int, degenerate: bool) -> tuple:
-        """The map of least modulus among ``paths`` whose series is in
-        budget, ties in the order of ``paths``, with its term budget
-        (``_max_terms_for``): (path, budget).  A connection that
+    def least(self, maps, paths, prec: int, degenerate: bool) -> tuple:
+        """The map to take and its term budget (``_max_terms_for``):
+        (path, budget).  ``maps`` is the table, path -> where the map's
+        series ends (``hyp.series_end``) or None; a forced map comes as
+        the table of its one entry.  The first map of the table whose
+        series ends is taken; else the direct series, when the table has
+        it and |z| <= 0.7; else the map of least modulus among ``paths``
+        whose series is in budget, ties in the order of ``paths`` (an
+        empty table ranks ``paths`` by modulus alone).  A connection that
         ``degenerate``s is taken only when no other map is in budget.  Two
         moduli n1/d1 and n2/d2 are compared exactly, as n1 d2 < n2 d1."""
+        ending = next((p for p, end in maps.items() if end is not None), None)
+        if ending is not None:
+            paths = [ending]
+        elif _PATH_DIRECT in maps and 100 * self.n0 <= 49 * self.scale:  # |z| <= 0.7
+            paths = [_PATH_DIRECT]
         best = None
         for path in paths:
             num, den = self.squared(path)
-            budget = _max_terms_for(num, den, prec, None)
+            budget = _max_terms_for(num, den, prec, maps.get(path))
             rank = budget is None, path == _PATH_CONNECTION and degenerate
             if best is None or rank < best[0] or (
                 rank == best[0] and num * best[2] < best[1] * den
@@ -1020,27 +1028,15 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths, den) -> EvalResult
     prec = ctx.precision
     target_bits = prec + GUARD_BITS
 
-    m_term = min(
-        (k for k in (_vanishes_at(a, den), _vanishes_at(b, den)) if k is not None),
-        default=None,
-    )
-    c_pole = _vanishes_at(c, den)
-    if c_pole is not None and (m_term is None or m_term > c_pole):
-        raise ParameterError(
-            f"lower parameter c = {Fraction(c, den)} is a nonpositive integer "
-            "and the series does not terminate before the pole"
-        )
+    m_term = series_end(a, b, c, den)
 
     if zz == 0:
         return EvalResult(mp.mpf(1), mp.zero, _PATH_DIRECT, 0)
 
     if m_term is not None and method is None and ez is not None:
-        # any terminating parameter may fill the b slot; -m_term, the first
-        # to end the sum, sizes the series.  The exact sum is rounded once,
-        # so one unit in its last place bounds the error, and 0 does when
-        # the rounding is exact
-        other = b if _vanishes_at(a, den) == m_term else a
-        params = HypParams(Fraction(other, den), -m_term, Fraction(c, den))
+        # the exact sum is rounded once, so one unit in its last place
+        # bounds the error, and 0 does when the rounding is exact
+        params = HypParams(Fraction(a, den), Fraction(b, den), Fraction(c, den))
         exact = terminating_poly(params)(ez)
         val = ctx.to_mp(exact)
         _, _, exp, bc = val._mpf_
@@ -1055,39 +1051,33 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths, den) -> EvalResult
 
     cab = c - a - b
     degenerate = not cab % den
-    # path -> term count when the map's series terminates, else None, for
+    # path -> where the map's series ends (``series_end``), else None, for
     # the maps defined at the input: the Pfaff maps (DLMF 15.8.1) move c-b
     # or c-a with c, so they and the connection formula (15.8.4) need
-    # z != 1 and c not a nonpositive integer.  A Pfaff series terminates
-    # when c-b or c-a is a nonpositive integer; the connection's inner
+    # z != 1 and c not a nonpositive integer.  pfaff-a sums
+    # F(a, c-b; c; w) and pfaff-b F(b, c-a; c; w); the connection's inner
     # series fall back to their own Pfaff map, of argument
     # (1-z)/(-z) = 1 - 1/z
     maps = {_PATH_DIRECT: m_term}
-    if arg.n1 and c_pole is None:
-        maps[_PATH_PFAFF_A] = _vanishes_at(c - b, den)
-        maps[_PATH_PFAFF_B] = _vanishes_at(c - a, den)
+    if arg.n1 and vanishes_at(c, den) is None:
+        maps[_PATH_PFAFF_A] = series_end(a, c - b, c, den)
+        maps[_PATH_PFAFF_B] = series_end(b, c - a, c, den)
         if _PATH_CONNECTION in paths:
             maps[_PATH_CONNECTION] = None
-
-    ending = [p for p, terms in maps.items() if terms is not None]
-    if method is None and not ending and 100 * arg.n0 > 49 * arg.scale:  # |z| > 0.7
+    if method is None:
         # Of the two Pfaff series, F(a, c-b; c; w) grows like
         # n^(a-b-1) and F(b, c-a; c; w) like n^(b-a-1): take the slower
         pfaff = _PATH_PFAFF_A if a <= b else _PATH_PFAFF_B
-        method, max_terms = arg.least(
-            [p for p in (_PATH_DIRECT, pfaff, _PATH_CONNECTION) if p in maps],
-            prec,
-            degenerate,
-        )
+        choices = [p for p in (_PATH_DIRECT, pfaff, _PATH_CONNECTION) if p in maps]
+    elif method in maps:
+        maps = {method: maps[method]}
+        choices = [method]
     else:
-        if method is None:  # a map that terminates, else direct for |z| <= 0.7
-            method = ending[0] if ending else _PATH_DIRECT
-        elif method not in maps:
-            raise ParameterError(
-                f"the {method} map of 2F1 is not defined at c = {Fraction(c, den)}, "
-                f"z = {mp.nstr(zz, 15)}; it needs z != 1 and c not a nonpositive integer"
-            )
-        max_terms = _max_terms_for(*arg.squared(method), prec, maps[method])
+        raise ParameterError(
+            f"the {method} map of 2F1 is not defined at c = {Fraction(c, den)}, "
+            f"z = {mp.nstr(zz, 15)}; it needs z != 1 and c not a nonpositive integer"
+        )
+    method, max_terms = arg.least(maps, choices, prec, degenerate)
     if method == _PATH_CONNECTION and degenerate:
         raise DegenerateConnectionError(
             f"c-a-b = {Fraction(cab, den)} is an integer; "

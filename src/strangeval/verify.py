@@ -453,7 +453,8 @@ def verify_theorem(
 
 def _right_side_constants(a, c, ell, ctx: EvalContext) -> tuple:
     """-(1-c), (1, ell) = ell! and the exponent a+1-c of the right-hand
-    sides, rounded once at the working precision for all roots."""
+    sides, rounded once for all roots at precision + ``GUARD_BITS`` (32) bits
+    (``EvalContext.workprec``), where the right sides are formed."""
     with ctx.workprec():
         return (
             ctx.to_mp(-(1 - c)),
@@ -552,14 +553,18 @@ def gosper_check(a, b, precision: int = 192, tolerance: float = 1e-30) -> Gosper
     ctx = EvalContext(precision)
     exact = is_nonpos_integer(1 - a)
     if exact:
-        lhs = terminating_poly(HypParams(b, 1 - a, b + 2))(z)
+        lhs = terminating_poly(HypParams(1 - a, b, b + 2))(z)
         rhs = (b + 1) * (a / (a + b)) ** int(a)
         residual = ctx.to_mp(_residual(lhs, rhs))
         lhs, rhs, path = ctx.to_mp(lhs), ctx.to_mp(rhs), "direct-series"
     else:
         res = hyp2f1_num(1 - a, b, b + 2, z, ctx)
-        rhs = ctx.to_mp(b + 1) * ctx.mp.power(ctx.to_mp(a / (a + b)), ctx.to_mp(a))
-        lhs, residual, path = res.value, _residual(res.value, rhs), res.path
+        # the right side and residual at precision + GUARD_BITS (32) bits, as
+        # in ``verify_theorem``, so their rounding stays far below the
+        # finest tolerance the precision accepts, 2^-precision
+        with ctx.workprec():
+            rhs = ctx.to_mp(b + 1) * ctx.mp.power(ctx.to_mp(a / (a + b)), ctx.to_mp(a))
+            lhs, residual, path = res.value, _residual(res.value, rhs), res.path
     return GosperReport(
         a=a, b=b, z=z, precision=precision, tolerance=tolerance,
         lhs=lhs, rhs=rhs, residual=residual, exact=exact, path=path,

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from strangeval import cli, verify
@@ -17,6 +18,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The ``EvalResult`` of every 2F1 evaluation the CLI runs, in order,
+    at full precision (the report prints fewer digits)."""
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(cli_hyp2f1_num(*args, **kwargs))
+        return results[-1]
+
+    cli_hyp2f1_num = cli.hyp2f1_num
+    monkeypatch.setattr(cli, "hyp2f1_num", recording)
+    return results
 
 
 class TestVerifyCommand:
@@ -291,6 +307,42 @@ class TestEvalCommand:
         assert out == ""
 
 
+    def test_forced_pfaff_sums_the_polynomial_its_parameter_ends(self, capsys, evaluated):
+        # pfaff-a sums F(a, c-b; c; w) = F(-2, 11/12; 5/4; w), a quadratic
+        code, out, _ = run(
+            capsys, "eval", "--a=-2", "--b", "1/3", "--c", "5/4", "--z", "9/10,1/2",
+            "--method", "pfaff-a",
+        )
+        assert code == 0 and "path = pfaff-a" in out and "n_terms = 2" in out
+        (r,) = evaluated
+        with mpmath.workprec(400):
+            ref = mpmath.hyp2f1(-2, mpmath.mpf(1) / 3, mpmath.mpf(5) / 4,
+                                mpmath.mpc(mpmath.mpf(9) / 10, mpmath.mpf(1) / 2))
+            assert abs(mpmath.mpc(r.value) - ref) <= r.est_error
+
+    def test_complex_rational_argument_is_rounded_at_the_working_precision(
+        self, capsys, evaluated
+    ):
+        # each component of z = p/q + i r/s is rounded where the engine
+        # rounds a real rational z, so est_error covers the error against
+        # the exact z (it did not when z was rounded at the precision)
+        for z, path in (("1/3,1/5", "direct-series"), ("-5/7,2/9", "pfaff-a"),
+                        ("2/3,-3/7", "connection-1mz")):
+            code, _, _ = run(capsys, "eval", "--a", "1/3", "--b", "5/7", "--c", "9/4",
+                             f"--z={z}")
+            assert code == 0
+            r = evaluated[-1]
+            assert r.path == path
+            x, y = (Fraction(t) for t in z.split(","))
+            with mpmath.workprec(900):
+                ref = mpmath.hyp2f1(
+                    mpmath.mpf(1) / 3, mpmath.mpf(5) / 7, mpmath.mpf(9) / 4,
+                    mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator,
+                               mpmath.mpf(y.numerator) / y.denominator),
+                )
+                assert abs(mpmath.mpc(r.value) - ref) <= r.est_error, z
+
+
 class TestRootsCommand:
     def test_from_theorem_parameters(self, capsys):
         code, out, _ = run(capsys, "roots", "--a", "3", "--c", "3/2", "--ell", "1")
@@ -339,6 +391,23 @@ class TestRootsCommand:
     def test_requires_some_input(self, capsys):
         code, _, err = run(capsys, "roots")
         assert code == 2 and "error" in err
+
+    def test_contiguity_order_must_be_positive(self, capsys):
+        # as verify, q0 and reduce: with ell = -1 the sum would silently be
+        # F(1-a, 1; 2-c; x), ended by 1-a = -2
+        for ell in ("-1", "0"):
+            code, out, err = run(capsys, "roots", "--a", "3", "--c", "3/2", f"--ell={ell}")
+            assert code == 2 and out == ""
+            assert err == f"error: contiguity order must be a positive integer, got {ell}\n"
+
+    def test_coefficients_exclude_theorem_parameters(self, capsys):
+        code, out, err = run(
+            capsys, "roots", "--coeffs", "1,2", "--a", "3", "--c", "3/2", "--ell", "2"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --coeffs excludes --a/--c/--ell\n"
+        code, _, err = run(capsys, "roots", "--coeffs", "1,2", "--ell", "2")
+        assert code == 2 and err == "error: --coeffs excludes --ell\n"
 
     def test_malformed_coefficient_is_usage_error(self, capsys):
         for coeffs, bad in (("1,x", "'x'"), ("1,2/0", "'2/0'")):

@@ -14,6 +14,7 @@ from strangeval.hyp import (
     hyp_series,
     q0_by_reversal,
     q0_r0_by_series,
+    series_end,
     series_order,
     terminating_poly,
 )
@@ -77,6 +78,77 @@ class TestTerminatingPoly:
     def test_pole_in_range_rejected(self):
         with pytest.raises(ParameterError):
             terminating_poly(HypParams(Fraction(1, 3), -3, -1))
+
+    def test_ending_parameter_in_either_slot(self):
+        # against the term ratio summed on Fractions until a factor ends it
+        rng = random.Random(32)
+        for _ in range(150):
+            m = rng.randint(0, 8)
+            other = (Fraction(-rng.randint(0, 8)) if rng.random() < 0.3
+                     else random_rational(rng, 12, 7))
+            c = random_non_integer(rng, 12, 7)
+            coeffs, term, k = [], Fraction(1), 0
+            while term:
+                coeffs.append(term)
+                term *= (-m + k) * (other + k) / ((c + k) * (k + 1))
+                k += 1
+            for p in (HypParams(-m, other, c), HypParams(other, -m, c)):
+                assert terminating_poly(p) == Poly(coeffs)
+
+    def test_neither_slot_ending_rejected(self):
+        with pytest.raises(ParameterError, match="neither upper parameter"):
+            terminating_poly(HypParams(Fraction(1, 2), 3, Fraction(1, 3)))
+
+
+def _scan_end(A, B, C, d, order):
+    """Where F(A/d, B/d, C/d; x) ends, walking its factors term by term:
+    the index of the first zero upper factor, "pole" when a zero lower
+    factor comes first (and before ``order``), or None."""
+    for k in range(64):
+        if (A + k * d) * (B + k * d) == 0:
+            return k
+        if C + k * d == 0 and (order is None or k < order):
+            return "pole"
+    return None
+
+
+class TestSeriesEnd:
+    def test_matches_a_term_by_term_scan(self):
+        # seeded integer triples over d: the sum ends in a, in b, in both or
+        # in neither, and c's pole comes before, at or after that end, or
+        # only at or past the order
+        rng = random.Random(30)
+        seen = set()
+        for _ in range(3000):
+            d = rng.randint(1, 4)
+            A, B, C = (
+                -rng.randint(0, 10) * d if rng.random() < 0.5 else rng.randint(-30, 30)
+                for _ in range(3)
+            )
+            order = None if rng.random() < 0.5 else rng.randint(0, 12)
+            want = _scan_end(A, B, C, d, order)
+            try:
+                got = series_end(A, B, C, d, order)
+            except ParameterError as exc:
+                assert "does not terminate before the pole" in str(exc)
+                got = "pole"
+            assert got == want, (A, B, C, d, order)
+            ka, kb, pole = (next((k for k in range(64) if x + k * d == 0), None)
+                            for x in (A, B, C))
+            end = min((k for k in (ka, kb) if k is not None), default=None)
+            where = ("none" if pole is None else "before" if end is None or pole < end
+                     else "at" if pole == end else "after")
+            if where == "before" and order is not None and pole >= order:
+                where = "past order"
+            which = {(False, False): "neither", (True, False): "a", (False, True): "b",
+                     (True, True): "both"}[ka is not None, kb is not None]
+            seen.add((which, where, order is None))
+        for which in ("a", "b", "both"):
+            for where in ("none", "before", "at", "after"):
+                assert (which, where, True) in seen and (which, where, False) in seen
+        for where in ("none", "before"):
+            assert ("neither", where, True) in seen and ("neither", where, False) in seen
+        assert any(w == "past order" for _, w, _ in seen)
 
 
 class TestQ0R0BySeries:

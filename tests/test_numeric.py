@@ -673,7 +673,7 @@ def test_selector_pin():
         else:
             outcomes.append(f"{r.path} {r.n_terms} {r.value!r} {r.est_error!r}")
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
-    assert digest == "af4690532095ff6d"
+    assert digest == "f0e6b5befe61a7ac"
 
 
 def _near_lattice_or_small(rng):
@@ -1413,7 +1413,7 @@ class TestTinyComponents:
                 ]
                 want = paths[min(ranked)[2]]
                 budget = numeric._max_terms_for(*arg.squared(want), 192, None)
-                got = arg.least([paths[r[2]] for r in ranked], 192, degenerate)
+                got = arg.least({}, [paths[r[2]] for r in ranked], 192, degenerate)
                 assert got == (want, budget)
 
     def test_norms_are_exact(self):

@@ -488,6 +488,24 @@ class TestGosper:
         assert report.residual == 0 and report.verdict == "pass"
         assert report.lhs == report.rhs == -8
 
+    def test_finest_tolerance_passes_a_true_identity(self, monkeypatch):
+        # the right side and residual are formed at the working precision,
+        # so the identity passes at 2^-64; at 64 bits the residual read
+        # 7.4e-20 against 5.4e-20 when they were formed at the precision
+        a, b, tol = Fraction(11, 2), Fraction(9, 8), 2.0**-64
+        report = gosper_check(a, b, 64, tol)
+        assert not report.exact and report.verdict == "pass"
+        assert report.residual <= 1e-28
+
+        class Perturbed(EvalContext):
+            def to_mp(self, x):
+                value = super().to_mp(x)
+                return value * (1 + self.mp.mpf(2) ** -50) if x == b + 1 else value
+
+        # a right side off by 2^-50 relative still fails
+        monkeypatch.setattr(verify, "EvalContext", Perturbed)
+        assert gosper_check(a, b, 64, tol).verdict == "fail"
+
     def test_rejects_a_plus_b_zero(self):
         with pytest.raises(ParameterError):
             gosper_check(Fraction(1, 2), Fraction(-1, 2))
