@@ -11,13 +11,14 @@ output:
     eval     raw 2F1 evaluation with path tag and error estimate
     roots    roots of the terminating polynomial (or explicit coefficients)
 
-Rationals cross the boundary as exact "p/q" strings.  Exit codes: 0 on
+Rationals cross the boundary as exact "p/q" strings; ``eval --z p/q,r/s``
+passes its pair to ``hyp2f1_num``, which rounds it.  Exit codes: 0 on
 success, 1 when the verdict of verify, gosper or sweep is a failed
-residual check (``_exit_code``), 2 on
-usage and domain errors (invalid parameters, branch cut, degenerate
-connection, gamma pole, no evaluation map converging within the term
-budget, no convergence, a precision whose report Python cannot print),
-3 when routes the theory proves equal disagree (a bug).
+residual check (``_exit_code``), 2 on usage errors and on the input
+errors of ``errors.INPUT_ERRORS`` (invalid parameters, branch cut,
+degenerate connection, gamma pole, no evaluation map converging within
+the term budget, no convergence, a precision whose report Python cannot
+print), 3 when routes the theory proves equal disagree (a bug).
 """
 
 from __future__ import annotations
@@ -29,16 +30,9 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import (
-    BranchCutError,
-    DegenerateConnectionError,
-    GammaPoleError,
-    InternalInconsistencyError,
-    NonConvergenceError,
-    ParameterError,
-)
-from .hyp import HypParams, _check_ell, series_order, terminating_poly
-from .numeric import KNOWN_PATHS, WORK_BITS, EvalContext, find_roots, hyp2f1_num
+from .errors import INPUT_ERRORS, InternalInconsistencyError, ParameterError
+from .hyp import HypParams, theorem_poly
+from .numeric import KNOWN_PATHS, EvalContext, find_roots, hyp2f1_num
 from .operators import (
     build_H,
     build_L,
@@ -208,7 +202,7 @@ def _cmd_q0(args) -> int:
     a, b, c, ell = args.a, args.b, args.c, args.ell
     flags = genericity_flags(HypParams(a, b, c), ell)
     # routes that disagree raise InternalInconsistencyError (exit 3)
-    q0, r0, provenance, _ = compute_q0_all_methods(a, c, ell, series_order(ell), b)
+    q0, r0, provenance, _ = compute_q0_all_methods(a, c, ell, None, b)
     records = []
     for method in provenance:
         rec = {"method": method, "q0": str(q0)}
@@ -338,18 +332,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    ctx = EvalContext(args.precision)
     z = args.z
-    if isinstance(z, tuple):
-        # rounded where ``hyp2f1_num`` rounds a rational z, at its working
-        # precision, so the estimate covers the rounding of z
-        with ctx.workprec(WORK_BITS):
-            zval = ctx.mp.mpc(ctx.to_mp(z[0]), ctx.to_mp(z[1]))
-        zstr = f"{format_rational(z[0])},{format_rational(z[1])}"
-    else:
-        zval = z
-        zstr = format_rational(z)
-    result = hyp2f1_num(args.a, args.b, args.c, zval, ctx, method=args.method)
+    zstr = ",".join(map(format_rational, z if isinstance(z, tuple) else (z,)))
+    ctx = EvalContext(args.precision)
+    result = hyp2f1_num(args.a, args.b, args.c, z, ctx, method=args.method)
     digits = report_digits(args.precision)
     lines = [
         f"F({format_rational(args.a)}, {format_rational(args.b)}, "
@@ -396,7 +382,7 @@ def _cmd_roots(args) -> int:
     else:
         if len(given) < 3:
             raise ParameterError("roots needs either --coeffs or --a/--c/--ell")
-        poly = terminating_poly(HypParams(1 - args.a, -_check_ell(args.ell), 2 - args.c))
+        poly = theorem_poly(args.a, args.c, args.ell)
         source = (
             f"F(1-a, -ell, 2-c; x) at a={format_rational(args.a)} "
             f"c={format_rational(args.c)} ell={args.ell}"
@@ -455,13 +441,7 @@ def main(argv=None) -> int:
         if hasattr(args, "precision"):
             check_report_precision(args.precision)
         return _COMMANDS[args.command](args)
-    except (
-        ParameterError,
-        BranchCutError,
-        DegenerateConnectionError,
-        GammaPoleError,
-        NonConvergenceError,
-    ) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInconsistencyError as exc:

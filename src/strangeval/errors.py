@@ -1,4 +1,8 @@
-"""Exception types shared by the exact, operator, and numeric layers."""
+"""Exception types shared by the exact, operator, and numeric layers.
+
+``INPUT_ERRORS`` names the ones a property of the input raises, which the
+command line reports with exit code 2; ``InternalInconsistencyError`` is
+the one that is always a bug."""
 
 
 class ParameterError(ValueError):
@@ -32,3 +36,13 @@ class GammaPoleError(ValueError):
 
 class NonConvergenceError(ArithmeticError):
     """An iteration hit its cap."""
+
+
+INPUT_ERRORS = (
+    ParameterError,
+    UnsupportedOperatorError,
+    BranchCutError,
+    DegenerateConnectionError,
+    GammaPoleError,
+    NonConvergenceError,
+)

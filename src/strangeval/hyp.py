@@ -166,6 +166,13 @@ def terminating_poly(p: HypParams) -> Poly:
     return _hyp_poly(p, end)
 
 
+def theorem_poly(a, c, ell: int) -> Poly:
+    """The paper's terminating polynomial F(1-a, -ell, 2-c; x), whose
+    roots are where both identities are checked, for a positive integer
+    ell (``_check_ell``)."""
+    return terminating_poly(HypParams(1 - a, -_check_ell(ell), 2 - c))
+
+
 def euler_transform_series(p: HypParams, order: int) -> TruncatedSeries:
     """Series of (1-x)^(c-a-b) F(c-a, c-b, c; x), the transformed side of
     F(a, b, c; x) = (1-x)^(c-a-b) F(c-a, c-b, c; x)."""

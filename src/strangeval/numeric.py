@@ -150,7 +150,7 @@ from .errors import (
 )
 from .hyp import HypParams, series_end, terminating_poly, vanishes_at
 from .poly import Poly
-from .scalars import over_common_denominator, rational, rising_product
+from .scalars import is_nonpos_integer, over_common_denominator, rational, rising_product
 
 GUARD_BITS = 32
 # The working precision is the context precision plus WORK_BITS: gamma
@@ -225,8 +225,11 @@ class EvalContext:
         return self.mp.workprec(self.precision + extra)
 
     def to_mp(self, x):
-        """Convert ints, Fractions, floats, complex, mpf/mpc to this context.
-        A Fraction is rounded once, to nearest."""
+        """Convert ints, Fractions, pairs (re, im) of them, floats, complex,
+        mpf/mpc to this context.  A Fraction is rounded once, to nearest,
+        and so is each component of a pair."""
+        if isinstance(x, tuple):
+            return self.mp.mpc(*map(self.to_mp, x))
         if isinstance(x, Fraction):
             prec, rnd = self.mp._prec_rounding
             return self.mp.make_mpf(from_rational(x.numerator, x.denominator, prec, rnd))
@@ -492,22 +495,16 @@ def gamma_c(z, ctx: EvalContext | None = None):
     1/2, whose sine is taken at the exact distance to the nearest integer.
     Inside ``ctx.sharing()`` a value is computed once per argument."""
     z = rational(z, "gamma argument")
-    p, q = z.numerator, z.denominator
-    if q == 1 and p <= 0:
+    if is_nonpos_integer(z):
         raise GammaPoleError(f"gamma pole at {z}")
     ctx = ctx or EvalContext()
-    return ctx._recall(("gamma", p, q), lambda: _gamma_rational(p, q, ctx))
+    return ctx._recall(("gamma", z.numerator, z.denominator), lambda: _gamma_rational(z, ctx))
 
 
-def _round_half_even(p: int, q: int) -> int:
-    """round(p/q) for q > 0, ties to even, as ``round`` of a Fraction."""
-    m, r = divmod(2 * p + q, 2 * q)
-    return m - 1 if r == 0 and m % 2 else m
-
-
-def _gamma_rational(p: int, q: int, ctx: EvalContext):
-    """``gamma_c`` at p/q in lowest terms, q > 0, not a pole."""
-    m = _round_half_even(p, q)
+def _gamma_rational(z: Fraction, ctx: EvalContext):
+    """``gamma_c`` at z = p/q, not a pole."""
+    p, q = z.numerator, z.denominator
+    m = round(z)
     if abs(m - 1) <= _TAYLOR_SHIFT:
         return _gamma_taylor(p, q, m, ctx)
     mp = ctx.mp
@@ -894,11 +891,21 @@ def hyp2f1_num(
     ``NonConvergenceError`` is raised when no path, or the forced one,
     converges within the term budget.  A value whose imaginary part is
     exactly 0 is returned as an mpf.
+
+    A rational z, or a pair (re, im) of rationals, is rounded here, each
+    component once at the working precision, so ``est_error`` covers its
+    rounding; a pair whose imaginary part is 0 is its real part, exact as a
+    real rational z is.  Any other pair raises ``ParameterError``.
     """
     ctx = ctx or EvalContext()
     a, b, c = (rational(x, f"2F1 parameter {n}") for x, n in zip((a, b, c), "abc"))
     if method is not None and method not in KNOWN_PATHS:
         raise ParameterError(f"unknown evaluation method {method!r}")
+    if isinstance(z, tuple):
+        if len(z) != 2:
+            raise ParameterError(f"z must be a number or a pair (re, im), got {z!r}")
+        re, im = (rational(x, "a component of z") for x in z)
+        z = (re, im) if im else re
     ez = Fraction(z) if isinstance(z, (int, Fraction)) else None
     (an, bn, cn), den = over_common_denominator(a, b, c)
     with ctx.workprec(WORK_BITS):

@@ -100,6 +100,7 @@ from .hyp import (
     q0_r0_by_series,
     series_order,
     terminating_poly,
+    theorem_poly,
 )
 from .numeric import (
     WORK_BITS,
@@ -166,8 +167,6 @@ def check_report_precision(precision) -> None:
 
 
 def _fmt(x, digits: int):
-    if isinstance(x, Fraction):
-        return format_rational(x)
     if hasattr(x, "imag") and x.imag != 0:
         return {"re": mpmath.nstr(x.real, digits), "im": mpmath.nstr(x.imag, digits)}
     if hasattr(x, "real"):
@@ -368,12 +367,12 @@ def _flags_dict(flags: GenericityFlags) -> dict:
     return out
 
 
-def compute_q0_all_methods(a: Fraction, c: Fraction, ell: int, order: int, b=1):
+def compute_q0_all_methods(a: Fraction, c: Fraction, ell: int, order=None, b=1):
     """q0/r0 of F(a, b, c) via series, the operator remainder, and (for b = 1
     and non-integer a) the reversal form.  Returns (q0, r0, provenance,
     agree); exact disagreement raises, since all routes are proved equal.
-    ``order`` is the series truncation order (None for
-    ``series_order(ell)``)."""
+    ``order`` is the series truncation order, ``series_order(ell)`` by
+    default (``q0_r0_by_series``)."""
     params = HypParams(a, b, c)
     qr = q0_r0_by_series(params, ell, order)
     canon = factor_remainder(*h_remainder(params, ell), ell).canonical_qr()
@@ -410,7 +409,7 @@ def verify_theorem(
 
     flags = genericity_flags(params, ell)
     q0, r0, provenance, agree = compute_q0_all_methods(a, c, ell, order)
-    tpoly = terminating_poly(HypParams(1 - a, -ell, 2 - c))
+    tpoly = theorem_poly(a, c, ell)
 
     base = dict(
         a=a, c=c, ell=ell, precision=precision, order=order,

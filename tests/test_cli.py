@@ -89,6 +89,13 @@ class TestVerifyCommand:
         _, out, _ = run(capsys, "verify", "--a", "3", "--c", "3/2", "--ell", "1")
         assert out.endswith("verdict: PASS\n")
 
+    def test_json_flags_carry_the_e2p_note(self, capsys):
+        code, out, _ = run(capsys, "verify", "--a", "0", "--c", "1/2", "--ell", "1", "--json")
+        assert code == 0
+        flags = json.loads(out)["flags"]
+        assert flags["E2'"] is False
+        assert flags["note"] == "E2' denominator vanishes (a = 0 or c-b-1 = 0)"
+
 
 class TestQ0Command:
     def test_ell_one(self, capsys):
@@ -342,6 +349,17 @@ class TestEvalCommand:
                 )
                 assert abs(mpmath.mpc(r.value) - ref) <= r.est_error, z
 
+    def test_zero_imaginary_part_is_the_real_argument(self, capsys):
+        # z = 37/64 + 0i is the real rational 37/64, whose terminating sum
+        # is exact, so the output differs only in the echoed argument
+        argv = ("eval", "--a=-3", "--b", "2/7", "--c", "5/3")
+        for form in ((), ("--json",)):
+            _, real, _ = run(capsys, *argv, "--z", "37/64", *form)
+            code, pair, _ = run(capsys, *argv, "--z", "37/64,0", *form)
+            assert code == 0
+            assert pair == real.replace("; 37/64)", "; 37/64,0)").replace(
+                '"z": "37/64"', '"z": "37/64,0"')
+
 
 class TestRootsCommand:
     def test_from_theorem_parameters(self, capsys):
@@ -517,6 +535,29 @@ class TestUsageErrors:
             main([])
         assert exc.value.code == 2
 
+    def test_argument_of_three_parts(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--a", "1", "--b", "1", "--c", "2", "--z", "1,2,3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: strangeval eval")
+        assert "expected 're' or 're,im', got '1,2,3'" in err
+
+
+def _readme_commands():
+    """The ``strangeval ...`` lines of README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines()
+            if line.startswith("strangeval ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_runs(capsys, argv):
+    """Every command README documents exits 0."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == ""
+
 
 GOLDEN = [
     ("verify --a 3 --c 3/2 --ell 1 --json",
@@ -540,3 +581,39 @@ def test_golden_output(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of outputs GOLDEN leaves out: the text form of each GOLDEN
+# command, ``roots`` and an ``eval`` at a complex rational z (the
+# connection formula) in both forms, and the seed-42 sweep's text
+GOLDEN_TEXT = [
+    ("verify --a 3 --c 3/2 --ell 1",
+     "c92a6efbb6303c5d12a814de90f4d058daba517c9754fff2d9c755c0c04a63bb"),
+    ("q0 --a 7/3 --c 5/11 --ell 12 --b 1/2",
+     "90518eeaec3aca80b2b7c1f296ba1c7cfb99c6ed7ce0f033ad51b914e9669ff5"),
+    ("q0 --a 5 --c 1/2 --ell 2",
+     "7024fafe9eb8efbdba2bef5c68950c09368fa6e3ace85953eb908eb9f43cee9f"),
+    ("reduce --a 1/3 --b 1 --c 1/2 --ell 3",
+     "405220a6c6c761ba9019785ebd7e2fe6023249e0dd52d3babd534fe906d253eb"),
+    ("gosper --a 3 --b 2",
+     "f1130b27632f9562d2d91341bb9185c0cd78d8d51c4da418d828a67f5726659d"),
+    ("eval --a=-3 --b 2/7 --c 5/3 --z 37/64",
+     "9698b1ed53716ad6d0588de820975a4f87e7c535a43f47c1bd68cd833a79e6f2"),
+    ("roots --a 7/3 --c 5/11 --ell 6",
+     "1eb2998ca34e29b3ee9dad3b6c1f0e68f5ef28f49f7dfa7f6161064ab37475c7"),
+    ("roots --a 7/3 --c 5/11 --ell 6 --json",
+     "01142fd22dadbce09c902c4a473eb56fe7d90d76cff9a945de7c3b0243160f6b"),
+    ("eval --a 1/3 --b 5/7 --c 9/4 --z=2/3,-3/7",
+     "01c5f35d5962d24a45ec3c7757c3a17013872de88352791f59a25d688343cb7f"),
+    ("eval --a 1/3 --b 5/7 --c 9/4 --z=2/3,-3/7 --json",
+     "534cf4a716745731bfadcfe90ce2d74975c98c867e2696b1f1d6d170954a1677"),
+    ("sweep --trials 100 --ell-max 5 --seed 42",
+     "a3ffb5e77ee03107505af40e27c795622a0305e80504f43c87baadaa40f4f32c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_TEXT, ids=[g[0] for g in GOLDEN_TEXT])
+def test_golden_text_output(capsys, argv, digest):
+    """The text output, and the JSON GOLDEN leaves out, is byte-identical
+    to the pinned output."""
+    test_golden_output(capsys, argv, digest)

@@ -361,6 +361,10 @@ class TestQ0ByReversal:
         with pytest.raises(ParameterError):
             q0_by_reversal(HypParams(3, 1, Fraction(1, 2)), 2)
 
+    def test_rejects_b_other_than_one(self):
+        with pytest.raises(ParameterError, match="requires b = 1"):
+            q0_by_reversal(HypParams(Fraction(1, 2), 2, Fraction(1, 3)), 2)
+
 
 class TestEulerTransform:
     def test_constant_terms_agree(self):

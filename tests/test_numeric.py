@@ -453,6 +453,18 @@ class TestHyp2F1:
             with pytest.raises(ParameterError, match="finite"):
                 hyp2f1_num(Fraction(1, 3), Fraction(1, 2), Fraction(5, 4), z, CTX)
 
+    def test_rational_pair_argument(self):
+        a, b, c = Fraction(1, 3), Fraction(5, 7), Fraction(9, 4)
+        x, y = Fraction(2, 3), Fraction(-3, 7)
+        with CTX.workprec(numeric.WORK_BITS):
+            rounded = CTX.mp.mpc(CTX.to_mp(x), CTX.to_mp(y))
+        assert hyp2f1_num(a, b, c, (x, y), CTX) == hyp2f1_num(a, b, c, rounded, CTX)
+        # an imaginary part 0 leaves the real rational, whose sum is exact
+        assert hyp2f1_num(-3, b, c, (x, 0), CTX) == hyp2f1_num(-3, b, c, x, CTX)
+        for z in ((x,), (x, y, y), (x, 0.5)):
+            with pytest.raises(ParameterError):
+                hyp2f1_num(a, b, c, z, CTX)
+
     def test_c_pole_after_termination_allowed(self):
         r = hyp2f1_num(-1, 1, -2, Fraction(1, 2), CTX)
         assert abs(r.value - (1 + Fraction(1, 4))) <= tol(185)

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -22,6 +24,9 @@ from strangeval.scalars import is_integer
 from strangeval.verify import (
     CHECK_REFLECTED,
     CHECK_SHIFTED,
+    SKIP_BRANCH_CUT,
+    SKIP_DEGENERATE_CONNECTION,
+    SKIP_EVAL_FAILED,
     compute_q0_all_methods,
     draw_theorem_params,
     gosper_check,
@@ -710,3 +715,55 @@ class TestHighEllQ0:
         q0, r0, provenance, agree = compute_q0_all_methods(a, c, ell, None, b)
         assert provenance == ("series", "operator") and agree
         assert (q0, r0) == (qr.q0, qr.r0)
+
+
+def _c_minus_a_integer(rng):
+    # a root at 1 when c - a is in 1..ell, and connection-1mz degenerates
+    a = random_non_integer(rng)
+    return a, a + rng.randint(-12, 12), rng.randint(1, 12)
+
+
+def _a_integer(rng):
+    # the left side of identity 1 terminates
+    return rng.randint(-20, 20), random_non_integer(rng), rng.randint(1, 12)
+
+
+def _a_in_one_to_ell(rng):
+    # the terminating polynomial drops to degree a - 1
+    ell = rng.randint(1, 12)
+    return rng.randint(1, ell), random_non_integer(rng), ell
+
+
+class TestSpecialLoci:
+    """A seeded sweep, 60 draws a locus at seed 42, over the loci the
+    acceptance sweep rarely draws.  Each locus pins the sha256 (first 16
+    hex digits) of its draws' verdicts, q0 provenance, skip reasons and
+    evaluation paths."""
+
+    @pytest.mark.parametrize("draw, digest", [
+        (_c_minus_a_integer, "dd6e664756e527c2"),
+        (_a_integer, "c6f16f69f4c810ad"),
+        (_a_in_one_to_ell, "d84d9025a00b6eba"),
+    ], ids=["c-a-integer", "a-integer", "a-in-1..ell"])
+    def test_every_draw_ends_in_a_pass_or_no_roots(self, draw, digest):
+        rng = random.Random(42)
+        start = time.perf_counter()
+        outcomes, reasons = [], []
+        for _ in range(60):
+            a, c, ell = draw(rng)
+            report = verify_theorem(a, c, ell)
+            assert report.verdict in ("pass", "no-roots"), (a, c, ell)
+            routes = ("series", "operator") + (() if is_integer(a) else ("reversal",))
+            assert report.q0_provenance == routes and report.q0_agree, (a, c, ell)
+            reasons += [rec.skip_reason for rec in report.records if rec.skipped]
+            outcomes.append([
+                report.verdict, list(report.q0_provenance),
+                [[rec.skip_reason, [ch.path for ch in rec.checks]]
+                 for rec in report.records],
+            ])
+        elapsed = time.perf_counter() - start
+        assert set(reasons) <= {SKIP_BRANCH_CUT, SKIP_DEGENERATE_CONNECTION, SKIP_EVAL_FAILED}
+        if draw is _c_minus_a_integer:
+            assert SKIP_DEGENERATE_CONNECTION in reasons
+        assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()[:16] == digest
+        assert elapsed < 30.0
