@@ -11,12 +11,20 @@ operator remainder recurrence in ``operators`` and, for b = 1 and a not an
 integer, the reversed expansion ``q0_by_reversal``.
 
 Every series is held as ``_hyp_poly`` gives it: canonical integer
-numerators over one denominator.  The series route convolves these integer
-vectors (``poly._convolve``), forms each combination over one common
-denominator with the Pochhammer factors as integer multipliers, asserts the
-tail on those integers, and canonicalises only the polynomial it returns;
-the reversal route convolves its two series the same way and reverses the
-head.
+numerators over one denominator.  Both routes build their series in
+u = x / D, D the common denominator of a, b, c, where the coefficient of
+u^k is that of x^k times D^k: the term ratio then has no d in its lower
+factors, and the numerators grow from small ones instead of carrying the
+denominator's d^k at every index.  The series route convolves these
+integer vectors (``poly._convolve``), forms each combination over one
+common denominator with the Pochhammer factors as integer multipliers
+(the x of r0's second product is D u), and asserts the tail on those
+integers, which is the same assertion, since a coefficient in u is 0
+exactly when the one in x is; it then takes the head back to x, the
+coefficient of u^n over D^n, and canonicalises only the polynomial it
+returns, or reports the exact x-coefficient of a tail that fails.  The
+reversal route convolves its two series the same way, in 1/(D x), and
+takes the reversed head back to x once.
 
 Where a 2F1 sum ends is stated once, by ``series_end`` on the integer
 numerators of its parameters over one denominator: at the first vanishing
@@ -113,9 +121,10 @@ def series_end(A: int, B: int, C: int, d: int, order: int | None = None):
     return end
 
 
-def _hyp_poly(p: HypParams, order: int) -> Poly:
-    """F(a, b, c; x) through x^order, as its canonical integer numerators
-    over one denominator.
+def _hyp_poly(p: HypParams, order: int, scale: int = 1) -> Poly:
+    """F(a, b, c; scale u) through u^order, as its canonical integer
+    numerators over one denominator: the coefficient of u^k is c_k scale^k,
+    for c_k that of x^k, so ``scale`` 1 gives the series in x itself.
 
     Coefficients follow c_(k+1) = c_k (a+k)(b+k) / ((c+k)(k+1)).  The sum
     ends where ``series_end`` ends it, so the coefficients past a
@@ -123,16 +132,20 @@ def _hyp_poly(p: HypParams, order: int) -> Poly:
     before that end is a parameter error.
     """
     nonnegative_int(order, "series order")
-    # Over the common denominator d of a, b, c (a = A/d, ...) the ratio is
-    # ups[k] / downs[k] = (A + k d)(B + k d) / ((C + k d)(k + 1) d), all
-    # integers, none of the n downs zero; over prod(downs), c_k has
-    # numerator prod(ups[:k]) * prod(downs[k:]), a prefix times a suffix
-    # product.
+    # Over the common denominator d of a, b, c (a = A/d, ...) the ratio in
+    # u is (A + k d)(B + k d) scale / ((C + k d)(k + 1) d), which the two
+    # multipliers scale/d in lowest terms write as ups[k] / downs[k], all
+    # integers, none of the n downs zero; over prod(downs), the u^k
+    # coefficient has numerator prod(ups[:k]) * prod(downs[k:]), a prefix
+    # times a suffix product.  A scale that d divides leaves downs free of
+    # d, so the numerators grow from small ones instead of carrying d^k.
     (A, B, C), d = over_common_denominator(p.a, p.b, p.c)
     end = series_end(A, B, C, d, order)
     n = order if end is None else min(end, order)
-    ups = [(A + k * d) * (B + k * d) for k in range(n)]
-    downs = [(C + k * d) * (k + 1) * d for k in range(n)]
+    g = math.gcd(scale, d)
+    up, down = scale // g, d // g
+    ups = [(A + k * d) * (B + k * d) * up for k in range(n)]
+    downs = [(C + k * d) * (k + 1) * down for k in range(n)]
     prefix = accumulate(ups, mul, initial=1)
     suffix = list(accumulate(reversed(downs), mul, initial=1))[::-1]
     return Poly.from_numerators([u * v for u, v in zip(prefix, suffix)], suffix[0])
@@ -227,45 +240,64 @@ def q0_r0_by_series(p: HypParams, ell: int, order: int | None = None) -> QRPair:
     a, b, c = p.a, p.b, p.c
     one_minus_c = 1 - c
     pb, pbc = poch(b, ell), poch(b + 1 - c, ell)
+    # every series in u = x / D, D the common denominator of a, b, c
+    D = over_common_denominator(a, b, c)[1]
 
-    f1 = _hyp_poly(HypParams(c - a, c - b - ell, c), order)
-    f4 = _hyp_poly(HypParams(1 - a, 1 - b - ell, 2 - c), order)
-    g2 = _hyp_poly(HypParams(a + 1 - c, b + 1 - c, 2 - c), order)
-    f3 = _hyp_poly(HypParams(a, b, c), order)
-    g5 = _hyp_poly(HypParams(a + 1 - c, b + 1 - c, 1 - c), order)
-    f6 = _hyp_poly(HypParams(a + 1, b + 1, c + 1), order)
+    f1 = _hyp_poly(HypParams(c - a, c - b - ell, c), order, D)
+    f4 = _hyp_poly(HypParams(1 - a, 1 - b - ell, 2 - c), order, D)
+    g2 = _hyp_poly(HypParams(a + 1 - c, b + 1 - c, 2 - c), order, D)
+    f3 = _hyp_poly(HypParams(a, b, c), order, D)
+    g5 = _hyp_poly(HypParams(a + 1 - c, b + 1 - c, 1 - c), order, D)
+    f6 = _hyp_poly(HypParams(a + 1, b + 1, c + 1), order, D)
 
     q0 = _combination(
         -pb / one_minus_c, _product(f1, g2, order),
         pbc / one_minus_c, _product(f3, f4, order),
-        order, ell, "q0 series combination",
+        order, ell, D, "q0 series combination",
     )
     r0 = _combination(
         pb, _product(f1, g5, order),
-        -a * b * pbc / (c * one_minus_c), _product(f6, f4, order, 1),
-        order, ell, "r0 series combination",
+        # x f6 f4 = D u f6 f4
+        -a * b * pbc * D / (c * one_minus_c), _product(f6, f4, order, 1),
+        order, ell, D, "r0 series combination",
     )
     return QRPair(q0, r0, ell)
 
 
 def _product(f: Poly, g: Poly, order: int, shift: int = 0) -> tuple:
-    """x^shift f g through x^order: its integer numerators, uncancelled,
+    """u^shift f g through u^order: its integer numerators, uncancelled,
     over f.den g.den."""
     return [0] * shift + _convolve(f.nums, g.nums, order - shift), f.den * g.den
 
 
 def _combination(s: Fraction, fg: tuple, t: Fraction, uv: tuple, order: int,
-                 ell: int, what: str) -> Poly:
-    """s fg + t uv for two ``_product``s, formed on integers over one
-    denominator and canonicalised once, after ``_extract_poly`` has found
-    every coefficient from x^ell through x^order exactly 0 (the trailing
-    zeros are trimmed before any gcd is taken)."""
+                 ell: int, scale: int, what: str) -> Poly:
+    """s fg + t uv for two ``_product``s in u = x / scale, formed on
+    integers over one denominator, taken back to x and canonicalised once.
+
+    The coefficient of u^n is that of x^n times scale^n, so it is 0 exactly
+    when that one is: up to its last nonzero index ``top``, the x-numerators
+    are the u-numerators times scale^(top - n), over the denominator times
+    scale^top, and ``_extract_poly`` then finds every coefficient from x^ell
+    through x^order exactly 0, or reports the exact x-coefficient that is
+    not."""
     (p, dp), (q, dq) = fg, uv
     dp, dq = s.denominator * dp, t.denominator * dq
     den = math.lcm(dp, dq)
     m, n = s.numerator * (den // dp), t.numerator * (den // dq)
-    combo = Poly.from_numerators([m * x + n * y for x, y in zip(p, q)], den)
-    return _extract_poly(combo, ell, what, order)
+    combo = [m * x + n * y for x, y in zip(p, q)]
+    top = max((k for k, v in enumerate(combo) if v), default=0)
+    nums, factor = _unscaled(combo[: top + 1], scale)
+    return _extract_poly(Poly.from_numerators(nums, factor * den), ell, what, order)
+
+
+def _unscaled(nums, scale: int) -> tuple:
+    """(numerators, factor) of the polynomial in x with the coefficients
+    ``nums`` of a polynomial in u = x / scale, to go over the factor times
+    their denominator: the coefficient of x^k is that of u^k over scale^k,
+    that is nums[k] scale^(top - k) over scale^top, top = len(nums) - 1."""
+    powers = list(accumulate([scale] * (len(nums) - 1), mul, initial=1))
+    return [v * e for v, e in zip(nums, reversed(powers))], powers[-1]
 
 
 def q0_by_reversal(p: HypParams, ell: int) -> Poly:
@@ -285,13 +317,17 @@ def q0_by_reversal(p: HypParams, ell: int) -> Poly:
     if is_integer(p.a):
         raise ParameterError(f"reversal form needs a not an integer, got a = {p.a}")
     a, c = p.a, p.c
-    # The two series in u = 1/x as integer numerators, convolved through
-    # u^(l-1); x^j takes the coefficient of u^(l-1-j), and the scale joins
-    # the one denominator.
-    f = _hyp_poly(HypParams(2 - c, 1, 2 - a), ell - 1)
-    g = _hyp_poly(HypParams(c - 1 - ell, -ell, a - ell), ell - 1)
-    scale = poch(2 - a, ell - 1) * (-1) ** (ell - 1)
-    head = _convolve(f.nums, g.nums, ell - 1)
+    # The two series in v = 1/(D x), D the common denominator of a and c,
+    # as integer numerators convolved through v^(l-1); x^(l-1-j) takes the
+    # coefficient of v^j, which is that of (1/x)^j times D^j, and
+    # ``_unscaled`` takes the head from v back to 1/x before it is reversed
+    # and the leading factor joins the one denominator.
+    D = over_common_denominator(a, c)[1]
+    f = _hyp_poly(HypParams(2 - c, 1, 2 - a), ell - 1, D)
+    g = _hyp_poly(HypParams(c - 1 - ell, -ell, a - ell), ell - 1, D)
+    lead = poch(2 - a, ell - 1) * (-1) ** (ell - 1)
+    head, factor = _unscaled(_convolve(f.nums, g.nums, ell - 1), D)
     return Poly.from_numerators(
-        [scale.numerator * x for x in reversed(head)], scale.denominator * f.den * g.den
+        [lead.numerator * x for x in reversed(head)],
+        lead.denominator * factor * f.den * g.den,
     )

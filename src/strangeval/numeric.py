@@ -1253,35 +1253,63 @@ def find_roots(poly: Poly, precision: int = 192) -> RootSet:
     from exact arithmetic that the inclusion discs are disjoint.  It gives
     the real roots and the roots above the axis; each of these is emitted
     with its exact conjugate, and, as |P(conj x)| = |P(x)|, its residual
-    is taken once.  ``NonConvergenceError`` is raised only when a factor
-    cannot be certified after every fixed-point escalation."""
+    is taken once.  When ``poly`` is one squarefree factor of multiplicity
+    1, its numerators are an integer g times the factor's, so the residual
+    is |g| times the factor's exact value at the root, which the proof has
+    already computed; otherwise it is ``poly`` evaluated there exactly.
+    The largest residual and radius are kept as integer fractions and
+    rounded up once, and the roots are ordered by their exact components.
+    ``NonConvergenceError`` is raised only when a factor cannot be
+    certified after every fixed-point escalation."""
     check_precision(precision)
     if poly.degree is None or poly.degree < 1:
         raise ParameterError("root finding needs a polynomial of degree >= 1")
     target = precision + GUARD_BITS
     mp = EvalContext(target).mp
-    found = []  # (root, multiplicity, index in found of its upper partner)
-    radius = residual = Fraction(0)
-    for factor, mult in _squarefree_factors(poly):
-        for xr, xi, w, rho, t in _factor_roots(factor.nums, target):
-            x = mp.make_mpc((from_man_exp(xr, -w), from_man_exp(xi, -w)))
-            found.append((x, mult, None))
+    factors = _squarefree_factors(poly)
+    g = None
+    if len(factors) == 1 and factors[0][1] == 1:
+        # the factor is monic, so its numerators are primitive and
+        # poly.nums = g factor.nums for an integer g
+        g = poly.nums[-1] // factors[0][0].nums[-1]
+    found = []  # (xr, xi, w, multiplicity, index in found of its upper partner)
+    radius = residual = (0, 1)  # (num, den), den > 0
+    for factor, mult in factors:
+        for xr, xi, w, rho, t, (pr, pi) in _factor_roots(factor.nums, target):
+            found.append((xr, xi, w, mult, None))
             if xi:
-                found.append((exact_conjugate(x), mult, len(found) - 1))
-            radius = max(radius, Fraction(rho, 1 << t))
-            pr, pi = _horner_exact(poly.nums, xr, xi, w)[:2]
-            bound = Fraction(_ceil_sqrt(pr * pr + pi * pi), poly.den << w * poly.degree)
-            residual = max(residual, bound)
-    order = sorted(range(len(found)), key=lambda k: (found[k][0].real, found[k][0].imag))
+                found.append((xr, -xi, w, mult, len(found) - 1))
+            if g is None:
+                pr, pi = _horner_exact(poly.nums, xr, xi, w)[:2]
+            else:
+                pr, pi = g * pr, g * pi
+            bound = _ceil_sqrt(pr * pr + pi * pi), poly.den << w * poly.degree
+            residual = _larger(residual, bound)
+            radius = _larger(radius, (rho, 1 << t))
+    top = max(x[2] for x in found)
+
+    def on_one_grid(k):
+        xr, xi, w = found[k][:3]
+        return xr << top - w, xi << top - w
+
+    order = sorted(range(len(found)), key=on_one_grid)
     rank = {k: i for i, k in enumerate(order)}
-    roots, mults, partners = zip(*(found[k] for k in order))
+    xrs, xis, ws, mults, partners = zip(*(found[k] for k in order))
     return RootSet(
-        roots=roots,
+        roots=tuple(
+            mp.make_mpc((from_man_exp(xr, -w), from_man_exp(xi, -w)))
+            for xr, xi, w in zip(xrs, xis, ws)
+        ),
         multiplicities=mults,
         residual_bound=_upper_mpf(mp, residual, target),
         inclusion_radius=_upper_mpf(mp, radius, target),
         conjugate_of=tuple(None if j is None else rank[j] for j in partners),
     )
+
+
+def _larger(p: tuple, q: tuple) -> tuple:
+    """The larger of two nonnegative fractions (num, den), den > 0."""
+    return q if q[0] * p[1] > p[0] * q[1] else p
 
 
 def exact_conjugate(x):
@@ -1309,9 +1337,9 @@ def exact_poly_value(poly: Poly, x, mp):
     return mp.make_mpc((from_rational(pr, den, prec, rnd), from_rational(pi, den, prec, rnd)))
 
 
-def _upper_mpf(mp, q: Fraction, prec: int):
-    """The rational q rounded up to a ``prec``-bit mpf."""
-    return mp.make_mpf(from_rational(q.numerator, q.denominator, prec, round_ceiling))
+def _upper_mpf(mp, q: tuple, prec: int):
+    """The fraction q = (num, den), den > 0, rounded up to a ``prec``-bit mpf."""
+    return mp.make_mpf(from_rational(*q, prec, round_ceiling))
 
 
 def _ceil_sqrt(n: int) -> int:
@@ -1320,9 +1348,10 @@ def _ceil_sqrt(n: int) -> int:
 
 def _factor_roots(nums, target: int) -> list:
     """The roots of the squarefree integer polynomial ``nums`` as
-    certified discs (xr, xi, w, rho, t): centre (xr + i xi) / 2^w, radius
-    rho / 2^t, the centre within four units of 2^-w of its root and
-    w = target - floor(log2 max(|Re|, |Im|)) - 1.
+    certified discs (xr, xi, w, rho, t, (pr, pi)): centre (xr + i xi) / 2^w,
+    radius rho / 2^t, the centre within four units of 2^-w of its root,
+    w = target - floor(log2 max(|Re|, |Im|)) - 1, and P there exactly,
+    times 2^(wn), as the Gaussian integer pr + i pi.
 
     The double-precision Aberth stage runs first.  Only the approximations
     ``_candidates`` picks, near or above the real axis, are polished: they
@@ -1629,9 +1658,10 @@ def _disjoint(discs) -> bool:
 
 
 def _certify(nums, points, target: int):
-    """Certified discs (xr, xi, w, rho, t) of the real roots and of the
-    roots above the axis of the squarefree ``nums``, from its polished
-    ``points``, or None when the proof fails.
+    """Certified discs (xr, xi, w, rho, t, (pr, pi)) of the real roots and
+    of the roots above the axis of the squarefree ``nums``, from its
+    polished ``points``, or None when the proof fails; (pr, pi) is the
+    exact P(x) 2^(wn) of ``_settle``.
 
     A point where P' = 0 fails.  A point whose disc lies above the real
     axis is kept; one below is dropped; one whose disc meets the axis is
@@ -1663,4 +1693,4 @@ def _certify(nums, points, target: int):
     t, discs = _discs(n, out)
     if not _disjoint(discs) or any(0 < ci <= rho for _, ci, rho in discs):
         return None
-    return [(xr, xi, w, d[2], t) for (xr, xi, w, _), d in zip(out, discs)]
+    return [(xr, xi, w, d[2], t, exact[:2]) for (xr, xi, w, exact), d in zip(out, discs)]

@@ -281,8 +281,8 @@ class TestSeriesRouteOnIntegers:
         }[which]
         exact = hyp._hyp_poly
 
-        def perturbed(p, order):
-            f = exact(p, order)
+        def perturbed(p, order, scale=1):
+            f = exact(p, order, scale)
             return f + Poly.x() ** ell * Fraction(1, 7) if p == target else f
 
         monkeypatch.setattr(hyp, "_hyp_poly", perturbed)
@@ -293,6 +293,62 @@ class TestSeriesRouteOnIntegers:
             rf"expected exact 0 \(tail must vanish through x\^{series_order(ell)}\)",
             str(err.value),
         ), str(err.value)
+
+    @pytest.mark.parametrize("which, combo", [("f1", "q0"), ("f6", "r0")])
+    def test_failing_tail_reports_the_x_coefficient(self, monkeypatch, which, combo):
+        # one series is off by x^ell / 7; the message must name the last
+        # nonzero coefficient of the combination in x, as Fraction
+        # arithmetic in x finds it, whatever variable the route works in
+        a, b, c, ell = Fraction(7, 3), Fraction(3, 4), Fraction(5, 11), 6
+        order = series_order(ell)
+        params = {
+            "f1": HypParams(c - a, c - b - ell, c),
+            "f4": HypParams(1 - a, 1 - b - ell, 2 - c),
+            "g2": HypParams(a + 1 - c, b + 1 - c, 2 - c),
+            "f3": HypParams(a, b, c),
+            "g5": HypParams(a + 1 - c, b + 1 - c, 1 - c),
+            "f6": HypParams(a + 1, b + 1, c + 1),
+        }
+
+        def series(name):
+            p, cs = params[name], [Fraction(1)]
+            for k in range(order):
+                cs.append(cs[-1] * (p.a + k) * (p.b + k) / ((p.c + k) * (k + 1)))
+            if name == which:
+                cs[ell] += Fraction(1, 7)
+            return cs
+
+        def times(f, g):
+            return [sum(f[i] * g[n - i] for i in range(n + 1)) for n in range(order + 1)]
+
+        pb, pbc = poch(b, ell), poch(b + 1 - c, ell)
+        if combo == "q0":
+            left, right = times(series("f1"), series("g2")), times(series("f3"), series("f4"))
+            s, t = -pb / (1 - c), pbc / (1 - c)
+        else:
+            left = times(series("f1"), series("g5"))
+            right = [0] + times(series("f6"), series("f4"))[:-1]
+            s, t = pb, -a * b * pbc / (c * (1 - c))
+        combination = [s * x + t * y for x, y in zip(left, right)]
+        top = max(n for n, v in enumerate(combination) if v)
+        assert ell <= top <= order
+
+        exact = hyp._hyp_poly
+
+        def perturbed(p, order, scale=1):
+            f = exact(p, order, scale)
+            if p != params[which]:
+                return f
+            # x^ell is scale^ell u^ell in the series' variable u = x / scale
+            return f + Poly.x() ** ell * Fraction(scale**ell, 7)
+
+        monkeypatch.setattr(hyp, "_hyp_poly", perturbed)
+        with pytest.raises(InternalInconsistencyError) as err:
+            q0_r0_by_series(HypParams(a, b, c), ell)
+        assert str(err.value) == (
+            f"{combo} series combination: coefficient of x^{top} is "
+            f"{combination[top]}, expected exact 0 (tail must vanish through x^{order})"
+        )
 
 
 @pytest.fixture

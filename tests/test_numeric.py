@@ -1745,6 +1745,76 @@ def test_conjugate_of_pairs_each_lower_root_with_its_exact_conjugate():
         assert sorted(partners) == [i for i, x in enumerate(rs.roots) if x.imag > 0], p
 
 
+def _bookkeeping_reference(poly: Poly, precision: int):
+    """``find_roots``'s roots, multiplicities, residual bound, radius and
+    pairing from ``_factor_roots``'s discs by the direct recipe: P
+    evaluated again at every root by ``_horner_exact`` on poly.nums, the
+    maxima kept as Fractions and the roots sorted by their mpf (Re, Im)."""
+    target = precision + numeric.GUARD_BITS
+    mp = EvalContext(target).mp
+    found = []
+    radius = residual = Fraction(0)
+    for factor, mult in numeric._squarefree_factors(poly):
+        for xr, xi, w, rho, t, _ in numeric._factor_roots(factor.nums, target):
+            x = mp.make_mpc((mpmath.libmp.from_man_exp(xr, -w), mpmath.libmp.from_man_exp(xi, -w)))
+            found.append((x, mult, None))
+            if xi:
+                found.append((numeric.exact_conjugate(x), mult, len(found) - 1))
+            radius = max(radius, Fraction(rho, 1 << t))
+            pr, pi = numeric._horner_exact(poly.nums, xr, xi, w)[:2]
+            bound = math.isqrt(pr * pr + pi * pi - 1) + 1 if pr or pi else 0
+            residual = max(residual, Fraction(bound, poly.den << w * poly.degree))
+    order = sorted(range(len(found)), key=lambda k: (found[k][0].real, found[k][0].imag))
+    rank = {k: i for i, k in enumerate(order)}
+
+    def up(q):
+        return from_rational(q.numerator, q.denominator, target, round_ceiling)
+
+    return (
+        tuple(found[k][0]._mpc_ for k in order),
+        tuple(found[k][1] for k in order),
+        up(residual),
+        up(radius),
+        tuple(None if found[k][2] is None else rank[found[k][2]] for k in order),
+    )
+
+
+def _bookkeeping_inputs():
+    # content 2, a negative leading coefficient, a root at 0, rational
+    # coefficients, theorem polynomials at ell 1 to 40, and f^2 g
+    # products, whose residual must be P itself evaluated at the roots
+    yield from (Poly((2, 4, 6)), Poly((-6, 0, -2)), Poly((0, 1, -3, 2)),
+                Poly((Fraction(1, 3), Fraction(-7, 5), 2)))
+    rng = random.Random(3201)
+    for ell in (1, 2, 3, 5, 8, 13, 21, 40):
+        p = _gosper_poly(*draw_theorem_params(rng, ell)[:2], ell)
+        if p.degree:
+            yield p
+    for _ in range(6):
+        f = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [rng.choice((1, 2, -3))])
+        g = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [1])
+        yield f * f * g
+
+
+def test_root_bookkeeping_matches_the_direct_recipe():
+    # the residual from the certified values times the content, the maxima
+    # as integer fractions and the order on exact components give, bit for
+    # bit, what evaluating P again and sorting mpf values gives
+    seen = set()
+    for p in _bookkeeping_inputs():
+        rs = find_roots(p, 192)
+        got = (
+            tuple(x._mpc_ for x in rs.roots),
+            rs.multiplicities,
+            rs.residual_bound._mpf_,
+            rs.inclusion_radius._mpf_,
+            rs.conjugate_of,
+        )
+        assert got == _bookkeeping_reference(p, 192), p
+        seen.add(max(rs.multiplicities))
+    assert 1 in seen and max(seen) > 1
+
+
 class TestCertification:
     TARGET = 96
 
