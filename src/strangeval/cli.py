@@ -18,7 +18,16 @@ residual check (``_exit_code``), 2 on usage errors and on the input
 errors of ``errors.INPUT_ERRORS`` (invalid parameters, branch cut,
 degenerate connection, gamma pole, no evaluation map converging within
 the term budget, no convergence, a precision whose report Python cannot
-print), 3 when routes the theory proves equal disagree (a bug).
+print), 3 when routes the theory proves equal disagree (a bug).  q0's
+JSON verdict "AGREE" is the one verdict ``_exit_code`` does not map: q0
+exits 0, or 3 when its routes disagree.
+
+Each convention shared by the commands has one owner: every JSON report
+is ``verify.report_dict``'s {params, flags, records, verdict} envelope;
+the flags more than one command takes are declared once, in
+``build_parser``; and the default precision and tolerance are
+``numeric.DEFAULT_PRECISION`` and ``verify.DEFAULT_TOLERANCE``, from
+which the help text is formatted.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import mpmath
 
 from .errors import INPUT_ERRORS, InternalInconsistencyError, ParameterError
 from .hyp import HypParams, theorem_poly
-from .numeric import KNOWN_PATHS, EvalContext, find_roots, hyp2f1_num
+from .numeric import DEFAULT_PRECISION, KNOWN_PATHS, EvalContext, find_roots, hyp2f1_num
 from .operators import (
     build_H,
     build_L,
@@ -43,10 +52,12 @@ from .operators import (
 from .poly import Poly
 from .scalars import format_rational, parse_rational
 from .verify import (
+    DEFAULT_TOLERANCE,
     _flags_dict,
     check_report_precision,
     compute_q0_all_methods,
     gosper_check,
+    report_dict,
     report_digits,
     sweep,
     verify_theorem,
@@ -77,64 +88,58 @@ def build_parser() -> argparse.ArgumentParser:
         "of the Gauss hypergeometric series.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags more than one command takes, each declared once here; --a,
+    # --c and --ell are required wherever they are taken, save by roots
+    shared = {
+        "--a": dict(type=_rat, required=True),
+        "--b": dict(type=_rat, default=Fraction(1), help="second parameter (default 1)"),
+        "--c": dict(type=_rat, required=True),
+        "--ell": dict(type=int, required=True),
+        "--precision": dict(type=int, default=DEFAULT_PRECISION,
+                            help=f"mantissa bits (default {DEFAULT_PRECISION})"),
+        "--tolerance": dict(type=float, default=DEFAULT_TOLERANCE,
+                            help=f"residual tolerance (default {DEFAULT_TOLERANCE})"),
+        "--json": dict(action="store_true", help="emit JSON"),
+    }
 
-    def common(p):
-        p.add_argument("--precision", type=int, default=192,
-                       help="mantissa bits (default 192)")
-        p.add_argument("--tolerance", type=float, default=1e-30,
-                       help="residual tolerance (default 1e-30)")
-        p.add_argument("--json", action="store_true", help="emit JSON")
+    def add(p, *flags, **override):
+        for flag in flags:
+            p.add_argument(flag, **{**shared[flag], **override})
 
     p = sub.add_parser("verify", help="verify both identities at every root")
-    p.add_argument("--a", type=_rat, required=True)
-    p.add_argument("--c", type=_rat, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    common(p)
+    add(p, "--a", "--c", "--ell", "--precision", "--tolerance", "--json")
 
     p = sub.add_parser("q0", help="q0/r0 by all methods, with agreement verdict")
-    p.add_argument("--a", type=_rat, required=True)
-    p.add_argument("--c", type=_rat, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--b", type=_rat, default=Fraction(1),
-                   help="second parameter (default 1)")
-    p.add_argument("--json", action="store_true")
+    add(p, "--a", "--c", "--ell", "--b", "--json")
 
     p = sub.add_parser("reduce", help="right division of H(ell) by L(a,b,c)")
-    p.add_argument("--a", type=_rat, required=True)
-    p.add_argument("--b", type=_rat, default=Fraction(1))
-    p.add_argument("--c", type=_rat, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--json", action="store_true")
+    add(p, "--a", "--b", "--c", "--ell", "--json")
 
     p = sub.add_parser("gosper", help="check the Gosper evaluation")
-    p.add_argument("--a", type=_rat, required=True)
+    add(p, "--a")
     p.add_argument("--b", type=_rat, required=True)
-    common(p)
+    add(p, "--precision", "--tolerance", "--json")
 
     p = sub.add_parser("sweep", help="seeded random verify runs")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--ell-max", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    add(p, "--precision", "--tolerance", "--json")
 
     p = sub.add_parser("eval", help="evaluate F(a,b,c;z) numerically")
-    p.add_argument("--a", type=_rat, required=True)
+    add(p, "--a")
     p.add_argument("--b", type=_rat, required=True)
-    p.add_argument("--c", type=_rat, required=True)
+    add(p, "--c")
     p.add_argument("--z", type=_complex_rat, required=True,
                    help='argument, "p/q" or "p/q,p/q" for re,im')
     p.add_argument("--method", choices=KNOWN_PATHS, default=None)
-    p.add_argument("--precision", type=int, default=192)
-    p.add_argument("--json", action="store_true")
+    add(p, "--precision", "--json")
 
     p = sub.add_parser("roots", help="roots of F(1-a,-ell,2-c;x) or --coeffs")
-    p.add_argument("--a", type=_rat)
-    p.add_argument("--c", type=_rat)
-    p.add_argument("--ell", type=int)
+    add(p, "--a", "--c", "--ell", required=False)
     p.add_argument("--coeffs", type=str, default=None,
                    help='comma-separated rational coefficients, ascending')
-    p.add_argument("--precision", type=int, default=192)
-    p.add_argument("--json", action="store_true")
+    add(p, "--precision", "--json")
     return parser
 
 
@@ -228,18 +233,10 @@ def _cmd_q0(args) -> int:
     if reversal_note:
         lines.append(f"  [reversal] {reversal_note}")
     lines.append("methods agree")
-    payload = {
-        "params": {
-            "a": format_rational(a), "b": format_rational(b),
-            "c": format_rational(c), "ell": ell,
-        },
-        "flags": _flags_dict(flags),
-        "records": records + (
-            [{"method": "reversal", "note": reversal_note}] if reversal_note else []
-        ),
-        "verdict": "AGREE",
-    }
-    _emit(args, payload, lines)
+    if reversal_note:
+        records.append({"method": "reversal", "note": reversal_note})
+    _emit(args, report_dict(dict(a=a, b=b, c=c, ell=ell), records, "AGREE",
+                            _flags_dict(flags)), lines)
     return 0
 
 
@@ -267,32 +264,23 @@ def _cmd_reduce(args) -> int:
         f"genericity: A1={flags.a1} A2={flags.a2} E1={flags.e1} E2'={flags.e2p}",
         "reconstruction: OK",
     ]
-    payload = {
-        "params": {
-            "a": format_rational(a), "b": format_rational(b),
-            "c": format_rational(c), "ell": ell,
-        },
-        "flags": _flags_dict(flags),
-        "records": [
-            {
-                "H": str(H),
-                "quotient": str(red.quotient),
-                "q": str(red.q),
-                "r": str(red.r),
-                "v0": format_rational(fac.v0),
-                "v1": format_rational(fac.v1),
-                "g": fac.g,
-                "w0": format_rational(fac.w0),
-                "w1": format_rational(fac.w1),
-                "h": fac.h,
-                "q0": str(fac.q0),
-                "r0": str(fac.r0),
-                "reconstruction": "OK",
-            }
-        ],
-        "verdict": "pass",
+    record = {
+        "H": str(H),
+        "quotient": str(red.quotient),
+        "q": str(red.q),
+        "r": str(red.r),
+        "v0": format_rational(fac.v0),
+        "v1": format_rational(fac.v1),
+        "g": fac.g,
+        "w0": format_rational(fac.w0),
+        "w1": format_rational(fac.w1),
+        "h": fac.h,
+        "q0": str(fac.q0),
+        "r0": str(fac.r0),
+        "reconstruction": "OK",
     }
-    _emit(args, payload, lines)
+    _emit(args, report_dict(dict(a=a, b=b, c=c, ell=ell), [record], "pass",
+                            _flags_dict(flags)), lines)
     return 0
 
 
@@ -345,24 +333,14 @@ def _cmd_eval(args) -> int:
         f"path = {result.path}",
         f"n_terms = {result.n_terms}",
     ]
-    payload = {
-        "params": {
-            "a": format_rational(args.a), "b": format_rational(args.b),
-            "c": format_rational(args.c), "z": zstr,
-            "precision": args.precision,
-        },
-        "flags": {},
-        "records": [
-            {
-                "value": mpmath.nstr(result.value, digits),
-                "est_error": mpmath.nstr(result.est_error, 6),
-                "path": result.path,
-                "n_terms": result.n_terms,
-            }
-        ],
-        "verdict": "pass",
+    record = {
+        "value": mpmath.nstr(result.value, digits),
+        "est_error": mpmath.nstr(result.est_error, 6),
+        "path": result.path,
+        "n_terms": result.n_terms,
     }
-    _emit(args, payload, lines)
+    params = dict(a=args.a, b=args.b, c=args.c, z=zstr, precision=args.precision)
+    _emit(args, report_dict(params, [record], "pass"), lines)
     return 0
 
 
@@ -411,15 +389,8 @@ def _cmd_roots(args) -> int:
         radius = mpmath.nstr(rs.inclusion_radius, 6)
         lines.append(f"inclusion radius = {radius}  (certified, disjoint discs)")
         verdict = "pass"
-    payload = {
-        "params": {"poly": [format_rational(cf) for cf in poly.coeffs],
-                   "precision": args.precision},
-        "flags": {},
-        "records": payload_roots,
-        "inclusion_radius": radius,
-        "verdict": verdict,
-    }
-    _emit(args, payload, lines)
+    params = dict(poly=[format_rational(cf) for cf in poly.coeffs], precision=args.precision)
+    _emit(args, report_dict(params, payload_roots, verdict, inclusion_radius=radius), lines)
     return 0
 
 

@@ -1,7 +1,8 @@
 """High-precision complex numerics: gamma, 2F1 evaluation, root finding.
 
 Everything runs inside an ``EvalContext``, which carries the mpmath
-context of its mantissa precision (default 192 bits; one context per
+context of its mantissa precision (default ``DEFAULT_PRECISION``, 192
+bits, the default of every public precision; one context per
 precision, apart from the global one), so precision is passed explicitly
 and never leaks through global state.  Conventions that matter:
 
@@ -152,6 +153,8 @@ from .hyp import HypParams, series_end, terminating_poly, vanishes_at
 from .poly import Poly
 from .scalars import is_nonpos_integer, over_common_denominator, rational, rising_product
 
+# The mantissa bits of every public precision default, the CLI's too.
+DEFAULT_PRECISION = 192
 GUARD_BITS = 32
 # The working precision is the context precision plus WORK_BITS: gamma
 # values are delivered there, a 2F1 argument is rounded there and its
@@ -188,7 +191,7 @@ class EvalContext:
     they compute on this context and return it again for the same exact
     inputs; outside it nothing is kept."""
 
-    def __init__(self, precision: int = 192):
+    def __init__(self, precision: int = DEFAULT_PRECISION):
         check_precision(precision)
         self.precision = precision
         self.mp = _mp_context(precision)
@@ -1058,24 +1061,27 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths, den) -> EvalResult
 
     cab = c - a - b
     degenerate = not cab % den
+    # the upper parameters of the series each Pfaff map sums: pfaff-a sums
+    # F(a, c-b; c; w) and pfaff-b F(b, c-a; c; w), w = z/(z-1); both the
+    # table's ends and the evaluation read them here
+    pfaff = {_PATH_PFAFF_A: (a, c - b), _PATH_PFAFF_B: (b, c - a)}
     # path -> where the map's series ends (``series_end``), else None, for
     # the maps defined at the input: the Pfaff maps (DLMF 15.8.1) move c-b
     # or c-a with c, so they and the connection formula (15.8.4) need
-    # z != 1 and c not a nonpositive integer.  pfaff-a sums
-    # F(a, c-b; c; w) and pfaff-b F(b, c-a; c; w); the connection's inner
+    # z != 1 and c not a nonpositive integer.  The connection's inner
     # series fall back to their own Pfaff map, of argument
     # (1-z)/(-z) = 1 - 1/z
     maps = {_PATH_DIRECT: m_term}
     if arg.n1 and vanishes_at(c, den) is None:
-        maps[_PATH_PFAFF_A] = series_end(a, c - b, c, den)
-        maps[_PATH_PFAFF_B] = series_end(b, c - a, c, den)
+        for path, (pa, pb) in pfaff.items():
+            maps[path] = series_end(pa, pb, c, den)
         if _PATH_CONNECTION in paths:
             maps[_PATH_CONNECTION] = None
     if method is None:
         # Of the two Pfaff series, F(a, c-b; c; w) grows like
         # n^(a-b-1) and F(b, c-a; c; w) like n^(b-a-1): take the slower
-        pfaff = _PATH_PFAFF_A if a <= b else _PATH_PFAFF_B
-        choices = [p for p in (_PATH_DIRECT, pfaff, _PATH_CONNECTION) if p in maps]
+        slower = _PATH_PFAFF_A if a <= b else _PATH_PFAFF_B
+        choices = [p for p in (_PATH_DIRECT, slower, _PATH_CONNECTION) if p in maps]
     elif method in maps:
         maps = {method: maps[method]}
         choices = [method]
@@ -1137,7 +1143,7 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths, den) -> EvalResult
         if method == _PATH_DIRECT:
             pref, bound, pa, pb, x = 1, (1, 0), a, b, zz
         else:
-            pa, pb = (a, c - b) if method == _PATH_PFAFF_A else (b, c - a)
+            pa, pb = pfaff[method]
             pref, x = _principal_power(ctx, 1 - zz, -pa, den), zz / (zz - 1)
             bound = _ceil_abs(pref, mp.prec)
         pa, pb, pc, d = _lowest(pa, pb, c, den)
@@ -1242,7 +1248,7 @@ def _squarefree_factors(poly: Poly) -> list:
     return out
 
 
-def find_roots(poly: Poly, precision: int = 192) -> RootSet:
+def find_roots(poly: Poly, precision: int = DEFAULT_PRECISION) -> RootSet:
     """All complex roots, with multiplicities taken from the exact
     squarefree decomposition of ``poly``, each certified to within
     2^-precision of its size, in order of (Re, Im).
@@ -1353,13 +1359,19 @@ def _factor_roots(nums, target: int) -> list:
     w = target - floor(log2 max(|Re|, |Im|)) - 1, and P there exactly,
     times 2^(wn), as the Gaussian integer pr + i pi.
 
-    The double-precision Aberth stage runs first.  Only the approximations
-    ``_candidates`` picks, near or above the real axis, are polished: they
-    are the only points ``_certify`` can keep.
+    The double-precision Aberth stage runs first, on the roots y = x / 2^s
+    of P(2^s y) (``_float_scale``), and its approximations are shifted
+    back to x.  Only the approximations ``_candidates`` picks, near or
+    above the real axis, are polished: they are the only points
+    ``_certify`` can keep.
     Where they cannot be polished and certified, Aberth runs again from
     all n approximations in fixed point at 106 bits, then 212, ... up to
     ``_ESCALATIONS`` times."""
-    approx = [_from_complex(x) for x in _aberth_float(nums)]
+    s = _float_scale(nums)
+    approx = [
+        (xr, xi, w - s)
+        for xr, xi, w in map(_from_complex, _aberth_float(_scaled(nums, s)))
+    ]
     bits = 53
     for escalation in range(_ESCALATIONS + 1):
         if escalation:
@@ -1400,12 +1412,11 @@ def _candidates(approx) -> list:
     return [x for x, k in zip(approx, keep) if k]
 
 
-def _start_points(nums) -> list:
-    """Aberth starting points from the Newton polygon (Bini 1996): for
-    each edge of the upper convex hull of (k, log2 |c_k|) from k0 to k1,
-    k1 - k0 points on the circle of radius (|c_k0| / |c_k1|)^(1/(k1-k0)),
-    with zero roots at 0 exactly."""
-    n = len(nums) - 1
+def _newton_edges(nums) -> list:
+    """The edges (k0, m, log2 r) of the Newton polygon, the upper convex
+    hull of (k, log2 |c_k|) over the nonzero coefficients (Bini 1996): the
+    edge from k0 to k0 + m stands for m roots of modulus about
+    r = (|c_k0| / |c_(k0+m)|)^(1/m)."""
     hull = []
     for k, c in enumerate(nums):
         if not c:
@@ -1417,10 +1428,35 @@ def _start_points(nums) -> list:
         ):
             hull.pop()
         hull.append(p)
-    points = [0j] * hull[0][0]
-    for (k0, l0), (k1, l1) in zip(hull, hull[1:]):
-        m = k1 - k0
-        r = 2.0 ** max(-1000.0, min(1000.0, (l0 - l1) / m))
+    return [(k0, k1 - k0, (l0 - l1) / (k1 - k0)) for (k0, l0), (k1, l1) in zip(hull, hull[1:])]
+
+
+def _float_scale(nums) -> int:
+    """The s whose P(2^s y) the double-precision stage takes: 0 when every
+    Newton-polygon radius lies within 2^+-1000, where doubles hold the
+    coefficients and the starting circles, else the middle of the radii's
+    range in log2, rounded.  No one s brings roots spread over more than
+    2^2000 in modulus into that range."""
+    logs = [lr for _, _, lr in _newton_edges(nums)]
+    lo, hi = min(logs, default=0), max(logs, default=0)
+    return 0 if -1000 <= lo and hi <= 1000 else round((lo + hi) / 2)
+
+
+def _scaled(nums, s: int) -> list:
+    """The integer numerators of P(2^s y), times 2^(-s n) when s < 0."""
+    n = len(nums) - 1
+    return [c << s * k - min(s, 0) * n for k, c in enumerate(nums)]
+
+
+def _start_points(nums) -> list:
+    """Aberth starting points: for each edge of the Newton polygon
+    (``_newton_edges``), m points on its circle of radius r, and the
+    zero roots, which no edge covers, at 0 exactly."""
+    n = len(nums) - 1
+    edges = _newton_edges(nums)
+    points = [0j] * (n - sum(m for _, m, _ in edges))
+    for k0, m, lr in edges:
+        r = 2.0 ** max(-1000.0, min(1000.0, lr))
         for j in range(m):
             points.append(cmath.rect(r, 2 * math.pi * (j / m + k0 / n) + _START_ANGLE))
     return points

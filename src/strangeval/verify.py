@@ -71,7 +71,12 @@ Each rule of a verdict has one owner here:
 - a sweep keeps one ``SweepTrial.from_report`` summary per trial and
   reads its counts off them.
 
-The CLI maps a verdict to its exit code (``cli._exit_code``).
+Every report's JSON has one builder, ``report_dict``: the envelope
+{params, flags, records, verdict} and the report's own top-level keys,
+for the reports here and for the CLI's q0, reduce, eval and roots.  The
+default tolerance of every report function is ``DEFAULT_TOLERANCE``, and
+the default precision ``numeric.DEFAULT_PRECISION``.  The CLI maps a
+verdict to its exit code (``cli._exit_code``).
 """
 
 from __future__ import annotations
@@ -103,6 +108,7 @@ from .hyp import (
     theorem_poly,
 )
 from .numeric import (
+    DEFAULT_PRECISION,
     WORK_BITS,
     EvalContext,
     RootSet,
@@ -131,6 +137,9 @@ CHECK_REFLECTED = "F(c-a,c-1-l,c)"
 SKIP_BRANCH_CUT = "branch-cut"
 SKIP_DEGENERATE_CONNECTION = "degenerate-connection"
 SKIP_EVAL_FAILED = "eval-failed"
+
+# The residual tolerance every report function, and the CLI, defaults to.
+DEFAULT_TOLERANCE = 1e-30
 
 
 def report_digits(precision: int) -> int:
@@ -164,6 +173,15 @@ def check_report_precision(precision) -> None:
             f"Python's {sys.get_int_max_str_digits()}-digit limit on printing "
             f"an integer: {precision}"
         )
+
+
+def report_dict(params: dict, records: list, verdict: str, flags=None, **extra) -> dict:
+    """The JSON of every report, of every command: ``params``, with each
+    Fraction in it as a "p/q" string, ``flags`` ({} when None),
+    ``records`` and ``verdict``, and the report's own top-level keys
+    ``extra``."""
+    params = {k: format_rational(v) if isinstance(v, Fraction) else v for k, v in params.items()}
+    return dict(params=params, flags=flags or {}, records=records, verdict=verdict, **extra)
 
 
 def _fmt(x, digits: int):
@@ -295,27 +313,21 @@ class VerifyReport:
 
     def as_dict(self) -> dict:
         digits = report_digits(self.precision)
-        return {
-            "params": {
-                "a": format_rational(self.a),
-                "c": format_rational(self.c),
-                "ell": self.ell,
-                "precision": self.precision,
-                "order": self.order,
-                "tolerance": repr(self.tolerance),
-            },
-            "flags": _flags_dict(self.flags),
-            "terminating_poly": [format_rational(c) for c in self.poly.coeffs],
-            "q0": {
+        return report_dict(
+            dict(a=self.a, c=self.c, ell=self.ell, precision=self.precision,
+                 order=self.order, tolerance=repr(self.tolerance)),
+            [r.as_dict(digits, self.tolerance) for r in self.records],
+            self.verdict,
+            _flags_dict(self.flags),
+            terminating_poly=[format_rational(c) for c in self.poly.coeffs],
+            q0={
                 "coeffs": [format_rational(c) for c in self.q0.coeffs],
                 "r0_coeffs": [format_rational(c) for c in self.r0.coeffs],
                 "provenance": list(self.q0_provenance),
                 "agree": self.q0_agree,
             },
-            "records": [r.as_dict(digits, self.tolerance) for r in self.records],
-            "skip_rate": repr(self.skip_rate),
-            "verdict": self.verdict,
-        }
+            skip_rate=repr(self.skip_rate),
+        )
 
 
 def _residual(lhs, rhs):
@@ -392,8 +404,8 @@ def verify_theorem(
     a,
     c,
     ell: int,
-    precision: int = 192,
-    tolerance: float = 1e-30,
+    precision: int = DEFAULT_PRECISION,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> VerifyReport:
     """Verify both strange-evaluation identities at every root of
     F(1-a, -ell, 2-c; x).  a and c are exact rationals (int or Fraction;
@@ -512,28 +524,22 @@ class GosperReport:
 
     def as_dict(self) -> dict:
         digits = report_digits(self.precision)
-        return {
-            "params": {
-                "a": format_rational(self.a),
-                "b": format_rational(self.b),
-                "z": format_rational(self.z),
-                "precision": self.precision,
-                "tolerance": repr(self.tolerance),
-            },
-            "flags": {"exact": self.exact},
-            "records": [
-                {
-                    "lhs": _fmt(self.lhs, digits),
-                    "rhs": _fmt(self.rhs, digits),
-                    "residual": _fmt(self.residual, digits),
-                    "path": self.path,
-                }
-            ],
-            "verdict": self.verdict,
+        record = {
+            "lhs": _fmt(self.lhs, digits),
+            "rhs": _fmt(self.rhs, digits),
+            "residual": _fmt(self.residual, digits),
+            "path": self.path,
         }
+        return report_dict(
+            dict(a=self.a, b=self.b, z=self.z, precision=self.precision,
+                 tolerance=repr(self.tolerance)),
+            [record], self.verdict, {"exact": self.exact},
+        )
 
 
-def gosper_check(a, b, precision: int = 192, tolerance: float = 1e-30) -> GosperReport:
+def gosper_check(
+    a, b, precision: int = DEFAULT_PRECISION, tolerance: float = DEFAULT_TOLERANCE
+) -> GosperReport:
     """Check F(1-a, b, b+2; b/(a+b)) = (b+1) (a/(a+b))^a, for exact
     rationals a and b (int or Fraction; anything else raises
     ``ParameterError``).
@@ -573,7 +579,7 @@ def gosper_check(a, b, precision: int = 192, tolerance: float = 1e-30) -> Gosper
 # ---------------------------------------------------------------------------
 # integral representation of F(a, 1, c; x)
 
-def incomplete_beta_check(a, c, x, order: int = 128, precision: int = 192):
+def incomplete_beta_check(a, c, x, order: int = 128, precision: int = DEFAULT_PRECISION):
     """Residual (``_residual``) of F(a, 1, c; x) against -(1-c) y2(x) * I(x),
     where y2 = x^(1-c) (1-x)^(c-a-1) and I is the incomplete-beta-type
     integral of t^(c-2) (1-t)^(a-c), integrated termwise:
@@ -707,22 +713,16 @@ class SweepReport:
 
     def as_dict(self) -> dict:
         digits = report_digits(self.precision)
-        return {
-            "params": {
-                "trials": self.trials,
-                "ell_max": self.ell_max,
-                "seed": self.seed,
-                "precision": self.precision,
-                "tolerance": repr(self.tolerance),
-            },
-            "flags": {},
-            "records": [t.as_dict(digits) for t in self.records],
-            "failures": self.failures,
-            "total_roots": self.total_roots,
-            "skipped_roots": self.skipped_roots,
-            "skip_rate": repr(self.skip_rate),
-            "verdict": self.verdict,
-        }
+        return report_dict(
+            dict(trials=self.trials, ell_max=self.ell_max, seed=self.seed,
+                 precision=self.precision, tolerance=repr(self.tolerance)),
+            [t.as_dict(digits) for t in self.records],
+            self.verdict,
+            failures=self.failures,
+            total_roots=self.total_roots,
+            skipped_roots=self.skipped_roots,
+            skip_rate=repr(self.skip_rate),
+        )
 
 
 def draw_theorem_params(rng: random.Random, ell_max: int):
@@ -738,8 +738,8 @@ def sweep(
     trials: int,
     ell_max: int = 5,
     seed: int = 0,
-    precision: int = 192,
-    tolerance: float = 1e-30,
+    precision: int = DEFAULT_PRECISION,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> SweepReport:
     """Run seeded random verify_theorem instances; deterministic in seed.
 

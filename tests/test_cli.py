@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from strangeval import cli, verify
+from strangeval import cli, hyp, numeric, operators, poly, scalars, series, verify
 from strangeval.cli import main
 from strangeval.errors import InternalInconsistencyError
 
@@ -617,3 +619,111 @@ def test_golden_text_output(capsys, argv, digest):
     """The text output, and the JSON GOLDEN leaves out, is byte-identical
     to the pinned output."""
     test_golden_output(capsys, argv, digest)
+
+
+# each command's extra top-level JSON keys, beyond the envelope
+# {params, flags, records, verdict} that every report shares
+ENVELOPE_EXTRAS = {
+    "verify --a 3 --c 3/2 --ell 1": {"terminating_poly", "q0", "skip_rate"},
+    "q0 --a 7/3 --c 5/11 --ell 4": set(),
+    "reduce --a 1/3 --c 1/2 --ell 3": set(),
+    "gosper --a 3 --b 2": set(),
+    "sweep --trials 2": {"failures", "total_roots", "skipped_roots", "skip_rate"},
+    "eval --a 1/3 --b 5/7 --c 9/4 --z=2/3,-3/7": set(),
+    "roots --a 7/3 --c 5/11 --ell 6": {"inclusion_radius"},
+}
+
+
+def _fractions_in(value) -> list:
+    if isinstance(value, Fraction):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [f for v in value for f in _fractions_in(v)]
+    return []
+
+
+@pytest.mark.parametrize("argv, extra", ENVELOPE_EXTRAS.items(), ids=list(ENVELOPE_EXTRAS))
+def test_every_report_shares_one_envelope(capsys, monkeypatch, argv, extra):
+    payloads = []
+    emit = cli._emit
+
+    def recording(args, payload, lines):
+        payloads.append(payload)
+        emit(args, payload, lines)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    code, out, _ = run(capsys, *argv.split(), "--json")
+    assert code == 0
+    assert set(json.loads(out)) == {"params", "flags", "records", "verdict"} | extra
+    (payload,) = payloads
+    assert _fractions_in(payload["params"]) == []
+
+
+def _subparsers():
+    (sub,) = (a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_every_default_is_the_shared_constant():
+    """Every public precision or tolerance default, and every command's,
+    is numeric.DEFAULT_PRECISION or verify.DEFAULT_TOLERANCE, and the help
+    text names it."""
+    defaults = {"precision": numeric.DEFAULT_PRECISION, "tolerance": verify.DEFAULT_TOLERANCE}
+    assert defaults == {"precision": 192, "tolerance": 1e-30}
+    seen = set()
+    for module in (numeric, verify, hyp, operators, poly, series, scalars):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            try:
+                params = inspect.signature(obj).parameters.values()
+            except (TypeError, ValueError):
+                continue
+            for p in params:
+                if p.name in defaults and p.default is not p.empty:
+                    assert p.default == defaults[p.name], (name, p.name)
+                    seen.add(name)
+    assert seen >= {"EvalContext", "find_roots", "verify_theorem", "gosper_check",
+                    "incomplete_beta_check", "sweep"}
+    takes = {}
+    for command, parser in _subparsers().items():
+        for action in parser._actions:
+            if action.dest in defaults:
+                assert action.default == defaults[action.dest], (command, action.dest)
+                assert f"(default {defaults[action.dest]})" in action.help
+                takes.setdefault(action.dest, set()).add(command)
+    assert takes == {
+        "precision": {"verify", "gosper", "sweep", "eval", "roots"},
+        "tolerance": {"verify", "gosper", "sweep"},
+    }
+
+
+def test_shared_flags_have_one_help_text():
+    """A flag that several commands take reads the same in each."""
+    helps = {}
+    for parser in _subparsers().values():
+        for action in parser._actions:
+            if action.dest in ("precision", "tolerance", "json"):
+                helps.setdefault(action.dest, set()).add(action.help)
+    assert all(len(h) == 1 and None not in h for h in helps.values()), helps
+    q0_b, reduce_b = (
+        next(a for a in _subparsers()[c]._actions if a.dest == "b") for c in ("q0", "reduce")
+    )
+    assert q0_b.help == reduce_b.help and q0_b.default == reduce_b.default == 1
+
+
+def test_roots_beyond_two_to_the_thousand(capsys):
+    # the double-precision stage runs on x = 2^1500 y: before, the leading
+    # coefficient underflowed there and the roots were never certified
+    code, out, err = run(capsys, "roots", f"--coeffs=-{2**3000},0,1", "--json")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["verdict"] == "pass"
+    assert [r["multiplicity"] for r in report["records"]] == [1, 1]
+    got = sorted(mpmath.mpf(r["re"]) / mpmath.mpf(2) ** 1500 for r in report["records"])
+    assert [mpmath.nint(x) for x in got] == [-1, 1]
+    assert all(abs(abs(x) - 1) < 1e-50 for x in got)
+    assert all(r["im"] == "0.0" for r in report["records"])

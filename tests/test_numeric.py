@@ -1853,3 +1853,45 @@ class TestStartPoints:
             [2.0**-10, 2.0**10], rel=1e-3
         )
         assert all(z.imag != 0 for z in starts[1:])
+
+
+def _cubic_at(scale: int) -> Poly:
+    return Poly((-scale, 1)) * Poly((-2 * scale, 1)) * Poly((-3 * scale, 1))
+
+
+class TestFindRootsBeyondDoubleRange:
+    """Roots beyond 2^+-1000, where doubles cannot hold the polynomial's
+    coefficients: the double-precision stage runs on x = 2^s y, and the
+    polish and the proof on the polynomial as given."""
+
+    @pytest.mark.parametrize("p, roots", [
+        (Poly((-(2**3000), 0, 1)), (-(2**1500), 2**1500)),
+        (Poly((1, 0, -(2**3000))), (-Fraction(1, 2**1500), Fraction(1, 2**1500))),
+        (_cubic_at(2**1200), (2**1200, 2 * 2**1200, 3 * 2**1200)),
+    ], ids=["x^2-2^3000", "1-2^3000x^2", "2^1200(1,2,3)"])
+    def test_certified(self, p, roots):
+        rs = find_roots(p, 192)
+        assert rs.multiplicities == (1,) * len(roots)
+        assert all(x.imag == 0 for x in rs.roots)
+        for x, want in zip(rs.roots, roots):
+            assert abs(x - CTX.to_mp(want)) <= abs(want) * tol(192)
+        _independent_certificate(p, rs)
+
+    def test_scale_is_the_middle_of_the_radii(self):
+        assert numeric._float_scale(Poly((-(2**3000), 0, 1)).nums) == 1500
+        assert numeric._float_scale(Poly((1, 0, -(2**3000))).nums) == -1500
+        assert numeric._float_scale(_cubic_at(2**1200).nums) in range(1200, 1203)
+
+    @pytest.mark.parametrize("p", [CLUSTER, PAIR_OFF_AXIS, WILKINSON_20, _cubic_at(2**990)],
+                             ids=["cluster", "pair", "wilkinson", "2^990(1,2,3)"])
+    def test_in_range_radii_leave_the_polynomial_as_given(self, p):
+        assert numeric._float_scale(p.nums) == 0
+        assert numeric._scaled(p.nums, 0) == list(p.nums)
+
+    def test_scaled_numerators_are_the_polynomial_at_two_to_the_s_y(self):
+        nums = [3, -5, 7, 11]
+        y = Fraction(5, 3)
+        for s in (-4, 0, 6):
+            scaled = Poly.from_numerators(numeric._scaled(nums, s), 1)
+            want = Poly.from_numerators(nums, 1)(y * Fraction(2) ** s)
+            assert scaled(y) == want * Fraction(2) ** (-min(s, 0) * 3)

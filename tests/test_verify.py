@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -16,7 +17,13 @@ from strangeval.errors import (
     NonConvergenceError,
     ParameterError,
 )
-from strangeval.hyp import HypParams, hyp_series, q0_r0_by_series, terminating_poly
+from strangeval.hyp import (
+    HypParams,
+    hyp_series,
+    q0_r0_by_series,
+    terminating_poly,
+    theorem_poly,
+)
 from strangeval.numeric import EvalContext, find_roots, gamma_c, hyp2f1_num
 from strangeval.operators import factor_remainder, genericity_flags, h_remainder
 from strangeval.poly import Poly
@@ -767,3 +774,58 @@ class TestSpecialLoci:
             assert SKIP_DEGENERATE_CONNECTION in reasons
         assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()[:16] == digest
         assert elapsed < 30.0
+
+
+def _draws_with_roots():
+    """The seed-42 sweep draws at ell <= 5 (100 trials) and ell <= 40 (40
+    trials), and 20 seeded draws with c - a an integer, whose terminating
+    polynomial has a root."""
+    draws = []
+    for ell_max, trials in ((5, 100), (40, 40)):
+        rng = random.Random(42)
+        draws += [draw_theorem_params(rng, ell_max) for _ in range(trials)]
+    rng = random.Random(7)
+    draws += [_c_minus_a_integer(rng) for _ in range(20)]
+    return [d for d in draws if theorem_poly(*d).degree]
+
+
+def _wronskian_remainder(a, c, ell, q0: Poly) -> Poly:
+    """x P'(x) q0(x) + ell! (1-x)^(ell-1) mod P, P = F(1-a, -ell; 2-c; x).
+    Identity 1 holds at every root of P exactly when it is zero: at a root
+    lam off {0, 1} the Wronskian of F(a, 1+ell; c; x) and
+    x^(1-c) (1-x)^(c-a-1-ell) P(x) gives F(a, 1+ell; c; lam)
+    = (1-c) / (lam (1-lam) P'(lam)) (DLMF 15.8.1, 15.10(i))."""
+    P = theorem_poly(a, c, ell)
+    lhs = Poly.x() * P.derivative() * q0 + math.factorial(ell) * Poly((1, -1)) ** (ell - 1)
+    return divmod(lhs, P)[1]
+
+
+def test_q0_satisfies_the_wronskian_congruence():
+    """The exact q0 of every pinned draw with a root satisfies the
+    congruence that proves identity 1 at every root of P."""
+    draws = _draws_with_roots()
+    assert len(draws) >= 150
+    for a, c, ell in draws:
+        q0 = compute_q0_all_methods(a, c, ell)[0]
+        assert _wronskian_remainder(a, c, ell, q0).is_zero(), (a, c, ell)
+
+
+def test_wronskian_congruence_sees_a_perturbed_q0():
+    """q0 + x^k / 2^40 leaves a nonzero remainder, for every k below ell."""
+    a, c, ell = Fraction(7, 3), Fraction(5, 11), 6
+    q0 = compute_q0_all_methods(a, c, ell)[0]
+    for k in range(ell):
+        bumped = q0 + Poly([0] * k + [Fraction(1, 2**40)])
+        assert not _wronskian_remainder(a, c, ell, bumped).is_zero(), k
+
+
+def test_report_dict_formats_fractions_in_params():
+    d = verify.report_dict({"a": Fraction(-7, 3), "c": Fraction(2), "ell": 3}, [], "pass",
+                           skip_rate="0.0")
+    assert d == {
+        "params": {"a": "-7/3", "c": "2", "ell": 3},
+        "flags": {},
+        "records": [],
+        "verdict": "pass",
+        "skip_rate": "0.0",
+    }
