@@ -12,22 +12,24 @@ output:
     roots    roots of the terminating polynomial (or explicit coefficients)
 
 Rationals cross the boundary as exact "p/q" strings; ``eval --z p/q,r/s``
-passes its pair to ``hyp2f1_num``, which rounds it.  Exit codes: 0 on
-success, 1 when the verdict of verify, gosper or sweep is a failed
-residual check (``_exit_code``), 2 on usage errors and on the input
-errors of ``errors.INPUT_ERRORS`` (invalid parameters, branch cut,
-degenerate connection, gamma pole, no evaluation map converging within
-the term budget, no convergence, a precision whose report Python cannot
-print), 3 when routes the theory proves equal disagree (a bug).  q0's
-JSON verdict "AGREE" is the one verdict ``_exit_code`` does not map: q0
-exits 0, or 3 when its routes disagree.
+passes its pair to ``hyp2f1_num``, which rounds it.  Each command returns
+its JSON report and its text lines, and ``main`` prints one of them and
+maps the report's verdict to the exit code through ``_exit_code``, the
+one table of codes: 0 for "pass", "no-roots" and q0's "AGREE", 1 for
+"fail".  Exit code 2 is for usage errors and the input errors of
+``errors.INPUT_ERRORS`` (invalid parameters, branch cut, degenerate
+connection, gamma pole, no evaluation map converging within the term
+budget, no convergence, a precision whose report Python cannot print),
+and 3 for routes the theory proves equal that disagree (a bug).
 
 Each convention shared by the commands has one owner: every JSON report
 is ``verify.report_dict``'s {params, flags, records, verdict} envelope;
 the flags more than one command takes are declared once, in
 ``build_parser``; and the default precision and tolerance are
 ``numeric.DEFAULT_PRECISION`` and ``verify.DEFAULT_TOLERANCE``, from
-which the help text is formatted.
+which the help text is formatted.  A value that both forms print is
+rendered once: the params and genericity lines, and the reduce and eval
+values, are read off the JSON report.
 """
 
 from __future__ import annotations
@@ -144,9 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exit_code(verdict: str) -> int:
-    """The exit code of a report's verdict: 0 for a pass, or for a
-    terminating polynomial with no root to check, 1 for a failure."""
-    return {"pass": 0, "no-roots": 0, "fail": 1}[verdict]
+    """The exit code of a report's verdict, for every command; ``KeyError``
+    on a verdict the table does not hold."""
+    return {"pass": 0, "no-roots": 0, "AGREE": 0, "fail": 1}[verdict]
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -157,18 +159,25 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _cmd_verify(args) -> int:
+def _params_line(payload: dict) -> str:
+    return "params: " + " ".join(f"{k}={v}" for k, v in payload["params"].items())
+
+
+def _genericity_line(payload: dict) -> str:
+    flags = payload["flags"]
+    return "genericity: " + " ".join(f"{k}={flags[k]}" for k in ("A1", "A2", "E1", "E2'"))
+
+
+def _cmd_verify(args):
     report = verify_theorem(
         args.a, args.c, args.ell,
         precision=args.precision, tolerance=args.tolerance,
     )
+    payload = report.as_dict()
     digits = report_digits(args.precision)
     lines = [
-        f"params: a={format_rational(args.a)} c={format_rational(args.c)} "
-        f"ell={args.ell} precision={args.precision} order={report.order} "
-        f"tolerance={args.tolerance}",
-        f"genericity: A1={report.flags.a1} A2={report.flags.a2} "
-        f"E1={report.flags.e1} E2'={report.flags.e2p}",
+        _params_line(payload),
+        _genericity_line(payload),
         f"terminating polynomial: {report.poly}",
         f"q0 = {report.q0}",
         f"r0 = {report.r0}",
@@ -199,92 +208,62 @@ def _cmd_verify(args) -> int:
         lines.append(f"skip rate: {report.skipped_roots} of {len(report.records)} roots")
     vacuous = " (vacuous: no root checked)" if report.vacuous else ""
     lines.append(f"verdict: {report.verdict.upper()}{vacuous}")
-    _emit(args, report.as_dict(), lines)
-    return _exit_code(report.verdict)
+    return payload, lines
 
 
-def _cmd_q0(args) -> int:
+def _cmd_q0(args):
     a, b, c, ell = args.a, args.b, args.c, args.ell
     flags = genericity_flags(HypParams(a, b, c), ell)
     # routes that disagree raise InternalInconsistencyError (exit 3)
     q0, r0, provenance, _ = compute_q0_all_methods(a, c, ell, None, b)
-    records = []
-    for method in provenance:
-        rec = {"method": method, "q0": str(q0)}
-        if method != "reversal":
-            rec["r0"] = str(r0)
-        records.append(rec)
-
-    reversal_note = None
-    if b != 1:
-        reversal_note = "reversal method requires b = 1"
-    elif "reversal" not in provenance:
-        reversal_note = "reversal method skipped: a is an integer"
-
-    lines = [
-        f"params: a={format_rational(a)} b={format_rational(b)} "
-        f"c={format_rational(c)} ell={ell}",
-        f"q0 = {q0}",
-        f"r0 = {r0}",
+    records = [
+        {"method": m, "q0": str(q0), **({} if m == "reversal" else {"r0": str(r0)})}
+        for m in provenance
     ]
+    if b != 1:
+        records.append({"method": "reversal", "note": "reversal method requires b = 1"})
+    elif "reversal" not in provenance:
+        records.append({"method": "reversal", "note": "reversal method skipped: a is an integer"})
+    payload = report_dict(dict(a=a, b=b, c=c, ell=ell), records, "AGREE", _flags_dict(flags))
+    lines = [_params_line(payload), f"q0 = {q0}", f"r0 = {r0}"]
     for rec in records:
-        extra = f"; r0 = {rec['r0']}" if "r0" in rec else ""
-        lines.append(f"  [{rec['method']}] q0 = {rec['q0']}{extra}")
-    if reversal_note:
-        lines.append(f"  [reversal] {reversal_note}")
+        if "note" in rec:
+            lines.append(f"  [reversal] {rec['note']}")
+        else:
+            extra = f"; r0 = {rec['r0']}" if "r0" in rec else ""
+            lines.append(f"  [{rec['method']}] q0 = {rec['q0']}{extra}")
     lines.append("methods agree")
-    if reversal_note:
-        records.append({"method": "reversal", "note": reversal_note})
-    _emit(args, report_dict(dict(a=a, b=b, c=c, ell=ell), records, "AGREE",
-                            _flags_dict(flags)), lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args):
     a, b, c, ell = args.a, args.b, args.c, args.ell
     params = HypParams(a, b, c)
     H = build_H(b, ell)
-    L = build_L(params)
-    red = right_reduce(H, L)
+    red = right_reduce(H, build_L(params))
     fac = factor_remainder(red.q, red.r, ell)
-    flags = genericity_flags(params, ell)
     # right_reduce asserts H = quotient o L + q D + r before returning.
+    record = dict(
+        H=str(H), quotient=str(red.quotient), q=str(red.q), r=str(red.r),
+        v0=str(fac.v0), v1=str(fac.v1), g=fac.g, w0=str(fac.w0), w1=str(fac.w1), h=fac.h,
+        q0=str(fac.q0), r0=str(fac.r0), reconstruction="OK",
+    )
+    payload = report_dict(dict(a=a, b=b, c=c, ell=ell), [record], "pass",
+                          _flags_dict(genericity_flags(params, ell)))
     lines = [
-        f"params: a={format_rational(a)} b={format_rational(b)} "
-        f"c={format_rational(c)} ell={ell}",
-        f"H(ell) = {H}",
-        f"p(D)   = {red.quotient}",
-        f"q(x)   = {red.q}",
-        f"r(x)   = {red.r}",
-        f"exponents: (v0, v1, g) = ({format_rational(fac.v0)}, "
-        f"{format_rational(fac.v1)}, {fac.g})   (w0, w1, h) = "
-        f"({format_rational(fac.w0)}, {format_rational(fac.w1)}, {fac.h})",
-        f"q0 = {fac.q0}",
-        f"r0 = {fac.r0}",
-        f"genericity: A1={flags.a1} A2={flags.a2} E1={flags.e1} E2'={flags.e2p}",
-        "reconstruction: OK",
+        _params_line(payload),
+        *(line.format_map(record) for line in (
+            "H(ell) = {H}", "p(D)   = {quotient}", "q(x)   = {q}", "r(x)   = {r}",
+            "exponents: (v0, v1, g) = ({v0}, {v1}, {g})   (w0, w1, h) = ({w0}, {w1}, {h})",
+            "q0 = {q0}", "r0 = {r0}",
+        )),
+        _genericity_line(payload),
+        "reconstruction: {reconstruction}".format_map(record),
     ]
-    record = {
-        "H": str(H),
-        "quotient": str(red.quotient),
-        "q": str(red.q),
-        "r": str(red.r),
-        "v0": format_rational(fac.v0),
-        "v1": format_rational(fac.v1),
-        "g": fac.g,
-        "w0": format_rational(fac.w0),
-        "w1": format_rational(fac.w1),
-        "h": fac.h,
-        "q0": str(fac.q0),
-        "r0": str(fac.r0),
-        "reconstruction": "OK",
-    }
-    _emit(args, report_dict(dict(a=a, b=b, c=c, ell=ell), [record], "pass",
-                            _flags_dict(flags)), lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_gosper(args) -> int:
+def _cmd_gosper(args):
     report = gosper_check(
         args.a, args.b, precision=args.precision, tolerance=args.tolerance
     )
@@ -298,11 +277,10 @@ def _cmd_gosper(args) -> int:
         + ("  (exact arithmetic)" if report.exact else f"  path={report.path}"),
         f"verdict: {report.verdict.upper()}",
     ]
-    _emit(args, report.as_dict(), lines)
-    return _exit_code(report.verdict)
+    return report.as_dict(), lines
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     report = sweep(
         args.trials, ell_max=args.ell_max, seed=args.seed,
         precision=args.precision, tolerance=args.tolerance,
@@ -315,36 +293,30 @@ def _cmd_sweep(args) -> int:
         f"vacuous passes: {report.vacuous_passes} (trials with no root checked)",
         f"verdict: {report.verdict.upper()}",
     ]
-    _emit(args, report.as_dict(), lines)
-    return _exit_code(report.verdict)
+    return report.as_dict(), lines
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     z = args.z
     zstr = ",".join(map(format_rational, z if isinstance(z, tuple) else (z,)))
     ctx = EvalContext(args.precision)
     result = hyp2f1_num(args.a, args.b, args.c, z, ctx, method=args.method)
-    digits = report_digits(args.precision)
-    lines = [
-        f"F({format_rational(args.a)}, {format_rational(args.b)}, "
-        f"{format_rational(args.c)}; {zstr})",
-        f"value = {mpmath.nstr(result.value, digits)}",
-        f"est error = {mpmath.nstr(result.est_error, 6)}",
-        f"path = {result.path}",
-        f"n_terms = {result.n_terms}",
-    ]
     record = {
-        "value": mpmath.nstr(result.value, digits),
+        "value": mpmath.nstr(result.value, report_digits(args.precision)),
         "est_error": mpmath.nstr(result.est_error, 6),
         "path": result.path,
         "n_terms": result.n_terms,
     }
     params = dict(a=args.a, b=args.b, c=args.c, z=zstr, precision=args.precision)
-    _emit(args, report_dict(params, [record], "pass"), lines)
-    return 0
+    payload = report_dict(params, [record], "pass")
+    lines = ["F({a}, {b}, {c}; {z})".format_map(payload["params"])] + [
+        line.format_map(record) for line in
+        ("value = {value}", "est error = {est_error}", "path = {path}", "n_terms = {n_terms}")
+    ]
+    return payload, lines
 
 
-def _cmd_roots(args) -> int:
+def _cmd_roots(args):
     given = [f"--{n}" for n in ("a", "c", "ell") if getattr(args, n) is not None]
     if args.coeffs is not None:
         if given:
@@ -390,8 +362,7 @@ def _cmd_roots(args) -> int:
         lines.append(f"inclusion radius = {radius}  (certified, disjoint discs)")
         verdict = "pass"
     params = dict(poly=[format_rational(cf) for cf in poly.coeffs], precision=args.precision)
-    _emit(args, report_dict(params, payload_roots, verdict, inclusion_radius=radius), lines)
-    return 0
+    return report_dict(params, payload_roots, verdict, inclusion_radius=radius), lines
 
 
 _COMMANDS = {
@@ -411,13 +382,15 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "precision"):
             check_report_precision(args.precision)
-        return _COMMANDS[args.command](args)
+        payload, lines = _COMMANDS[args.command](args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
+    _emit(args, payload, lines)
+    return _exit_code(payload["verdict"])
 
 
 if __name__ == "__main__":

@@ -230,14 +230,12 @@ class EvalContext:
     def to_mp(self, x):
         """Convert ints, Fractions, pairs (re, im) of them, floats, complex,
         mpf/mpc to this context.  A Fraction is rounded once, to nearest,
-        and so is each component of a pair."""
+        and so is each component of a pair; ``mp.convert`` takes the rest."""
         if isinstance(x, tuple):
             return self.mp.mpc(*map(self.to_mp, x))
         if isinstance(x, Fraction):
             prec, rnd = self.mp._prec_rounding
             return self.mp.make_mpf(from_rational(x.numerator, x.denominator, prec, rnd))
-        if isinstance(x, complex):
-            return self.mp.mpc(x.real, x.imag)
         return self.mp.convert(x)
 
 

@@ -20,7 +20,6 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import InternalInconsistencyError, ParameterError
@@ -265,21 +264,28 @@ def right_reduce(H: DiffOp, L: DiffOp) -> ReductionData:
 class FactoredRemainder:
     """Remainder pair factored as q = x^v0 (1-x)^v1 q0, r = x^w0 (1-x)^w1 r0.
 
-    Exponents are the actual ones: q0(0) q0(1) != 0 and likewise for r0
-    (for a nonzero remainder), so degenerate inputs report shifted
-    exponents or dropped degrees rather than failing.  In the generic case
+    The exponents are integers, and the actual ones: q0(0) q0(1) != 0 and
+    likewise for r0 (for a nonzero remainder), so degenerate inputs report
+    shifted exponents or dropped degrees rather than failing.  g and h are
+    the degrees of q0 and r0 (None for a zero one).  In the generic case
     (v0, v1, g) = (1, 1-ell, ell-1) and (w0, w1, h) = (0, 1-ell, ell-1).
     """
 
-    v0: Fraction
-    v1: Fraction
-    g: int | None
-    w0: Fraction
-    w1: Fraction
-    h: int | None
+    v0: int
+    v1: int
+    w0: int
+    w1: int
     q0: Poly
     r0: Poly
     ell: int
+
+    @property
+    def g(self) -> int | None:
+        return self.q0.degree
+
+    @property
+    def h(self) -> int | None:
+        return self.r0.degree
 
     def canonical_qr(self) -> QRPair:
         """The degree <= ell-1 polynomials with the exponent pattern pinned
@@ -288,18 +294,18 @@ class FactoredRemainder:
         route produces, so cross-method comparison happens here."""
         ell = self.ell
         q0 = _repack(self.q0, self.v0 - 1, self.v1 - (1 - ell))
-        r0 = _repack(self.r0, self.w0 - 0, self.w1 - (1 - ell))
+        r0 = _repack(self.r0, self.w0, self.w1 - (1 - ell))
         return QRPair(q0, r0, ell)
 
 
-def _repack(p0: Poly, dx: Fraction, d1mx: Fraction) -> Poly:
+def _repack(p0: Poly, dx: int, d1mx: int) -> Poly:
     if p0.is_zero():
         return p0
-    if dx.denominator != 1 or d1mx.denominator != 1 or dx < 0 or d1mx < 0:
+    if dx < 0 or d1mx < 0:
         raise InternalInconsistencyError(
             f"remainder exponents off pattern by x^{dx} (1-x)^{d1mx}"
         )
-    return p0.mul_factors(int(dx), int(d1mx))
+    return p0.mul_factors(dx, d1mx)
 
 
 def factor_remainder(q: RatFunc, r: RatFunc, ell: int) -> FactoredRemainder:
@@ -308,22 +314,12 @@ def factor_remainder(q: RatFunc, r: RatFunc, ell: int) -> FactoredRemainder:
     parts = []
     for f in (q, r):
         if f.is_zero():
-            parts.append((Fraction(0), Fraction(0), Poly.zero()))
+            parts.append((0, 0, Poly.zero()))
             continue
         s, t, rest = exponent_split(f.poly)
-        parts.append((Fraction(s - f.i), Fraction(t - f.j), rest))
+        parts.append((s - f.i, t - f.j, rest))
     (v0, v1, q0), (w0, w1, r0) = parts
-    return FactoredRemainder(
-        v0=v0,
-        v1=v1,
-        g=q0.degree,
-        w0=w0,
-        w1=w1,
-        h=r0.degree,
-        q0=q0,
-        r0=r0,
-        ell=ell,
-    )
+    return FactoredRemainder(v0=v0, v1=v1, w0=w0, w1=w1, q0=q0, r0=r0, ell=ell)
 
 
 def apply_to_genseries(op: DiffOp, g: GenSeries, order: int | None = None) -> GenSeries:

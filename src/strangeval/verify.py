@@ -138,6 +138,13 @@ SKIP_BRANCH_CUT = "branch-cut"
 SKIP_DEGENERATE_CONNECTION = "degenerate-connection"
 SKIP_EVAL_FAILED = "eval-failed"
 
+# the skip reason of a root at which an evaluation raises one of these
+_SKIP_REASONS = {
+    BranchCutError: SKIP_BRANCH_CUT,
+    DegenerateConnectionError: SKIP_DEGENERATE_CONNECTION,
+    NonConvergenceError: SKIP_EVAL_FAILED,
+}
+
 # The residual tolerance every report function, and the CLI, defaults to.
 DEFAULT_TOLERANCE = 1e-30
 
@@ -154,9 +161,10 @@ def max_report_precision() -> int | None:
     precision + WORK_BITS bits, and mpmath formats a small one through an
     integer of about that many bits times log10(2) decimal digits, which
     must stay within Python's limit on int-to-str conversion
-    (``sys.get_int_max_str_digits()``, 0 for none); WORK_BITS more bits
-    keep a margin."""
-    digits = sys.get_int_max_str_digits()
+    (``sys.get_int_max_str_digits()``, 0 for none; Python before 3.10.7
+    has neither the function nor the limit); WORK_BITS more bits keep a
+    margin."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     return int(digits / 0.30103) - 2 * WORK_BITS if digits else None
 
 
@@ -192,6 +200,17 @@ def _fmt(x, digits: int):
     return mpmath.nstr(x, digits)
 
 
+def _check_record(check, digits: int) -> dict:
+    """The JSON of a check's lhs, rhs, residual and path, for an
+    ``IdentityCheck`` and Gosper's one check alike."""
+    return {
+        "lhs": _fmt(check.lhs, digits),
+        "rhs": _fmt(check.rhs, digits),
+        "residual": _fmt(check.residual, digits),
+        "path": check.path,
+    }
+
+
 @dataclass
 class IdentityCheck:
     """One evaluated identity at one root."""
@@ -204,14 +223,8 @@ class IdentityCheck:
     est_error: object
 
     def as_dict(self, digits: int) -> dict:
-        return {
-            "name": self.name,
-            "lhs": _fmt(self.lhs, digits),
-            "rhs": _fmt(self.rhs, digits),
-            "residual": _fmt(self.residual, digits),
-            "path": self.path,
-            "est_error": _fmt(self.est_error, 6),
-        }
+        return dict(_check_record(self, digits), name=self.name,
+                    est_error=_fmt(self.est_error, 6))
 
 
 @dataclass
@@ -449,12 +462,8 @@ def verify_theorem(
                 rec.checks = _check_both_identities(
                     a, c, ell, q0, rec.lam, ctx, constants
                 )
-            except BranchCutError:
-                rec.skipped, rec.skip_reason = True, SKIP_BRANCH_CUT
-            except DegenerateConnectionError:
-                rec.skipped, rec.skip_reason = True, SKIP_DEGENERATE_CONNECTION
-            except NonConvergenceError:
-                rec.skipped, rec.skip_reason = True, SKIP_EVAL_FAILED
+            except tuple(_SKIP_REASONS) as exc:
+                rec.skipped, rec.skip_reason = True, _SKIP_REASONS[type(exc)]
     records = [
         rec if j is None else records[j].conjugated(rec.lam, j)
         for rec, j in zip(records, roots.conjugate_of)
@@ -523,17 +532,11 @@ class GosperReport:
         return "pass" if _passes(self.residual, self.tolerance) else "fail"
 
     def as_dict(self) -> dict:
-        digits = report_digits(self.precision)
-        record = {
-            "lhs": _fmt(self.lhs, digits),
-            "rhs": _fmt(self.rhs, digits),
-            "residual": _fmt(self.residual, digits),
-            "path": self.path,
-        }
         return report_dict(
             dict(a=self.a, b=self.b, z=self.z, precision=self.precision,
                  tolerance=repr(self.tolerance)),
-            [record], self.verdict, {"exact": self.exact},
+            [_check_record(self, report_digits(self.precision))], self.verdict,
+            {"exact": self.exact},
         )
 
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import inspect
 import json
@@ -495,6 +496,14 @@ class TestReportPrecision:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_no_int_to_str_limit_means_no_bound(self, capsys, monkeypatch, command):
+        # Python before 3.10.7 has neither sys.get_int_max_str_digits nor the limit
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert verify.max_report_precision() is None
+        code, out, err = run(capsys, *self.COMMANDS[command])
+        assert code == 0 and out and err == ""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_at_the_bound_prints(self, capsys, command):
         precision = verify.max_report_precision()
         code, out, err = run(capsys, *self.COMMANDS[command], f"--precision={precision}")
@@ -727,3 +736,52 @@ def test_roots_beyond_two_to_the_thousand(capsys):
     assert [mpmath.nint(x) for x in got] == [-1, 1]
     assert all(abs(abs(x) - 1) < 1e-50 for x in got)
     assert all(r["im"] == "0.0" for r in report["records"])
+
+
+# a command for each verdict: pass, no-roots and q0's AGREE as they come,
+# and fail where every check is made to miss its tolerance
+VERDICT_CASES = [
+    ("verify --a 3 --c 3/2 --ell 1", "pass"),
+    ("verify --a 1 --c 1/2 --ell 3", "no-roots"),
+    ("q0 --a 7/3 --c 5/11 --ell 4", "AGREE"),
+    ("reduce --a 1/3 --c 1/2 --ell 3", "pass"),
+    ("gosper --a 3 --b 2", "pass"),
+    ("sweep --trials 2", "pass"),
+    ("eval --a 1/3 --b 5/7 --c 9/4 --z=2/3,-3/7", "pass"),
+    ("roots --a 7/3 --c 5/11 --ell 6", "pass"),
+    ("roots --coeffs 3", "no-roots"),
+    ("verify --a 3 --c 3/2 --ell 1", "fail"),
+    ("gosper --a 1/3 --b 2/5", "fail"),
+    ("sweep --trials 2", "fail"),
+]
+
+
+@pytest.mark.parametrize("argv, verdict", VERDICT_CASES, ids=[" -> ".join(v) for v in VERDICT_CASES])
+def test_every_verdict_maps_through_the_one_exit_code_table(capsys, monkeypatch, argv, verdict):
+    """Each command returns its report and text lines, and main maps the
+    report's verdict to the exit code through ``_exit_code``."""
+    argv = argv.split()
+    if verdict == "fail":
+        monkeypatch.setattr(verify, "_passes", lambda residual, tolerance: False)
+    args = cli.build_parser().parse_args(argv)
+    payload, lines = cli._COMMANDS[args.command](args)
+    assert payload["verdict"] == verdict and all(isinstance(line, str) for line in lines)
+    code, _, err = run(capsys, *argv)
+    assert code == cli._exit_code(verdict) == (verdict == "fail") and err == ""
+
+
+def test_agree_exits_zero_and_an_unknown_verdict_is_refused():
+    assert cli._exit_code("AGREE") == 0
+    with pytest.raises(KeyError):
+        cli._exit_code("inconclusive")
+
+
+def test_main_is_the_one_caller_of_emit_and_exit_code():
+    tree = ast.parse(inspect.getsource(cli))
+    callers = {
+        fn.name
+        for fn in tree.body if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_emit", "_exit_code")
+    }
+    assert callers == {"main"}

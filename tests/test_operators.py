@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -210,6 +211,23 @@ class TestFactorRemainder:
         assert fac.g == 0
         assert fac.q0 == Poly((4 - Fraction(1, 2),))
         assert fac.canonical_qr().q0 == Poly((Fraction(7, 2),))
+
+    def test_exponents_are_integers_and_degrees_are_read_off(self):
+        # seeded draws, a third of them at b = 0, where the remainder's r is 0
+        rng = random.Random(34)
+        zero_remainders = 0
+        for k in range(30):
+            b = 0 if k % 3 == 0 else random_rational(rng)
+            params = HypParams(random_rational(rng), b, random_rational(rng))
+            ell = 1 + k % 6
+            fac = factor_remainder(*h_remainder(params, ell), ell)
+            assert all(type(e) is int for e in (fac.v0, fac.v1, fac.w0, fac.w1)), (params, ell)
+            assert (fac.g, fac.h) == (fac.q0.degree, fac.r0.degree), (params, ell)
+            zero_remainders += fac.r0.is_zero()
+        assert zero_remainders >= 10
+        fac = factor_remainder(RatFunc.zero(), RatFunc.zero(), 2)
+        assert (fac.v0, fac.v1, fac.g, fac.w0, fac.w1, fac.h) == (0, 0, None, 0, 0, None)
+        assert not {f.name for f in dataclasses.fields(fac)} & {"g", "h"}
 
     def test_oracle_equivalence_b1(self, param_pool):
         cases = [(a, c, ell) for a, c in param_pool[:20] for ell in range(1, 7)]

@@ -829,3 +829,48 @@ def test_report_dict_formats_fractions_in_params():
         "verdict": "pass",
         "skip_rate": "0.0",
     }
+
+
+def _engine_checks(ell_max: int, trials: int, precision: int = 192) -> list:
+    """(|lhs - rhs|, its budget, where) of every evaluated check of the
+    seed-42 sweep to ``ell_max``, with each root settled 64 bits tighter
+    than the checks are made, so that the root's disc stays far below the
+    engine's error.  The identities are exact (the Wronskian congruence
+    above), so |lhs - rhs| is the engine's error plus the right side's
+    rounding: the budget is est_error + 2^-(precision+24) |rhs|."""
+    rng = random.Random(42)
+    out = []
+    for _ in range(trials):
+        a, c, ell = draw_theorem_params(rng, ell_max)
+        P = theorem_poly(a, c, ell)
+        if not P.degree:
+            continue
+        roots = find_roots(P, precision + 64)
+        q0 = compute_q0_all_methods(a, c, ell)[0]
+        ctx = EvalContext(precision)
+        constants = verify._right_side_constants(a, c, ell, ctx)
+        with ctx.sharing():
+            for lam, partner in zip(roots.roots, roots.conjugate_of):
+                if partner is not None:
+                    continue
+                try:
+                    checks = verify._check_both_identities(a, c, ell, q0, lam, ctx, constants)
+                except tuple(verify._SKIP_REASONS):
+                    continue
+                with mpmath.workprec(4 * precision):
+                    for ch in checks:
+                        lhs, rhs, est = map(mpmath.mpmathify, (ch.lhs, ch.rhs, ch.est_error))
+                        budget = est + mpmath.ldexp(abs(rhs), -(precision + 24))
+                        out.append((abs(lhs - rhs), budget, (a, c, ell, ch.name, ch.path)))
+    return out
+
+
+@pytest.mark.parametrize("ell_max, trials, count", [(5, 100, 338), (40, 40, 714)])
+def test_every_check_of_the_pinned_sweeps_is_within_the_engine_budget(ell_max, trials, count):
+    """Every evaluated check of both pinned sweeps is an oracle point for
+    the 2F1 engine: |lhs - rhs| stays within est_error plus the right
+    side's rounding (ROADMAP item 17)."""
+    checks = _engine_checks(ell_max, trials)
+    assert len(checks) == count
+    over = [where for err, budget, where in checks if err > budget]
+    assert not over, over
