@@ -12,20 +12,26 @@ and never leaks through global state.  Conventions that matter:
   connection) are described once per call, in a table built from two
   squared norms of the argument, N0 = |z|^2 and N1 = |z-1|^2, held as
   integers from z's dyadic components (only their mantissas squared):
-  the maps' squared moduli are N0, N0/N1 and min(N1, N1/N0), compared
-  exactly by cross-multiplication, and give the term budgets as doubles.
-  A table entry holds where the map's series ends, by the one rule of
+  the maps' squared moduli are the exact ratios N0, N0/N1 and
+  min(N1, N1/N0), and give the term budgets as doubles.  A table entry
+  holds where the map's series ends, by the one rule of
   ``hyp.series_end`` (pfaff-a sums F(a, c-b; c; w), so a or c-b ends it,
   and pfaff-b F(b, c-a; c; w)); the Pfaff argument z/(z-1) is computed
   only for a Pfaff map taken.  The table holds only the maps defined at
   the input: the Pfaff maps and the connection need z != 1 and c not a
   nonpositive integer, and a forced method outside the table raises
-  ``ParameterError``.  One call, ``_Argument.least``, takes the forced
-  map, else the first map whose series ends, else the direct series at
-  |z| <= 0.7, else the map of least modulus, and sizes that map's term
-  budget.  A terminating sum is the table's direct map, with that map's
-  error.  Of the two Pfaff maps the choice by modulus takes the one whose
-  series grows slower, the one that keeps the smaller of a and b;
+  ``ParameterError``.  A Pfaff map may also sum its series through the
+  connection at w = z/(z-1) (DLMF 15.8.2/15.8.3, as 15.8.1 then 15.8.4),
+  whose two series run at 1-w = 1/(1-z), or by their own Pfaff maps at
+  1/z: modulus min(1/|z|, 1/|1-z|), squared 1/max(N0, N1); it reports
+  the Pfaff tag and degenerates when b-a is an integer.  One call,
+  ``_Argument.least``, takes the forced map, else the first map whose
+  series ends, else the route of least predicted cost in series terms
+  (growth phase plus geometric tail per series summed, plus fixed costs
+  for the connection's gammas and a Pfaff prefactor) among those whose
+  series do not grow past 2^WORK_BITS, and sizes its term budget.  A terminating sum is the table's direct map, with that map's
+  error.  Of the two Pfaff maps only the one whose series grows slower,
+  the one that keeps the smaller of a and b, is a candidate;
 * every fractional power takes the principal branch (log with imaginary
   part in (-pi, pi]); arguments on [1, oo) are rejected, not guessed;
 * a sum that terminates at a rational argument is evaluated exactly, by
@@ -88,7 +94,9 @@ and never leaks through global state.  Conventions that matter:
   last term and a bound on every later term ratio, plus a roundoff
   allowance; the paths multiply it by the Pfaff prefactor's modulus, and
   the connection sums its parts' errors times the coefficients' moduli
-  plus 16 2^-precision of each part.  This bookkeeping runs in integers:
+  plus 16 2^-precision of each part (a Pfaff map through the connection
+  takes that sum times the prefactor's modulus, plus 16 2^-precision of
+  its value).  This bookkeeping runs in integers:
   the tail, the allowance and every modulus are taken up (the moduli by
   a ceiling root of the squared mantissas), and the sum is rounded up
   once into ``est_error``.  What is still an estimate is the roundoff
@@ -120,6 +128,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
@@ -545,7 +554,8 @@ _PATH_PFAFF_B = "pfaff-b"
 _PATH_CONNECTION = "connection-1mz"
 
 # the maps a series is summed on; the connection formula sums two of them
-_SERIES_PATHS = (_PATH_DIRECT, _PATH_PFAFF_A, _PATH_PFAFF_B)
+_PFAFF_PATHS = (_PATH_PFAFF_A, _PATH_PFAFF_B)
+_SERIES_PATHS = (_PATH_DIRECT, *_PFAFF_PATHS)
 KNOWN_PATHS = _SERIES_PATHS + (_PATH_CONNECTION,)
 
 
@@ -862,31 +872,44 @@ def hyp2f1_num(
     be floating-point, and it must be finite.  The effective argument
     modulus is |z| on the direct series, |z/(z-1)| on the two Pfaff maps,
     and min(|1-z|, |1-1/z|) on the 1-z connection formula, whose two inner
-    series take the best of the other maps; that covers Re z > 1/2, where
-    neither |z| nor |z/(z-1)| falls below 1.  The choice compares the
-    squared moduli exactly, as ratios of the integer squared norms |z|^2
-    and |z-1|^2, by cross-multiplication, and each map's term budget comes
-    from the double num / den of its ratio, correctly rounded.  A z with
-    Re z >= 1 - 2^-40 and |Im z| <= 2^(8-precision) (1 + Re z), two
-    integer comparisons on its aligned components, lies on the branch cut
-    [1, oo), where a series that does not terminate raises
-    ``BranchCutError``.  A map whose series terminates is taken first (the
-    direct series before the Pfaff maps), then the direct series while
-    |z| <= 0.7, else the map of least modulus; the Pfaff map there is the
-    one whose series grows slower, the one that keeps the smaller of a and
-    b (pfaff-a when a <= b).  On a series map ``est_error`` is the
-    prefactor's modulus times the kernel's proved tail bound plus the
-    roundoff allowance peak (n+8) 2^-prec at the working precision; the
-    connection adds 16 2^-precision of each part to the parts' errors.
-    Both are formed in integers from upper bounds on every modulus and
-    rounded up once (``_hyp2f1``); the roundoff allowance is an estimate.
+    series take the cheaper of the direct and Pfaff maps; that covers
+    Re z > 1/2, where neither |z| nor |z/(z-1)| falls below 1.  A Pfaff
+    map may also sum its series F(a, c-b; c; w), w = z/(z-1), through the
+    connection at w (DLMF 15.8.2/15.8.3), whose inner series run at
+    1-w = 1/(1-z) or 1 - 1/w = 1/z, modulus min(1/|z|, 1/|1-z|); it is
+    reported as that Pfaff map and degenerates when b-a is an integer.
+    The moduli are exact ratios of the integer squared norms |z|^2 and
+    |z-1|^2, and each map's term budget comes from the double num / den of
+    its ratio, correctly rounded.  A z with Re z >= 1 - 2^-40 and
+    |Im z| <= 2^(8-precision) (1 + Re z), two integer comparisons on its
+    aligned components, lies on the branch cut [1, oo), where a series
+    that does not terminate raises ``BranchCutError``.  A map whose series
+    terminates is taken first (the direct series before the Pfaff maps);
+    else the route of least predicted cost in series terms: per series
+    summed its growth phase, worked out from the exact parameters, plus
+    the geometric tail (precision + GUARD_BITS) / -log2 m, and fixed costs
+    for the connection's gammas and for a Pfaff prefactor; a route whose
+    series grow past 2^WORK_BITS, and so cancel more bits than the working
+    precision adds, is taken only when every route in budget does.  The
+    Pfaff map there is the one whose series grows slower, the one that
+    keeps the smaller of a and b (pfaff-a when a <= b); a degenerate
+    connection is taken only when no other route is in budget.  On a series map
+    ``est_error`` is the prefactor's modulus times the kernel's proved
+    tail bound plus the roundoff allowance peak (n+8) 2^-prec at the
+    working precision; the connection adds 16 2^-precision of each part
+    to the parts' errors, and a Pfaff map through it multiplies that by
+    the prefactor's modulus and adds 16 2^-precision of the value.  All
+    are formed in integers from upper bounds on every modulus and rounded
+    up once (``_hyp2f1``); the roundoff allowance is an estimate.
     z = 0 returns exactly 1 on the direct series, with no term summed and
     ``est_error`` 0, whatever ``method``.  A sum that terminates directly
     is finite whatever |z|, and exact at a rational z, rounded once with
     one unit in the last place as ``est_error``, or 0 when the rounding is
     exact; otherwise its error estimate is the direct map's, as for a
     forced direct-series.  ``method``, one of ``KNOWN_PATHS``, forces a
-    path, mainly for cross-path agreement tests; it must be a map defined
+    path, mainly for cross-path agreement tests: a forced Pfaff map sums
+    its series directly, never through the connection, and the choice by
+    cost applies only without it.  It must be a map defined
     at the input (the Pfaff maps and the connection need z != 1 and c not
     a nonpositive integer), else ``ParameterError`` is raised.
     ``NonConvergenceError`` is raised when no path, or the forced one,
@@ -938,10 +961,12 @@ class _Argument:
     (``_gaussian``); and the squared norms N0 = |z|^2 = n0 / 4^s and
     N1 = |z-1|^2 = n1 / 4^s.  Each map's squared modulus is then an exact
     ratio of integers: n0 / 4^s on the direct series, N0 / N1 = n0 / n1 on
-    the Pfaff maps, and min(N1, N1 / N0) = n1 / max(4^s, n0) on the
-    connection, as |1-z|^2 = N1 and |1-1/z|^2 = N1 / N0.  Only the
-    components' mantissas are squared: N1 = N0 - 2 Re z + 1, and the rest
-    are shifts."""
+    the Pfaff maps, min(N1, N1 / N0) = n1 / max(4^s, n0) on the
+    connection, as |1-z|^2 = N1 and |1-1/z|^2 = N1 / N0, and
+    min(1 / N1, 1 / N0) = 4^s / max(n0, n1) on a Pfaff map summed through
+    the connection at w = z/(z-1), whose series run at 1-w = 1/(1-z) or
+    1 - 1/w = 1/z.  Only the components' mantissas are squared:
+    N1 = N0 - 2 Re z + 1, and the rest are shifts."""
 
     def __init__(self, zz, prec: int):
         xr, xi, s = _gaussian(zz)
@@ -952,40 +977,170 @@ class _Argument:
         self.n0 = (mr * mr << 2 * (er + s)) + (mi * mi << 2 * (ei + s))
         self.n1 = self.n0 - ((-mr if sr else mr) << er + 2 * s + 1) + self.scale
 
-    def squared(self, path: str) -> tuple:
-        """The map's squared modulus as (numerator, denominator)."""
+    def squared(self, path: str, via: bool = False) -> tuple:
+        """The map's squared modulus as (numerator, denominator); ``via``
+        for a Pfaff map summed through the connection at w."""
+        if via:
+            return self.scale, max(self.n0, self.n1)
         if path == _PATH_DIRECT:
             return self.n0, self.scale
         if path == _PATH_CONNECTION:
             return self.n1, max(self.scale, self.n0)
         return self.n0, self.n1
 
-    def least(self, maps, paths, prec: int, degenerate: bool) -> tuple:
-        """The map to take and its term budget (``_max_terms_for``):
-        (path, budget).  ``maps`` is the table, path -> where the map's
-        series ends (``hyp.series_end``) or None; a forced map comes as
-        the table of its one entry.  The first map of the table whose
-        series ends is taken; else the direct series, when the table has
-        it and |z| <= 0.7; else the map of least modulus among ``paths``
-        whose series is in budget, ties in the order of ``paths`` (an
-        empty table ranks ``paths`` by modulus alone).  A connection that
-        ``degenerate``s is taken only when no other map is in budget.  Two
-        moduli n1/d1 and n2/d2 are compared exactly, as n1 d2 < n2 d1."""
+    def least(self, maps, routes, prec: int, den: int) -> tuple:
+        """The route to take and its term budget (``_max_terms_for``):
+        (route, budget).  ``maps`` is the table, path -> where the map's
+        series ends (``hyp.series_end``) or None; ``routes`` are
+        ``_Route``s over it, in the order ties go.  The first map of the
+        table whose series ends is taken, as its series route.  Else each
+        route in budget has a predicted cost in series terms: for each
+        series it sums, the growth phase (``_growth_phase``) plus the
+        geometric tail (prec + GUARD_BITS) / -log2 m, m the route's
+        modulus, and the fixed costs ``_CONNECTION_TERMS`` on a route that
+        sums two and ``_POWER_TERMS`` on a Pfaff map.  A route is lossy
+        when a series it sums grows past 2^WORK_BITS (``_log2_term`` at
+        the end of its growth phase): the kernel's fixed point then
+        cancels more bits than the working precision adds.  Routes rank
+        by (out of budget, ``degenerate``, lossy, cost), ties in the order
+        of ``routes``: the cheapest accurate route is taken.  A forced
+        route, the one entry of ``routes``, is taken as it is."""
         ending = next((p for p, end in maps.items() if end is not None), None)
         if ending is not None:
-            paths = [ending]
-        elif _PATH_DIRECT in maps and 100 * self.n0 <= 49 * self.scale:  # |z| <= 0.7
-            paths = [_PATH_DIRECT]
+            route = _Route(ending, False, (), False)
+            return route, _max_terms_for(*self.squared(ending), prec, maps[ending])
+        if len(routes) == 1:
+            (route,) = routes
+            return route, _max_terms_for(*self.squared(route.path, route.via), prec, None)
         best = None
-        for path in paths:
-            num, den = self.squared(path)
-            budget = _max_terms_for(num, den, prec, maps.get(path))
-            rank = budget is None, path == _PATH_CONNECTION and degenerate
-            if best is None or rank < best[0] or (
-                rank == best[0] and num * best[2] < best[1] * den
-            ):
-                best = rank, num, den, path, budget
-        return best[3:]
+        for route in routes:
+            two = route.via or route.path == _PATH_CONNECTION
+            cost = (_CONNECTION_TERMS if two else 0) + (
+                _POWER_TERMS if route.path in _PFAFF_PATHS else 0
+            )
+            # the costs only add: the fixed cost, then the tails, then the
+            # growth phases, each worked out only while the route can win
+            if best is not None and best[0] <= (False, route.degenerate, False, cost):
+                continue
+            num, d = self.squared(route.path, route.via)
+            rank, budget = (True, route.degenerate, False, 0.0), None
+            m2 = max(num / d, math.ulp(0)) if num < d else 1.0
+            if m2 < 1:
+                tail = 2 * (prec + GUARD_BITS) / -math.log2(m2)
+                cost += 2 * tail if two else tail
+                if best is not None and best[0] <= (False, route.degenerate, False, cost):
+                    continue
+                budget = _max_terms_for(num, d, prec, None)
+            if budget is not None:
+                series = (route.params,)
+                if two:
+                    # the connection's series run at 1-z, or by their Pfaff
+                    # maps at 1 - 1/z when |z| > 1; through the connection
+                    # at w at 1/(1-z), or at 1/z when |z| > |1-z|
+                    pfaffed = self.n0 > (self.n1 if route.via else self.scale)
+                    series = _connection_series(*route.params, den, pfaffed)
+                m, lossy = math.sqrt(m2), False
+                for t in series:
+                    grow = _growth_phase(*t, den, m)
+                    cost += grow
+                    lossy = lossy or grow > 0 and _log2_term(*t, den, m, grow) > WORK_BITS
+                rank = False, route.degenerate, lossy, cost
+            if best is None or rank < best[0]:
+                best = rank, route, budget
+        return best[1:]
+
+
+class _Route(NamedTuple):
+    """An entry of ``_hyp2f1``'s map table: the path tag it reports,
+    whether it is a Pfaff map summed through the connection at z/(z-1)
+    (``via``), the parameters (a, b, c) of the function its series map or
+    connection formula is applied to, over one denominator, and whether
+    that connection formula degenerates."""
+
+    path: str
+    via: bool
+    params: tuple
+    degenerate: bool
+
+
+# Fixed costs in series terms at the default precision: the connection
+# formula's seven gamma values and its power, on a route that sums two
+# series, and a Pfaff map's prefactor (1-z)^-a and argument z/(z-1)
+_CONNECTION_TERMS = 600
+_POWER_TERMS = 100
+
+
+def _connection_series(a: int, b: int, c: int, den: int, pfaffed: bool) -> tuple:
+    """The triples over den of the two series the 1-x connection formula
+    (DLMF 15.8.4) sums for F(a, b; c; x): (a, b, a+b-c+1) and
+    (c-a, c-b, c-a-b+1) at 1-x, or, ``pfaffed``, each (p, q, r) through
+    its slower Pfaff map at 1 - 1/x, (p, r-q, r) when p <= q, else
+    (q, r-p, r), as ``_hyp2f1`` picks it."""
+    cab = c - a - b
+    triples = ((a, b, den - cab), (c - a, c - b, den + cab))
+    if pfaffed:
+        triples = tuple((p, r - q, r) if p <= q else (q, r - p, r) for p, q, r in triples)
+    return triples
+
+
+def _growth_phase(an: int, bn: int, cn: int, den: int, m: float) -> float:
+    """The index up to which the terms of F(a, b; c; x), |x| = m < 1,
+    a = an/den, b = bn/den, c = cn/den, may still grow: the largest n >= 0
+    with m |(n+a)(n+b)| > |(n+c)(n+1)|, or 0; infinite when a parameter is
+    beyond the range of a double.  As for ``_monotone_from`` it is a root
+    of a quadratic in n:
+    between the points -a, -b, -c where a factor changes sign, the
+    condition is g(n) = s m (n+a)(n+b) - t (n+c)(n+1) > 0, with s and t
+    the signs of the two products there.  The intervals are searched from
+    the right.  In one that ends at -c (and not at -a or -b) g is
+    positive just below the end, the terms rising towards the small
+    divisor; in any other g is at most 0 at its end, and the answer is
+    g's largest root inside it, if it has one."""
+    try:
+        a, b, c = an / den, bn / den, cn / den
+    except OverflowError:
+        return math.inf
+    edges = sorted({-x for x in (a, b, c) if x < 0}, reverse=True) if min(a, b, c) < 0 else []
+    edges.append(0.0)
+    hi = math.inf
+    for lo in edges:
+        if hi == -c != -a and hi != -b:
+            return hi
+        mid = lo + 1 if hi == math.inf else (lo + hi) / 2
+        s = m if (mid + a) * (mid + b) > 0 else -m
+        t = 1 if mid + c > 0 else -1
+        qa, qb, qc = s - t, s * (a + b) - t * (c + 1), s * a * b - t * c
+        disc = qb * qb - 4 * qa * qc
+        if qa and disc >= 0:
+            r = math.sqrt(disc)
+            x, y = (-qb + r) / (2 * qa), (-qb - r) / (2 * qa)
+            if x < y:
+                x, y = y, x
+        else:
+            x = y = -qc / qb if not qa and qb else lo
+        if lo < x < hi:
+            return x
+        if lo < y < hi:
+            return y
+        hi = lo
+    return 0.0
+
+
+def _log2_term(an: int, bn: int, cn: int, den: int, m: float, n: float) -> float:
+    """log2 |t_n| for the terms t_n = (a)_n (b)_n / ((c)_n n!) x^n of
+    F(a, b; c; x), |x| = m, a = an/den, b = bn/den, c = cn/den, read off
+    log |Gamma| (``math.lgamma``) at a real n >= 0; infinite where a
+    gamma argument is a pole or out of range."""
+    try:
+        a, b, c = an / den, bn / den, cn / den
+        lg = math.lgamma
+        log_t = (
+            n * math.log(m) + lg(n + a) - lg(a) + lg(n + b) - lg(b)
+            - lg(n + c) + lg(c) - lg(n + 1)
+        )
+    except (ValueError, OverflowError):
+        return math.inf
+    return log_t / math.log(2)
 
 
 def _ceil_abs(x, bits: int) -> tuple:
@@ -1026,12 +1181,11 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths, den) -> EvalResult
     rational z or None, and the path is the forced ``method`` or the best
     of ``paths``.
 
-    The error is kept in integers and rounded up once (``_round_up``).  On
-    a series map it is |pref| (tail + ceil(peak (n+8) 2^-wprec)), wprec the
-    working precision, from the kernel's integers in its unit 2^-wp, with
-    |pref| taken up by ``_ceil_abs`` (1 on the direct series).  On the
-    connection it is sum_i |coef_i| err_i + 16 2^-precision |part_i|, with
-    err_i the inner result's est_error and each modulus by ``_ceil_abs``."""
+    The error is kept in integers and rounded up once (``_round_up``): on
+    a series map as ``_summed`` forms it, on the connection as
+    ``_connection`` does, and on a Pfaff map through the connection as
+    |pref| times the connection's terms plus 16 2^-precision |value|, each
+    modulus taken up by ``_ceil_abs``."""
     mp = ctx.mp
     prec = ctx.precision
     target_bits = prec + GUARD_BITS
@@ -1076,22 +1230,33 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths, den) -> EvalResult
         if _PATH_CONNECTION in paths:
             maps[_PATH_CONNECTION] = None
     if method is None:
-        # Of the two Pfaff series, F(a, c-b; c; w) grows like
-        # n^(a-b-1) and F(b, c-a; c; w) like n^(b-a-1): take the slower
+        # of the two Pfaff series the one that grows slower; through the
+        # connection at w (DLMF 15.8.2/15.8.3 as 15.8.1 then 15.8.4) both
+        # sum the same two series, at 1/(1-z) or, by their own Pfaff
+        # maps, at 1/z, and it degenerates when b-a is an integer
         slower = _PATH_PFAFF_A if a <= b else _PATH_PFAFF_B
-        choices = [p for p in (_PATH_DIRECT, slower, _PATH_CONNECTION) if p in maps]
+        routes = [_Route(_PATH_DIRECT, False, (a, b, c), False)]
+        if slower in maps:
+            routes.append(_Route(slower, False, (*pfaff[slower], c), False))
+        if _PATH_CONNECTION in maps:
+            routes += [
+                _Route(_PATH_CONNECTION, False, (a, b, c), degenerate),
+                _Route(slower, True, (*pfaff[slower], c), not (b - a) % den),
+            ]
     elif method in maps:
         maps = {method: maps[method]}
-        choices = [method]
+        routes = [_Route(method, False, (), method == _PATH_CONNECTION and degenerate)]
     else:
         raise ParameterError(
             f"the {method} map of 2F1 is not defined at c = {Fraction(c, den)}, "
             f"z = {mp.nstr(zz, 15)}; it needs z != 1 and c not a nonpositive integer"
         )
-    method, max_terms = arg.least(maps, choices, prec, degenerate)
-    if method == _PATH_CONNECTION and degenerate:
+    route, max_terms = arg.least(maps, routes, prec, den)
+    method = route.path
+    if route.degenerate:
+        diff, where = (Fraction(b - a, den), "b-a") if route.via else (Fraction(cab, den), "c-a-b")
         raise DegenerateConnectionError(
-            f"c-a-b = {Fraction(cab, den)} is an integer; "
+            f"{where} = {diff} is an integer; "
             "the two-term connection formula degenerates"
         )
     if max_terms is None:
@@ -1101,68 +1266,107 @@ def _hyp2f1(ctx: EvalContext, a, b, c, zz, ez, method, paths, den) -> EvalResult
         )
 
     if method == _PATH_CONNECTION:
-        u = 1 - zz
-        # the gamma arguments become Fractions here, at gamma_c's interface
-        gc = gamma_c(Fraction(c, den), ctx)
-        coef1 = (
-            gc * gamma_c(Fraction(cab, den), ctx)
-            * rgamma_c(Fraction(c - a, den), ctx) * rgamma_c(Fraction(c - b, den), ctx)
+        value, terms, n = _connection(
+            ctx, a, b, c, den, 1 - zz, None if ez is None else 1 - ez
         )
-        coef2 = (
-            _principal_power(ctx, u, cab, den) * gc * gamma_c(Fraction(-cab, den), ctx)
-            * rgamma_c(Fraction(a, den), ctx) * rgamma_c(Fraction(b, den), ctx)
-        )
-        # the inner series run at 1 - z, exactly when z is rational
-        eu = None if ez is None else 1 - ez
-        uu = u if eu is None else ctx.to_mp(eu)
-        u_key = (_exact(uu), None if eu is None else (eu.numerator, eu.denominator))
-        parts, terms, n = [], [], 0
-        for coef, pa, pb, pc in ((coef1, a, b, den - cab), (coef2, c - a, c - b, den + cab)):
-            if coef != 0:
-                # ordered (pa, pb): with c-a and c-b both nonpositive
-                # integers the terminating Pfaff map taken depends on it
-                inner_params = _lowest(pa, pb, pc, den)
-                inner = ctx._recall(
-                    ("inner", *inner_params, u_key, mp.prec),
-                    lambda: _hyp2f1(
-                        ctx, *inner_params[:3], uu, eu, None, _SERIES_PATHS, inner_params[3]
-                    ),
-                )
-                part = coef * inner.value
-                parts.append(part)
-                m, f = _ceil_abs(coef, mp.prec)
-                _, man, exp, _ = inner.est_error._mpf_
-                terms.append((m * man, f + exp))
-                m, f = _ceil_abs(part, mp.prec)
-                terms.append((m, f + 4 - prec))  # 16 2^-precision |part|
-                n += inner.n_terms
-        value = sum(parts, mp.mpf(0))
+    elif method == _PATH_DIRECT:
+        value, n, terms = _summed(ctx, None, a, b, c, den, zz, target_bits, max_terms)
     else:
-        if method == _PATH_DIRECT:
-            pref, bound, pa, pb, x = 1, (1, 0), a, b, zz
-        else:
-            pa, pb = pfaff[method]
-            pref, x = _principal_power(ctx, 1 - zz, -pa, den), zz / (zz - 1)
-            bound = _ceil_abs(pref, mp.prec)
-        pa, pb, pc, d = _lowest(pa, pb, c, den)
-        # the kernel is symmetric in pa and pb, bit for bit
-        key = ("series", *sorted((pa, pb)), pc, d, _exact(x), mp.prec, target_bits, max_terms)
-
-        def summed():
-            total, tail, n, peak, wp = _series_2f1(
-                mp, pa, pb, pc, d, x, target_bits, max_terms
+        pa, pb = pfaff[method]
+        pref = _principal_power(ctx, 1 - zz, -pa, den)
+        if route.via:
+            # the connection at w = z/(z-1) for F(pa, pb; c; w), with
+            # 1-w = 1/(1-z) formed from z, not from w, so that it keeps
+            # the working precision however large |z| is
+            eu = None if ez is None else 1 / (1 - ez)
+            inner, terms, n = _connection(
+                ctx, pa, pb, c, den, 1 / (1 - zz) if eu is None else ctx.to_mp(eu), eu
             )
-            # the tail and the roundoff allowance peak (n+8) 2^-mp.prec,
-            # rounded up, in the kernel's unit 2^-wp
-            return total, n, tail - (-peak * (n + 8) >> mp.prec), wp
-
-        total, n, err, wp = ctx._recall(key, summed)
-        terms = [(bound[0] * err, bound[1] - wp)]
-        value = pref * total
+            value = pref * inner
+            m, f = _ceil_abs(pref, mp.prec)
+            pm, pf = _ceil_abs(value, mp.prec)
+            # |pref| times the connection's error, and 16 2^-precision
+            # |value| for the rounding of pref and of the product
+            terms = [(m * mi, f + fi) for mi, fi in terms] + [(pm, pf + 4 - prec)]
+        else:
+            value, n, terms = _summed(
+                ctx, pref, pa, pb, c, den, zz / (zz - 1), target_bits, max_terms
+            )
 
     if mp.im(value) == 0:
         value = mp.re(value)
     return EvalResult(+value, _round_up(mp, terms), method, n)
+
+
+def _connection(ctx: EvalContext, a, b, c, den, u, eu):
+    """F(a, b; c; x) by the 1-x connection formula (DLMF 15.8.4), for
+    a/den, b/den, c/den with c-a-b not an integer, u = 1-x in the context
+    and eu the exact rational 1-x or None: (value, error terms for
+    ``_round_up``, terms summed).  The power u^(c-a-b) is taken of u; the
+    two inner series run at eu, rounded once, when it is given, else at
+    u, each on the series maps only, and are kept inside ``sharing()``.
+    The error is sum_i |coef_i| err_i + 16 2^-precision |part_i|, with
+    err_i the inner result's est_error and each modulus by ``_ceil_abs``."""
+    mp = ctx.mp
+    cab = c - a - b
+    # the gamma arguments become Fractions here, at gamma_c's interface
+    gc = gamma_c(Fraction(c, den), ctx)
+    coef1 = (
+        gc * gamma_c(Fraction(cab, den), ctx)
+        * rgamma_c(Fraction(c - a, den), ctx) * rgamma_c(Fraction(c - b, den), ctx)
+    )
+    coef2 = (
+        _principal_power(ctx, u, cab, den) * gc * gamma_c(Fraction(-cab, den), ctx)
+        * rgamma_c(Fraction(a, den), ctx) * rgamma_c(Fraction(b, den), ctx)
+    )
+    uu = u if eu is None else ctx.to_mp(eu)
+    u_key = (_exact(uu), None if eu is None else (eu.numerator, eu.denominator))
+    parts, terms, n = [], [], 0
+    for coef, (pa, pb, pc) in zip((coef1, coef2), _connection_series(a, b, c, den, False)):
+        if coef != 0:
+            # ordered (pa, pb): with c-a and c-b both nonpositive
+            # integers the terminating Pfaff map taken depends on it
+            inner_params = _lowest(pa, pb, pc, den)
+            inner = ctx._recall(
+                ("inner", *inner_params, u_key, mp.prec),
+                lambda: _hyp2f1(
+                    ctx, *inner_params[:3], uu, eu, None, _SERIES_PATHS, inner_params[3]
+                ),
+            )
+            part = coef * inner.value
+            parts.append(part)
+            m, f = _ceil_abs(coef, mp.prec)
+            _, man, exp, _ = inner.est_error._mpf_
+            terms.append((m * man, f + exp))
+            m, f = _ceil_abs(part, mp.prec)
+            terms.append((m, f + 4 - ctx.precision))  # 16 2^-precision |part|
+            n += inner.n_terms
+    return sum(parts, mp.mpf(0)), terms, n
+
+
+def _summed(ctx: EvalContext, pref, a, b, c, den, x, target_bits, max_terms):
+    """pref F(a, b; c; x) on the kernel, for a/den, b/den, c/den: (value,
+    terms summed, error terms for ``_round_up``).  The error is
+    |pref| (tail + ceil(peak (n+8) 2^-wprec)) in the kernel's unit 2^-wp,
+    |pref| taken up by ``_ceil_abs``, or 1 when pref is None (the direct
+    series).  Inside ``sharing()`` the sum is kept under its exact
+    inputs."""
+    mp = ctx.mp
+    pa, pb, pc, d = _lowest(a, b, c, den)
+    # the kernel is symmetric in pa and pb, bit for bit
+    key = ("series", *sorted((pa, pb)), pc, d, _exact(x), mp.prec, target_bits, max_terms)
+
+    def summed():
+        total, tail, n, peak, wp = _series_2f1(mp, pa, pb, pc, d, x, target_bits, max_terms)
+        # the tail and the roundoff allowance peak (n+8) 2^-mp.prec,
+        # rounded up, in the kernel's unit 2^-wp
+        return total, n, tail - (-peak * (n + 8) >> mp.prec), wp
+
+    total, n, err, wp = ctx._recall(key, summed)
+    if pref is None:
+        return total, n, [(err, -wp)]
+    m, f = _ceil_abs(pref, mp.prec)
+    return pref * total, n, [(m * err, f - wp)]
 
 
 def _principal_power(ctx: EvalContext, base, p: int, q: int):

@@ -242,17 +242,17 @@ class TestEvalCommand:
         assert "path = pfaff" in out
 
     def test_reports_terms_summed(self, capsys):
-        # the connection path sums two inner series; --z=3,2 reaches it
+        # the connection path sums two inner series; --z=1,1/2 reaches it
         code, out, _ = run(
             capsys, "eval", "--a", "1/2", "--b", "1/3", "--c", "5/7",
-            "--z=3,2", "--json",
+            "--z=1,1/2", "--json",
         )
         assert code == 0
         (record,) = json.loads(out)["records"]
         assert record["path"] == "connection-1mz"
         assert isinstance(record["n_terms"], int) and record["n_terms"] > 0
         code, out, _ = run(
-            capsys, "eval", "--a", "1/2", "--b", "1/3", "--c", "5/7", "--z=3,2",
+            capsys, "eval", "--a", "1/2", "--b", "1/3", "--c", "5/7", "--z=1,1/2",
         )
         assert f"n_terms = {record['n_terms']}" in out.splitlines()
 
@@ -335,9 +335,10 @@ class TestEvalCommand:
     ):
         # each component of z = p/q + i r/s is rounded where the engine
         # rounds a real rational z, so est_error covers the error against
-        # the exact z (it did not when z was rounded at the precision)
+        # the exact z (it did not when z was rounded at the precision); at
+        # 3 + 2i the Pfaff map runs through the connection at z/(z-1)
         for z, path in (("1/3,1/5", "direct-series"), ("-5/7,2/9", "pfaff-a"),
-                        ("2/3,-3/7", "connection-1mz")):
+                        ("9/10,1/10", "connection-1mz"), ("3,2", "pfaff-a")):
             code, _, _ = run(capsys, "eval", "--a", "1/3", "--b", "5/7", "--c", "9/4",
                              f"--z={z}")
             assert code == 0
@@ -595,8 +596,8 @@ def test_golden_output(capsys, argv, digest):
 
 
 # sha256 of outputs GOLDEN leaves out: the text form of each GOLDEN
-# command, ``roots`` and an ``eval`` at a complex rational z (the
-# connection formula) in both forms, and the seed-42 sweep's text
+# command, ``roots`` and an ``eval`` at a complex rational z (the direct
+# series, by predicted cost) in both forms, and the seed-42 sweep's text
 GOLDEN_TEXT = [
     ("verify --a 3 --c 3/2 --ell 1",
      "c92a6efbb6303c5d12a814de90f4d058daba517c9754fff2d9c755c0c04a63bb"),
@@ -615,9 +616,9 @@ GOLDEN_TEXT = [
     ("roots --a 7/3 --c 5/11 --ell 6 --json",
      "01142fd22dadbce09c902c4a473eb56fe7d90d76cff9a945de7c3b0243160f6b"),
     ("eval --a 1/3 --b 5/7 --c 9/4 --z=2/3,-3/7",
-     "01c5f35d5962d24a45ec3c7757c3a17013872de88352791f59a25d688343cb7f"),
+     "c9c57c76efec5a66f937fc830c034e9caf387f5fdee3314a0f03f86ef80727bd"),
     ("eval --a 1/3 --b 5/7 --c 9/4 --z=2/3,-3/7 --json",
-     "534cf4a716745731bfadcfe90ce2d74975c98c867e2696b1f1d6d170954a1677"),
+     "e288c0c3993b4a0e055f2febb5f8491f7f2a92c628242a6edcbfa2e3cef1f039"),
     ("sweep --trials 100 --ell-max 5 --seed 42",
      "a3ffb5e77ee03107505af40e27c795622a0305e80504f43c87baadaa40f4f32c"),
 ]

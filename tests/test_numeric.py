@@ -9,7 +9,14 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from mpmath.libmp import from_int, from_rational, mpf_neg, round_ceiling, round_nearest
+from mpmath.libmp import (
+    from_int,
+    from_rational,
+    mpf_neg,
+    round_ceiling,
+    round_nearest,
+    to_rational,
+)
 
 from strangeval import numeric
 from strangeval.errors import (
@@ -610,18 +617,23 @@ class TestHyp2F1:
         assert abs(direct.value - conn.value) <= tol(170)
 
     def test_far_field_via_connection_inner_pfaff(self):
-        # Re z > 1/2 with |z|, |1-z|, |z/(z-1)| all > 1: reachable only
-        # through the connection formula with Pfaff-evaluated inner sums
+        # Re z > 1/2 with |z|, |1-z|, |z/(z-1)| all > 1: the connection
+        # formula reaches it with Pfaff-evaluated inner sums, at
+        # |1-1/z| = 0.89, and the Pfaff map through the connection at
+        # z/(z-1), which the cost rule takes, at 1/|1-z| = 0.23
         z = CTX.mp.mpc(2.9, 3.7)
-        r = hyp2f1_num(Fraction(1, 2), Fraction(1, 3), Fraction(5, 7), z, CTX)
-        assert r.path == "connection-1mz"
+        auto = hyp2f1_num(Fraction(1, 2), Fraction(1, 3), Fraction(5, 7), z, CTX)
+        conn = hyp2f1_num(Fraction(1, 2), Fraction(1, 3), Fraction(5, 7), z, CTX,
+                          method="connection-1mz")
+        assert auto.path == "pfaff-b" and auto.n_terms < conn.n_terms
         with mpmath.workprec(300):
             ref = mpmath.hyp2f1(
                 mpmath.mpf(1) / 2, mpmath.mpf(1) / 3, mpmath.mpf(5) / 7,
                 mpmath.mpc(2.9, 3.7),
             )
-            diff = abs(mpmath.mpc(r.value.real, r.value.imag) - ref) / abs(ref)
-            assert diff <= mpmath.mpf(1e-45)
+            for r in (auto, conn):
+                diff = abs(mpmath.mpc(r.value.real, r.value.imag) - ref) / abs(ref)
+                assert diff <= mpmath.mpf(1e-45), r.path
 
     def test_est_error_majorizes_true_error(self):
         with mpmath.workprec(320):
@@ -637,9 +649,10 @@ class TestHyp2F1:
 def _selector_draws(mp, seed, count):
     """(a, b, c, z, method) draws that reach every branch of the path
     choice: terminating sums at rational and float z, sums that terminate
-    under Pfaff, |z| <= 0.7, the minimum-modulus choice, the degenerate
-    connection, the out-of-budget error near e^(+-i pi/3) and the cut; 40%
-    force a method.  c is never a nonpositive integer."""
+    under Pfaff, the choice by predicted cost, the degenerate connection,
+    a Pfaff map through the connection at z/(z-1) (|Im z| >= 2, so |z|
+    and |1-z| are at least 2), the out-of-budget error near e^(+-i pi/3)
+    and the cut; 40% force a method.  c is never a nonpositive integer."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -665,6 +678,8 @@ def _selector_draws(mp, seed, count):
             z = mp.mpf(rng.uniform(-3, 0.95))
         elif r < 0.55:
             z = mp.expjpi(mp.mpf(rng.choice((1, -1))) / 3) * rng.choice((1, mp.mpf(0.9)))
+        elif r < 0.65:
+            z = mp.mpc(rng.uniform(-8, 8), rng.choice((1, -1)) * rng.uniform(2, 8))
         else:
             z = mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
         method = rng.choice(numeric.KNOWN_PATHS) if rng.random() < 0.4 else None
@@ -685,7 +700,7 @@ def test_selector_pin():
         else:
             outcomes.append(f"{r.path} {r.n_terms} {r.value!r} {r.est_error!r}")
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
-    assert digest == "f0e6b5befe61a7ac"
+    assert digest == "cac138593d893fd0"
 
 
 def _near_lattice_or_small(rng):
@@ -760,6 +775,118 @@ def test_connection_near_gamma_pole():
             mpmath.mpf(2) ** -100, b, mpmath.mpf(1) / 2, mpmath.mpf(19) / 20
         )
         assert abs(mpmath.mpf(r.value) - ref) <= mpmath.mpf(r.est_error)
+
+
+def test_large_b_takes_the_pfaff_map_by_cost():
+    # identity 1 of verify_theorem(7/3, 5/11, 100) at a root: |z| = 0.55,
+    # but the direct series' terms grow for ~120 steps to 1.8e37 and its
+    # 615 terms cancel 137 bits (relative error 9.8e-28); pfaff-a sums 114
+    a, b, c = Fraction(7, 3), 101, Fraction(5, 11)
+    z = (Fraction(-101, 2000), Fraction(273, 500))
+    r = hyp2f1_num(a, b, c, z, CTX)
+    assert r.path != "direct-series" and r.n_terms <= 150
+    with mpmath.workprec(600):
+        ref = mpmath.hyp2f1(_mpq(a), b, _mpq(c), mpmath.mpc(_mpq(z[0]), _mpq(z[1])))
+        err = abs(mpmath.mpmathify(r.value) - ref)
+        assert err <= mpmath.mpmathify(r.est_error)
+        assert err <= mpmath.mpf(1e-45) * abs(ref)
+
+
+def _one_over_z_draws(rng, count, integer_gap):
+    """(a, b, c, z) with Re z > 1/2, so |z/(z-1)| > 1 and no Pfaff series
+    converges directly, min(1/|z|, 1/|1-z|) <= 0.9 and below the 1-z
+    connection's modulus min(|1-z|, |1-1/z|); b - a is an integer exactly
+    when ``integer_gap``.  No parameter among a, b, c, c-a, c-b is a
+    nonpositive integer."""
+    out = []
+    while len(out) < count:
+        a, c = (_near_lattice_or_small(rng) for _ in range(2))
+        b = a + rng.randint(-6, 6) if integer_gap else _near_lattice_or_small(rng)
+        if any(p.denominator == 1 and p <= 0 for p in (a, b, c, c - a, c - b)):
+            continue
+        if (b - a).denominator == 1 and not integer_gap:
+            continue
+        z = complex(rng.uniform(0.5, 4), rng.uniform(-4, 4))
+        m = min(1 / abs(z), 1 / abs(1 - z))
+        if abs(z / (z - 1)) <= 1 or m > 0.9 or m >= min(abs(1 - z), abs(1 - 1 / z)):
+            continue
+        out.append((a, b, c, CTX.mp.mpc(z.real, z.imag)))
+    return out
+
+
+def test_log2_term_matches_the_product():
+    # log2 |t_n| of F(a, b; c; x), |x| = m, against the term formed as a
+    # product at integer n, across signs and poles of the factors
+    rng = random.Random("log2-term")
+    for _ in range(200):
+        a, b, c = (Fraction(rng.randint(-300, 300), rng.randint(1, 7)) for _ in range(3))
+        if any(p.denominator == 1 and p <= 0 for p in (a, b, c)):
+            continue
+        (an, bn, cn), den = numeric.over_common_denominator(a, b, c)
+        m, n = rng.uniform(0.05, 0.99), rng.randint(0, 200)
+        t = Fraction(1)
+        for k in range(n):
+            t *= (a + k) * (b + k) / ((c + k) * (k + 1))
+        want = math.log2(abs(t)) + n * math.log2(m)
+        assert numeric._log2_term(an, bn, cn, den, m, n) == pytest.approx(want, abs=1e-6)
+
+
+def test_lossy_route_ranks_after_an_accurate_one():
+    # identity 2 of verify_theorem(-2/5, 3/7, 150) at a root, |z| = 0.967:
+    # the direct series is cheapest by the cost rule, 168 terms, but its
+    # terms grow to ~2^140 and it cancels to est_error 1.2e-25; the 1-z
+    # connection, whose series do not grow, is taken
+    a, b, c = Fraction(29, 35), Fraction(-1054, 7), Fraction(3, 7)
+    z = CTX.mp.mpc(0.5173084862075604, 0.816589401738266)
+    direct = hyp2f1_num(a, b, c, z, CTX, method="direct-series")
+    r = hyp2f1_num(a, b, c, z, CTX)
+    assert r.path == "connection-1mz" and direct.est_error > 1e-26
+    with mpmath.workprec(400):
+        ref = mpmath.hyp2f1(_mpq(a), _mpq(b), _mpq(c), z)
+        err = abs(mpmath.mpmathify(r.value) - ref)
+        assert err <= mpmath.mpmathify(r.est_error) <= mpmath.mpf(2) ** -110 * abs(ref)
+
+
+class TestOneOverZ:
+    """A Pfaff map summed through the 1-z connection at w = z/(z-1)
+    (DLMF 15.8.2/15.8.3): its series run at 1/(1-z) or 1/z."""
+
+    def test_est_error_bounds_true_error(self):
+        for a, b, c, z in _one_over_z_draws(random.Random("one-over-z"), 16, False):
+            r = hyp2f1_num(a, b, c, z, CTX)
+            assert r.path in ("pfaff-a", "pfaff-b"), (a, b, c, z)
+            with mpmath.workprec(320):
+                ref = mpmath.hyp2f1(_mpq(a), _mpq(b), _mpq(c), z)
+                err = abs(mpmath.mpmathify(r.value) - ref)
+                assert err <= mpmath.mpmathify(r.est_error), (a, b, c, z)
+
+    def test_integer_b_minus_a_falls_back_to_the_connection(self):
+        # the route degenerates; the 1-z connection, the one other map in
+        # budget there, evaluates as it did before the route existed
+        for a, b, c, z in _one_over_z_draws(random.Random("one-over-z-int"), 8, True):
+            if (c - a - b).denominator == 1:
+                continue
+            r = hyp2f1_num(a, b, c, z, CTX)
+            assert r.path == "connection-1mz", (a, b, c, z)
+            forced = hyp2f1_num(a, b, c, z, CTX, method="connection-1mz")
+            assert (r.value, r.est_error, r.n_terms) == (
+                forced.value, forced.est_error, forced.n_terms
+            )
+            with mpmath.workprec(320):
+                ref = mpmath.hyp2f1(_mpq(a), _mpq(b), _mpq(c), z)
+                assert abs(mpmath.mpmathify(r.value) - ref) <= mpmath.mpmathify(r.est_error)
+
+    def test_huge_argument_keeps_the_working_precision(self):
+        # 1 - w = 1/(1-z) is formed from z: from w = z/(z-1) it would lose
+        # the bits of |z|, here 2^60
+        z = CTX.mp.mpc(-(2**60), 3)
+        r = hyp2f1_num(Fraction(1, 3), Fraction(1, 2), Fraction(5, 4), z, CTX)
+        assert r.path == "pfaff-a"
+        with mpmath.workprec(400):
+            ref = mpmath.hyp2f1(mpmath.mpf(1) / 3, mpmath.mpf(1) / 2, mpmath.mpf(5) / 4, z)
+            err = abs(mpmath.mpmathify(r.value) - ref)
+            assert err <= mpmath.mpmathify(r.est_error)
+            assert err <= mpmath.mpf(2) ** -192 * abs(ref)
 
 
 class TestOracle:
@@ -1121,7 +1248,8 @@ class TestErrorBookkeeping:
     def test_connection_with_both_inner_series_on_pfaff(self, monkeypatch):
         inner = _spy(monkeypatch, "_hyp2f1")
         z = CTX.mp.mpc(2.9, 3.7)
-        r, _ = self._bounded(Fraction(1, 2), Fraction(1, 3), Fraction(5, 7), z)
+        r, _ = self._bounded(Fraction(1, 2), Fraction(1, 3), Fraction(5, 7), z,
+                             "connection-1mz")
         paths = [out.path for args, out in inner if args[7] == numeric._SERIES_PATHS]
         assert r.path == "connection-1mz"
         assert len(paths) == 2 and all(p.startswith("pfaff") for p in paths)
@@ -1380,12 +1508,13 @@ class TestTinyComponents:
         # components 2^1000000 apart: the alignment and cross products run
         # on million-bit integers in time near-linear in the exponent gap
         # (tens of ms each on a 2-core x86-64 VM); a quadratic cost would
-        # take far longer than the bound
+        # take far longer than the bound.  At |z| = 2^1000000 the Pfaff map
+        # through the connection sums its series at 1/(1-z) or 1/z
         mp = self.MP
         tiny = mp.mpf(2) ** -10**6
         for z, want in (
             (mp.mpc(0.9, tiny), "connection-1mz"),
-            (mp.mpc(-1 / tiny, 1), NonConvergenceError),
+            (mp.mpc(-1 / tiny, 1), "pfaff-a"),
             (3 * tiny, "direct-series"),
         ):
             start = time.perf_counter()
@@ -1398,9 +1527,12 @@ class TestTinyComponents:
 
     def test_least_agrees_with_exact_comparison(self):
         # random points, some with a component 2^-60 .. 2^-3000 off a
-        # short one, and at 1/2 + i/2 the direct and connection moduli tie
+        # short one, and at 1/2 + i/2 the direct and connection moduli tie:
+        # each route's squared modulus is the exact one, and least takes
+        # the route the cost rule ranks first, worked out here from the
+        # exact moduli, with the budget of its exact squared modulus.  The
+        # second parameter set, b = 121/3, makes some routes lossy
         rng = random.Random(11)
-        paths = ("direct-series", "pfaff-a", "connection-1mz")
         half, tiny = Fraction(1, 2), Fraction(1, 2**3000)
         points = [(half, half), (half, -half), (half + tiny, half), (half - tiny, half)]
         for _ in range(200):
@@ -1409,24 +1541,58 @@ class TestTinyComponents:
                 + rng.choice((0, Fraction(1, 2 ** rng.randint(60, 3000))))
                 for _ in range(2)
             ))
-        for x, y in points:
+        lossy_seen = set()
+        for (a, b, c), den, (x, y) in itertools.product(
+            ((1, 4, 10), (1, 121, 10)), (3,), points
+        ):
             z = self.MP.mpc(CTX.to_mp(x), CTX.to_mp(y))
-            if z == 0:
+            x, y = (Fraction(*to_rational(t._mpf_)) for t in (z.real, z.imag))
+            n0, n1 = x * x + y * y, (x - 1) ** 2 + y * y
+            if not n0 or not n1:
                 continue
             arg = numeric._Argument(z, 256)
-            moduli = [
-                Fraction(*arg.squared(p)) if arg.squared(p)[1] else None for p in paths
-            ]
-            for degenerate in (False, True):
-                ranked = [
-                    ((numeric._max_terms_for(*arg.squared(p), 192, None) is None,
-                      p == "connection-1mz" and degenerate), m, i)
-                    for i, (p, m) in enumerate(zip(paths, moduli)) if m is not None
+            exact = {
+                ("direct-series", False): n0,
+                ("pfaff-a", False): n0 / n1,
+                ("connection-1mz", False): n1 / max(1, n0),
+                ("pfaff-a", True): 1 / max(n0, n1),
+            }
+            for (path, via), m2 in exact.items():
+                assert Fraction(*arg.squared(path, via)) == m2, (x, y, path, via)
+            for degenerate in itertools.product((False, True), repeat=2):
+                routes = [
+                    numeric._Route("direct-series", False, (a, b, c), False),
+                    numeric._Route("pfaff-a", False, (a, c - b, c), False),
+                    numeric._Route("connection-1mz", False, (a, b, c), degenerate[0]),
+                    numeric._Route("pfaff-a", True, (a, c - b, c), degenerate[1]),
                 ]
-                want = paths[min(ranked)[2]]
-                budget = numeric._max_terms_for(*arg.squared(want), 192, None)
-                got = arg.least({}, [paths[r[2]] for r in ranked], 192, degenerate)
-                assert got == (want, budget)
+                ranked = []
+                for i, route in enumerate(routes):
+                    m2 = exact[route.path, route.via]
+                    budget = numeric._max_terms_for(m2.numerator, m2.denominator, 192, None)
+                    cost, lossy = 0.0, False
+                    if budget is not None:
+                        m = math.sqrt(float(m2))
+                        two = route.via or route.path == "connection-1mz"
+                        series = (route.params,)
+                        if two:
+                            pfaffed = n0 > (n1 if route.via else 1)
+                            series = numeric._connection_series(*route.params, den, pfaffed)
+                        for t in series:
+                            grow = numeric._growth_phase(*t, den, m)
+                            cost += grow + (192 + numeric.GUARD_BITS) / -math.log2(m)
+                            lossy = lossy or grow > 0 and (
+                                numeric._log2_term(*t, den, m, grow) > numeric.WORK_BITS
+                            )
+                        cost += numeric._CONNECTION_TERMS if two else 0
+                        cost += numeric._POWER_TERMS if route.path == "pfaff-a" else 0
+                    rank = budget is None, route.degenerate, lossy, cost
+                    ranked.append((rank, i, budget))
+                _, want, budget = min(ranked)
+                got = arg.least({}, routes, 192, den)
+                assert got == (routes[want], budget), (b, x, y, degenerate)
+                lossy_seen |= {rank[2] for rank, _, _ in ranked}
+        assert lossy_seen == {False, True}
 
     def test_norms_are_exact(self):
         rng = random.Random(7)

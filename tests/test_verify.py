@@ -244,9 +244,12 @@ def _roots(a, c, ell):
     return find_roots(terminating_poly(HypParams(1 - a, -ell, 2 - c))).roots
 
 
-# seed-42 draws 3 and 14: every root takes connection-1mz in both identities
-CONNECTION_DRAW = (Fraction(3, 5), Fraction(-19, 18), 2)
+# seed-42 draws 18 and 14: every root takes connection-1mz in both
+# identities; draw 3: every root takes a Pfaff map through the connection
+# at z/(z-1) in both (its roots, 2.90 +- 3.71i, have |z| and |1-z| above 1)
+CONNECTION_DRAW = (Fraction(-7, 16), Fraction(1, 3), 2)
 CONNECTION_ROOTS_DRAW = (Fraction(-7, 9), Fraction(-4, 5), 2)
+ONE_OVER_Z_DRAW = (Fraction(3, 5), Fraction(-19, 18), 2)
 PFAFF_DRAW = (Fraction(5, 9), Fraction(-10, 9), 34)
 
 
@@ -266,6 +269,25 @@ class TestSharedWork:
             r2 = hyp2f1_num(*second, lam, ctx)
         assert r1.path == r2.path == "connection-1mz"
         assert after_first == 2 and len(runs) == after_first
+
+    def test_second_identity_sums_no_series_at_a_one_over_z_root(self, monkeypatch):
+        # the two identities' Pfaff maps through the connection at z/(z-1)
+        # sum the same two series, at 1/(1-z) or 1/z: the second reuses them
+        a, c, ell = ONE_OVER_Z_DRAW
+        first, second = _identities(a, c, ell)
+        runs = _counted(monkeypatch, "_series_2f1")
+        for lam in _roots(a, c, ell):
+            ctx = EvalContext()
+            before = len(runs)
+            with ctx.sharing():
+                r1 = hyp2f1_num(*first, lam, ctx)
+                after_first = len(runs)
+                r2 = hyp2f1_num(*second, lam, ctx)
+            assert {r1.path, r2.path} == {"pfaff-a", "pfaff-b"}
+            assert after_first - before == 2 and len(runs) == after_first
+            # |z/(z-1)| > 1: no Pfaff series converges at the root itself
+            with pytest.raises(NonConvergenceError):
+                hyp2f1_num(*first, lam, ctx, method=r1.path)
 
     def test_second_identity_sums_no_series_at_a_pfaff_root(self, monkeypatch):
         # the slower-growing Pfaff map of one identity sums the series of
@@ -414,6 +436,7 @@ class TestSharedWork:
 # real left side (a = 0, F = 1), a pair no map reaches, and ell 40
 REFLECTED_DRAWS = (
     CONNECTION_DRAW,
+    ONE_OVER_Z_DRAW,
     (Fraction(-1), Fraction(-5, 6), 3),
     (Fraction(0), Fraction(-17, 10), 2),
     (Fraction(7, 4), Fraction(-2, 3), 4),
@@ -748,17 +771,17 @@ class TestSpecialLoci:
     evaluation paths."""
 
     @pytest.mark.parametrize("draw, digest", [
-        (_c_minus_a_integer, "dd6e664756e527c2"),
-        (_a_integer, "c6f16f69f4c810ad"),
-        (_a_in_one_to_ell, "d84d9025a00b6eba"),
+        (_c_minus_a_integer, "7cb74cc47eda714b"),
+        (_a_integer, "b50424c8c227e94e"),
+        (_a_in_one_to_ell, "69f5d8dd0d489255"),
     ], ids=["c-a-integer", "a-integer", "a-in-1..ell"])
     def test_every_draw_ends_in_a_pass_or_no_roots(self, draw, digest):
         rng = random.Random(42)
         start = time.perf_counter()
-        outcomes, reasons = [], []
+        outcomes, reasons, reports = [], [], {}
         for _ in range(60):
             a, c, ell = draw(rng)
-            report = verify_theorem(a, c, ell)
+            report = reports[a, c, ell] = verify_theorem(a, c, ell)
             assert report.verdict in ("pass", "no-roots"), (a, c, ell)
             routes = ("series", "operator") + (() if is_integer(a) else ("reversal",))
             assert report.q0_provenance == routes and report.q0_agree, (a, c, ell)
@@ -771,7 +794,20 @@ class TestSpecialLoci:
         elapsed = time.perf_counter() - start
         assert set(reasons) <= {SKIP_BRANCH_CUT, SKIP_DEGENERATE_CONNECTION, SKIP_EVAL_FAILED}
         if draw is _c_minus_a_integer:
-            assert SKIP_DEGENERATE_CONNECTION in reasons
+            # the roots the degenerate 1-z connection left unchecked, a
+            # conjugate pair in each of these draws at moduli
+            # min(1/|z|, 1/|1-z|) of 0.77, 0.49, 0.18 and 0.14, are checked
+            # by a Pfaff map through the connection at z/(z-1), and pass
+            assert SKIP_DEGENERATE_CONNECTION not in reasons
+            for key in ((Fraction(15, 7), Fraction(85, 7), 11),
+                        (Fraction(2, 7), Fraction(65, 7), 5),
+                        (Fraction(15, 8), Fraction(87, 8), 6),
+                        (Fraction(11, 3), Fraction(47, 3), 9)):
+                report = reports[key]
+                off_axis = [rec for rec in report.records if rec.lam.imag]
+                assert len(off_axis) >= 2 and all(
+                    not rec.skipped and rec.passed(report.tolerance) for rec in off_axis
+                ), key
         assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()[:16] == digest
         assert elapsed < 30.0
 
